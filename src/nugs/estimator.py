@@ -17,7 +17,8 @@ from . import fourier, sampling, solver, spaces
 from .fourier import FourierData
 from .sampling import SampleSet
 from .spaces import SpaceSpec
-from .validation import as_complex_array, as_float_array, check_positions, check_same_length
+from .validation import (as_complex_array, as_float_array, as_weight_array, check_positions,
+                         check_same_length)
 
 _PARAM_NAMES = ("space", "bandwidth", "rank_rtol")
 
@@ -95,15 +96,14 @@ class NonuniformFourierRegressor:
         omega = as_float_array(X, "X")
         values = as_complex_array(y, "y")
         check_same_length(omega, values, "X", "y")
+        if sample_weight is not None:
+            mu = as_weight_array(sample_weight, "sample_weight")
+            check_same_length(omega, mu, "X", "sample_weight")
         order = np.argsort(omega)
         omega, values = omega[order], values[order]
         k = self.bandwidth if self.bandwidth is not None else float(np.max(np.abs(omega)))
         s = SampleSet(points=omega, bandwidth=k)
-        if sample_weight is None:
-            mu = sampling.weights(s)
-        else:
-            mu = as_float_array(sample_weight, "sample_weight")[order]
-            check_same_length(omega, mu, "X", "sample_weight")
+        mu = sampling.weights(s) if sample_weight is None else mu[order]
         basis = fourier.cached_basis(self._space_spec())
         rec = solver.reconstruct(basis, FourierData(s, values, mu),
                                  rank_rtol=self.rank_rtol)

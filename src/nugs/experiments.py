@@ -104,7 +104,6 @@ class _StabilityEvaluator:
         self.delta = sampling.density(s)
         self._cache: dict[int, float] = {}
         self._trig_design = None
-        self._legendre_cells = None
 
     @property
     def cap(self) -> int:
@@ -143,18 +142,17 @@ class _StabilityEvaluator:
         return self._trig_design[:, cap - m:cap + m + 1]
 
     def _legendre_columns(self, m: int) -> np.ndarray:
-        if self._legendre_cells is None or self._legendre_cells.shape[2] <= m:
-            p = min(self.cap, max(2 * m, 16)) + 1
-            self._legendre_cells = fourier.cell_transforms(
-                np.array((0.0, 1.0)), p, self.s.points)
-        return self._legendre_cells[:, 0, :m + 1]
+        # exactly m + 1 orders per probe: Miller's recurrence starts above the
+        # highest order, so a shared table would make c(m) depend on the
+        # search path in its last bits
+        return fourier.cell_transforms(np.array((0.0, 1.0)), m + 1, self.s.points)[:, 0, :]
 
     def _spline_lower(self, l: int) -> float:
         d = self.d
         raw = spaces._bspline_cell_coeffs(d, l)
         nb = raw.shape[0]
         t = fourier.cell_transforms(np.linspace(0.0, 1.0, l + 1), d + 1, self.s.points)
-        a = np.einsum("wjn,bjn->wb", t, raw)
+        a = t.reshape(t.shape[0], -1) @ raw.reshape(nb, -1).T
         m1 = (a.conj() * self.mu[:, None]).T @ a
         gram = raw.reshape(nb, -1) @ raw.reshape(nb, -1).T
         try:

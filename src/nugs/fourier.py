@@ -9,8 +9,18 @@ polynomial, whose transform has the closed form
         = sqrt((2n+1) h) * exp(-pi i w (a+b)) * (-i)^n * j_n(pi w h)
 
 with h = b - a and j_n the spherical Bessel function (odd/even in w, so
-negative frequencies follow by parity).  Quadrature is used only for
-user-supplied functions and as a cross-check oracle in the tests.
+negative frequencies follow by parity).  All orders j_0..j_{p-1} come from
+one vectorized pass (``spherical_jn_orders``): the power series below
+z = 0.5; closed-form j_0, j_1 and the upward recurrence
+j_{n+1} = (2n+1)/z j_n - j_{n-1} where z >= p - 1, in which range it is
+stable; and Miller's downward recurrence between the two, normalized by
+sum_n (2n+1) j_n^2 = 1.  Basis transforms then contract the per-cell
+table with the basis coefficients in one matrix product.
+
+Quadrature is used only for user-supplied functions and as a cross-check
+oracle in the tests.  Its panels have equal width within each jump-free
+segment, so the exponential at node a_j + c_q factors into a per-panel
+and a per-node table joined by one matrix product per segment.
 """
 
 from __future__ import annotations
@@ -21,14 +31,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import spherical_jn
 
 from . import sampling, spaces
 from .errors import QuadratureError
-from .quadrature import gauss_rule, panel_edges, panel_nodes
+from .quadrature import gauss_rule, panel_edges, panel_nodes, panel_segments
 from .sampling import SampleSet
 from .spaces import OrthoBasis, SpaceSpec
-from .validation import as_complex_array, check_same_length
+from .validation import as_complex_array, as_weight_array, check_same_length
 
 _TWO_PI = 2.0 * np.pi
 
@@ -157,18 +166,103 @@ def interval_exponential(a: float, b: float, omega) -> complex | np.ndarray:
     return out if out.ndim else complex(out)
 
 
+def spherical_jn_orders(z, p: int) -> np.ndarray:
+    """Spherical Bessel functions j_0..j_{p-1} at z >= 0; shape (p, *z.shape).
+
+    Absolute error is a few ulp of 1 for every order (|j_n| <= 1).
+    """
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
+    out = np.empty((p, flat.size))
+    small = flat < 0.5
+    upward = ~small & (flat >= p - 1)
+    miller = ~(small | upward)
+    for sel, method in ((small, _jn_series), (upward, _jn_upward), (miller, _jn_miller)):
+        if sel.any():
+            out[:, sel] = method(flat[sel], p)
+    return out.reshape((p,) + z.shape)
+
+
+def _jn_series(z: np.ndarray, p: int) -> np.ndarray:
+    # j_n(z) = z^n / (2n+1)!! * sum_k (-z^2/2)^k / (k! (2n+3)(2n+5)..(2n+2k+1));
+    # for z < 0.5 the terms past k = 8 are below 1e-21
+    out = np.empty((p, z.size))
+    y = -0.5 * z * z
+    lead = np.ones_like(z)
+    acc = np.empty_like(z)
+    for n in range(p):
+        if n:
+            lead *= z / (2 * n + 1)
+        acc.fill(1.0)
+        for k in range(8, 0, -1):
+            acc *= y / (k * (2 * n + 2 * k + 1))
+            acc += 1.0
+        np.multiply(lead, acc, out=out[n])
+    return out
+
+
+def _jn_closed01(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    j0 = np.sin(z) / z
+    return j0, (j0 - np.cos(z)) / z
+
+
+def _jn_upward(z: np.ndarray, p: int) -> np.ndarray:
+    out = np.empty((p, z.size))
+    j0, j1 = _jn_closed01(z)
+    out[0] = j0
+    if p > 1:
+        out[1] = j1
+    inv = 1.0 / z
+    for n in range(1, p - 1):
+        out[n + 1] = (2 * n + 1) * inv * out[n] - out[n - 1]
+    return out
+
+
+def _jn_miller(z: np.ndarray, p: int) -> np.ndarray:
+    # Downward from an order far enough above z that j_top is negligible,
+    # rescaling by 1e-100 whenever a value passes 1e100 so that the running
+    # sum of (2n+1) f_n^2 cannot overflow; the sign comes from the larger
+    # of the closed-form j_0, j_1 (their zeros interlace).
+    top = p + 16 + int(math.sqrt(40 * p))
+    out = np.zeros((p, z.size))
+    nxt = np.zeros_like(z)
+    cur = np.full_like(z, 1e-30)
+    total = np.zeros_like(z)
+    inv = 1.0 / z
+    for n in range(top, 0, -1):
+        scaled = (2 * n + 1) * cur
+        total += scaled * cur
+        if n < p:
+            out[n] = cur
+        prev = scaled * inv
+        prev -= nxt
+        big = np.abs(prev) > 1e100
+        if big.any():
+            prev[big] *= 1e-100
+            cur[big] *= 1e-100
+            total[big] *= 1e-200
+            out[:, big] *= 1e-100
+        nxt, cur = cur, prev
+    total += cur * cur
+    out[0] = cur
+    j0, j1 = _jn_closed01(z)
+    ref = np.where(np.abs(j0) >= np.abs(j1), j0 * out[0], j1 * out[1])
+    return out * np.copysign(1.0 / np.sqrt(total), ref)
+
+
 def cell_transforms(breaks: np.ndarray, p: int, omegas: np.ndarray) -> np.ndarray:
     """Transforms of every normalized cell-Legendre function, (n_w, n_cell, p)."""
     w = np.asarray(omegas, dtype=float)
     a, b = breaks[:-1], breaks[1:]
     h = b - a
-    z = np.pi * np.abs(w)[:, None] * h[None, :]
-    phase = np.exp(-1j * np.pi * w[:, None] * (a + b)[None, :])
-    sign = np.where(w >= 0, -1j, 1j)[:, None]
+    jn = spherical_jn_orders(np.pi * np.abs(w)[:, None] * h[None, :], p)
+    phase = np.exp(-1j * np.pi * w[:, None] * (a + b)[None, :]) * np.sqrt(h)[None, :]
+    # (-i)^n for w >= 0 and i^n = (-1)^n (-i)^n for w < 0
+    phase_odd = phase * np.where(w < 0, -1.0, 1.0)[:, None]
     out = np.empty((w.size, h.size, p), dtype=complex)
     for n in range(p):
-        out[:, :, n] = (math.sqrt(2 * n + 1) * np.sqrt(h)[None, :]
-                        * phase * sign**n * spherical_jn(n, z))
+        turn = math.sqrt(2 * n + 1) * (-1j) ** n
+        out[:, :, n] = (phase_odd if n % 2 else phase) * (turn * jn[n])
     return out
 
 
@@ -181,11 +275,12 @@ def basis_transform(basis: OrthoBasis, omega) -> np.ndarray:
         out = np.exp(-1j * np.pi * diff) * np.sinc(diff)
     else:
         out = np.empty((w.size, basis.dim), dtype=complex)
-        p = basis.local_dim
+        # sum over cells and orders as one (n_w, n_cell*p) x (n_cell*p, dim) product
+        coeffs = basis.coeffs.reshape(basis.dim, -1).T
         for lo in range(0, w.size, 512):
             chunk = slice(lo, min(lo + 512, w.size))
-            t = cell_transforms(basis.breaks, p, w[chunk])
-            out[chunk] = np.einsum("wjn,djn->wd", t, basis.coeffs)
+            t = cell_transforms(basis.breaks, basis.local_dim, w[chunk])
+            out[chunk] = t.reshape(t.shape[0], -1) @ coeffs
     return out[0] if scalar else out
 
 
@@ -203,7 +298,7 @@ class FourierData:
 
     def __post_init__(self):
         vals = as_complex_array(self.values, "values")
-        wts = np.asarray(self.weights, dtype=float)
+        wts = as_weight_array(self.weights, "weights")
         check_same_length(self.samples.points, vals, "samples", "values")
         check_same_length(self.samples.points, wts, "samples", "weights")
         vals.setflags(write=False)
@@ -235,14 +330,23 @@ def transform_integrals(f: FunctionSpec, omegas, abs_tol: float = 1e-12,
 
 def _batched_oscillatory(f: FunctionSpec, w: np.ndarray, width: float,
                          nodes: int) -> np.ndarray:
-    edges = panel_edges(0.0, 1.0, f.jumps, width)
-    xs, ws = panel_nodes(edges, nodes)
-    fw = evaluate_function(f, xs) * ws
-    out = np.empty(w.size, dtype=complex)
-    chunk = max(1, int(2e6 // max(xs.size, 1)))
-    for lo in range(0, w.size, chunk):
-        sel = slice(lo, min(lo + chunk, w.size))
-        out[sel] = np.exp(-2j * np.pi * w[sel, None] * xs[None, :]) @ fw
+    # On a segment of m panels of width h starting at lo, node q of panel j
+    # sits at a_j + c_q with a_j = lo + j h and c_q = h (1 + x_q) / 2, so
+    # sum_{j,q} e^{-2 pi i w (a_j + c_q)} g_jq = sum_j e^{-2 pi i w a_j} (E_c g^T)_j.
+    x, wq = gauss_rule(nodes)
+    out = np.zeros(w.size, dtype=complex)
+    for lo, hi, m in panel_segments(0.0, 1.0, f.jumps, width):
+        h = (hi - lo) / m
+        starts = lo + h * np.arange(m)
+        offsets = h / 2.0 * (1.0 + x)
+        fw = (evaluate_function(f, (starts[:, None] + offsets).ravel()).reshape(m, nodes)
+              * (h / 2.0 * wq))
+        chunk = max(1, int(1e6 // m))
+        for c in range(0, w.size, chunk):
+            sel = slice(c, min(c + chunk, w.size))
+            per_node = np.exp(-_TWO_PI * 1j * w[sel, None] * offsets) @ fw.T
+            per_panel = np.exp(-_TWO_PI * 1j * w[sel, None] * starts)
+            out[sel] += (per_panel * per_node).sum(axis=1)
     return out
 
 

@@ -25,16 +25,26 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def panel_edges(a: float, b: float, breakpoints=(), max_width: float = np.inf) -> np.ndarray:
-    """Panel edges covering [a, b], split at breakpoints and by max width."""
+def panel_segments(a: float, b: float, breakpoints=(),
+                   max_width: float = np.inf) -> list[tuple[float, float, int]]:
+    """Breakpoint-free segments (lo, hi, m) of [a, b], each cut into m equal
+    panels no wider than max width."""
     cuts = [a, b]
     for t in breakpoints:
         if a < t < b:
             cuts.append(float(t))
     cuts = sorted(set(cuts))
-    pieces = [np.array([cuts[0]])]
+    segments = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         m = max(1, int(np.ceil((hi - lo) / max_width))) if np.isfinite(max_width) else 1
+        segments.append((lo, hi, m))
+    return segments
+
+
+def panel_edges(a: float, b: float, breakpoints=(), max_width: float = np.inf) -> np.ndarray:
+    """Panel edges covering [a, b], split at breakpoints and by max width."""
+    pieces = [np.array([float(a)])]
+    for lo, hi, m in panel_segments(a, b, breakpoints, max_width):
         pieces.append(np.linspace(lo, hi, m + 1)[1:])
     return np.concatenate(pieces)
 

@@ -39,6 +39,14 @@ def as_complex_array(x, name: str) -> np.ndarray:
     return arr
 
 
+def as_weight_array(x, name: str) -> np.ndarray:
+    """Finite, non-negative quadrature weights as a 1-D float64 array."""
+    arr = as_float_array(x, name)
+    if np.any(arr < 0.0):
+        raise ValueError(f"{name} must be non-negative")
+    return arr
+
+
 def check_strictly_increasing(points: np.ndarray, name: str) -> None:
     if points.size > 1 and not np.all(np.diff(points) > 0):
         raise ValueError(f"{name} must be strictly increasing")

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.  The
-full run takes roughly fifteen minutes; the scaling and error-curve sweeps
-dominate.
+full run takes about 40 seconds on a 2-vCPU machine; the scaling and
+error-curve sweeps dominate.
 
 Criterion 5's middle clause (the sqrt(2) M^2 derivative-growth bound for
 every M up to 20) is asserted exactly as stated and is expected to fail:

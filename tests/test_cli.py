@@ -75,6 +75,16 @@ def test_reconstruct_malformed_csv_exits_1(tmp_path, capsys):
     assert ":3" in capsys.readouterr().err
 
 
+def test_reconstruct_negative_weight_csv_exits_1(tmp_path, capsys):
+    path = tmp_path / "negative.csv"
+    path.write_text("omega,re,im,weight\n-1.0,0.5,0.0,1.0\n0.0,1.0,0.0,-1.0\n"
+                    "1.0,0.5,0.0,1.0\n")
+    code = run(["reconstruct", "--space", "piecewise_const:1", "--input", path,
+                "--out-dir", tmp_path])
+    assert code == 1
+    assert "weights must be non-negative" in capsys.readouterr().err
+
+
 def test_usage_error_exits_1(capsys):
     assert run(["reconstruct"]) == 1
     assert "usage error" in capsys.readouterr().err

@@ -102,3 +102,20 @@ def test_validation_errors():
     est.fit(np.array([-1.5, -0.5, 0.5, 1.5]), np.ones(4, dtype=complex))
     with pytest.raises(ValueError):
         est.predict([1.5])
+
+
+def test_sample_weight_length_checked_before_use():
+    x, y, _, _ = make_problem()
+    est = NonuniformFourierRegressor(space="trig:4", bandwidth=9.0)
+    with pytest.raises(ValueError, match="sample_weight"):
+        est.fit(x, y, sample_weight=np.ones(len(x) + 3))
+
+
+@pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+def test_bad_sample_weight_rejected_before_solve(bad):
+    x, y, _, _ = make_problem()
+    mu = np.full(len(x), 0.5)
+    mu[10] = bad
+    est = NonuniformFourierRegressor(space="trig:4", bandwidth=9.0)
+    with pytest.raises(ValueError, match="sample_weight"):
+        est.fit(x, y, sample_weight=mu)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import spherical_jn
 
-from nugs.fourier import (FourierData, FunctionSpec, basis_transform,
+from nugs.fourier import (FourierData, FunctionSpec, basis_transform, cell_transforms,
                           evaluate_function, function_norm, interval_exponential,
                           l2_error, load_data_csv, project, sample_function,
-                          save_data_csv, transform_integrals)
+                          save_data_csv, spherical_jn_orders, transform_integrals)
+from nugs.quadrature import panel_edges, panel_nodes
 from nugs.sampling import SampleSet, SchemeSpec, generate, weights
 from nugs.spaces import SpaceSpec, build_basis
 
@@ -193,3 +195,78 @@ def test_fourier_data_validates_lengths():
     s = SampleSet(points=np.array([0.0, 1.0]), bandwidth=2.0)
     with pytest.raises(ValueError):
         FourierData(s, np.array([1.0 + 0j]), np.array([1.0, 1.0]))
+
+
+def _bessel_test_points():
+    near_orders = [n + np.linspace(-1.0, 1.0, 21) for n in range(1, 33)]
+    z = np.concatenate([[0.0, 1e-300, 1e-12, 1e-6, 5e-4, 9.99e-4, 0.4999, 0.5, 0.5001],
+                        np.linspace(0.0, 40.0, 2001), np.geomspace(1e-3, 1e4, 3001),
+                        *near_orders])
+    return z[z >= 0.0]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 16, 32])
+def test_spherical_jn_orders_match_scipy(p):
+    z = _bessel_test_points()
+    got = spherical_jn_orders(z, p)
+    assert got.shape == (p, z.size)
+    for n in range(p):
+        assert np.max(np.abs(got[n] - spherical_jn(n, z))) < 1e-14, n
+
+
+def test_spherical_jn_orders_keeps_shape_and_zero():
+    z = np.array([[0.0, 2.0], [31.0, 1e4]])
+    got = spherical_jn_orders(z, 5)
+    assert got.shape == (5, 2, 2)
+    assert np.array_equal(got[:, 0, 0], [1.0, 0.0, 0.0, 0.0, 0.0])
+
+
+def test_cell_transforms_oracle_on_uneven_grid_and_parity():
+    breaks = np.array([0.0, 0.13, 0.2, 0.55, 0.9, 1.0])
+    omegas = np.array([-310.0, -17.5, -0.3, 0.0, 0.3, 4.0, 17.5, 310.0])
+    p = 9
+    got = cell_transforms(breaks, p, omegas)
+    a, h = breaks[:-1], np.diff(breaks)
+    for n in range(p):
+        jn = spherical_jn(n, np.pi * np.abs(omegas)[:, None] * h)
+        sign = np.where(omegas < 0, 1j, -1j)[:, None] ** n
+        want = (np.sqrt((2 * n + 1) * h) * np.exp(-1j * np.pi * omegas[:, None] * (2 * a + h))
+                * sign * jn)
+        assert np.max(np.abs(got[:, :, n] - want)) < 1e-14
+    # cell Legendre functions are real: their transforms are conjugate-symmetric
+    assert np.allclose(cell_transforms(breaks, p, -omegas), got.conj(), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("spec", [
+    SpaceSpec.spline(3, 24),
+    SpaceSpec.piecewise_poly([0.3, 0.7], [3, 2, 4]),
+    SpaceSpec.legendre(20),
+], ids=lambda s: s.kind)
+def test_basis_transform_matches_einsum_oracle(spec):
+    basis = build_basis(spec)
+    omegas = np.random.default_rng(5).uniform(-150.0, 150.0, size=1100)
+    t = cell_transforms(basis.breaks, basis.local_dim, omegas)
+    want = np.einsum("wjn,djn->wd", t, basis.coeffs)
+    got = basis_transform(basis, omegas)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_transform_integrals_matches_direct_sum_across_uneven_segments():
+    spec = SpaceSpec.piecewise_poly([0.3, 0.71], [2, 3, 1])
+    f = FunctionSpec.from_coefficients(spec, np.random.default_rng(8).normal(size=9))
+    assert f.jumps == (0.3, 0.71)
+    omegas = np.linspace(-40.0, 40.0, 33)
+    # transform_integrals returns the halved-width composite rule
+    width = 1.0 / (4.0 * np.max(np.abs(omegas)) + 1.0) / 2.0
+    xs, ws = panel_nodes(panel_edges(0.0, 1.0, f.jumps, width), 16)
+    want = np.exp(-2j * np.pi * omegas[:, None] * xs[None, :]) @ (evaluate_function(f, xs) * ws)
+    assert np.max(np.abs(transform_integrals(f, omegas) - want)) < 1e-13
+    # a tolerance no frequency misses: the batched rule alone, with no refinement
+    assert np.max(np.abs(transform_integrals(f, omegas, abs_tol=1.0) - want)) < 1e-13
+
+
+def test_fourier_data_rejects_negative_or_nonfinite_weights():
+    s = SampleSet(points=np.array([0.0, 1.0]), bandwidth=2.0)
+    for bad in ([1.0, -0.5], [1.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="weights"):
+            FourierData(s, np.array([1.0, 2.0 + 0j]), np.array(bad))
