@@ -139,36 +139,6 @@ def concentration_eigenvalues(space: SpaceSpec, z: float) -> np.ndarray:
 # gaps
 
 
-def cross_gram(u: OrthoBasis, v: OrthoBasis) -> np.ndarray:
-    """Inner products ``X[l, m] = <v_m, u_l>`` between two orthonormal bases.
-
-    Polynomial-by-polynomial entries are exact Gauss quadrature on the
-    merged cell partition; entries against exponentials are transform
-    values at the integer orders.
-    """
-    if u.orders is not None and v.orders is not None:
-        x = np.zeros((u.dim, v.dim), dtype=complex)
-        common, iu, iv = np.intersect1d(u.orders, v.orders, return_indices=True)
-        x[iu, iv] = 1.0
-        return x
-    if u.orders is not None:
-        # <v_m, e_l> = transform of v_m at order l
-        return fourier.basis_transform(v, u.orders.astype(float))
-    if v.orders is not None:
-        # <e_m, u_l> = conj(transform of u_l at order m)
-        return fourier.basis_transform(u, v.orders.astype(float)).conj().T
-    cuts = np.unique(np.concatenate((u.breaks, v.breaks)))
-    pu, pv = u.local_dim, v.local_dim
-    n = (pu + pv) // 2 + 1
-    x = np.zeros((u.dim, v.dim))
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        xs, ws = panel_nodes(np.array((a, b)), n)
-        uvals = spaces.evaluate(u, xs)
-        vvals = spaces.evaluate(v, xs)
-        x += (uvals * ws) @ vvals.T
-    return x
-
-
 def _merged_frame_coeffs(basis: OrthoBasis, cuts: np.ndarray, p: int) -> np.ndarray:
     """Exact re-expansion of a polynomial-kind basis on a finer partition."""
     dim = basis.dim
@@ -205,7 +175,12 @@ def gap(u: SpaceSpec, v: SpaceSpec) -> float:
         resid = cv - (cv @ cu.T) @ cu
         smax = np.linalg.svd(resid, compute_uv=False)[0]
         return min(float(smax), 1.0)
-    x = cross_gram(bu, bv)
+    if bu.orders is not None:
+        # <v_m, e_l> = transform of v_m at order l
+        x = fourier.basis_transform(bv, bu.orders.astype(float))
+    else:
+        # <e_m, u_l> = conj(transform of u_l at order m)
+        x = fourier.basis_transform(bu, bv.orders.astype(float)).conj().T
     if x.shape[1] > x.shape[0]:
         return 1.0
     smin = np.linalg.svd(x, compute_uv=False)[-1]

@@ -80,7 +80,7 @@ def cmd_reconstruct(args) -> int:
         fh.write("x,re,im\n")
         for x, v in zip(grid, np.atleast_1d(vals)):
             fh.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n")
-    constants = solver.stability_constant(basis, data.samples)
+    constants = solver.frame_constants(sampling.density(data.samples), rec.sigma_min**2)
     diag = {"delta": constants.density, "frame_lower": constants.lower,
             "c_ratio": constants.ratio, "residual": rec.residual,
             "sigma_min": rec.sigma_min, "sigma_max": rec.sigma_max,

@@ -20,7 +20,7 @@ from .spaces import SpaceSpec
 from .validation import (as_complex_array, as_float_array, as_weight_array, check_positions,
                          check_same_length)
 
-_PARAM_NAMES = ("space", "bandwidth", "rank_rtol")
+_PARAM_NAMES = ("space", "bandwidth")
 
 
 def parse_space(text: str) -> SpaceSpec:
@@ -59,8 +59,6 @@ class NonuniformFourierRegressor:
     bandwidth : float or None
         Declared band half-width K; ``None`` uses the largest sampled
         frequency magnitude.
-    rank_rtol : float
-        Relative singular-value cutoff for declaring the problem unstable.
 
     Attributes (after ``fit``)
     --------------------------
@@ -69,10 +67,9 @@ class NonuniformFourierRegressor:
     sigma_min_, sigma_max_, residual_ : solve diagnostics.
     """
 
-    def __init__(self, space="legendre:8", bandwidth=None, rank_rtol=1e-12):
+    def __init__(self, space="legendre:8", bandwidth=None):
         self.space = space
         self.bandwidth = bandwidth
-        self.rank_rtol = rank_rtol
 
     # -- sklearn plumbing ---------------------------------------------------
 
@@ -105,16 +102,16 @@ class NonuniformFourierRegressor:
         s = SampleSet(points=omega, bandwidth=k)
         mu = sampling.weights(s) if sample_weight is None else mu[order]
         basis = fourier.cached_basis(self._space_spec())
-        rec = solver.reconstruct(basis, FourierData(s, values, mu),
-                                 rank_rtol=self.rank_rtol)
+        rec = solver.reconstruct(basis, FourierData(s, values, mu))
+        constants = solver.frame_constants(sampling.density(s), rec.sigma_min**2)
         self.basis_ = basis
         self.coef_ = rec.coefficients
         self.residual_ = rec.residual
         self.sigma_min_ = rec.sigma_min
         self.sigma_max_ = rec.sigma_max
-        self.density_ = sampling.density(s)
-        self.frame_lower_ = rec.sigma_min**2
-        self.stability_ratio_ = (1.0 + self.density_) / rec.sigma_min
+        self.density_ = constants.density
+        self.frame_lower_ = constants.lower
+        self.stability_ratio_ = constants.ratio
         self.n_features_in_ = 1
         return self
 
@@ -127,8 +124,10 @@ class NonuniformFourierRegressor:
 
     def score(self, X, y) -> float:
         """1 minus the relative squared data misfit at the given samples."""
+        omega = as_float_array(X, "X")
         yv = as_complex_array(y, "y")
-        pred = fourier.basis_transform(self.basis_, as_float_array(X, "X")) @ self.coef_
+        check_same_length(omega, yv, "X", "y")
+        pred = fourier.basis_transform(self.basis_, omega) @ self.coef_
         denom = float(np.sum(np.abs(yv - np.mean(yv)) ** 2))
         if denom == 0.0:
             return 0.0

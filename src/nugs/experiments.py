@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -117,9 +118,7 @@ class _StabilityEvaluator:
 
     def ratio(self, m: int) -> float:
         if m not in self._cache:
-            lower = self._frame_lower(m)
-            self._cache[m] = ((1.0 + self.delta) / math.sqrt(lower)
-                              if lower > 0 else float("inf"))
+            self._cache[m] = solver.frame_constants(self.delta, self._frame_lower(m)).ratio
         return self._cache[m]
 
     def _frame_lower(self, m: int) -> float:
@@ -131,8 +130,7 @@ class _StabilityEvaluator:
             a = self._legendre_columns(m)
         else:
             return self._spline_lower(m)
-        sig = np.linalg.svd(np.sqrt(self.mu)[:, None] * a, compute_uv=False)
-        return float(sig[-1] ** 2) if sig[-1] >= 1e-9 * sig[0] else 0.0
+        return solver.weighted_lower(a, self.mu)
 
     def _trig_columns(self, m: int) -> np.ndarray:
         cap = self.cap
@@ -155,12 +153,9 @@ class _StabilityEvaluator:
         a = t.reshape(t.shape[0], -1) @ raw.reshape(nb, -1).T
         m1 = (a.conj() * self.mu[:, None]).T @ a
         gram = raw.reshape(nb, -1) @ raw.reshape(nb, -1).T
-        try:
-            lam = scipy.linalg.eigh(m1, gram.astype(complex), eigvals_only=True,
-                                    subset_by_index=(0, 0))
-            return max(float(lam[0]), 0.0)
-        except scipy.linalg.LinAlgError:
-            return 0.0
+        lam = scipy.linalg.eigh(m1, gram.astype(complex), eigvals_only=True,
+                                subset_by_index=(0, 0))
+        return max(float(lam[0]), 0.0)
 
 
 def _search_max(ev: _StabilityEvaluator, threshold: float,
@@ -204,8 +199,8 @@ def max_stable_dimension(family: str, s: SampleSet, threshold: float = 3.0,
     return _search_max(_StabilityEvaluator(family, s, d), threshold, hint)
 
 
-def _scaling_cell(family, kind, k, d, threshold, delta_max, oversample, theta,
-                  seed, hint):
+def _scaling_cell(family, kind, d, threshold, delta_max, oversample, theta, seed,
+                  k, hint=None):
     spec = plan_scheme(kind, k, delta_max=delta_max, oversample=oversample,
                        theta=theta, seed=seed)
     s = sampling.generate(spec)
@@ -221,34 +216,8 @@ def _scaling_cell(family, kind, k, d, threshold, delta_max, oversample, theta,
                       c_ratio=ev.ratio(m))
 
 
-def default_k_grid(kmin: float = 5.0, kmax: float = 200.0, count: int = 20) -> np.ndarray:
-    return np.geomspace(kmin, kmax, count)
-
-
-def scaling_table(family: str, kind: str, k_grid=None, *, d: int = 0,
-                  threshold: float = 3.0, delta_max: float = 0.9,
-                  oversample: float = 1.2, theta: float = 0.2, seed: int = 0,
-                  jobs: int = 1) -> list[ScalingRow]:
-    """Selected dimension and ratio across a bandwidth grid (one family)."""
-    ks = default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
-    rows: list[ScalingRow] = []
-    if jobs > 1:
-        args = [(family, kind, float(k), d, threshold, delta_max, oversample,
-                 theta, seed, None) for k in ks]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_scaling_cell, *zip(*args)))
-    else:
-        hint = None
-        for k in ks:
-            row = _scaling_cell(family, kind, float(k), d, threshold, delta_max,
-                                oversample, theta, seed, hint)
-            hint = row.m
-            rows.append(row)
-    return rows
-
-
-def _error_cell(f, family, kind, k, d, threshold, delta_max, oversample, theta,
-                seed, hint):
+def _error_cell(f, family, kind, d, threshold, delta_max, oversample, theta, seed,
+                k, hint=None):
     spec = plan_scheme(kind, k, delta_max=delta_max, oversample=oversample,
                        theta=theta, seed=seed)
     s = sampling.generate(spec)
@@ -260,27 +229,42 @@ def _error_cell(f, family, kind, k, d, threshold, delta_max, oversample, theta,
     return ErrorRow(family=family, k=k, n=len(s), m=m, error=err)
 
 
+def default_k_grid(kmin: float = 5.0, kmax: float = 200.0, count: int = 20) -> np.ndarray:
+    return np.geomspace(kmin, kmax, count)
+
+
+def _sweep(cell, k_grid, jobs: int) -> list:
+    """Rows of ``cell(k, hint)`` across the grid.  Serially each bandwidth's
+    search starts from the previous selected index; parallel cells search
+    from scratch."""
+    ks = (default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)).tolist()
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(cell, ks))
+    rows, hint = [], None
+    for k in ks:
+        rows.append(cell(k, hint))
+        hint = rows[-1].m
+    return rows
+
+
+def scaling_table(family: str, kind: str, k_grid=None, *, d: int = 0,
+                  threshold: float = 3.0, delta_max: float = 0.9,
+                  oversample: float = 1.2, theta: float = 0.2, seed: int = 0,
+                  jobs: int = 1) -> list[ScalingRow]:
+    """Selected dimension and ratio across a bandwidth grid (one family)."""
+    return _sweep(partial(_scaling_cell, family, kind, d, threshold, delta_max,
+                          oversample, theta, seed), k_grid, jobs)
+
+
 def error_curve(f: FunctionSpec, family: str, kind: str, k_grid=None, *,
                 d: int = 0, threshold: float = 3.0, delta_max: float = 0.9,
                 oversample: float = 1.2, theta: float = 0.2, seed: int = 0,
                 jobs: int = 1) -> list[ErrorRow]:
     """Reconstruction error across a bandwidth grid with the stability-
     selected dimension at each bandwidth."""
-    ks = default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
-    rows: list[ErrorRow] = []
-    if jobs > 1:
-        args = [(f, family, kind, float(k), d, threshold, delta_max, oversample,
-                 theta, seed, None) for k in ks]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_error_cell, *zip(*args)))
-    else:
-        hint = None
-        for k in ks:
-            row = _error_cell(f, family, kind, float(k), d, threshold, delta_max,
-                              oversample, theta, seed, hint)
-            hint = row.m
-            rows.append(row)
-    return rows
+    return _sweep(partial(_error_cell, f, family, kind, d, threshold, delta_max,
+                          oversample, theta, seed), k_grid, jobs)
 
 
 def run_figure_panels(out_dir, *, seed: int = 0, k_grid=None, jobs: int = 1,

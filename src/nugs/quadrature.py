@@ -1,8 +1,8 @@
-"""Panel Gauss-Legendre quadrature with simple uniform-refinement adaptivity.
+"""Panel Gauss-Legendre rules for uniform-refinement quadrature.
 
 Panels are laid out so that no panel straddles a declared breakpoint and no
-panel exceeds a caller-supplied width; convergence is certified by halving
-every panel and comparing.  This is deliberately plain: every integrand in
+panel exceeds a caller-supplied width; callers certify convergence by
+halving the width and comparing.  This is deliberately plain: every integrand in
 this package is smooth between breakpoints, so uniform refinement converges
 extremely fast and keeps the node layout deterministic.
 """
@@ -12,8 +12,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import QuadratureError
 
 
 @lru_cache(maxsize=64)
@@ -57,36 +55,3 @@ def panel_nodes(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes = (lo + hi) / 2 + (hi - lo) / 2 * x[None, :]
     wts = (hi - lo) / 2 * w[None, :]
     return nodes.ravel(), wts.ravel()
-
-
-def _halve(edges: np.ndarray) -> np.ndarray:
-    mids = (edges[:-1] + edges[1:]) / 2
-    out = np.empty(2 * len(edges) - 1)
-    out[0::2] = edges
-    out[1::2] = mids
-    return out
-
-
-def integrate(f, a: float, b: float, *, breakpoints=(), max_width: float = np.inf,
-              abs_tol: float = 1e-12, nodes: int = 16, max_rounds: int = 12,
-              label: str = "integrand"):
-    """Integrate a vectorized scalar- or array-valued function over [a, b].
-
-    ``f`` maps an array of points to an array of values whose leading axis
-    matches the points.  Refinement halves every panel until two successive
-    composite rules agree to ``abs_tol`` in the max norm.
-    """
-    edges = panel_edges(a, b, breakpoints, max_width)
-    xs, ws = panel_nodes(edges, nodes)
-    val = np.tensordot(ws, np.asarray(f(xs)), axes=(0, 0))
-    for _ in range(max_rounds):
-        edges = _halve(edges)
-        xs, ws = panel_nodes(edges, nodes)
-        ref = np.tensordot(ws, np.asarray(f(xs)), axes=(0, 0))
-        err = np.max(np.abs(ref - val))
-        val = ref
-        if err <= abs_tol:
-            return val
-    raise QuadratureError(
-        f"quadrature for {label} did not reach {abs_tol:g} on [{a:g}, {b:g}] "
-        f"({len(edges) - 1} panels, last delta {err:.3g})")

@@ -3,14 +3,18 @@
 The reconstruction minimizes ``sum_n mu_n |b_n - (A a)_n|^2`` where
 ``A[n, i]`` is the transform of basis function i at frequency n.  The
 solve factorizes ``diag(sqrt(mu)) A`` by SVD (an orthogonal factorization;
-normal equations are never formed), which also yields the conditioning
-diagnostics and degrades gracefully at near rank deficiency.
+normal equations are never formed), once per solve; the same singular
+values give the conditioning diagnostics, so callers that report frame
+constants for a solve (the estimator, ``nugs reconstruct``) describe the
+weights actually solved with and never factorize again.
 
 The lower frame constant is the smallest eigenvalue of the weighted Gram,
-equal to the squared smallest singular value of the scaled matrix.  The
-upper constant is not computable from finitely many evaluations, so the
-density-based bound ``(1 + delta)^2`` is reported and the stability ratio
-is ``(1 + delta) / sqrt(lower)``.
+equal to the squared smallest singular value of the scaled matrix.  One
+rank rule, ``RANK_RTOL``, decides when it is numerically zero, for the
+solve, for ``frame_lower`` and for the stability search's SVD probes.
+The upper constant is not computable from finitely many evaluations, so
+the density-based bound ``(1 + delta)^2`` is reported and the stability ratio
+is ``(1 + delta) / sqrt(lower)`` (``frame_constants``).
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ from .errors import UnstableReconstructionError
 from .fourier import FourierData
 from .sampling import SampleSet
 from .spaces import OrthoBasis, SpaceSpec
+
+# singular values below this fraction of the largest count as zero
+RANK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,16 +96,20 @@ def design_matrix(basis: OrthoBasis, s: SampleSet) -> np.ndarray:
     return fourier.basis_transform(basis, s.points)
 
 
-def _scaled_svd(basis: OrthoBasis, s: SampleSet, weights=None):
-    mu = sampling.weights(s) if weights is None else np.asarray(weights, dtype=float)
-    a = design_matrix(basis, s)
-    b = np.sqrt(mu)[:, None] * a
-    u, sig, vh = np.linalg.svd(b, full_matrices=False)
-    return a, mu, u, sig, vh
+def _lower(sig: np.ndarray) -> float:
+    """Squared smallest of the descending singular values ``sig``; 0.0 when
+    the scaled design is numerically rank-deficient."""
+    if sig[0] == 0.0 or sig[-1] < RANK_RTOL * sig[0]:
+        return 0.0
+    return float(sig[-1] ** 2)
 
 
-def reconstruct(basis: OrthoBasis, data: FourierData, *,
-                rank_rtol: float = 1e-12) -> Reconstruction:
+def weighted_lower(a: np.ndarray, mu: np.ndarray) -> float:
+    """Lower frame constant of the design ``a`` under the weights ``mu``."""
+    return _lower(np.linalg.svd(np.sqrt(mu)[:, None] * a, compute_uv=False))
+
+
+def reconstruct(basis: OrthoBasis, data: FourierData) -> Reconstruction:
     """Solve the weighted least-squares problem for the given data.
 
     Raises ``UnstableReconstructionError`` when the system is
@@ -114,7 +125,7 @@ def reconstruct(basis: OrthoBasis, data: FourierData, *,
     a = design_matrix(basis, data.samples)
     b = np.sqrt(mu)[:, None] * a
     u, sig, vh = np.linalg.svd(b, full_matrices=False)
-    if sig[0] == 0.0 or sig[-1] < rank_rtol * sig[0]:
+    if _lower(sig) == 0.0:
         raise UnstableReconstructionError(
             "unstable: lower frame constant is numerically zero, "
             "increase bandwidth or shrink space")
@@ -129,23 +140,26 @@ def reconstruct(basis: OrthoBasis, data: FourierData, *,
 
 def frame_lower(basis: OrthoBasis, s: SampleSet, weights=None) -> float:
     """Sharp lower frame constant: squared smallest singular value of the
-    scaled design matrix (0 at exact rank deficiency)."""
+    scaled design matrix (0 at numerical rank deficiency)."""
     if len(s) < basis.dim:
         return 0.0
-    _, _, _, sig, _ = _scaled_svd(basis, s, weights)
-    return float(sig[-1] ** 2)
+    mu = sampling.weights(s) if weights is None else np.asarray(weights, dtype=float)
+    return weighted_lower(design_matrix(basis, s), mu)
 
 
-def stability_constant(basis: OrthoBasis, s: SampleSet) -> FrameConstants:
-    """Frame constants and the density-based stability ratio."""
-    delta = sampling.density(s)
-    lower = frame_lower(basis, s)
-    upper = (1.0 + delta) ** 2
+def frame_constants(delta: float, lower: float) -> FrameConstants:
+    """Upper bound, stability ratio and implied tail from the density
+    ``delta`` and the lower frame constant."""
     ratio = (1.0 + delta) / np.sqrt(lower) if lower > 0 else float("inf")
     implied = None
     if np.isfinite(ratio):
         eps = 1.0 - delta - (1.0 + delta) / ratio
         if 0.0 < eps < 1.0 - delta:
             implied = float(eps)
-    return FrameConstants(lower=lower, upper_bound=upper, ratio=float(ratio),
-                          density=delta, implied_tail=implied)
+    return FrameConstants(lower=lower, upper_bound=(1.0 + delta) ** 2,
+                          ratio=float(ratio), density=delta, implied_tail=implied)
+
+
+def stability_constant(basis: OrthoBasis, s: SampleSet) -> FrameConstants:
+    """Frame constants and the density-based stability ratio."""
+    return frame_constants(sampling.density(s), frame_lower(basis, s))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nugs.cli import main
+from nugs.estimator import NonuniformFourierRegressor
 from nugs.fourier import FunctionSpec, basis_transform, sample_function, save_data_csv
 from nugs.sampling import SchemeSpec, generate
 from nugs.solver import Reconstruction
@@ -46,6 +47,22 @@ def test_reconstruct_from_csv_with_weights(tmp_path):
     assert code == 0
     diag = json.loads((tmp_path / "diagnostics.json").read_text())
     assert diag["weights"] == "file"
+
+
+def test_reconstruct_diagnostics_use_file_weights(tmp_path):
+    # without --k the loader's bandwidth is the largest |omega| < 16, so the
+    # file's weights (computed at K = 16) differ from recomputed ones
+    s = generate(SchemeSpec("jittered", 50, 16.0, theta=0.2, seed=5))
+    data = sample_function(FunctionSpec.benchmark(), s)
+    save_data_csv(tmp_path / "data.csv", data)
+    code = run(["reconstruct", "--space", "legendre:4", "--input",
+                tmp_path / "data.csv", "--out-dir", tmp_path])
+    assert code == 0
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert diag["frame_lower"] == diag["sigma_min"] ** 2
+    est = NonuniformFourierRegressor(space="legendre:4").fit(
+        data.samples.points, data.values, sample_weight=data.weights)
+    assert diag["c_ratio"] == pytest.approx(est.stability_ratio_, rel=1e-12, abs=0)
 
 
 def test_reconstruct_csv_without_weight_column(tmp_path):

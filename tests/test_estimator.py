@@ -66,7 +66,7 @@ def test_diagnostics_exposed():
 def test_get_set_params_sklearn_contract():
     est = NonuniformFourierRegressor(space="legendre:5", bandwidth=3.0)
     params = est.get_params()
-    assert params == {"space": "legendre:5", "bandwidth": 3.0, "rank_rtol": 1e-12}
+    assert params == {"space": "legendre:5", "bandwidth": 3.0}
     clone = NonuniformFourierRegressor(**params)
     assert clone.get_params() == params
     est.set_params(space="trig:2")
@@ -102,6 +102,8 @@ def test_validation_errors():
     est.fit(np.array([-1.5, -0.5, 0.5, 1.5]), np.ones(4, dtype=complex))
     with pytest.raises(ValueError):
         est.predict([1.5])
+    with pytest.raises(ValueError, match="X.*y"):
+        est.score([0.0, 1.0, 2.0], [1.0, 2.0])
 
 
 def test_sample_weight_length_checked_before_use():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nugs.errors import BandwidthTooSmallError
-from nugs.experiments import (ErrorRow, ScalingRow, default_k_grid, error_curve,
-                              family_space, max_stable_dimension, plan_scheme,
+from nugs.experiments import (ErrorRow, ScalingRow, _StabilityEvaluator, default_k_grid,
+                              error_curve, family_space, max_stable_dimension, plan_scheme,
                               run_figure_panels, scaling_table, write_error_csv,
                               write_scaling_csv)
 from nugs.fourier import FunctionSpec
@@ -37,6 +38,29 @@ def test_spline_search_matches_direct_constants():
     below = stability_constant(build_basis(SpaceSpec.spline(2, l)), s)
     above = stability_constant(build_basis(SpaceSpec.spline(2, l + 1)), s)
     assert below.ratio <= 3.0 < above.ratio
+
+
+@pytest.mark.parametrize("kind", ["jittered", "log"])
+@pytest.mark.parametrize("family, d, ms", [("trig", 0, (1, 4, 9)),
+                                           ("legendre", 0, (1, 3, 6)),
+                                           ("spline", 2, (1, 5, 10))])
+def test_search_ratio_matches_stability_constant(kind, family, d, ms):
+    s = generate(plan_scheme(kind, 12.0, seed=4))
+    ev = _StabilityEvaluator(family, s, d)
+    for m in ms:
+        direct = stability_constant(build_basis(family_space(family, m, d)), s)
+        assert np.isfinite(direct.ratio)
+        assert ev.ratio(m) == pytest.approx(direct.ratio, rel=1e-9, abs=0)
+
+
+def test_spline_eigensolver_failure_propagates(monkeypatch):
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("forced failure")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    s = generate(SchemeSpec("jittered", 40, 15.0, theta=0.2, seed=5))
+    with pytest.raises(scipy.linalg.LinAlgError, match="forced failure"):
+        max_stable_dimension("spline", s, 3.0, d=2)
 
 
 def test_bandwidth_too_small_raises():
