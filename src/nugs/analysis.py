@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier, spaces
-from .errors import QuadratureError
-from .quadrature import panel_edges, panel_nodes
+from .quadrature import gauss_rule, panel_edges, panel_nodes, refine
 from .spaces import OrthoBasis, SpaceSpec
 
 _KNOT_FREE = ("trig", "legendre")
+# Gauss nodes per frequency panel of the concentration quadrature
+_CONCENTRATION_NODES = 12
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,7 @@ class TriangleReport:
                            "gap": self.gap, "slack": self.slack, "holds": self.holds})
 
 
-def concentration_matrix(basis: OrthoBasis, z: float, abs_tol: float = 1e-11,
-                         nodes: int = 12) -> np.ndarray:
+def concentration_matrix(basis: OrthoBasis, z: float, abs_tol: float = 1e-11) -> np.ndarray:
     """Banded Gram ``B[i,k] = int_{-z}^{z} conj(F_i) F_k`` of basis transforms.
 
     Composite Gauss panels no wider than a quarter of the shortest
@@ -80,26 +80,18 @@ def concentration_matrix(basis: OrthoBasis, z: float, abs_tol: float = 1e-11,
     with |x - x'| <= 1, so wavelength >= 1).  Loose tolerances start at a
     full wavelength; the halving comparison still certifies the result.
     """
-    width = 0.25 if abs_tol <= 1e-10 else 1.0
-    prev = None
-    for _ in range(6):
-        val = _concentration_fixed(basis, z, width, nodes)
-        if prev is not None and np.max(np.abs(val - prev)) <= abs_tol:
-            return val
-        prev = val
-        width /= 2.0
-    raise QuadratureError(
-        f"concentration quadrature did not converge on (-{z:g}, {z:g}) "
-        f"at panel width {width:g}")
+    return refine(lambda width: _concentration_fixed(basis, z, width),
+                  0.25 if abs_tol <= 1e-10 else 1.0,
+                  lambda new, old: np.max(np.abs(new - old)) <= abs_tol,
+                  f"concentration on (-{z:g}, {z:g})")
 
 
-def _concentration_fixed(basis: OrthoBasis, z: float, width: float,
-                         nodes: int) -> np.ndarray:
+def _concentration_fixed(basis: OrthoBasis, z: float, width: float) -> np.ndarray:
     # real-coefficient bases have conjugate-symmetric transforms, so the
     # negative half-band contributes the conjugate: integrate (0, z) twice
     real_basis = basis.orders is None
     edges = panel_edges(0.0 if real_basis else -z, z, (0.0,), width)
-    xs_all, ws_all = panel_nodes(edges, nodes)
+    xs_all, ws_all = panel_nodes(edges, _CONCENTRATION_NODES)
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
     chunk = max(1, int(2e5 // max(basis.dim, 1)))
     for lo in range(0, xs_all.size, chunk):
@@ -129,12 +121,6 @@ def residual_curve(space: SpaceSpec, zs) -> ResidualCurve:
     return ResidualCurve(space=space, z=np.asarray(zs, dtype=float), e=es)
 
 
-def concentration_eigenvalues(space: SpaceSpec, z: float) -> np.ndarray:
-    """Unclipped spectrum of the concentration matrix (diagnostic)."""
-    b = concentration_matrix(fourier.cached_basis(space), z)
-    return np.linalg.eigvalsh(b)
-
-
 # ---------------------------------------------------------------------------
 # gaps
 
@@ -144,7 +130,7 @@ def _merged_frame_coeffs(basis: OrthoBasis, cuts: np.ndarray, p: int) -> np.ndar
     dim = basis.dim
     out = np.empty((dim, cuts.size - 1, p))
     norm = np.sqrt(2 * np.arange(p) + 1)
-    xg, wg = np.polynomial.legendre.leggauss(p + basis.local_dim)
+    xg, wg = gauss_rule(p + basis.local_dim)
     for j, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
         h = b - a
         xs = (a + b) / 2 + h / 2 * xg

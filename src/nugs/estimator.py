@@ -115,15 +115,19 @@ class NonuniformFourierRegressor:
         self.n_features_in_ = 1
         return self
 
-    def predict(self, X) -> np.ndarray:
-        """Reconstructed function values at positions in [0, 1)."""
+    def _check_fitted(self) -> None:
         if not hasattr(self, "coef_"):
             raise ValueError("estimator is not fitted; call fit first")
+
+    def predict(self, X) -> np.ndarray:
+        """Reconstructed function values at positions in [0, 1)."""
+        self._check_fitted()
         xs = check_positions(np.asarray(X, dtype=float).ravel(), "X")
         return self.coef_ @ spaces.evaluate(self.basis_, xs)
 
     def score(self, X, y) -> float:
         """1 minus the relative squared data misfit at the given samples."""
+        self._check_fitted()
         omega = as_float_array(X, "X")
         yv = as_complex_array(y, "y")
         check_same_length(omega, yv, "X", "y")

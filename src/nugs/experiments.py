@@ -30,6 +30,8 @@ from .sampling import SampleSet, SchemeSpec
 from .spaces import SpaceSpec
 
 FAMILIES = ("trig", "legendre", "spline")
+# factor on the sample count 2K / delta_max in ``plan_scheme``
+OVERSAMPLE = 1.2
 
 
 @dataclass(frozen=True)
@@ -61,25 +63,16 @@ def family_space(family: str, m: int, d: int = 0) -> SpaceSpec:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _family_dim(family: str, m: int, d: int) -> int:
-    if family == "trig":
-        return 2 * m + 1
-    if family == "legendre":
-        return m + 1
-    return m + d
-
-
-def plan_scheme(kind: str, k: float, *, delta_max: float = 0.9,
-                oversample: float = 1.2, theta: float = 0.2,
+def plan_scheme(kind: str, k: float, *, delta_max: float = 0.9, theta: float = 0.2,
                 seed: int = 0) -> SchemeSpec:
     """Sample count coupling for a bandwidth.
 
-    Uniform and jittered schemes use ``N = ceil(2K * oversample / delta_max)``.
+    Uniform and jittered schemes use ``N = ceil(2K * OVERSAMPLE / delta_max)``.
     The log scheme's largest gap grows like 2 K log(N) / N, so its count is
     increased until the measured density actually meets ``delta_max``;
     a fixed formula would leave the stability threshold unreachable.
     """
-    n = math.ceil(2.0 * k * oversample / delta_max)
+    n = math.ceil(2.0 * k * OVERSAMPLE / delta_max)
     if kind != "log":
         return SchemeSpec(kind=kind, n=n, k=k, theta=theta if kind == "jittered" else 0.0,
                           seed=seed)
@@ -122,7 +115,7 @@ class _StabilityEvaluator:
         return self._cache[m]
 
     def _frame_lower(self, m: int) -> float:
-        if _family_dim(self.family, m, self.d) > len(self.s):
+        if spaces.dimension(family_space(self.family, m, self.d)) > len(self.s):
             return 0.0
         if self.family == "trig":
             a = self._trig_columns(m)
@@ -199,10 +192,8 @@ def max_stable_dimension(family: str, s: SampleSet, threshold: float = 3.0,
     return _search_max(_StabilityEvaluator(family, s, d), threshold, hint)
 
 
-def _scaling_cell(family, kind, d, threshold, delta_max, oversample, theta, seed,
-                  k, hint=None):
-    spec = plan_scheme(kind, k, delta_max=delta_max, oversample=oversample,
-                       theta=theta, seed=seed)
+def _scaling_cell(family, kind, d, threshold, delta_max, theta, seed, k, hint=None):
+    spec = plan_scheme(kind, k, delta_max=delta_max, theta=theta, seed=seed)
     s = sampling.generate(spec)
     ev = _StabilityEvaluator(family, s, d)
     m = _search_max(ev, threshold, hint)
@@ -216,10 +207,8 @@ def _scaling_cell(family, kind, d, threshold, delta_max, oversample, theta, seed
                       c_ratio=ev.ratio(m))
 
 
-def _error_cell(f, family, kind, d, threshold, delta_max, oversample, theta, seed,
-                k, hint=None):
-    spec = plan_scheme(kind, k, delta_max=delta_max, oversample=oversample,
-                       theta=theta, seed=seed)
+def _error_cell(f, family, kind, d, threshold, delta_max, theta, seed, k, hint=None):
+    spec = plan_scheme(kind, k, delta_max=delta_max, theta=theta, seed=seed)
     s = sampling.generate(spec)
     m = max_stable_dimension(family, s, threshold, d=d, hint=hint)
     basis = fourier.cached_basis(family_space(family, m, d))
@@ -250,21 +239,19 @@ def _sweep(cell, k_grid, jobs: int) -> list:
 
 def scaling_table(family: str, kind: str, k_grid=None, *, d: int = 0,
                   threshold: float = 3.0, delta_max: float = 0.9,
-                  oversample: float = 1.2, theta: float = 0.2, seed: int = 0,
-                  jobs: int = 1) -> list[ScalingRow]:
+                  theta: float = 0.2, seed: int = 0, jobs: int = 1) -> list[ScalingRow]:
     """Selected dimension and ratio across a bandwidth grid (one family)."""
     return _sweep(partial(_scaling_cell, family, kind, d, threshold, delta_max,
-                          oversample, theta, seed), k_grid, jobs)
+                          theta, seed), k_grid, jobs)
 
 
 def error_curve(f: FunctionSpec, family: str, kind: str, k_grid=None, *,
                 d: int = 0, threshold: float = 3.0, delta_max: float = 0.9,
-                oversample: float = 1.2, theta: float = 0.2, seed: int = 0,
-                jobs: int = 1) -> list[ErrorRow]:
+                theta: float = 0.2, seed: int = 0, jobs: int = 1) -> list[ErrorRow]:
     """Reconstruction error across a bandwidth grid with the stability-
     selected dimension at each bandwidth."""
     return _sweep(partial(_error_cell, f, family, kind, d, threshold, delta_max,
-                          oversample, theta, seed), k_grid, jobs)
+                          theta, seed), k_grid, jobs)
 
 
 def run_figure_panels(out_dir, *, seed: int = 0, k_grid=None, jobs: int = 1,

@@ -20,7 +20,10 @@ table with the basis coefficients in one matrix product.
 Quadrature is used only for user-supplied functions and as a cross-check
 oracle in the tests.  Its panels have equal width within each jump-free
 segment, so the exponential at node a_j + c_q factors into a per-panel
-and a per-node table joined by one matrix product per segment.
+and a per-node table joined by one matrix product per segment.  The
+transform, projection and L2-error quadratures are certified by
+``quadrature.refine``; the transform grid is shared by all frequencies
+and halved as a whole until every frequency agrees.
 """
 
 from __future__ import annotations
@@ -33,13 +36,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import sampling, spaces
-from .errors import QuadratureError
-from .quadrature import gauss_rule, panel_edges, panel_nodes, panel_segments
+from .quadrature import gauss_rule, panel_edges, panel_nodes, panel_segments, refine
 from .sampling import SampleSet
 from .spaces import OrthoBasis, SpaceSpec
 from .validation import as_complex_array, as_weight_array, check_same_length
 
 _TWO_PI = 2.0 * np.pi
+# Gauss nodes per panel of the transform quadrature
+_TRANSFORM_NODES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -307,39 +311,32 @@ class FourierData:
         object.__setattr__(self, "weights", wts)
 
 
-def transform_integrals(f: FunctionSpec, omegas, abs_tol: float = 1e-12,
-                        nodes: int = 16) -> np.ndarray:
+def transform_integrals(f: FunctionSpec, omegas, abs_tol: float = 1e-12) -> np.ndarray:
     """Quadrature values of F(w) on an arbitrary frequency list.
 
     One composite panel grid (split at jumps, panel width at most
-    1/(4 max|w| + 1)) is shared by all frequencies so the function is
-    evaluated once; convergence is certified per frequency by comparison
-    with the halved grid, and stragglers are refined individually.
+    1/(4 max|w| + 1)) is shared by all frequencies, so the function is
+    evaluated once per width; the grid is halved until every frequency
+    agrees with the previous width to ``abs_tol``.
     """
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
-    width = 1.0 / (4.0 * wmax + 1.0)
-    vals = _batched_oscillatory(f, w, width, nodes)
-    ref = _batched_oscillatory(f, w, width / 2.0, nodes)
-    bad = np.abs(ref - vals) > abs_tol
-    out = ref
-    for i in np.nonzero(bad)[0]:
-        out[i] = _refine_single(f, float(w[i]), width / 4.0, nodes, abs_tol)
-    return out
+    return refine(lambda width: _batched_oscillatory(f, w, width),
+                  1.0 / (4.0 * wmax + 1.0),
+                  lambda new, old: np.all(np.abs(new - old) <= abs_tol), "transform")
 
 
-def _batched_oscillatory(f: FunctionSpec, w: np.ndarray, width: float,
-                         nodes: int) -> np.ndarray:
+def _batched_oscillatory(f: FunctionSpec, w: np.ndarray, width: float) -> np.ndarray:
     # On a segment of m panels of width h starting at lo, node q of panel j
     # sits at a_j + c_q with a_j = lo + j h and c_q = h (1 + x_q) / 2, so
     # sum_{j,q} e^{-2 pi i w (a_j + c_q)} g_jq = sum_j e^{-2 pi i w a_j} (E_c g^T)_j.
-    x, wq = gauss_rule(nodes)
+    x, wq = gauss_rule(_TRANSFORM_NODES)
     out = np.zeros(w.size, dtype=complex)
     for lo, hi, m in panel_segments(0.0, 1.0, f.jumps, width):
         h = (hi - lo) / m
         starts = lo + h * np.arange(m)
         offsets = h / 2.0 * (1.0 + x)
-        fw = (evaluate_function(f, (starts[:, None] + offsets).ravel()).reshape(m, nodes)
+        fw = (evaluate_function(f, (starts[:, None] + offsets).ravel()).reshape(m, _TRANSFORM_NODES)
               * (h / 2.0 * wq))
         chunk = max(1, int(1e6 // m))
         for c in range(0, w.size, chunk):
@@ -348,21 +345,6 @@ def _batched_oscillatory(f: FunctionSpec, w: np.ndarray, width: float,
             per_panel = np.exp(-_TWO_PI * 1j * w[sel, None] * starts)
             out[sel] += (per_panel * per_node).sum(axis=1)
     return out
-
-
-def _refine_single(f: FunctionSpec, omega: float, width: float, nodes: int,
-                   abs_tol: float, max_rounds: int = 10) -> complex:
-    prev = None
-    for _ in range(max_rounds):
-        edges = panel_edges(0.0, 1.0, f.jumps, width)
-        xs, ws = panel_nodes(edges, nodes)
-        val = complex(np.exp(-2j * np.pi * omega * xs) @ (evaluate_function(f, xs) * ws))
-        if prev is not None and abs(val - prev) <= abs_tol:
-            return val
-        prev = val
-        width /= 2.0
-    raise QuadratureError(
-        f"transform quadrature did not converge at frequency {omega:g}")
 
 
 def sample_function(f: FunctionSpec, s: SampleSet, abs_tol: float = 1e-12) -> FourierData:
@@ -376,20 +358,13 @@ def project(f: FunctionSpec, basis: OrthoBasis, abs_tol: float = 1e-12) -> np.nd
     if basis.orders is not None:
         # projection coefficients are transform values at the integer orders
         return transform_integrals(f, basis.orders.astype(float), abs_tol=abs_tol)
-    cuts = sorted(set(f.jumps) | set(basis.breaks[1:-1]))
-    nodes = max(24, basis.local_dim + 8)
-    coeffs = None
-    width = 0.25
-    for _ in range(8):
-        edges = panel_edges(0.0, 1.0, cuts, width)
-        xs, ws = panel_nodes(edges, nodes)
-        vals = evaluate_function(f, xs) * ws
-        new = spaces.evaluate(basis, xs) @ vals
-        if coeffs is not None and np.max(np.abs(new - coeffs)) <= abs_tol:
-            return new
-        coeffs = new
-        width /= 2.0
-    raise QuadratureError("projection quadrature did not converge")
+
+    def estimate(width):
+        xs, ws = _panel_rule(f, basis, width)
+        return spaces.evaluate(basis, xs) @ (evaluate_function(f, xs) * ws)
+
+    return refine(estimate, 0.25,
+                  lambda new, old: np.max(np.abs(new - old)) <= abs_tol, "projection")
 
 
 def l2_error(f: FunctionSpec, coefficients, basis: OrthoBasis,
@@ -400,30 +375,21 @@ def l2_error(f: FunctionSpec, coefficients, basis: OrthoBasis,
     stops when the returned norm is stable to ``tol``.
     """
     coeffs = np.asarray(coefficients, dtype=complex)
-    cuts = sorted(set(f.jumps) | set(basis.breaks[1:-1]))
-    nodes = max(24, basis.local_dim + 8)
 
-    def integrand(xs):
+    def estimate(width):
+        xs, ws = _panel_rule(f, basis, width)
         g = coeffs @ spaces.evaluate(basis, xs)
-        return np.abs(evaluate_function(f, xs) - g) ** 2
+        return math.sqrt(max(float(ws @ np.abs(evaluate_function(f, xs) - g) ** 2), 0.0))
 
-    width = 0.125
-    prev = None
-    for _ in range(8):
-        edges = panel_edges(0.0, 1.0, cuts, width)
-        xs, ws = panel_nodes(edges, nodes)
-        val = math.sqrt(max(float(ws @ integrand(xs)), 0.0))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, val):
-            return val
-        prev = val
-        width /= 2.0
-    raise QuadratureError("error-norm quadrature did not converge")
+    return refine(estimate, 0.125,
+                  lambda new, old: abs(new - old) <= tol * max(1.0, new), "L2 error")
 
 
-def function_norm(f: FunctionSpec, tol: float = 1e-10) -> float:
-    """L2 norm of a function spec on (0, 1)."""
-    space = SpaceSpec.piecewise_const(1)
-    return l2_error(f, np.zeros(1), cached_basis(space), tol=tol)
+def _panel_rule(f: FunctionSpec, basis: OrthoBasis, width: float):
+    """Composite rule on (0, 1) split at the function's jumps and the basis
+    cells, exact for products of basis members."""
+    cuts = sorted(set(f.jumps) | set(basis.breaks[1:-1]))
+    return panel_nodes(panel_edges(0.0, 1.0, cuts, width), max(24, basis.local_dim + 8))
 
 
 # ---------------------------------------------------------------------------

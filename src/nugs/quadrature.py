@@ -1,10 +1,13 @@
-"""Panel Gauss-Legendre rules for uniform-refinement quadrature.
+"""Panel Gauss-Legendre rules and the one refinement policy.
 
 Panels are laid out so that no panel straddles a declared breakpoint and no
-panel exceeds a caller-supplied width; callers certify convergence by
-halving the width and comparing.  This is deliberately plain: every integrand in
-this package is smooth between breakpoints, so uniform refinement converges
-extremely fast and keeps the node layout deterministic.
+panel exceeds a given width.  Every quadrature in the package certifies
+convergence the same way, through ``refine``: evaluate at a start width,
+halve the width until two successive estimates agree under the caller's
+rule, and raise ``QuadratureError`` after ``MAX_ROUNDS`` widths.  This is
+deliberately plain: every integrand in this package is smooth between
+breakpoints, so uniform refinement converges extremely fast and keeps the
+node layout deterministic.
 """
 
 from __future__ import annotations
@@ -12,6 +15,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import QuadratureError
+
+# widths evaluated by ``refine`` before it gives up
+MAX_ROUNDS = 8
 
 
 @lru_cache(maxsize=64)
@@ -55,3 +63,20 @@ def panel_nodes(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes = (lo + hi) / 2 + (hi - lo) / 2 * x[None, :]
     wts = (hi - lo) / 2 * w[None, :]
     return nodes.ravel(), wts.ravel()
+
+
+def refine(estimate, width: float, close, what: str):
+    """Return ``estimate(w)`` for the first halved width ``w`` at which
+    ``close(new, previous)`` holds, starting from ``estimate(width)``.
+
+    Raises ``QuadratureError`` naming ``what`` and the last width when
+    ``MAX_ROUNDS`` widths do not agree.
+    """
+    prev = estimate(width)
+    for _ in range(MAX_ROUNDS - 1):
+        width /= 2.0
+        new = estimate(width)
+        if close(new, prev):
+            return new
+        prev = new
+    raise QuadratureError(f"{what} quadrature did not converge at panel width {width:g}")

@@ -10,8 +10,10 @@ weights actually solved with and never factorize again.
 
 The lower frame constant is the smallest eigenvalue of the weighted Gram,
 equal to the squared smallest singular value of the scaled matrix.  One
-rank rule, ``RANK_RTOL``, decides when it is numerically zero, for the
-solve, for ``frame_lower`` and for the stability search's SVD probes.
+rank tolerance, ``spaces.RANK_RTOL``, decides when it is numerically
+zero, for the solve, for ``frame_lower`` and for the stability search's
+SVD probes; ``spaces`` uses the same tolerance for the restriction
+frames of the growth constants.
 The upper constant is not computable from finitely many evaluations, so
 the density-based bound ``(1 + delta)^2`` is reported and the stability ratio
 is ``(1 + delta) / sqrt(lower)`` (``frame_constants``).
@@ -28,10 +30,7 @@ from . import fourier, sampling
 from .errors import UnstableReconstructionError
 from .fourier import FourierData
 from .sampling import SampleSet
-from .spaces import OrthoBasis, SpaceSpec
-
-# singular values below this fraction of the largest count as zero
-RANK_RTOL = 1e-12
+from .spaces import RANK_RTOL, OrthoBasis, SpaceSpec
 
 
 @dataclass(frozen=True)

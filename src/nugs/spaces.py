@@ -26,10 +26,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .quadrature import gauss_rule
 from .validation import check_positions
 
 KINDS = ("trig", "legendre", "piecewise_poly", "spline", "piecewise_const")
 _KNOT_SEPARATION = 1e-14
+# singular values below this fraction of the largest count as zero
+RANK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,7 @@ def _bspline_all_values(d: int, l: int, x: np.ndarray) -> np.ndarray:
 def _bspline_cell_coeffs(d: int, l: int) -> np.ndarray:
     """Raw B-spline coefficients in the per-cell Legendre frame, (l+d, l, d+1)."""
     p = d + 1
-    gx, gw = np.polynomial.legendre.leggauss(p)
+    gx, gw = gauss_rule(p)
     breaks = np.linspace(0.0, 1.0, l + 1)
     h = 1.0 / l
     # Gauss nodes for every cell at once
@@ -307,22 +310,12 @@ def evaluate(basis: OrthoBasis, x) -> np.ndarray:
     return out[:, 0] if scalar else out
 
 
-def _restriction_frame(basis: OrthoBasis, j: int, rtol: float = 1e-12):
-    """Orthonormal coefficient frame of the space restricted to cell j.
-
-    Returns (w, h) where the columns of w are local coefficient vectors of
-    an orthonormal basis of the restriction, or None when every basis
-    function vanishes on the cell.
-    """
-    bj = basis.coeffs[:, j, :]
-    s = np.linalg.svd(bj, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return None
-    rank = int(np.sum(s > rtol * s[0]))
-    if rank == 0:
-        return None
-    _, _, vh = np.linalg.svd(bj, full_matrices=False)
-    return vh[:rank].T
+def _restriction_frame(basis: OrthoBasis, j: int) -> np.ndarray:
+    """Orthonormal coefficient frame of the space restricted to cell j: the
+    columns are local coefficient vectors of an orthonormal basis of the
+    restriction (numerical rank by ``RANK_RTOL``)."""
+    _, s, vh = np.linalg.svd(basis.coeffs[:, j, :], full_matrices=False)
+    return vh[:int(np.sum(s > RANK_RTOL * s[0]))].T
 
 
 def derivative_growth(space: SpaceSpec) -> float:
@@ -340,8 +333,6 @@ def derivative_growth(space: SpaceSpec) -> float:
     best = 0.0
     for j in range(len(basis.breaks) - 1):
         w = _restriction_frame(basis, j)
-        if w is None:
-            continue
         h = basis.breaks[j + 1] - basis.breaks[j]
         smax = np.linalg.svd(deriv_matrix(p, h) @ w, compute_uv=False)
         if smax.size:
@@ -384,8 +375,6 @@ def sup_growth(space: SpaceSpec) -> float:
     best = 0.0
     for j in range(len(basis.breaks) - 1):
         w = _restriction_frame(basis, j)
-        if w is None:
-            continue
         a, b = basis.breaks[j], basis.breaks[j + 1]
         h = b - a
 

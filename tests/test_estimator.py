@@ -85,6 +85,8 @@ def test_unfitted_predict_raises():
     est = NonuniformFourierRegressor()
     with pytest.raises(ValueError, match="not fitted"):
         est.predict([0.1])
+    with pytest.raises(ValueError, match="not fitted"):
+        est.score([0.0], [1.0])
 
 
 def test_underdetermined_fit_raises():

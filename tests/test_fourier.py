@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.special import spherical_jn
 
 from nugs.fourier import (FourierData, FunctionSpec, basis_transform, cell_transforms,
-                          evaluate_function, function_norm, interval_exponential,
+                          evaluate_function, interval_exponential,
                           l2_error, load_data_csv, project, sample_function,
                           save_data_csv, spherical_jn_orders, transform_integrals)
 from nugs.quadrature import panel_edges, panel_nodes
@@ -126,7 +126,9 @@ def test_l2_error_zero_coefficients_gives_norm():
     brute = np.sqrt(quad(lambda x: abs(evaluate_function(f, x)[0]) ** 2, 0, 1,
                          limit=300, epsabs=1e-13)[0])
     assert err == pytest.approx(brute, abs=1e-10)
-    assert function_norm(f) == pytest.approx(brute, abs=1e-10)
+    # the L2 norm of f is its distance to zero in the one-cell constants
+    norm = l2_error(f, np.zeros(1), build_basis(SpaceSpec.piecewise_const(1)))
+    assert norm == pytest.approx(brute, abs=1e-10)
 
 
 def test_l2_error_member_is_zero():
