@@ -9,7 +9,11 @@ exponentials, M/sqrt(K) for polynomials and M d^2/K for splines.
 
 The stability search evaluates only the lower frame constant, which is
 basis-independent, so splines use the raw B-spline Gram in a generalized
-eigenproblem instead of orthonormalizing at every probe.
+eigenproblem instead of orthonormalizing at every probe.  Both sides of
+that eigenproblem are banded in construction: the design comes from
+``fourier.bspline_transforms`` (one Bessel table per probe, each cell's
+Legendre block added into the d+1 B-splines that touch it) and the Gram
+from the same per-cell blocks (``spaces._bspline_gram``).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import BandwidthTooSmallError
 from .fourier import FunctionSpec
 from .sampling import SampleSet, SchemeSpec
 from .spaces import SpaceSpec
+from .validation import check_positive_finite
 
 FAMILIES = ("trig", "legendre", "spline")
 # factor on the sample count 2K / delta_max in ``plan_scheme``
@@ -72,7 +77,7 @@ def plan_scheme(kind: str, k: float, *, delta_max: float = 0.9, theta: float = 0
     increased until the measured density actually meets ``delta_max``;
     a fixed formula would leave the stability threshold unreachable.
     """
-    n = math.ceil(2.0 * k * OVERSAMPLE / delta_max)
+    n = math.ceil(2.0 * check_positive_finite(k, "k") * OVERSAMPLE / delta_max)
     if kind != "log":
         return SchemeSpec(kind=kind, n=n, k=k, theta=theta if kind == "jittered" else 0.0,
                           seed=seed)
@@ -139,13 +144,9 @@ class _StabilityEvaluator:
         return fourier.cell_transforms(np.array((0.0, 1.0)), m + 1, self.s.points)[:, 0, :]
 
     def _spline_lower(self, l: int) -> float:
-        d = self.d
-        raw = spaces._bspline_cell_coeffs(d, l)
-        nb = raw.shape[0]
-        t = fourier.cell_transforms(np.linspace(0.0, 1.0, l + 1), d + 1, self.s.points)
-        a = t.reshape(t.shape[0], -1) @ raw.reshape(nb, -1).T
+        a = fourier.bspline_transforms(self.d, l, self.s.points)
         m1 = (a.conj() * self.mu[:, None]).T @ a
-        gram = raw.reshape(nb, -1) @ raw.reshape(nb, -1).T
+        gram = spaces._bspline_gram(self.d, l)
         lam = scipy.linalg.eigh(m1, gram.astype(complex), eigvals_only=True,
                                 subset_by_index=(0, 0))
         return max(float(lam[0]), 0.0)
@@ -241,6 +242,8 @@ def scaling_table(family: str, kind: str, k_grid=None, *, d: int = 0,
                   threshold: float = 3.0, delta_max: float = 0.9,
                   theta: float = 0.2, seed: int = 0, jobs: int = 1) -> list[ScalingRow]:
     """Selected dimension and ratio across a bandwidth grid (one family)."""
+    if family == "spline" and d < 1:
+        raise ValueError(f"the spline ratio M d^2/K needs degree d >= 1, got d={d}")
     return _sweep(partial(_scaling_cell, family, kind, d, threshold, delta_max,
                           theta, seed), k_grid, jobs)
 

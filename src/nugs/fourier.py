@@ -17,6 +17,13 @@ stable; and Miller's downward recurrence between the two, normalized by
 sum_n (2n+1) j_n^2 = 1.  Basis transforms then contract the per-cell
 table with the basis coefficients in one matrix product.
 
+On uniform cells the factor sqrt((2n+1) h) (-i)^n j_n(pi w h) does not
+depend on the cell, so ``bspline_transforms`` (the raw clamped B-splines
+of the spline stability probe) computes one Bessel table of n_w x (d+1)
+values, not one per cell, and uses the band structure of B-splines: each
+cell's (d+1, d+1) block of Legendre coefficients feeds only the d+1
+B-splines that touch the cell.
+
 Quadrature is used only for user-supplied functions and as a cross-check
 oracle in the tests.  Its panels have equal width within each jump-free
 segment, so the exponential at node a_j + c_q factors into a per-panel
@@ -254,19 +261,46 @@ def _jn_miller(z: np.ndarray, p: int) -> np.ndarray:
     return out * np.copysign(1.0 / np.sqrt(total), ref)
 
 
+def _order_factors(w: np.ndarray, h: np.ndarray, p: int) -> np.ndarray:
+    """sqrt(2n+1) (-i)^n j_n(pi |w| h) for n < p, (n_w, n_h, p), for cell
+    widths h of shape (n_h,); j_n has the parity of n, so w < 0 takes i^n."""
+    jn = spherical_jn_orders(np.pi * np.abs(w)[:, None] * h[None, :], p)
+    odd = np.where(w < 0, -1.0, 1.0)[:, None]
+    out = np.empty((w.size, h.size, p), dtype=complex)
+    for n in range(p):
+        turn = math.sqrt(2 * n + 1) * (-1j) ** n
+        out[:, :, n] = turn * jn[n] * odd if n % 2 else turn * jn[n]
+    return out
+
+
 def cell_transforms(breaks: np.ndarray, p: int, omegas: np.ndarray) -> np.ndarray:
     """Transforms of every normalized cell-Legendre function, (n_w, n_cell, p)."""
     w = np.asarray(omegas, dtype=float)
     a, b = breaks[:-1], breaks[1:]
     h = b - a
-    jn = spherical_jn_orders(np.pi * np.abs(w)[:, None] * h[None, :], p)
     phase = np.exp(-1j * np.pi * w[:, None] * (a + b)[None, :]) * np.sqrt(h)[None, :]
-    # (-i)^n for w >= 0 and i^n = (-1)^n (-i)^n for w < 0
-    phase_odd = phase * np.where(w < 0, -1.0, 1.0)[:, None]
-    out = np.empty((w.size, h.size, p), dtype=complex)
-    for n in range(p):
-        turn = math.sqrt(2 * n + 1) * (-1j) ** n
-        out[:, :, n] = (phase_odd if n % 2 else phase) * (turn * jn[n])
+    return phase[:, :, None] * _order_factors(w, h, p)
+
+
+def bspline_transforms(d: int, l: int, omegas) -> np.ndarray:
+    """Transforms of the l+d raw clamped B-splines of degree d on l uniform
+    cells, (n_w, l+d).
+
+    The order factors do not depend on the cell when all cells have width
+    h = 1/l, so one Bessel table per frequency serves every cell; cell j
+    adds its phase e^{-pi i w (2j+1) h} times its (d+1, d+1) Legendre block
+    into the d+1 B-splines j..j+d that touch it.
+    """
+    w = np.asarray(omegas, dtype=float)
+    p, h = d + 1, 1.0 / l
+    f = _order_factors(w, np.array([h]), p)[:, 0, :] * math.sqrt(h)
+    blocks = spaces._bspline_blocks(d, l)                    # [cell, order, spline]
+    per_cell = (f @ blocks.transpose(1, 0, 2).reshape(p, l * p)).reshape(w.size, l, p)
+    breaks = np.linspace(0.0, 1.0, l + 1)
+    per_cell *= np.exp(-1j * np.pi * w[:, None] * (breaks[:-1] + breaks[1:]))[:, :, None]
+    out = np.zeros((w.size, l + d), dtype=complex)
+    for r in range(p):
+        out[:, r:r + l] += per_cell[:, :, r]
     return out
 
 

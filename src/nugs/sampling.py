@@ -9,12 +9,13 @@ weights telescope to exactly 2K.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .prng import SplitMix64
-from .validation import as_float_array, check_strictly_increasing
+from .validation import as_float_array, check_positive_finite, check_strictly_increasing
 
 SCHEME_KINDS = ("uniform", "jittered", "log")
 
@@ -74,10 +75,10 @@ class SchemeSpec:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.n < 2:
-            raise ValueError("schemes require at least 2 points")
-        if self.k <= 0:
-            raise ValueError("bandwidth must be positive")
+        check_positive_finite(self.k, "k")
+        if (isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral)
+                or self.n < 2):
+            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         if not (0.0 <= self.theta < 1.0):
             raise ValueError("jitter fraction must lie in [0, 1)")
         if self.kind == "log" and self.n % 2 != 0:

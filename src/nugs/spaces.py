@@ -214,15 +214,14 @@ def _bspline_all_values(d: int, l: int, x: np.ndarray) -> np.ndarray:
     idx = np.clip(np.searchsorted(tau, x, side="right") - 1, 0, nfun - 1)
     vals[idx, np.arange(x.size)] = 1.0
     for r in range(1, d + 1):
-        new = np.zeros((nfun - r, x.size))
-        for i in range(nfun - r):
-            den1 = tau[i + r] - tau[i]
-            den2 = tau[i + r + 1] - tau[i + 1]
-            if den1 > 0:
-                new[i] += (x - tau[i]) / den1 * vals[i]
-            if den2 > 0:
-                new[i] += (tau[i + r + 1] - x) / den2 * vals[i + 1]
-        vals = new
+        # Cox-de Boor for every B-spline i < nfun - r at once; a term whose
+        # knot span is empty is dropped
+        lo, up = tau[:nfun - r, None], tau[r + 1:, None]
+        den1 = tau[r:nfun, None] - lo
+        den2 = up - tau[1:nfun - r + 1, None]
+        left = (x - lo) / np.where(den1 > 0, den1, 1.0) * vals[:-1]
+        right = (up - x) / np.where(den2 > 0, den2, 1.0) * vals[1:]
+        vals = np.where(den1 > 0, left, 0.0) + np.where(den2 > 0, right, 0.0)
     return vals[: l + d]
 
 
@@ -245,6 +244,28 @@ def _bspline_cell_coeffs(d: int, l: int) -> np.ndarray:
     coeff = np.einsum("ijq,njq,q->ijn", bvals, phi, gw * h / 2)
     coeff.setflags(write=False)
     return coeff
+
+
+def _bspline_blocks(d: int, l: int) -> np.ndarray:
+    """Per-cell blocks of ``_bspline_cell_coeffs``, (l, d+1, d+1): entry
+    ``[j, n, r]`` is the Legendre order-n coefficient on cell j of B-spline
+    j + r, one of the d+1 B-splines that touch cell j."""
+    j = np.arange(l)[:, None]
+    return _bspline_cell_coeffs(d, l)[j + np.arange(d + 1), j].transpose(0, 2, 1)
+
+
+def _bspline_gram(d: int, l: int) -> np.ndarray:
+    """Gram matrix of the l+d raw B-splines, banded with half-width d: the
+    cell-Legendre frame is orthonormal, so cell j adds its block's Gram
+    into rows and columns j..j+d."""
+    blocks = _bspline_blocks(d, l)
+    local = blocks.transpose(0, 2, 1) @ blocks
+    gram = np.zeros((l + d, l + d))
+    j = np.arange(l)
+    for r in range(d + 1):
+        for c in range(d + 1):
+            gram[j + r, j + c] += local[:, r, c]
+    return gram
 
 
 def build_basis(space: SpaceSpec) -> OrthoBasis:

@@ -7,6 +7,9 @@ argument on bad input.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 
@@ -45,6 +48,14 @@ def as_weight_array(x, name: str) -> np.ndarray:
     if np.any(arr < 0.0):
         raise ValueError(f"{name} must be non-negative")
     return arr
+
+
+def check_positive_finite(value, name: str) -> float:
+    """A finite, strictly positive real number (not a bool), as a float."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0)):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return float(value)
 
 
 def check_strictly_increasing(points: np.ndarray, name: str) -> None:

@@ -154,6 +154,14 @@ def test_scaling_command_writes_csv_and_svg(tmp_path):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
+def test_scaling_command_spline_degree_zero_exits_1(tmp_path, capsys):
+    code = run(["scaling", "--family", "spline", "--d", 0, "--kmin", 6, "--kmax", 12,
+                "--kcount", 2, "--out-dir", tmp_path])
+    assert code == 1
+    assert "d >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_figure1_byte_identical_reruns(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

@@ -7,10 +7,10 @@ from nugs.experiments import (ErrorRow, ScalingRow, _StabilityEvaluator, default
                               error_curve, family_space, max_stable_dimension, plan_scheme,
                               run_figure_panels, scaling_table, write_error_csv,
                               write_scaling_csv)
-from nugs.fourier import FunctionSpec
-from nugs.sampling import SampleSet, SchemeSpec, density, generate
+from nugs.fourier import FunctionSpec, cell_transforms
+from nugs.sampling import SampleSet, SchemeSpec, density, generate, weights
 from nugs.solver import stability_constant
-from nugs.spaces import SpaceSpec, build_basis
+from nugs.spaces import SpaceSpec, _bspline_cell_coeffs, build_basis
 
 INTEGER_GRID = SampleSet(points=np.arange(-10, 11, dtype=float), bandwidth=10.5)
 
@@ -53,6 +53,27 @@ def test_search_ratio_matches_stability_constant(kind, family, d, ms):
         assert ev.ratio(m) == pytest.approx(direct.ratio, rel=1e-9, abs=0)
 
 
+def dense_spline_lower(s, d, l):
+    """Oracle: the generalized eigenproblem on the dense contraction of every
+    cell with every B-spline and the dense B-spline Gram."""
+    raw = _bspline_cell_coeffs(d, l).reshape(l + d, -1)
+    t = cell_transforms(np.linspace(0.0, 1.0, l + 1), d + 1, s.points)
+    a = t.reshape(len(s), -1) @ raw.T
+    m1 = (a.conj() * weights(s)[:, None]).T @ a
+    return scipy.linalg.eigh(m1, (raw @ raw.T).astype(complex), eigvals_only=True)[0]
+
+
+@pytest.mark.parametrize("kind", ["jittered", "log"])
+@pytest.mark.parametrize("d, ls", [(1, (1, 6, 14)), (2, (1, 5, 10)), (3, (2, 4, 9))])
+def test_spline_lower_matches_dense_eigenproblem(kind, d, ls):
+    s = generate(plan_scheme(kind, 12.0, seed=4))
+    ev = _StabilityEvaluator("spline", s, d)
+    for l in ls:
+        want = dense_spline_lower(s, d, l)
+        assert want > 1e-2
+        assert ev._spline_lower(l) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_spline_eigensolver_failure_propagates(monkeypatch):
     def fail(*args, **kwargs):
         raise scipy.linalg.LinAlgError("forced failure")
@@ -83,6 +104,18 @@ def test_plan_scheme_density_targets():
         assert density(s) <= 0.9 + 1e-12
     # log counts grow beyond the fixed formula to actually meet the target
     assert plan_scheme("log", 18.0).n > plan_scheme("jittered", 18.0).n
+
+
+@pytest.mark.parametrize("kind", ["uniform", "jittered", "log"])
+@pytest.mark.parametrize("k", [0.0, -1.0, float("nan"), float("inf")])
+def test_plan_scheme_rejects_bad_bandwidth(kind, k):
+    with pytest.raises(ValueError, match="k must be finite and positive"):
+        plan_scheme(kind, k)
+
+
+def test_spline_scaling_needs_positive_degree():
+    with pytest.raises(ValueError, match="d >= 1, got d=0"):
+        scaling_table("spline", "jittered", [10.0], d=0)
 
 
 def test_family_space_construction():

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
-from nugs.fourier import (FourierData, FunctionSpec, basis_transform, cell_transforms,
-                          evaluate_function, interval_exponential,
+from nugs.fourier import (FourierData, FunctionSpec, basis_transform, bspline_transforms,
+                          cell_transforms, evaluate_function, interval_exponential,
                           l2_error, load_data_csv, project, sample_function,
                           save_data_csv, spherical_jn_orders, transform_integrals)
 from nugs.quadrature import panel_edges, panel_nodes
 from nugs.sampling import SampleSet, SchemeSpec, generate, weights
-from nugs.spaces import SpaceSpec, build_basis
+from nugs.spaces import SpaceSpec, _bspline_cell_coeffs, build_basis
 
 
 def quad_transform(f, omega):
@@ -272,3 +274,61 @@ def test_fourier_data_rejects_negative_or_nonfinite_weights():
     for bad in ([1.0, -0.5], [1.0, np.nan], [np.inf, 1.0]):
         with pytest.raises(ValueError, match="weights"):
             FourierData(s, np.array([1.0, 2.0 + 0j]), np.array(bad))
+
+
+def dense_bspline_transforms(d, l, omegas):
+    """Oracle: every cell's Legendre transforms contracted with every
+    B-spline's cell coefficients, band or not."""
+    raw = _bspline_cell_coeffs(d, l)
+    t = cell_transforms(np.linspace(0.0, 1.0, l + 1), d + 1, omegas)
+    return t.reshape(t.shape[0], -1) @ raw.reshape(raw.shape[0], -1).T
+
+
+# w = 0, w < 0, and pi |w| h on both sides of 0.5 for every l below
+_NEAR_ZERO = np.array([-0.05, 0.0, 0.05])
+BSPLINE_FREQS = {
+    "jittered": np.union1d(generate(SchemeSpec("jittered", 60, 40.0, theta=0.3, seed=2)).points,
+                           _NEAR_ZERO),
+    "log": np.union1d(generate(SchemeSpec("log", 60, 40.0)).points, _NEAR_ZERO),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BSPLINE_FREQS))
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_bspline_transforms_match_dense_oracle(kind, d):
+    omegas = BSPLINE_FREQS[kind]
+    for l in sorted({1, 2, d + 1, 37}):
+        assert np.pi * 0.05 / l < 0.5 < np.pi * 40.0 / l
+        want = dense_bspline_transforms(d, l, omegas)
+        got = bspline_transforms(d, l, omegas)
+        assert got.shape == (omegas.size, l + d)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_bspline_transforms_interior_columns_closed_form(d):
+    # an interior B-spline is a cardinal B-spline on knots t_i .. t_i + (d+1) h
+    l = 37
+    h = 1.0 / l
+    omegas = BSPLINE_FREQS["jittered"]
+    got = bspline_transforms(d, l, omegas)
+    for i in range(d, l):
+        t = (i - d) * h
+        want = (h * np.exp(-2j * np.pi * omegas * (t + (d + 1) * h / 2))
+                * np.sinc(omegas * h) ** (d + 1))
+        assert np.max(np.abs(got[:, i] - want)) <= 1e-14
+
+
+frequencies = st.lists(st.floats(min_value=-80.0, max_value=80.0), min_size=1,
+                       max_size=30).map(np.array)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 40), frequencies)
+def test_bspline_transforms_properties(d, l, omegas):
+    got = bspline_transforms(d, l, omegas)
+    # raw B-splines are real: their transforms are conjugate-symmetric, bit for bit
+    assert np.array_equal(bspline_transforms(d, l, -omegas), got.conj())
+    want = dense_bspline_transforms(d, l, omegas)
+    # relative to the largest entry, floored where every frequency sits at a zero of sinc
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-6 / l)

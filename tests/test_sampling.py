@@ -50,6 +50,28 @@ def test_generate_rejects_bad_specs():
         SchemeSpec("weird", 4, 2.0)
 
 
+@pytest.mark.parametrize("n, k, match", [
+    (2.5, 3.0, "n must be an integer"),
+    (4.0, 3.0, "n must be an integer"),
+    (True, 3.0, "n must be an integer"),
+    (1, 3.0, "n must be an integer >= 2"),
+    (-1, 3.0, "n must be an integer >= 2"),
+    (4, float("nan"), "k must be finite and positive"),
+    (4, float("inf"), "k must be finite and positive"),
+    (4, -2.0, "k must be finite and positive"),
+    (1, float("nan"), "k must be finite and positive"),  # k is checked first
+])
+def test_scheme_spec_rejects_bad_count_or_bandwidth(n, k, match):
+    for kind in ("uniform", "jittered", "log"):
+        with pytest.raises(ValueError, match=match):
+            SchemeSpec(kind, n, k)
+
+
+def test_scheme_spec_accepts_numpy_scalars():
+    s = generate(SchemeSpec("uniform", np.int64(4), np.float64(2.0)))
+    assert np.allclose(s.points, [-1.5, -0.5, 0.5, 1.5])
+
+
 def test_density_hand_cases():
     s = SampleSet(points=np.array([-1.0, 1.0]), bandwidth=2.0)
     assert density(s) == pytest.approx(2.0)

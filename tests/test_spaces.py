@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import BSpline
 
-from nugs.spaces import (GrowthConstants, SpaceSpec, build_basis, breakpoints,
+from nugs.spaces import (GrowthConstants, SpaceSpec, _bspline_all_values, _bspline_cell_coeffs,
+                         _bspline_gram, build_basis, breakpoints,
                          derivative_growth, dimension, evaluate,
                          growth_constants, min_spacing, sup_growth)
 
@@ -207,3 +209,33 @@ def test_min_spacing():
 def test_space_json_round_trip():
     for spec in ALL_SPECS:
         assert SpaceSpec.from_json(spec.to_json()) == spec
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("l", [1, 2, 7, 40])
+def test_bspline_values_match_scipy_design_matrix(d, l):
+    tau = np.concatenate((np.zeros(d + 1), np.arange(1, l) / l, np.ones(d + 1)))
+    x = np.concatenate((np.arange(l) / l, np.random.default_rng(d + l).uniform(0.0, 1.0, 200)))
+    got = _bspline_all_values(d, l, x)
+    want = BSpline.design_matrix(x, tau, d).toarray().T
+    assert got.shape == (l + d, x.size)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert np.max(np.abs(got.sum(axis=0) - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+@pytest.mark.parametrize("l", [1, 2, 5, 23])
+def test_banded_bspline_gram_matches_dense(d, l):
+    raw = _bspline_cell_coeffs(d, l).reshape(l + d, -1)
+    gram = _bspline_gram(d, l)
+    assert np.max(np.abs(gram - raw @ raw.T)) <= 1e-15
+    rows, cols = np.indices(gram.shape)
+    assert np.all(gram[np.abs(rows - cols) > d] == 0.0)
+
+
+def test_bspline_gram_is_hat_mass_matrix_at_degree_one():
+    l = 9
+    h = 1.0 / l
+    want = (h / 6) * (4 * np.eye(l + 1) + np.eye(l + 1, k=1) + np.eye(l + 1, k=-1))
+    want[0, 0] = want[-1, -1] = h / 3
+    assert np.allclose(_bspline_gram(1, l), want, rtol=0, atol=1e-15)
