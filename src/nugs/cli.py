@@ -103,6 +103,8 @@ def cmd_stability(args) -> int:
     space = parse_space(args.space)
     if args.k is None or args.n is None:
         raise ValueError("stability needs --k and --n")
+    if args.threshold is not None and not args.threshold > 0:
+        raise ValueError(f"threshold must be positive, got {args.threshold!r}")
     s = sampling.generate(parse_scheme(args.scheme, args.n, args.k, args.seed))
     constants = solver.stability_constant(fourier.cached_basis(space), s)
     print(constants.to_json())

@@ -3,9 +3,15 @@
 For a space family indexed by an integer (exponential order, polynomial
 degree, or spline cell count at fixed degree) and a sampling scheme, the
 selected dimension parameter is the largest one whose stability ratio
-stays below a threshold.  Sweeping the bandwidth produces the scaling
-tables and error curves; the ratios reported per family are M/K for
+stays below a threshold; the ratios reported per family are M/K for
 exponentials, M/sqrt(K) for polynomials and M d^2/K for splines.
+
+One cell per bandwidth does all the work of a sweep: it plans the scheme,
+draws the sample set once and runs the stability search once, then builds
+the scaling row from that search and, given a function, the error row by
+reconstructing at the same M on the same set.  ``scaling_table`` and
+``error_curve`` keep one of the two rows; ``run_figure_panels`` keeps both,
+so the figure pays for one search per scheme, family and bandwidth.
 
 The stability search evaluates only the lower frame constant, which is
 basis-independent, so splines use the raw B-spline Gram in a generalized
@@ -77,7 +83,8 @@ def plan_scheme(kind: str, k: float, *, delta_max: float = 0.9, theta: float = 0
     increased until the measured density actually meets ``delta_max``;
     a fixed formula would leave the stability threshold unreachable.
     """
-    n = math.ceil(2.0 * check_positive_finite(k, "k") * OVERSAMPLE / delta_max)
+    n = math.ceil(2.0 * check_positive_finite(k, "k") * OVERSAMPLE
+                  / check_positive_finite(delta_max, "delta_max"))
     if kind != "log":
         return SchemeSpec(kind=kind, n=n, k=k, theta=theta if kind == "jittered" else 0.0,
                           seed=seed)
@@ -154,6 +161,8 @@ class _StabilityEvaluator:
 
 def _search_max(ev: _StabilityEvaluator, threshold: float,
                 hint: int | None = None) -> int:
+    if not threshold > 0:
+        raise ValueError(f"threshold must be positive, got {threshold!r}")
     cap = ev.cap
     if cap < 1 or not ev.ratio(1) <= threshold:
         raise BandwidthTooSmallError(
@@ -181,6 +190,11 @@ def _search_max(ev: _StabilityEvaluator, threshold: float,
     return lo
 
 
+def _check_ratio_degree(family: str, d: int) -> None:
+    if family == "spline" and d < 1:
+        raise ValueError(f"the spline ratio M d^2/K needs degree d >= 1, got d={d}")
+
+
 def max_stable_dimension(family: str, s: SampleSet, threshold: float = 3.0,
                          *, d: int = 0, hint: int | None = None) -> int:
     """Largest family index whose stability ratio stays at or below the
@@ -193,7 +207,9 @@ def max_stable_dimension(family: str, s: SampleSet, threshold: float = 3.0,
     return _search_max(_StabilityEvaluator(family, s, d), threshold, hint)
 
 
-def _scaling_cell(family, kind, d, threshold, delta_max, theta, seed, k, hint=None):
+def _cell(f, family, kind, d, threshold, delta_max, theta, seed, k, hint=None):
+    """One bandwidth: draw the planned sample set, search it once, and return
+    the scaling row with the error of ``f`` at the same m (None without f)."""
     spec = plan_scheme(kind, k, delta_max=delta_max, theta=theta, seed=seed)
     s = sampling.generate(spec)
     ev = _StabilityEvaluator(family, s, d)
@@ -204,19 +220,13 @@ def _scaling_cell(family, kind, d, threshold, delta_max, theta, seed, k, hint=No
         ratio = m / math.sqrt(k)
     else:
         ratio = m * d * d / k
-    return ScalingRow(family=family, k=k, n=len(s), m=m, ratio=ratio,
-                      c_ratio=ev.ratio(m))
-
-
-def _error_cell(f, family, kind, d, threshold, delta_max, theta, seed, k, hint=None):
-    spec = plan_scheme(kind, k, delta_max=delta_max, theta=theta, seed=seed)
-    s = sampling.generate(spec)
-    m = max_stable_dimension(family, s, threshold, d=d, hint=hint)
+    row = ScalingRow(family=family, k=k, n=len(s), m=m, ratio=ratio, c_ratio=ev.ratio(m))
+    if f is None:
+        return row, None
     basis = fourier.cached_basis(family_space(family, m, d))
-    data = fourier.sample_function(f, s)
-    rec = solver.reconstruct(basis, data)
+    rec = solver.reconstruct(basis, fourier.sample_function(f, s))
     err = fourier.l2_error(f, rec.coefficients, basis)
-    return ErrorRow(family=family, k=k, n=len(s), m=m, error=err)
+    return row, ErrorRow(family=family, k=k, n=len(s), m=m, error=err)
 
 
 def default_k_grid(kmin: float = 5.0, kmax: float = 200.0, count: int = 20) -> np.ndarray:
@@ -224,9 +234,9 @@ def default_k_grid(kmin: float = 5.0, kmax: float = 200.0, count: int = 20) -> n
 
 
 def _sweep(cell, k_grid, jobs: int) -> list:
-    """Rows of ``cell(k, hint)`` across the grid.  Serially each bandwidth's
-    search starts from the previous selected index; parallel cells search
-    from scratch."""
+    """Row pairs of ``cell(k, hint)`` across the grid.  Serially each
+    bandwidth's search starts from the previous selected index; parallel
+    cells search from scratch."""
     ks = (default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)).tolist()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -234,7 +244,7 @@ def _sweep(cell, k_grid, jobs: int) -> list:
     rows, hint = [], None
     for k in ks:
         rows.append(cell(k, hint))
-        hint = rows[-1].m
+        hint = rows[-1][0].m
     return rows
 
 
@@ -242,10 +252,9 @@ def scaling_table(family: str, kind: str, k_grid=None, *, d: int = 0,
                   threshold: float = 3.0, delta_max: float = 0.9,
                   theta: float = 0.2, seed: int = 0, jobs: int = 1) -> list[ScalingRow]:
     """Selected dimension and ratio across a bandwidth grid (one family)."""
-    if family == "spline" and d < 1:
-        raise ValueError(f"the spline ratio M d^2/K needs degree d >= 1, got d={d}")
-    return _sweep(partial(_scaling_cell, family, kind, d, threshold, delta_max,
-                          theta, seed), k_grid, jobs)
+    _check_ratio_degree(family, d)
+    return [row for row, _ in _sweep(partial(_cell, None, family, kind, d, threshold,
+                                             delta_max, theta, seed), k_grid, jobs)]
 
 
 def error_curve(f: FunctionSpec, family: str, kind: str, k_grid=None, *,
@@ -253,8 +262,8 @@ def error_curve(f: FunctionSpec, family: str, kind: str, k_grid=None, *,
                 theta: float = 0.2, seed: int = 0, jobs: int = 1) -> list[ErrorRow]:
     """Reconstruction error across a bandwidth grid with the stability-
     selected dimension at each bandwidth."""
-    return _sweep(partial(_error_cell, f, family, kind, d, threshold, delta_max,
-                          theta, seed), k_grid, jobs)
+    return [row for _, row in _sweep(partial(_cell, f, family, kind, d, threshold,
+                                             delta_max, theta, seed), k_grid, jobs)]
 
 
 def run_figure_panels(out_dir, *, seed: int = 0, k_grid=None, jobs: int = 1,
@@ -265,10 +274,12 @@ def run_figure_panels(out_dir, *, seed: int = 0, k_grid=None, jobs: int = 1,
     Each panel is one CSV (with a leading family column) plus one
     self-contained SVG.  Returns the paths written.
     """
+    fam_list = [("trig", 0), ("legendre", 0)] + [("spline", d) for d in spline_degrees]
+    for d in spline_degrees:
+        _check_ratio_degree("spline", d)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ks = default_k_grid(count=16) if k_grid is None else np.asarray(k_grid, dtype=float)
-    fam_list = [("trig", 0), ("legendre", 0)] + [("spline", d) for d in spline_degrees]
     f = FunctionSpec.benchmark()
     written = []
     for kind in ("jittered", "log"):
@@ -276,14 +287,10 @@ def run_figure_panels(out_dir, *, seed: int = 0, k_grid=None, jobs: int = 1,
         erows: list[ErrorRow] = []
         for family, d in fam_list:
             label = family if family != "spline" else f"spline_d{d}"
-            rows = scaling_table(family, kind, ks, d=d, threshold=threshold,
-                                 delta_max=delta_max, theta=theta, seed=seed,
-                                 jobs=jobs)
-            srows += [replace(r, family=label) for r in rows]
-            rows = error_curve(f, family, kind, ks, d=d, threshold=threshold,
-                               delta_max=delta_max, theta=theta, seed=seed,
-                               jobs=jobs)
-            erows += [replace(r, family=label) for r in rows]
+            for srow, erow in _sweep(partial(_cell, f, family, kind, d, threshold,
+                                             delta_max, theta, seed), ks, jobs):
+                srows.append(replace(srow, family=label))
+                erows.append(replace(erow, family=label))
         spath = out / f"scaling_{kind}.csv"
         write_scaling_csv(spath, srows, with_family=True)
         epath = out / f"error_{kind}.csv"

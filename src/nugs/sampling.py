@@ -85,8 +85,8 @@ class SchemeSpec:
             raise ValueError("log scheme requires an even sample count")
 
     def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, "n": self.n, "k": self.k,
-                           "theta": self.theta, "seed": self.seed})
+        return json.dumps({"kind": self.kind, "n": int(self.n), "k": float(self.k),
+                           "theta": float(self.theta), "seed": int(self.seed)})
 
     @classmethod
     def from_json(cls, text: str) -> "SchemeSpec":

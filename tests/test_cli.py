@@ -102,6 +102,42 @@ def test_reconstruct_negative_weight_csv_exits_1(tmp_path, capsys):
     assert "weights must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0.0,nan,0.0,1.0", "values contains non-finite values"),
+    ("-1.0,0.5,0.0,1.0", "points must be strictly increasing"),
+    ("0.0,1.0,0.0,inf", "weights contains non-finite values"),
+])
+def test_reconstruct_bad_csv_row_exits_1(tmp_path, capsys, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"omega,re,im,weight\n-1.0,0.5,0.0,1.0\n{row}\n1.0,0.5,0.0,1.0\n")
+    code = run(["reconstruct", "--space", "piecewise_const:1", "--input", path,
+                "--out-dir", tmp_path])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["reconstruct", "--space", "legendre:3", "--k", 10],
+    ["scaling", "--family", "trig", "--kmax", 10, "--kcount", 2],
+])
+def test_bad_delta_max_exits_1(tmp_path, capsys, args):
+    code = run(args + ["--delta-max", 0, "--out-dir", tmp_path])
+    assert code == 1
+    assert "delta_max must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["nan", -1])
+@pytest.mark.parametrize("args", [
+    ["stability", "--space", "trig:2", "--scheme", "uniform", "--k", 10, "--n", 40],
+    ["scaling", "--family", "trig", "--kmax", 10, "--kcount", 2],
+])
+def test_bad_threshold_exits_1(tmp_path, capsys, args, threshold):
+    code = run(args + ["--threshold", threshold, "--out-dir", tmp_path])
+    assert code == 1
+    assert "threshold must be positive" in capsys.readouterr().err
+
+
 def test_usage_error_exits_1(capsys):
     assert run(["reconstruct"]) == 1
     assert "usage error" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from nugs import experiments
 from nugs.errors import BandwidthTooSmallError
 from nugs.experiments import (ErrorRow, ScalingRow, _StabilityEvaluator, default_k_grid,
                               error_curve, family_space, max_stable_dimension, plan_scheme,
@@ -113,6 +114,21 @@ def test_plan_scheme_rejects_bad_bandwidth(kind, k):
         plan_scheme(kind, k)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "jittered", "log"])
+@pytest.mark.parametrize("delta_max", [0.0, -1.0, float("nan"), float("inf")])
+def test_plan_scheme_rejects_bad_density(kind, delta_max):
+    with pytest.raises(ValueError, match="delta_max must be finite and positive"):
+        plan_scheme(kind, 10.0, delta_max=delta_max)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 0.0, -1.0])
+def test_search_rejects_bad_threshold(threshold):
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        max_stable_dimension("trig", INTEGER_GRID, threshold)
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        scaling_table("trig", "jittered", [10.0], threshold=threshold)
+
+
 def test_spline_scaling_needs_positive_degree():
     with pytest.raises(ValueError, match="d >= 1, got d=0"):
         scaling_table("spline", "jittered", [10.0], d=0)
@@ -152,6 +168,10 @@ def test_scaling_parallel_matches_serial():
     ks = [8.0, 16.0, 32.0]
     serial = scaling_table("legendre", "jittered", ks, seed=3, jobs=1)
     parallel = scaling_table("legendre", "jittered", ks, seed=3, jobs=2)
+    assert serial == parallel
+    f = FunctionSpec.benchmark()
+    serial = error_curve(f, "legendre", "jittered", ks, seed=3, jobs=1)
+    parallel = error_curve(f, "legendre", "jittered", ks, seed=3, jobs=2)
     assert serial == parallel
 
 
@@ -236,3 +256,39 @@ def test_figure_panels_write_files(tmp_path):
     text = (tmp_path / "scaling_jittered.csv").read_text()
     assert text.splitlines()[0] == "family,k,n,m,ratio,c_ratio"
     assert "spline_d1" in text
+
+
+def test_figure_panels_search_once_per_bandwidth(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(ev, threshold, hint=None):
+        calls.append((hint, search(ev, threshold, hint)))
+        return calls[-1][1]
+
+    search = experiments._search_max
+    monkeypatch.setattr(experiments, "_search_max", counted)
+    run_figure_panels(tmp_path, seed=1, k_grid=[6.0, 12.0], spline_degrees=(1,))
+    # 2 schemes x 3 families x 2 bandwidths, each searched once; the second
+    # bandwidth's search starts from the first one's selection
+    assert len(calls) == 12
+    assert all(calls[i][0] is None and calls[i + 1][0] == calls[i][1]
+               for i in range(0, 12, 2))
+    for kind in ("jittered", "log"):
+        scaling = [line.split(",")[:4] for line in
+                   (tmp_path / f"scaling_{kind}.csv").read_text().splitlines()]
+        error = [line.split(",")[:4] for line in
+                 (tmp_path / f"error_{kind}.csv").read_text().splitlines()]
+        # family, k, n, m: the error rows reuse each bandwidth's selection
+        assert error == scaling
+
+
+def test_figure_panels_spline_degree_zero_raises_before_writing(tmp_path):
+    out = tmp_path / "panels"
+    with pytest.raises(ValueError, match="d >= 1, got d=0"):
+        run_figure_panels(out, k_grid=[6.0], spline_degrees=(0,))
+    assert not out.exists()
+
+
+def test_error_curve_accepts_spline_degree_zero():
+    rows = error_curve(FunctionSpec.benchmark(), "spline", "jittered", [8.0], d=0, seed=1)
+    assert len(rows) == 1 and rows[0].m >= 1 and np.isfinite(rows[0].error)

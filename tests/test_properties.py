@@ -1,14 +1,18 @@
-"""Property tests of the sampling weights and the estimator, on derandomized
-examples (the B-spline transform properties sit with their oracle in
-test_fourier.py)."""
+"""Property tests of the sampling weights, the estimator and the JSON and
+CSV round-trips, on derandomized examples (the B-spline transform
+properties sit with their oracle in test_fourier.py)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nugs.estimator import NonuniformFourierRegressor
-from nugs.sampling import SampleSet, weights
+from nugs.fourier import FourierData, FunctionSpec, load_data_csv, save_data_csv
+from nugs.sampling import (SampleSet, SchemeSpec, load_samples_csv, save_samples_csv,
+                           weights)
+from nugs.solver import Reconstruction
+from nugs.spaces import SpaceSpec, dimension
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -49,3 +53,122 @@ def test_fit_does_not_depend_on_sample_order(s, rnd, weighted):
         x[order], y[order], None if mu is None else mu[order])
     assert np.array_equal(a.coef_, b.coef_)
     assert a.stability_ratio_ == b.stability_ratio_
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def space_specs(draw):
+    """One of the five space kinds, at most about 30 dimensions."""
+    kind = draw(st.sampled_from(["trig", "legendre", "piecewise_poly", "spline",
+                                 "piecewise_const"]))
+    if kind == "trig":
+        return SpaceSpec.trig(draw(st.integers(0, 12)))
+    if kind == "legendre":
+        return SpaceSpec.legendre(draw(st.integers(0, 24)))
+    if kind == "spline":
+        return SpaceSpec.spline(draw(st.integers(0, 4)), draw(st.integers(1, 20)))
+    if kind == "piecewise_const":
+        return SpaceSpec.piecewise_const(draw(st.integers(1, 24)))
+    knots = sorted(set(draw(st.lists(UNIT, max_size=4))))
+    assume(all(b - a > 1e-14 for a, b in zip(knots, knots[1:])))
+    degrees = draw(st.lists(st.integers(0, 5), min_size=len(knots) + 1,
+                            max_size=len(knots) + 1))
+    return SpaceSpec.piecewise_poly(knots, degrees)
+
+
+def coefficient_vectors(space):
+    return st.lists(COMPLEX, min_size=dimension(space), max_size=dimension(space))
+
+
+LEAVES = st.one_of(st.just(("x",)), st.tuples(st.just("const"), FINITE))
+EXPRESSIONS = st.recursive(LEAVES, lambda sub: st.one_of(
+    st.tuples(st.sampled_from(["neg", "sin", "cos", "exp"]), sub),
+    st.tuples(st.sampled_from(["add", "sub", "mul"]), sub, sub),
+    st.tuples(st.just("pow"), sub, st.integers(0, 4))), max_leaves=8)
+
+
+@st.composite
+def function_specs(draw):
+    if draw(st.booleans()):
+        jumps = sorted(draw(st.lists(UNIT, max_size=3)))
+        return FunctionSpec.from_expr(draw(EXPRESSIONS), jumps)
+    space = draw(space_specs())
+    return FunctionSpec.from_coefficients(space, draw(coefficient_vectors(space)))
+
+
+@st.composite
+def scheme_specs(draw):
+    kind = draw(st.sampled_from(["uniform", "jittered", "log"]))
+    n = 2 * draw(st.integers(1, 5000))
+    # an int bandwidth is written as a float and a numpy count as an int
+    k = draw(st.one_of(st.floats(min_value=1e-6, max_value=1e6), st.integers(1, 10**6)))
+    return SchemeSpec(kind=kind, n=draw(st.sampled_from([n, np.int64(n)])), k=k,
+                      theta=draw(st.floats(min_value=0.0, max_value=0.99)),
+                      seed=draw(st.integers(0, 2**63)))
+
+
+@st.composite
+def reconstructions(draw):
+    space = draw(space_specs())
+    return Reconstruction(space=space, coefficients=np.array(draw(coefficient_vectors(space))),
+                          residual=draw(NONNEGATIVE), sigma_min=draw(NONNEGATIVE),
+                          sigma_max=draw(NONNEGATIVE))
+
+
+def assert_json_round_trip(obj):
+    text = obj.to_json()
+    assert type(obj).from_json(text).to_json() == text
+
+
+@PROPERTY
+@given(space_specs())
+def test_space_spec_json_round_trip(space):
+    assert_json_round_trip(space)
+
+
+@PROPERTY
+@given(scheme_specs())
+def test_scheme_spec_json_round_trip(spec):
+    assert_json_round_trip(spec)
+
+
+@PROPERTY
+@given(function_specs())
+def test_function_spec_json_round_trip(f):
+    assert_json_round_trip(f)
+
+
+@PROPERTY
+@given(reconstructions())
+def test_reconstruction_json_round_trip(rec):
+    assert_json_round_trip(rec)
+
+
+@PROPERTY
+@given(sample_sets(), st.data())
+def test_data_csv_round_trip(tmp_path_factory, s, data):
+    n = len(s.points)
+    values = data.draw(st.lists(COMPLEX, min_size=n, max_size=n))
+    mu = data.draw(st.lists(NONNEGATIVE, min_size=n, max_size=n))
+    first = tmp_path_factory.mktemp("data") / "a.csv"
+    save_data_csv(first, FourierData(samples=s, values=values, weights=mu))
+    loaded, had_weights = load_data_csv(first, bandwidth=s.bandwidth)
+    assert had_weights
+    second = first.with_name("b.csv")
+    save_data_csv(second, loaded)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@PROPERTY
+@given(sample_sets())
+def test_samples_csv_round_trip(tmp_path_factory, s):
+    first = tmp_path_factory.mktemp("samples") / "a.csv"
+    save_samples_csv(first, s)
+    second = first.with_name("b.csv")
+    save_samples_csv(second, load_samples_csv(first, bandwidth=s.bandwidth))
+    assert second.read_bytes() == first.read_bytes()
