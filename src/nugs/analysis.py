@@ -19,6 +19,7 @@ import numpy as np
 from . import fourier, spaces
 from .quadrature import gauss_rule, panel_edges, panel_nodes, refine
 from .spaces import OrthoBasis, SpaceSpec
+from .validation import check_count
 
 _KNOT_FREE = ("trig", "legendre")
 # Gauss nodes per frequency panel of the concentration quadrature
@@ -182,6 +183,7 @@ def gap_bound(space: SpaceSpec, cells: int) -> float:
 
     Knot-free spaces use the sharper derivative-only form
     ``growth / (pi L)``; knotted spaces add the sup-norm term."""
+    cells = check_count(cells, "cells")
     g = spaces.growth_constants(space)
     if space.kind in _KNOT_FREE:
         return g.derivative_growth / (math.pi * cells)
@@ -192,6 +194,7 @@ def gap_bound(space: SpaceSpec, cells: int) -> float:
 def verify_gap_bound(space: SpaceSpec, cells: int, slack_tol: float = 1e-10) -> GapReport:
     """Check gap <= bound; requires cell width 1/L at most the space's
     minimum knot spacing, otherwise no assertion is made."""
+    cells = check_count(cells, "cells")
     eta = spaces.min_spacing(space)
     ok = (1.0 / cells) <= eta * (1.0 + 1e-12)
     g = gap(_reference_space(cells), space)
@@ -204,6 +207,7 @@ def verify_gap_bound(space: SpaceSpec, cells: int, slack_tol: float = 1e-10) -> 
 def verify_triangle_bound(space: SpaceSpec, cells: int, z: float,
                           slack_tol: float = 1e-10) -> TriangleReport:
     """Check residual(space, z) <= residual(constants_L, z) + gap."""
+    cells = check_count(cells, "cells")
     e_t = residual(space, z)
     e_s = residual(_reference_space(cells), z)
     g = gap(_reference_space(cells), space)
@@ -220,9 +224,10 @@ def band_requirement_fit(eps: float, cell_counts, z_hi_factor: float = 4.0):
     the slope is the measured proportionality constant (it is not a stored
     ground truth, only its existence is relied upon).
     """
+    counts = [check_count(l, "cells in cell_counts") for l in cell_counts]
     crossings = []
-    for l in cell_counts:
-        basis = fourier.cached_basis(_reference_space(int(l)))
+    for l in counts:
+        basis = fourier.cached_basis(_reference_space(l))
         lo, hi = 1e-3, z_hi_factor * float(l) + 2.0
         if residual_from_basis(basis, hi) > eps:
             raise ValueError(f"residual at z={hi:g} still above {eps:g} for L={l}")
@@ -235,7 +240,7 @@ def band_requirement_fit(eps: float, cell_counts, z_hi_factor: float = 4.0):
             if hi - lo < 1e-6 * max(1.0, hi):
                 break
         crossings.append((lo + hi) / 2)
-    ls = np.asarray(cell_counts, dtype=float)
+    ls = np.asarray(counts, dtype=float)
     zs = np.asarray(crossings)
     slope, intercept = np.polyfit(ls, zs, 1)
     return float(slope), float(intercept), zs

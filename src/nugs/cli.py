@@ -21,6 +21,7 @@ from .errors import BandwidthTooSmallError, NugsError, UnstableReconstructionErr
 from .estimator import parse_space
 from .fourier import FunctionSpec
 from .sampling import SchemeSpec
+from .validation import check_count, check_positive_finite
 
 
 class _UsageError(Exception):
@@ -57,6 +58,7 @@ def _k_grid(args) -> np.ndarray:
 
 def cmd_reconstruct(args) -> int:
     space = parse_space(args.space)
+    grid_points = check_count(args.grid_points, "grid_points")
     basis = fourier.cached_basis(space)
     if args.input:
         data, had_weights = fourier.load_data_csv(args.input, bandwidth=args.k)
@@ -74,7 +76,7 @@ def cmd_reconstruct(args) -> int:
     rec = solver.reconstruct(basis, data)
     out = _out_dir(args)
     (out / "coefficients.json").write_text(rec.to_json() + "\n", encoding="utf-8")
-    grid = (np.arange(args.grid_points) + 0.5) / args.grid_points
+    grid = (np.arange(grid_points) + 0.5) / grid_points
     vals = rec.coefficients @ spaces.evaluate(basis, grid)
     with open(out / "reconstruction.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,re,im\n")
@@ -103,8 +105,9 @@ def cmd_stability(args) -> int:
     space = parse_space(args.space)
     if args.k is None or args.n is None:
         raise ValueError("stability needs --k and --n")
-    if args.threshold is not None and not args.threshold > 0:
-        raise ValueError(f"threshold must be positive, got {args.threshold!r}")
+    if args.threshold is not None and not args.threshold >= 1:
+        raise ValueError(f"threshold must be positive and at least 1, the smallest "
+                         f"possible stability ratio, got {args.threshold!r}")
     s = sampling.generate(parse_scheme(args.scheme, args.n, args.k, args.seed))
     constants = solver.stability_constant(fourier.cached_basis(space), s)
     print(constants.to_json())
@@ -115,7 +118,8 @@ def cmd_stability(args) -> int:
 
 def cmd_residual(args) -> int:
     space = parse_space(args.space)
-    zs = np.geomspace(max(args.zmin, 1e-3), args.zmax, args.zcount)
+    zs = np.geomspace(max(args.zmin, 1e-3), check_positive_finite(args.zmax, "zmax"),
+                      check_count(args.zcount, "zcount"))
     curve = analysis.residual_curve(space, zs)
     out = _out_dir(args)
     curve.save_csv(out / "residual.csv")
@@ -151,9 +155,9 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_figure1(args) -> int:
-    out = _out_dir(args)
+    ks = _k_grid(args)
     written = experiments.run_figure_panels(
-        out, seed=args.seed, k_grid=_k_grid(args), jobs=args.jobs,
+        _out_dir(args), seed=args.seed, k_grid=ks, jobs=args.jobs,
         threshold=args.threshold, delta_max=args.delta_max)
     for path in written:
         print(f"wrote {path}")

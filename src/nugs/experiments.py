@@ -13,10 +13,13 @@ reconstructing at the same M on the same set.  ``scaling_table`` and
 ``error_curve`` keep one of the two rows; ``run_figure_panels`` keeps both,
 so the figure pays for one search per scheme, family and bandwidth.
 
-The stability search evaluates only the lower frame constant, which is
-basis-independent, so splines use the raw B-spline Gram in a generalized
-eigenproblem instead of orthonormalizing at every probe.  Both sides of
-that eigenproblem are banded in construction: the design comes from
+The stability search evaluates only the lower frame constant.  A probe of
+an orthonormal family (trig, legendre) is a ``solver.frame_lower`` call on
+the family's basis at that index, the same build, SVD and rank rule as
+``solver.stability_constant``, so no design outlives its probe.  The
+constant is basis-independent, so splines use the raw B-spline Gram in a
+generalized eigenproblem instead of orthonormalizing at every probe.  Both
+sides of that eigenproblem are banded in construction: the design comes from
 ``fourier.bspline_transforms`` (one Bessel table per probe, each cell's
 Legendre block added into the d+1 B-splines that touch it) and the Gram
 from the same per-cell blocks (``spaces._bspline_gram``).
@@ -38,7 +41,7 @@ from .errors import BandwidthTooSmallError
 from .fourier import FunctionSpec
 from .sampling import SampleSet, SchemeSpec
 from .spaces import SpaceSpec
-from .validation import check_positive_finite
+from .validation import check_count, check_positive_finite
 
 FAMILIES = ("trig", "legendre", "spline")
 # factor on the sample count 2K / delta_max in ``plan_scheme``
@@ -109,7 +112,6 @@ class _StabilityEvaluator:
         self.mu = sampling.weights(s)
         self.delta = sampling.density(s)
         self._cache: dict[int, float] = {}
-        self._trig_design = None
 
     @property
     def cap(self) -> int:
@@ -127,28 +129,12 @@ class _StabilityEvaluator:
         return self._cache[m]
 
     def _frame_lower(self, m: int) -> float:
-        if spaces.dimension(family_space(self.family, m, self.d)) > len(self.s):
+        space = family_space(self.family, m, self.d)
+        if self.family != "spline":
+            return solver.frame_lower(spaces.build_basis(space), self.s, self.mu)
+        if spaces.dimension(space) > len(self.s):
             return 0.0
-        if self.family == "trig":
-            a = self._trig_columns(m)
-        elif self.family == "legendre":
-            a = self._legendre_columns(m)
-        else:
-            return self._spline_lower(m)
-        return solver.weighted_lower(a, self.mu)
-
-    def _trig_columns(self, m: int) -> np.ndarray:
-        cap = self.cap
-        if self._trig_design is None:
-            basis = spaces.build_basis(SpaceSpec.trig(cap))
-            self._trig_design = fourier.basis_transform(basis, self.s.points)
-        return self._trig_design[:, cap - m:cap + m + 1]
-
-    def _legendre_columns(self, m: int) -> np.ndarray:
-        # exactly m + 1 orders per probe: Miller's recurrence starts above the
-        # highest order, so a shared table would make c(m) depend on the
-        # search path in its last bits
-        return fourier.cell_transforms(np.array((0.0, 1.0)), m + 1, self.s.points)[:, 0, :]
+        return self._spline_lower(m)
 
     def _spline_lower(self, l: int) -> float:
         a = fourier.bspline_transforms(self.d, l, self.s.points)
@@ -161,8 +147,9 @@ class _StabilityEvaluator:
 
 def _search_max(ev: _StabilityEvaluator, threshold: float,
                 hint: int | None = None) -> int:
-    if not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold!r}")
+    if not threshold >= 1:
+        raise ValueError(f"threshold must be positive and at least 1, the smallest "
+                         f"possible stability ratio, got {threshold!r}")
     cap = ev.cap
     if cap < 1 or not ev.ratio(1) <= threshold:
         raise BandwidthTooSmallError(
@@ -230,7 +217,8 @@ def _cell(f, family, kind, d, threshold, delta_max, theta, seed, k, hint=None):
 
 
 def default_k_grid(kmin: float = 5.0, kmax: float = 200.0, count: int = 20) -> np.ndarray:
-    return np.geomspace(kmin, kmax, count)
+    return np.geomspace(check_positive_finite(kmin, "kmin"),
+                        check_positive_finite(kmax, "kmax"), check_count(count, "kcount"))
 
 
 def _sweep(cell, k_grid, jobs: int) -> list:

@@ -465,6 +465,8 @@ def load_data_csv(path, bandwidth: float | None = None) -> tuple[FourierData, bo
             vals.append(complex(row[1], row[2]))
             if has_w:
                 wts.append(row[3])
+    if not omegas:
+        raise ValueError(f"{path}: no data rows")
     order = np.argsort(omegas)
     pts = np.asarray(omegas)[order]
     if bandwidth is None:

@@ -9,13 +9,13 @@ weights telescope to exactly 2K.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .prng import SplitMix64
-from .validation import as_float_array, check_positive_finite, check_strictly_increasing
+from .validation import (as_float_array, check_count, check_positive_finite,
+                         check_strictly_increasing)
 
 SCHEME_KINDS = ("uniform", "jittered", "log")
 
@@ -76,9 +76,7 @@ class SchemeSpec:
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         check_positive_finite(self.k, "k")
-        if (isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral)
-                or self.n < 2):
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        check_count(self.n, "n", 2)
         if not (0.0 <= self.theta < 1.0):
             raise ValueError("jitter fraction must lie in [0, 1)")
         if self.kind == "log" and self.n % 2 != 0:
@@ -169,7 +167,9 @@ def load_samples_csv(path, bandwidth: float | None = None) -> SampleSet:
                 pts.append(float(line))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed value {line!r}") from None
+    if not pts:
+        raise ValueError(f"{path}: no data rows")
     arr = np.asarray(pts)
     if bandwidth is None:
-        bandwidth = float(np.max(np.abs(arr))) if arr.size else 0.0
+        bandwidth = float(np.max(np.abs(arr)))
     return SampleSet(points=arr, bandwidth=bandwidth)

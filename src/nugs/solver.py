@@ -11,9 +11,9 @@ weights actually solved with and never factorize again.
 The lower frame constant is the smallest eigenvalue of the weighted Gram,
 equal to the squared smallest singular value of the scaled matrix.  One
 rank tolerance, ``spaces.RANK_RTOL``, decides when it is numerically
-zero, for the solve, for ``frame_lower`` and for the stability search's
-SVD probes; ``spaces`` uses the same tolerance for the restriction
-frames of the growth constants.
+zero, for the solve and for ``frame_lower``; the stability search's
+trig and Legendre probes are ``frame_lower`` calls.  ``spaces`` uses the
+same tolerance for the restriction frames of the growth constants.
 The upper constant is not computable from finitely many evaluations, so
 the density-based bound ``(1 + delta)^2`` is reported and the stability ratio
 is ``(1 + delta) / sqrt(lower)`` (``frame_constants``).
@@ -103,11 +103,6 @@ def _lower(sig: np.ndarray) -> float:
     return float(sig[-1] ** 2)
 
 
-def weighted_lower(a: np.ndarray, mu: np.ndarray) -> float:
-    """Lower frame constant of the design ``a`` under the weights ``mu``."""
-    return _lower(np.linalg.svd(np.sqrt(mu)[:, None] * a, compute_uv=False))
-
-
 def reconstruct(basis: OrthoBasis, data: FourierData) -> Reconstruction:
     """Solve the weighted least-squares problem for the given data.
 
@@ -143,7 +138,8 @@ def frame_lower(basis: OrthoBasis, s: SampleSet, weights=None) -> float:
     if len(s) < basis.dim:
         return 0.0
     mu = sampling.weights(s) if weights is None else np.asarray(weights, dtype=float)
-    return weighted_lower(design_matrix(basis, s), mu)
+    b = np.sqrt(mu)[:, None] * design_matrix(basis, s)
+    return _lower(np.linalg.svd(b, compute_uv=False))
 
 
 def frame_constants(delta: float, lower: float) -> FrameConstants:

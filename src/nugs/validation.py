@@ -58,6 +58,14 @@ def check_positive_finite(value, name: str) -> float:
     return float(value)
 
 
+def check_count(value, name: str, minimum: int = 1) -> int:
+    """An integer (not a bool; numpy integers accepted) of at least ``minimum``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def check_strictly_increasing(points: np.ndarray, name: str) -> None:
     if points.size > 1 and not np.all(np.diff(points) > 0):
         raise ValueError(f"{name} must be strictly increasing")

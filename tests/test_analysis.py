@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from nugs.analysis import (band_requirement_fit, concentration_matrix, gap, residual,
-                           residual_curve, verify_gap_bound, verify_triangle_bound)
+from nugs.analysis import (band_requirement_fit, concentration_matrix, gap, gap_bound,
+                           residual, residual_curve, verify_gap_bound,
+                           verify_triangle_bound)
 from nugs.spaces import SpaceSpec, build_basis
 
 
@@ -97,6 +98,20 @@ def test_gap_bound_precondition_violation_reports():
     rep = verify_gap_bound(SpaceSpec.piecewise_const(8), 4)
     assert not rep.precondition_ok
     assert rep.holds is None
+
+
+@pytest.mark.parametrize("cells", [0, -1, 2.5, 2.0, True])
+@pytest.mark.parametrize("check", [
+    lambda cells: gap_bound(SpaceSpec.legendre(2), cells),
+    lambda cells: verify_gap_bound(SpaceSpec.legendre(2), cells),
+    lambda cells: verify_triangle_bound(SpaceSpec.legendre(2), cells, 4.0),
+    lambda cells: band_requirement_fit(0.5, [2, cells]),
+], ids=["gap_bound", "verify_gap_bound", "verify_triangle_bound", "band_requirement_fit"])
+def test_reference_cell_count_rejected(check, cells):
+    # a fractional count would build floor(cells) reference cells but bound
+    # for the fraction; zero divides by zero
+    with pytest.raises(ValueError, match="cells.* must be an integer >= 1"):
+        check(cells)
 
 
 def test_gap_bound_piecewise_case_pinned():

@@ -138,6 +138,31 @@ def test_bad_threshold_exits_1(tmp_path, capsys, args, threshold):
     assert "threshold must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["reconstruct", "--space", "trig:2", "--k", 10, "--grid-points", 0], "grid_points"),
+    (["residual", "--space", "legendre:3", "--zmax", 10, "--zcount", 0], "zcount"),
+    (["residual", "--space", "legendre:3", "--zmax", 0], "zmax"),
+    (["scaling", "--family", "trig", "--kmax", 10, "--kcount", 0], "kcount"),
+    (["scaling", "--family", "trig", "--kmin", 0], "kmin"),
+    (["figure1", "--kcount", 0], "kcount"),
+    (["scaling", "--family", "trig", "--kmax", 10, "--kcount", 2, "--threshold", 0.5],
+     "threshold must be positive"),
+    (["stability", "--space", "trig:2", "--scheme", "uniform", "--k", 10, "--n", 40,
+      "--threshold", 0.5], "threshold must be positive"),
+    (["gap", "--space", "legendre:3", "--l", 0], "cells"),
+    (["gap", "--space", "legendre:3", "--l", -1], "cells"),
+    (["reconstruct", "--space", "trig:1", "--input", "header-only"], "no data rows"),
+])
+def test_bad_count_or_grid_exits_1_before_writing(tmp_path, capsys, args, message):
+    (tmp_path / "header.csv").write_text("omega,re,im\n")
+    args = [tmp_path / "header.csv" if a == "header-only" else a for a in args]
+    code = run(args + ["--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_error_exits_1(capsys):
     assert run(["reconstruct"]) == 1
     assert "usage error" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -127,6 +129,46 @@ def test_search_rejects_bad_threshold(threshold):
         max_stable_dimension("trig", INTEGER_GRID, threshold)
     with pytest.raises(ValueError, match="threshold must be positive"):
         scaling_table("trig", "jittered", [10.0], threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.999])
+def test_search_rejects_unreachable_threshold(threshold):
+    # (1 + delta) / sqrt(lower) >= 1 because lower <= (1 + delta)^2
+    with pytest.raises(ValueError, match="threshold must be positive and at least 1"):
+        max_stable_dimension("trig", INTEGER_GRID, threshold)
+    with pytest.raises(ValueError, match="threshold must be positive and at least 1"):
+        scaling_table("trig", "jittered", [10.0], threshold=threshold)
+
+
+def test_search_threshold_one_passes_the_check():
+    # 1 is reachable only at delta = 0 with lower = 1: the data, not the
+    # argument, decides
+    with pytest.raises(BandwidthTooSmallError):
+        max_stable_dimension("trig", INTEGER_GRID, 1.0)
+
+
+def test_trig_search_memory_stays_per_probe():
+    # the probes' designs are N x (2m+1); a design for the count cap
+    # (N x N, 16.6 MB at N = 1020) would alone exceed the bound
+    s = generate(plan_scheme("log", 60.0, seed=7))
+    assert len(s) == 1020
+    tracemalloc.start()
+    try:
+        m = max_stable_dimension("trig", s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m == 60
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("args, name", [
+    ((0.0, 10.0, 3), "kmin"), ((5.0, float("inf"), 3), "kmax"),
+    ((5.0, 10.0, 0), "kcount"), ((5.0, 10.0, 2.0), "kcount"),
+])
+def test_default_k_grid_rejects_bad_arguments(args, name):
+    with pytest.raises(ValueError, match=name):
+        default_k_grid(*args)
 
 
 def test_spline_scaling_needs_positive_degree():

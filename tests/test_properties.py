@@ -1,6 +1,7 @@
-"""Property tests of the sampling weights, the estimator and the JSON and
-CSV round-trips, on derandomized examples (the B-spline transform
-properties sit with their oracle in test_fourier.py)."""
+"""Property tests of the sampling weights, the estimator, exact
+reconstruction and the JSON and CSV round-trips, on derandomized examples
+(the B-spline transform properties sit with their oracle in
+test_fourier.py)."""
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nugs.estimator import NonuniformFourierRegressor
-from nugs.fourier import FourierData, FunctionSpec, load_data_csv, save_data_csv
-from nugs.sampling import (SampleSet, SchemeSpec, load_samples_csv, save_samples_csv,
-                           weights)
-from nugs.solver import Reconstruction
-from nugs.spaces import SpaceSpec, dimension
+from nugs.experiments import plan_scheme
+from nugs.fourier import (FourierData, FunctionSpec, basis_transform, load_data_csv,
+                          save_data_csv)
+from nugs.sampling import (SampleSet, SchemeSpec, generate, load_samples_csv,
+                           save_samples_csv, weights)
+from nugs.solver import Reconstruction, reconstruct, stability_constant
+from nugs.spaces import SpaceSpec, build_basis, dimension
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -53,6 +56,41 @@ def test_fit_does_not_depend_on_sample_order(s, rnd, weighted):
         x[order], y[order], None if mu is None else mu[order])
     assert np.array_equal(a.coef_, b.coef_)
     assert a.stability_ratio_ == b.stability_ratio_
+
+
+@st.composite
+def small_spaces(draw):
+    """One of the five space kinds, at most 25 dimensions, knots on a 1/8 grid."""
+    kind = draw(st.sampled_from(["trig", "legendre", "piecewise_poly", "spline",
+                                 "piecewise_const"]))
+    if kind == "trig":
+        return SpaceSpec.trig(draw(st.integers(0, 12)))
+    if kind == "legendre":
+        return SpaceSpec.legendre(draw(st.integers(0, 24)))
+    if kind == "spline":
+        d = draw(st.integers(0, 3))
+        return SpaceSpec.spline(d, draw(st.integers(1, 24 - d)))
+    if kind == "piecewise_const":
+        return SpaceSpec.piecewise_const(draw(st.integers(1, 24)))
+    knots = draw(st.lists(st.integers(1, 7), max_size=3, unique=True))
+    degrees = draw(st.lists(st.integers(0, 3), min_size=len(knots) + 1,
+                            max_size=len(knots) + 1))
+    return SpaceSpec.piecewise_poly([j / 8 for j in sorted(knots)], degrees)
+
+
+@PROPERTY
+@given(small_spaces(), st.sampled_from(["uniform", "jittered", "log"]),
+       st.floats(min_value=2.0, max_value=40.0), st.integers(0, 2**32 - 1))
+def test_exact_data_reconstructs_at_stable_ratio(space, kind, k, seed):
+    s = generate(plan_scheme(kind, k, seed=seed))
+    basis = build_basis(space)
+    assume(stability_constant(basis, s).ratio <= 3.0)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    a /= np.linalg.norm(a)
+    rec = reconstruct(basis, FourierData(s, basis_transform(basis, s.points) @ a, weights(s)))
+    # criterion 1's bound on the coefficient error of a unit vector
+    assert np.linalg.norm(rec.coefficients - a) <= 1e-8
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

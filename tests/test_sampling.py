@@ -148,6 +148,13 @@ def test_csv_malformed_row_reports_line(tmp_path):
         load_samples_csv(path)
 
 
+def test_csv_without_rows_rejected(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("omega\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        load_samples_csv(path)
+
+
 def test_scheme_json_round_trip():
     spec = SchemeSpec("jittered", 10, 5.0, theta=0.4, seed=9)
     assert SchemeSpec.from_json(spec.to_json()) == spec
