@@ -76,13 +76,16 @@ class TriangleReport:
 def concentration_matrix(basis: OrthoBasis, z: float, abs_tol: float = 1e-11) -> np.ndarray:
     """Banded Gram ``B[i,k] = int_{-z}^{z} conj(F_i) F_k`` of basis transforms.
 
-    Composite Gauss panels no wider than a quarter of the shortest
-    oscillation wavelength (the phase varies like exp(2 pi i (x - x') w)
-    with |x - x'| <= 1, so wavelength >= 1).  Loose tolerances start at a
-    full wavelength; the halving comparison still certifies the result.
+    The integrand ``conj(F_i(w)) F_k(w)`` is
+    ``int int conj(phi_i(x)) phi_k(y) exp(2 pi i w (x - y)) dx dy`` with
+    |x - y| < 1, so it oscillates at most once per unit of w, and a
+    12-node Gauss panel one unit wide resolves it to about 1e-19 (two
+    units wide, to about 3e-12).  The panels start two units wide, or z
+    wide when z < 2 so that the first halving always changes the node
+    layout; ``refine`` compares them with panels half as wide and
+    returns the finer estimate.
     """
-    return refine(lambda width: _concentration_fixed(basis, z, width),
-                  0.25 if abs_tol <= 1e-10 else 1.0,
+    return refine(lambda width: _concentration_fixed(basis, z, width), min(2.0, z),
                   lambda new, old: np.max(np.abs(new - old)) <= abs_tol,
                   f"concentration on (-{z:g}, {z:g})")
 

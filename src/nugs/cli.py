@@ -118,6 +118,8 @@ def cmd_stability(args) -> int:
 
 def cmd_residual(args) -> int:
     space = parse_space(args.space)
+    if not (np.isfinite(args.zmin) and args.zmin >= 0):
+        raise ValueError(f"zmin must be finite and non-negative, got {args.zmin!r}")
     zs = np.geomspace(max(args.zmin, 1e-3), check_positive_finite(args.zmax, "zmax"),
                       check_count(args.zcount, "zcount"))
     curve = analysis.residual_curve(space, zs)

@@ -17,12 +17,15 @@ stable; and Miller's downward recurrence between the two, normalized by
 sum_n (2n+1) j_n^2 = 1.  Basis transforms then contract the per-cell
 table with the basis coefficients in one matrix product.
 
-On uniform cells the factor sqrt((2n+1) h) (-i)^n j_n(pi w h) does not
-depend on the cell, so ``bspline_transforms`` (the raw clamped B-splines
-of the spline stability probe) computes one Bessel table of n_w x (d+1)
-values, not one per cell, and uses the band structure of B-splines: each
-cell's (d+1, d+1) block of Legendre coefficients feeds only the d+1
-B-splines that touch the cell.
+The factor sqrt(2n+1) (-i)^n j_n(pi w h) depends on the cell only through
+its width h, so ``cell_transforms`` computes one Bessel table per distinct
+width and gathers it back to the cells; every step is elementwise, so the
+result is bitwise that of a per-cell table.  ``np.linspace`` partitions
+have a handful of distinct widths (they differ in the last bit), not one
+per cell.  ``bspline_transforms`` (the raw clamped B-splines of the spline
+stability probe) computes the one table of its uniform cells and uses the
+band structure of B-splines: each cell's (d+1, d+1) block of Legendre
+coefficients feeds only the d+1 B-splines that touch the cell.
 
 Quadrature is used only for user-supplied functions and as a cross-check
 oracle in the tests.  Its panels have equal width within each jump-free
@@ -278,8 +281,9 @@ def cell_transforms(breaks: np.ndarray, p: int, omegas: np.ndarray) -> np.ndarra
     w = np.asarray(omegas, dtype=float)
     a, b = breaks[:-1], breaks[1:]
     h = b - a
+    widths, cell_width = np.unique(h, return_inverse=True)
     phase = np.exp(-1j * np.pi * w[:, None] * (a + b)[None, :]) * np.sqrt(h)[None, :]
-    return phase[:, :, None] * _order_factors(w, h, p)
+    return phase[:, :, None] * _order_factors(w, widths, p)[:, cell_width, :]
 
 
 def bspline_transforms(d: int, l: int, omegas) -> np.ndarray:

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 from scipy.special import sici
 
+from nugs import analysis
 from nugs.analysis import (band_requirement_fit, concentration_matrix, gap, gap_bound,
                            residual, residual_curve, verify_gap_bound,
                            verify_triangle_bound)
+from nugs.fourier import basis_transform
+from nugs.quadrature import panel_edges, panel_nodes
 from nugs.spaces import SpaceSpec, build_basis
+
+# one space of each kind
+KIND_SPACES = [SpaceSpec.trig(5), SpaceSpec.legendre(8), SpaceSpec.spline(3, 8),
+               SpaceSpec.piecewise_const(16),
+               SpaceSpec.piecewise_poly([0.3, 0.7], [3, 2, 4])]
 
 
 def test_residual_single_constant_sine_integral_oracle():
@@ -172,3 +181,65 @@ def test_residual_curve_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "z,e"
     assert len(lines) == 4
+
+
+def _fixed_panel_concentration(basis, z, width):
+    """The whole band (-z, z) on 12-node Gauss panels of a fixed width."""
+    xs, ws = panel_nodes(panel_edges(-z, z, (0.0,), width), 12)
+    phi = basis_transform(basis, xs)
+    return (phi.conj() * ws[:, None]).T @ phi
+
+
+@pytest.fixture
+def concentration_layouts(monkeypatch):
+    """Panel edges of every estimate ``concentration_matrix`` makes."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(panel_edges(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(analysis, "panel_edges", spy)
+    return seen
+
+
+@pytest.mark.parametrize("z", [0.05, 0.5, 1.0, 3.0, 60.0, 200.0])
+@pytest.mark.parametrize("space", KIND_SPACES, ids=lambda s: s.kind)
+def test_concentration_matches_fixed_eighth_width_rule(space, z, concentration_layouts):
+    basis = build_basis(space)
+    got = concentration_matrix(basis, z)
+    assert len(concentration_layouts) == 2  # converged at the first comparison
+    want = _fixed_panel_concentration(basis, z, 0.125)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("z", [0.05, 0.5, 1.0])
+@pytest.mark.parametrize("space", KIND_SPACES, ids=lambda s: s.kind)
+def test_concentration_compares_two_panel_layouts(space, z, concentration_layouts):
+    concentration_matrix(build_basis(space), z)
+    first, second = concentration_layouts
+    assert not np.array_equal(first, second)
+
+
+def _pconst_residual_by_sine_integrals(cells, z):
+    # the concentration matrix of L orthonormal cell indicators is Toeplitz,
+    # B_n = (2/pi) int_0^U cos(2 n u) sin(u)^2 / u^2 du with U = pi z / L;
+    # G(a) = int_0^U (1 - cos(a u)) / u^2 du = a Si(a U) - (1 - cos(a U)) / U
+    # gives B_n = (G(2|n+1|) + G(2|n-1|) - 2 G(2|n|)) / (2 pi)
+    u = np.pi * z / cells
+
+    def g(a):
+        a = np.abs(a).astype(float)
+        return np.where(a > 0, a * sici(a * u)[0] - (1.0 - np.cos(a * u)) / u, 0.0)
+
+    n = np.arange(cells)
+    col = (g(2 * (n + 1)) + g(2 * (n - 1)) - 2.0 * g(2 * n)) / (2.0 * np.pi)
+    lam = np.linalg.eigvalsh(toeplitz(col))[0]
+    return np.sqrt(max(1.0 - min(max(lam, 0.0), 1.0), 0.0))
+
+
+@pytest.mark.parametrize("cells", [4, 16, 64])
+def test_residual_of_uniform_constants_pinned_by_sine_integrals(cells):
+    space = SpaceSpec.piecewise_const(cells)
+    for z in [0.05, 0.5, 1.0, 3.7, 20.0, 64.0, 200.0]:
+        assert abs(residual(space, z) - _pconst_residual_by_sine_integrals(cells, z)) <= 1e-10

@@ -152,6 +152,9 @@ def test_bad_threshold_exits_1(tmp_path, capsys, args, threshold):
     (["gap", "--space", "legendre:3", "--l", 0], "cells"),
     (["gap", "--space", "legendre:3", "--l", -1], "cells"),
     (["reconstruct", "--space", "trig:1", "--input", "header-only"], "no data rows"),
+    (["residual", "--space", "legendre:3", "--zmax", 4, "--zmin", "nan"], "zmin"),
+    (["residual", "--space", "legendre:3", "--zmax", 4, "--zmin", "inf"], "zmin"),
+    (["residual", "--space", "legendre:3", "--zmax", 4, "--zmin", -1], "zmin"),
 ])
 def test_bad_count_or_grid_exits_1_before_writing(tmp_path, capsys, args, message):
     (tmp_path / "header.csv").write_text("omega,re,im\n")

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
-from nugs.fourier import (FourierData, FunctionSpec, basis_transform, bspline_transforms,
-                          cell_transforms, evaluate_function, interval_exponential,
-                          l2_error, load_data_csv, project, sample_function,
-                          save_data_csv, spherical_jn_orders, transform_integrals)
+from nugs.fourier import (FourierData, FunctionSpec, _order_factors, basis_transform,
+                          bspline_transforms, cell_transforms, evaluate_function,
+                          interval_exponential, l2_error, load_data_csv, project,
+                          sample_function, save_data_csv, spherical_jn_orders,
+                          transform_integrals)
 from nugs.quadrature import panel_edges, panel_nodes
 from nugs.sampling import SampleSet, SchemeSpec, generate, weights
 from nugs.spaces import SpaceSpec, _bspline_cell_coeffs, build_basis
@@ -239,6 +240,22 @@ def test_cell_transforms_oracle_on_uneven_grid_and_parity():
         assert np.max(np.abs(got[:, :, n] - want)) < 1e-14
     # cell Legendre functions are real: their transforms are conjugate-symmetric
     assert np.allclose(cell_transforms(breaks, p, -omegas), got.conj(), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("breaks", [
+    np.arange(9) / 8.0,                                    # one exact width
+    np.linspace(0.0, 1.0, 151),                            # widths differ in the last bit
+    np.linspace(0.0, 1.0, 301),
+    build_basis(SpaceSpec.piecewise_poly([0.125, 0.25, 0.625], [2, 5, 1, 3])).breaks,
+], ids=["uniform", "linspace150", "linspace300", "piecewise_poly"])
+def test_cell_transforms_bitwise_equal_to_per_cell_table(breaks):
+    omegas = np.array([-310.0, -17.5, -1e-9, 0.0, 1e-9, 0.3, 4.0, 99.99, 310.0])
+    p = 6
+    a, b = breaks[:-1], breaks[1:]
+    h = b - a
+    phase = np.exp(-1j * np.pi * omegas[:, None] * (a + b)[None, :]) * np.sqrt(h)[None, :]
+    want = phase[:, :, None] * _order_factors(omegas, h, p)
+    assert np.array_equal(cell_transforms(breaks, p, omegas), want)
 
 
 @pytest.mark.parametrize("spec", [
