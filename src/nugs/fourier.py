@@ -20,9 +20,12 @@ table with the basis coefficients in one matrix product.
 The factor sqrt(2n+1) (-i)^n j_n(pi w h) depends on the cell only through
 its width h, so ``cell_transforms`` computes one Bessel table per distinct
 width and gathers it back to the cells; every step is elementwise, so the
-result is bitwise that of a per-cell table.  ``np.linspace`` partitions
-have a handful of distinct widths (they differ in the last bit), not one
-per cell.  ``bspline_transforms`` (the raw clamped B-splines of the spline
+result is bitwise that of a per-cell table.  It pays in proportion to
+the cells that share a width: ``np.linspace`` partitions have a handful
+of distinct widths (they differ in the last bit), not one per cell, and
+piecewise constants on up to 64 cells skip most of their table; on
+partitions whose cells all differ the sort and gather are pure overhead.
+``bspline_transforms`` (the raw clamped B-splines of the spline
 stability probe) computes the one table of its uniform cells and uses the
 band structure of B-splines: each cell's (d+1, d+1) block of Legendre
 coefficients feeds only the d+1 B-splines that touch the cell.
