@@ -9,6 +9,7 @@ reruns with the same seed are byte-identical.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -228,10 +229,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+# parsing keeps no state between calls, so one parser serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -17,12 +17,14 @@ The stability search evaluates only the lower frame constant.  A probe of
 an orthonormal family (trig, legendre) is a ``solver.frame_lower`` call on
 the family's basis at that index, the same build, SVD and rank rule as
 ``solver.stability_constant``, so no design outlives its probe.  The
-constant is basis-independent, so splines use the raw B-spline Gram in a
-generalized eigenproblem instead of orthonormalizing at every probe.  Both
-sides of that eigenproblem are banded in construction: the design comes from
-``fourier.bspline_transforms`` (one Bessel table per probe, each cell's
-Legendre block added into the d+1 B-splines that touch it) and the Gram
-from the same per-cell blocks (``spaces._bspline_gram``).
+constant is basis-independent, so a spline probe solves the generalized
+eigenproblem of the weighted Gram of the raw B-splines against their L2
+Gram instead of orthonormalizing at every probe, and never forms the
+N x (l+d) design.  The weighted Gram comes from
+``fourier.bspline_weighted_gram``: a Hermitian Toeplitz interior block from
+l-d lag sums, plus the 2d border B-splines' own columns.  The L2 Gram is
+banded, built from per-cell Legendre blocks (``spaces._bspline_gram``) that
+on uniform knots are rescaled copies of the blocks of at most 2d+1 cells.
 """
 
 from __future__ import annotations
@@ -137,8 +139,7 @@ class _StabilityEvaluator:
         return self._spline_lower(m)
 
     def _spline_lower(self, l: int) -> float:
-        a = fourier.bspline_transforms(self.d, l, self.s.points)
-        m1 = (a.conj() * self.mu[:, None]).T @ a
+        m1 = fourier.bspline_weighted_gram(self.d, l, self.s.points, self.mu)
         gram = spaces._bspline_gram(self.d, l)
         lam = scipy.linalg.eigh(m1, gram.astype(complex), eigvals_only=True,
                                 subset_by_index=(0, 0))

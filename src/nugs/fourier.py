@@ -25,10 +25,18 @@ the cells that share a width: ``np.linspace`` partitions have a handful
 of distinct widths (they differ in the last bit), not one per cell, and
 piecewise constants on up to 64 cells skip most of their table; on
 partitions whose cells all differ the sort and gather are pure overhead.
-``bspline_transforms`` (the raw clamped B-splines of the spline
-stability probe) computes the one table of its uniform cells and uses the
-band structure of B-splines: each cell's (d+1, d+1) block of Legendre
-coefficients feeds only the d+1 B-splines that touch the cell.
+
+``bspline_weighted_gram`` gives the spline stability probe the weighted
+Gram A^H diag(mu) A of the raw clamped B-splines on l uniform cells without
+their N x (l+d) transform matrix.  The interior B-splines are translates of
+one cardinal B-spline with a closed-form transform, so their block is
+Hermitian Toeplitz and needs only its l-d lags, sums over the frequencies
+of the lag phases e^{-2 pi i w t h}.  Only the d border B-splines on each
+side get transform columns, from one Bessel table and the Legendre blocks
+of the at most 2d cells they touch; their cross terms with the interior
+are lag sums too.  A lag phase is a coarse times a fine factor, each
+table ceil(sqrt(l-d)) wide, so a frequency costs about 2 sqrt(l) complex
+exponentials and the sums are one matrix product.
 
 Quadrature is used only for user-supplied functions and as a cross-check
 oracle in the tests.  Its panels have equal width within each jump-free
@@ -47,6 +55,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 
 from . import sampling, spaces
 from .quadrature import gauss_rule, panel_edges, panel_nodes, panel_segments, refine
@@ -202,20 +211,18 @@ def spherical_jn_orders(z, p: int) -> np.ndarray:
 
 def _jn_series(z: np.ndarray, p: int) -> np.ndarray:
     # j_n(z) = z^n / (2n+1)!! * sum_k (-z^2/2)^k / (k! (2n+3)(2n+5)..(2n+2k+1));
-    # for z < 0.5 the terms past k = 8 are below 1e-21
-    out = np.empty((p, z.size))
+    # for z < 0.5 the terms past k = 8 are below 1e-21.  All orders at once:
+    # the leading factors z^n / (2n+1)!! as a running product over n, then
+    # the Horner sum on the (p, len(z)) array.
+    n = np.arange(p)[:, None]
+    steps = np.ones((p, z.size))
+    steps[1:] = z / (2 * n[1:] + 1)
     y = -0.5 * z * z
-    lead = np.ones_like(z)
-    acc = np.empty_like(z)
-    for n in range(p):
-        if n:
-            lead *= z / (2 * n + 1)
-        acc.fill(1.0)
-        for k in range(8, 0, -1):
-            acc *= y / (k * (2 * n + 2 * k + 1))
-            acc += 1.0
-        np.multiply(lead, acc, out=out[n])
-    return out
+    acc = np.ones((p, z.size))
+    for k in range(8, 0, -1):
+        acc *= y / (k * (2 * n + 2 * k + 1))
+        acc += 1.0
+    return np.cumprod(steps, axis=0) * acc
 
 
 def _jn_closed01(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,13 +246,19 @@ def _jn_miller(z: np.ndarray, p: int) -> np.ndarray:
     # Downward from an order far enough above z that j_top is negligible,
     # rescaling by 1e-100 whenever a value passes 1e100 so that the running
     # sum of (2n+1) f_n^2 cannot overflow; the sign comes from the larger
-    # of the closed-form j_0, j_1 (their zeros interlace).
+    # of the closed-form j_0, j_1 (their zeros interlace).  |f_{n-1}| <=
+    # ((2n+1) max(1/z) + 1) max(|f_n|, |f_{n+1}|), so the product of these
+    # factors bounds every value; the elementwise check runs only once that
+    # bound passes 1e99 (a decade of slack for its rounding), and each check
+    # restarts the bound from the largest value left.
     top = p + 16 + int(math.sqrt(40 * p))
     out = np.zeros((p, z.size))
     nxt = np.zeros_like(z)
     cur = np.full_like(z, 1e-30)
     total = np.zeros_like(z)
     inv = 1.0 / z
+    inv_max = float(inv.max())
+    bound = 1e-30
     for n in range(top, 0, -1):
         scaled = (2 * n + 1) * cur
         total += scaled * cur
@@ -253,12 +266,15 @@ def _jn_miller(z: np.ndarray, p: int) -> np.ndarray:
             out[n] = cur
         prev = scaled * inv
         prev -= nxt
-        big = np.abs(prev) > 1e100
-        if big.any():
-            prev[big] *= 1e-100
-            cur[big] *= 1e-100
-            total[big] *= 1e-200
-            out[:, big] *= 1e-100
+        bound *= (2 * n + 1) * inv_max + 1.0
+        if bound > 1e99:
+            big = np.abs(prev) > 1e100
+            if big.any():
+                prev[big] *= 1e-100
+                cur[big] *= 1e-100
+                total[big] *= 1e-200
+                out[:, big] *= 1e-100
+            bound = max(float(np.abs(prev).max()), float(np.abs(cur).max()))
         nxt, cur = cur, prev
     total += cur * cur
     out[0] = cur
@@ -289,26 +305,61 @@ def cell_transforms(breaks: np.ndarray, p: int, omegas: np.ndarray) -> np.ndarra
     return phase[:, :, None] * _order_factors(w, widths, p)[:, cell_width, :]
 
 
-def bspline_transforms(d: int, l: int, omegas) -> np.ndarray:
-    """Transforms of the l+d raw clamped B-splines of degree d on l uniform
-    cells, (n_w, l+d).
+def bspline_weighted_gram(d: int, l: int, omegas, weights) -> np.ndarray:
+    """Weighted Gram A^H diag(weights) A of the transforms A of the l+d raw
+    clamped B-splines of degree d on l uniform cells, (l+d, l+d).
 
-    The order factors do not depend on the cell when all cells have width
-    h = 1/l, so one Bessel table per frequency serves every cell; cell j
-    adds its phase e^{-pi i w (2j+1) h} times its (d+1, d+1) Legendre block
-    into the d+1 B-splines j..j+d that touch it.
+    The interior B-splines d..l-1 are translates B_i(x) = N(x - (i-d) h),
+    h = 1/l, whose transforms are N^(w) e^{-2 pi i w (i-d) h} with
+    N^(w) = h e^{-pi i w (d+1) h} sinc(w h)^{d+1}; their block is Hermitian
+    Toeplitz, entry (i, k) being c_{i-k} = sum_n mu_n |N^(w_n)|^2
+    e^{2 pi i w_n (i-k) h}.  Only the other B-splines (d per side) get
+    transform columns, from the Legendre blocks of the at most 2d cells they
+    touch.  The lags c_t and the border-interior cross terms are sums over
+    the frequencies of the lag phases e^{-2 pi i w t h}, all from one
+    ``_lag_sums``.
     """
     w = np.asarray(omegas, dtype=float)
+    mu = np.asarray(weights, dtype=float)
     p, h = d + 1, 1.0 / l
-    f = _order_factors(w, np.array([h]), p)[:, 0, :] * math.sqrt(h)
-    blocks = spaces._bspline_blocks(d, l)                    # [cell, order, spline]
-    per_cell = (f @ blocks.transpose(1, 0, 2).reshape(p, l * p)).reshape(w.size, l, p)
-    breaks = np.linspace(0.0, 1.0, l + 1)
-    per_cell *= np.exp(-1j * np.pi * w[:, None] * (breaks[:-1] + breaks[1:]))[:, :, None]
-    out = np.zeros((w.size, l + d), dtype=complex)
+    spline, cell = np.arange(l + d), np.arange(l)
+    border = (spline < d) | (spline >= l)
+    touched = np.flatnonzero((cell < d) | (cell >= l - d))
+    blocks = spaces._bspline_blocks(d, l)[touched]             # [cell, order, spline]
+    # coeffs[c, n, i]: order-n coefficient of B-spline i on the c-th touched cell
+    coeffs = np.zeros((touched.size, p, l + d))
     for r in range(p):
-        out[:, r:r + l] += per_cell[:, :, r]
+        coeffs[np.arange(touched.size), :, touched + r] = blocks[:, :, r]
+    f = _order_factors(w, np.array([h]), p)[:, 0, :] * math.sqrt(h)
+    phase = np.exp(-1j * np.pi * w[:, None] * ((2 * touched + 1) * h))
+    a = ((phase[:, :, None] * f[:, None, :]).reshape(w.size, touched.size * p)
+         @ coeffs[:, :, border].reshape(touched.size * p, np.count_nonzero(border)))
+    weighted = a.conj() * mu[:, None]
+    out = np.empty((l + d, l + d), dtype=complex)
+    out[np.ix_(border, border)] = weighted.T @ a
+    if l > d:
+        nhat = h * np.exp(-1j * np.pi * w * ((d + 1) * h)) * np.sinc(w * h) ** (d + 1)
+        lagged = _lag_sums(np.column_stack((mu * np.abs(nhat) ** 2, weighted * nhat[:, None])),
+                           w, h, l - d)
+        out[d:l, d:l] = scipy.linalg.toeplitz(lagged[0].conj(), lagged[0])
+        out[np.ix_(border, ~border)] = lagged[1:]
+        out[np.ix_(~border, border)] = lagged[1:].conj().T
     return out
+
+
+def _lag_sums(v: np.ndarray, w: np.ndarray, step: float, count: int) -> np.ndarray:
+    """sum_n v[n, b] e^{-2 pi i w_n t step} for t < count, (v.shape[1], count).
+
+    With s = ceil(sqrt(count)) and t = q s + r the phase is a coarse (q)
+    times a fine (r) factor, so v is scaled by the coarse table and one
+    product with the fine table sums over n: about 2 sqrt(count)
+    exponentials per frequency, and no table with a column per lag.
+    """
+    s = math.isqrt(count - 1) + 1
+    fine = np.exp(-_TWO_PI * 1j * step * w[:, None] * np.arange(s))
+    coarse = np.exp(-_TWO_PI * 1j * (s * step) * w[:, None] * np.arange(-(-count // s)))
+    scaled = (v[:, :, None] * coarse[:, None, :]).reshape(w.size, -1)
+    return (scaled.T @ fine).reshape(v.shape[1], -1)[:, :count]
 
 
 def basis_transform(basis: OrthoBasis, omega) -> np.ndarray:

@@ -31,6 +31,7 @@ from .errors import UnstableReconstructionError
 from .fourier import FourierData
 from .sampling import SampleSet
 from .spaces import RANK_RTOL, OrthoBasis, SpaceSpec
+from .validation import as_weight_array, check_same_length
 
 
 @dataclass(frozen=True)
@@ -135,9 +136,12 @@ def reconstruct(basis: OrthoBasis, data: FourierData) -> Reconstruction:
 def frame_lower(basis: OrthoBasis, s: SampleSet, weights=None) -> float:
     """Sharp lower frame constant: squared smallest singular value of the
     scaled design matrix (0 at numerical rank deficiency)."""
+    if weights is not None:
+        weights = as_weight_array(weights, "weights")
+        check_same_length(s.points, weights, "samples", "weights")
     if len(s) < basis.dim:
         return 0.0
-    mu = sampling.weights(s) if weights is None else np.asarray(weights, dtype=float)
+    mu = sampling.weights(s) if weights is None else weights
     b = np.sqrt(mu)[:, None] * design_matrix(basis, s)
     return _lower(np.linalg.svd(b, compute_uv=False))
 

@@ -249,9 +249,19 @@ def _bspline_cell_coeffs(d: int, l: int) -> np.ndarray:
 def _bspline_blocks(d: int, l: int) -> np.ndarray:
     """Per-cell blocks of ``_bspline_cell_coeffs``, (l, d+1, d+1): entry
     ``[j, n, r]`` is the Legendre order-n coefficient on cell j of B-spline
-    j + r, one of the d+1 B-splines that touch cell j."""
-    j = np.arange(l)[:, None]
-    return _bspline_cell_coeffs(d, l)[j + np.arange(d + 1), j].transpose(0, 2, 1)
+    j + r, one of the d+1 B-splines that touch cell j.
+
+    On uniform knots a block scales with sqrt(h), and every cell j with
+    d <= j < l - d (all d+1 B-splines interior translates) has the same
+    one.  So the blocks are those of l0 = min(l, 2d+1) cells times
+    sqrt(l0/l): the d boundary cells on each side map to their own, every
+    cell between to the middle cell d.
+    """
+    l0 = min(l, 2 * d + 1)
+    j = np.arange(l)
+    j0 = (j - np.clip(j - d, 0, l - l0))[:, None]
+    blocks = _bspline_cell_coeffs(d, l0)[j0 + np.arange(d + 1), j0].transpose(0, 2, 1)
+    return math.sqrt(l0 / l) * blocks
 
 
 def _bspline_gram(d: int, l: int) -> np.ndarray:

@@ -172,6 +172,21 @@ def test_usage_error_exits_1(capsys):
     assert run(["no-such-command"]) == 1
 
 
+def test_usage_error_then_valid_call_in_one_process(capsys):
+    # one parser serves every call: neither call leaves state for the next
+    valid = ["stability", "--space", "trig:2", "--scheme", "jittered", "--k", 10, "--n", 30]
+    outcomes = []
+    for args in (["reconstruct"], valid, ["reconstruct"], valid):
+        code = run(args)
+        out, err = capsys.readouterr()
+        outcomes.append((code, out, err))
+    assert outcomes[0] == outcomes[2]
+    assert outcomes[1] == outcomes[3]
+    assert outcomes[0][0] == 1 and "usage error" in outcomes[0][2]
+    assert outcomes[1][0] == 0 and outcomes[1][2] == ""
+    assert json.loads(outcomes[1][1])["ratio"] > 0
+
+
 def test_stability_command(tmp_path, capsys):
     code = run(["stability", "--space", "trig:2", "--scheme", "uniform",
                 "--k", 10, "--n", 40, "--out-dir", tmp_path])

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import spherical_jn
 
 from nugs.fourier import (FourierData, FunctionSpec, _order_factors, basis_transform,
-                          bspline_transforms, cell_transforms, evaluate_function,
+                          bspline_weighted_gram, cell_transforms, evaluate_function,
                           interval_exponential, l2_error, load_data_csv, project,
                           sample_function, save_data_csv, spherical_jn_orders,
                           transform_integrals)
@@ -210,7 +210,8 @@ def _bessel_test_points():
     return z[z >= 0.0]
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 16, 32])
+# p = 200 runs Miller's recurrence for z in [0.5, 2] through its rescaling
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 16, 32, 200])
 def test_spherical_jn_orders_match_scipy(p):
     z = _bessel_test_points()
     got = spherical_jn_orders(z, p)
@@ -301,6 +302,11 @@ def dense_bspline_transforms(d, l, omegas):
     return t.reshape(t.shape[0], -1) @ raw.reshape(raw.shape[0], -1).T
 
 
+def dense_weighted_gram(d, l, omegas, mu):
+    a = dense_bspline_transforms(d, l, omegas)
+    return (a.conj() * mu[:, None]).T @ a
+
+
 # w = 0, w < 0, and pi |w| h on both sides of 0.5 for every l below
 _NEAR_ZERO = np.array([-0.05, 0.0, 0.05])
 BSPLINE_FREQS = {
@@ -310,30 +316,42 @@ BSPLINE_FREQS = {
 }
 
 
+def _bspline_weights(omegas):
+    return np.random.default_rng(omegas.size).uniform(0.5, 1.5, omegas.size)
+
+
 @pytest.mark.parametrize("kind", sorted(BSPLINE_FREQS))
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_bspline_transforms_match_dense_oracle(kind, d):
+    # the weighted Gram from Toeplitz lags and border columns, against the
+    # Gram of the dense transforms; l covers no interior B-spline (l <= d),
+    # border cells that overlap (l <= 2d) and one interior cell (l = 2d+1)
     omegas = BSPLINE_FREQS[kind]
-    for l in sorted({1, 2, d + 1, 37}):
+    mu = _bspline_weights(omegas)
+    for l in sorted({1, 2, d, d + 1, 2 * d, 2 * d + 1, 2 * d + 2, 37} - {0}):
         assert np.pi * 0.05 / l < 0.5 < np.pi * 40.0 / l
-        want = dense_bspline_transforms(d, l, omegas)
-        got = bspline_transforms(d, l, omegas)
-        assert got.shape == (omegas.size, l + d)
+        want = dense_weighted_gram(d, l, omegas, mu)
+        got = bspline_weighted_gram(d, l, omegas, mu)
+        assert got.shape == (l + d, l + d)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_bspline_transforms_interior_columns_closed_form(d):
-    # an interior B-spline is a cardinal B-spline on knots t_i .. t_i + (d+1) h
+    # interior B-splines are cardinal B-splines on knots t_i .. t_i + (d+1) h,
+    # so their weighted Gram is Hermitian Toeplitz with lags from the closed form
     l = 37
     h = 1.0 / l
     omegas = BSPLINE_FREQS["jittered"]
-    got = bspline_transforms(d, l, omegas)
-    for i in range(d, l):
-        t = (i - d) * h
-        want = (h * np.exp(-2j * np.pi * omegas * (t + (d + 1) * h / 2))
-                * np.sinc(omegas * h) ** (d + 1))
-        assert np.max(np.abs(got[:, i] - want)) <= 1e-14
+    mu = _bspline_weights(omegas)
+    got = bspline_weighted_gram(d, l, omegas, mu)
+    block = got[d:l, d:l]
+    assert np.array_equal(block[1:, 1:], block[:-1, :-1])
+    assert np.array_equal(block, block.conj().T)
+    lags = np.arange(l - d)
+    c = (mu * (h * np.sinc(omegas * h) ** (d + 1)) ** 2) @ np.exp(
+        2j * np.pi * omegas[:, None] * lags * h)
+    assert np.max(np.abs(block[:, 0] - c)) <= 1e-14 * abs(c[0])
 
 
 frequencies = st.lists(st.floats(min_value=-80.0, max_value=80.0), min_size=1,
@@ -343,9 +361,10 @@ frequencies = st.lists(st.floats(min_value=-80.0, max_value=80.0), min_size=1,
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.integers(0, 4), st.integers(1, 40), frequencies)
 def test_bspline_transforms_properties(d, l, omegas):
-    got = bspline_transforms(d, l, omegas)
-    # raw B-splines are real: their transforms are conjugate-symmetric, bit for bit
-    assert np.array_equal(bspline_transforms(d, l, -omegas), got.conj())
-    want = dense_bspline_transforms(d, l, omegas)
+    mu = _bspline_weights(omegas)
+    got = bspline_weighted_gram(d, l, omegas, mu)
+    # raw B-splines are real: the Gram at negated frequencies is the conjugate, bit for bit
+    assert np.array_equal(bspline_weighted_gram(d, l, -omegas, mu), got.conj())
+    want = dense_weighted_gram(d, l, omegas, mu)
     # relative to the largest entry, floored where every frequency sits at a zero of sinc
-    assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-6 / l)
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-12 / l ** 2)

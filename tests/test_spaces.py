@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
 
-from nugs.spaces import (GrowthConstants, SpaceSpec, _bspline_all_values, _bspline_cell_coeffs,
-                         _bspline_gram, build_basis, breakpoints,
+from nugs.spaces import (GrowthConstants, SpaceSpec, _bspline_all_values, _bspline_blocks,
+                         _bspline_cell_coeffs, _bspline_gram, build_basis, breakpoints,
                          derivative_growth, dimension, evaluate,
                          growth_constants, min_spacing, sup_growth)
 
@@ -231,6 +231,18 @@ def test_banded_bspline_gram_matches_dense(d, l):
     assert np.max(np.abs(gram - raw @ raw.T)) <= 1e-15
     rows, cols = np.indices(gram.shape)
     assert np.all(gram[np.abs(rows - cols) > d] == 0.0)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_rescaled_bspline_blocks_match_dense(d):
+    for l in sorted({1, d, 2 * d, 2 * d + 1, 2 * d + 2, 23, 100} - {0}):
+        j = np.arange(l)[:, None]
+        want = _bspline_cell_coeffs(d, l)[j + np.arange(d + 1), j].transpose(0, 2, 1)
+        got = _bspline_blocks(d, l)
+        assert got.shape == (l, d + 1, d + 1)
+        assert np.max(np.abs(got - want)) <= 1e-14
+        if l <= 2 * d + 1:
+            assert np.array_equal(got, want)
 
 
 def test_bspline_gram_is_hat_mass_matrix_at_degree_one():
