@@ -40,7 +40,11 @@ def parse_scheme(text: str, n: int, k: float, seed: int) -> SchemeSpec:
     kind = parts[0]
     theta = 0.0
     if kind == "jittered":
-        theta = float(parts[1]) if len(parts) > 1 else 0.2
+        try:
+            theta = float(parts[1]) if len(parts) > 1 else 0.2
+        except ValueError:
+            raise ValueError(f"scheme {text!r}: the jitter fraction {parts[1]!r} "
+                             "is not a number") from None
     elif len(parts) > 1:
         raise ValueError(f"scheme {kind!r} takes no parameter")
     return SchemeSpec(kind=kind, n=n, k=k, theta=theta, seed=seed)

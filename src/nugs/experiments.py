@@ -13,14 +13,23 @@ reconstructing at the same M on the same set.  ``scaling_table`` and
 ``error_curve`` keep one of the two rows; ``run_figure_panels`` keeps both,
 so the figure pays for one search per scheme, family and bandwidth.
 
-The stability search evaluates only the lower frame constant.  A probe of
-an orthonormal family (trig, legendre) is a ``solver.frame_lower`` call on
-the family's basis at that index, the same build, SVD and rank rule as
-``solver.stability_constant``, so no design outlives its probe.  The
-constant is basis-independent, so a spline probe solves the generalized
-eigenproblem of the weighted Gram of the raw B-splines against their L2
-Gram instead of orthonormalizing at every probe, and never forms the
-N x (l+d) design.  The weighted Gram comes from
+The stability search evaluates only the lower frame constant, and at
+most probes only compares it with the threshold: ratio(M) <= threshold is
+lambda_min(W, G) >= t for the probe's weighted Gram W and L2 Gram G, and
+a Cholesky factorization of W - sG succeeds exactly when lambda_min(W, G)
+> s.  Two factorizations, at t plus and minus a band
+(``spaces.PROBE_BAND``), decide every probe outside the band without an
+SVD or a generalized eigensolver; inside it, and at index 1, the exact
+``ratio`` decides.  ``ratio`` is the only source of the reported c_ratio.
+It is a ``solver.frame_lower`` call for an orthonormal family (trig,
+legendre), the same build, SVD and rank rule as
+``solver.stability_constant``.  For those families W is a principal block
+of one weighted Gram, built from the family's design at the widest probe
+so far (the doubling probe), so no design outlives its build.  The
+constant is basis-independent, so a spline probe uses the weighted Gram of
+the raw B-splines against their L2 Gram instead of orthonormalizing at
+every probe, and never forms the N x (l+d) design; its exact ratio is the
+generalized eigenproblem of the same pair.  The weighted Gram comes from
 ``fourier.bspline_weighted_gram``: a Hermitian Toeplitz interior block from
 l-d lag sums, plus the 2d border B-splines' own columns.  The L2 Gram is
 banded, built from per-cell Legendre blocks (``spaces._bspline_gram``) that
@@ -105,7 +114,8 @@ def plan_scheme(kind: str, k: float, *, delta_max: float = 0.9, theta: float = 0
 
 
 class _StabilityEvaluator:
-    """Memoized stability ratio c(M) for one family over one sample set."""
+    """Stability ratio c(M) for one family over one sample set: exact and
+    memoized (``ratio``), or only compared with a threshold (``passes``)."""
 
     def __init__(self, family: str, s: SampleSet, d: int = 0):
         self.family = family
@@ -114,6 +124,9 @@ class _StabilityEvaluator:
         self.mu = sampling.weights(s)
         self.delta = sampling.density(s)
         self._cache: dict[int, float] = {}
+        # trig, legendre: (index, upper triangle of conj(W)) of the widest probe
+        self._wide: tuple[int, np.ndarray] | None = None
+        self._passed: tuple[int, np.ndarray, np.ndarray] | None = None  # spline: (l, W, G)
 
     @property
     def cap(self) -> int:
@@ -130,6 +143,48 @@ class _StabilityEvaluator:
             self._cache[m] = solver.frame_constants(self.delta, self._frame_lower(m)).ratio
         return self._cache[m]
 
+    def passes(self, m: int, threshold: float) -> bool:
+        """Whether ``ratio(m) <= threshold``, decided without an eigensolver.
+
+        ratio(m) <= threshold is lambda_min(W, G) >= t = ((1+delta)/threshold)^2
+        for the probe's weighted Gram W and L2 Gram G.  W - sG has a Cholesky
+        factor exactly when lambda_min(W, G) > s, so factoring it at s = t
+        plus and minus ``spaces.PROBE_BAND`` (1+delta)^2 decides every probe
+        outside that band; inside it the exact ``ratio(m)`` decides.
+        """
+        w, g = self._grams(m)
+        scale, t = (1.0 + self.delta) ** 2, float(threshold) ** -2.0
+        if _factors(w - scale * (t + spaces.PROBE_BAND) * g):
+            ok = True
+        elif not _factors(w - scale * (t - spaces.PROBE_BAND) * g):
+            ok = False
+        else:
+            ok = self.ratio(m) <= threshold
+        if ok and self.family == "spline":
+            self._passed = (m, w, g)
+        return ok
+
+    def _grams(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Weighted and L2 Gram of the family's basis at index m, of which
+        ``passes`` reads the upper triangles.  Trig and Legendre Grams are
+        principal blocks of one weighted Gram, built afresh only when m
+        exceeds its index: the centred 2m+1 orders for trig, the leading
+        m+1 degrees for Legendre."""
+        if self.family == "spline":
+            return (_checked(fourier.bspline_weighted_gram(self.d, m, self.s.points, self.mu),
+                             self.family, m),
+                    _checked(spaces._bspline_gram(self.d, m), self.family, m))
+        if self._wide is None or m > self._wide[0]:
+            b = solver.design_matrix(spaces.build_basis(family_space(self.family, m)), self.s)
+            b *= np.sqrt(self.mu)[:, None]
+            # the upper triangle of b^T conj(b) = conj(W), which has W's
+            # principal blocks up to conjugation, from b without a copy
+            self._wide = (m, _checked(scipy.linalg.blas.zherk(1.0, b.T), self.family, m))
+        wide, w = self._wide
+        n = spaces.dimension(family_space(self.family, m))
+        lo = wide - m if self.family == "trig" else 0
+        return w[lo:lo + n, lo:lo + n], np.eye(n)
+
     def _frame_lower(self, m: int) -> float:
         space = family_space(self.family, m, self.d)
         if self.family != "spline":
@@ -139,11 +194,28 @@ class _StabilityEvaluator:
         return self._spline_lower(m)
 
     def _spline_lower(self, l: int) -> float:
-        m1 = fourier.bspline_weighted_gram(self.d, l, self.s.points, self.mu)
-        gram = spaces._bspline_gram(self.d, l)
+        if self._passed is not None and self._passed[0] == l:
+            m1, gram = self._passed[1:]
+        else:
+            m1, gram = self._grams(l)
         lam = scipy.linalg.eigh(m1, gram.astype(complex), eigvals_only=True,
                                 subset_by_index=(0, 0))
         return max(float(lam[0]), 0.0)
+
+
+def _checked(a: np.ndarray, family: str, m: int) -> np.ndarray:
+    """``a`` when finite: a Cholesky test reads a NaN pivot as a failed probe."""
+    if not np.all(np.isfinite(a)):
+        raise np.linalg.LinAlgError(f"non-finite Gram matrix for the {family} probe "
+                                    f"at index {m}")
+    return a
+
+
+def _factors(a: np.ndarray) -> bool:
+    """Whether the Hermitian matrix with ``a``'s upper triangle has a
+    Cholesky factor, i.e. is numerically positive definite; ``a`` is
+    overwritten."""
+    return scipy.linalg.lapack.zpotrf(a, overwrite_a=True)[1] == 0
 
 
 def _search_max(ev: _StabilityEvaluator, threshold: float,
@@ -157,12 +229,12 @@ def _search_max(ev: _StabilityEvaluator, threshold: float,
             f"bandwidth too small: no stable dimension for {ev.family} "
             f"(N={len(ev.s)}, K={ev.s.bandwidth:g})")
     lo = 1
-    if hint is not None and 1 < hint <= cap and ev.ratio(hint) <= threshold:
+    if hint is not None and 1 < hint <= cap and ev.passes(hint, threshold):
         lo = hint
     probe = lo
     while probe < cap:
         probe = min(2 * probe, cap)
-        if ev.ratio(probe) <= threshold:
+        if ev.passes(probe, threshold):
             lo = probe
         else:
             break
@@ -171,7 +243,7 @@ def _search_max(ev: _StabilityEvaluator, threshold: float,
     hi = probe
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if ev.ratio(mid) <= threshold:
+        if ev.passes(mid, threshold):
             lo = mid
         else:
             hi = mid
@@ -209,6 +281,7 @@ def _cell(f, family, kind, d, threshold, delta_max, theta, seed, k, hint=None):
     else:
         ratio = m * d * d / k
     row = ScalingRow(family=family, k=k, n=len(s), m=m, ratio=ratio, c_ratio=ev.ratio(m))
+    del ev  # its Grams are not needed for the error row
     if f is None:
         return row, None
     basis = fourier.cached_basis(family_space(family, m, d))

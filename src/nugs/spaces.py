@@ -33,6 +33,21 @@ KINDS = ("trig", "legendre", "piecewise_poly", "spline", "piecewise_const")
 _KNOT_SEPARATION = 1e-14
 # singular values below this fraction of the largest count as zero
 RANK_RTOL = 1e-12
+# Half-width, in units of (1 + delta)^2, of the band around the stability
+# search's cut t = ((1 + delta)/threshold)^2 on lambda_min(W, G) inside which
+# a probe's Cholesky test (``experiments._StabilityEvaluator.passes``) defers
+# to the exact eigenvalue.  (1 + delta)^2 bounds lambda_max(W, G), so it is
+# the scale of W.  Forming W (N terms per entry, n columns) moves
+# lambda_min by at most about n N u (1 + delta)^2 (u = 2^-53), and the
+# Cholesky factorization by about n^2 u (1 + delta)^2: 2e-10 of the scale at
+# N = 4380, n = 401.  Measured over every probe of the K = 30 and K = 200
+# searches on log and jittered sets, the shift at which W - sG stops
+# factoring is within 3e-15 of the scale of the exact path's lambda_min.
+# Outside the band every decision is therefore the exact path's, and
+# so is its rank rule: a probe that passes has lambda_min above
+# PROBE_BAND (1 + delta)^2, far above the RANK_RTOL^2 lambda_max below which
+# the exact path reads lambda_min as 0.
+PROBE_BAND = 1e-8
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,10 @@ def test_bad_threshold_exits_1(tmp_path, capsys, args, threshold):
     (["residual", "--space", "legendre:3", "--zmax", 4, "--zmin", "nan"], "zmin"),
     (["residual", "--space", "legendre:3", "--zmax", 4, "--zmin", "inf"], "zmin"),
     (["residual", "--space", "legendre:3", "--zmax", 4, "--zmin", -1], "zmin"),
+    (["stability", "--space", "trig:2", "--scheme", "jittered:abc", "--k", 10, "--n", 40],
+     "scheme 'jittered:abc': the jitter fraction 'abc' is not a number"),
+    (["scaling", "--family", "trig", "--scheme", "jittered:abc", "--kmax", 10, "--kcount", 2],
+     "scheme 'jittered:abc'"),
 ])
 def test_bad_count_or_grid_exits_1_before_writing(tmp_path, capsys, args, message):
     (tmp_path / "header.csv").write_text("omega,re,im\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nugs import experiments
+from nugs import experiments, fourier, solver, spaces
 from nugs.errors import BandwidthTooSmallError
 from nugs.experiments import (ErrorRow, ScalingRow, _StabilityEvaluator, default_k_grid,
                               error_curve, family_space, max_stable_dimension, plan_scheme,
@@ -85,6 +85,49 @@ def test_spline_eigensolver_failure_propagates(monkeypatch):
     s = generate(SchemeSpec("jittered", 40, 15.0, theta=0.2, seed=5))
     with pytest.raises(scipy.linalg.LinAlgError, match="forced failure"):
         max_stable_dimension("spline", s, 3.0, d=2)
+
+
+@pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0), ("spline", 2)])
+def test_non_finite_gram_raises(monkeypatch, family, d):
+    # a Cholesky test reads a NaN pivot as "not positive definite", which
+    # would end the search at index 1 instead of raising
+    spline_gram, design = fourier.bspline_weighted_gram, solver.design_matrix
+
+    def nan_spline_gram(d, l, *args):
+        return spline_gram(d, l, *args) * (np.nan if l > 1 else 1.0)
+
+    def nan_design(basis, s):
+        return design(basis, s) * (np.nan if basis.space.degree > 1 else 1.0)
+
+    monkeypatch.setattr(fourier, "bspline_weighted_gram", nan_spline_gram)
+    monkeypatch.setattr(solver, "design_matrix", nan_design)
+    s = generate(SchemeSpec("jittered", 40, 15.0, theta=0.2, seed=5))
+    with pytest.raises(np.linalg.LinAlgError, match=f"non-finite .* {family} probe"):
+        max_stable_dimension(family, s, 3.0, d=d)
+
+
+@pytest.mark.parametrize("kind", ["jittered", "log"])
+@pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0), ("spline", 1),
+                                       ("spline", 3)])
+def test_search_evaluates_exactly_at_one_and_the_result(monkeypatch, kind, family, d):
+    # every other probe is a Cholesky test; with no probe in the band the
+    # only SVDs or eigensolves are those of ratio(1) and of the row's c_ratio
+    sizes = []
+    svd, eigh = np.linalg.svd, scipy.linalg.eigh
+
+    def counted_svd(a, *args, **kwargs):
+        sizes.append(a.shape[1])
+        return svd(a, *args, **kwargs)
+
+    def counted_eigh(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+    [row] = scaling_table(family, kind, [40.0], d=d, seed=2)
+    assert row.m > 2
+    assert sizes == [spaces.dimension(family_space(family, m, d)) for m in (1, row.m)]
 
 
 def test_bandwidth_too_small_raises():
@@ -235,8 +278,6 @@ def test_error_curve_decreases_for_smooth_function():
 def test_jump_function_piecewise_beats_trig_plateau():
     # a step at 1/2: knot-aligned piecewise space converges immediately,
     # exponentials stall at the Gibbs plateau
-    from nugs import fourier, solver
-
     step = FunctionSpec.from_coefficients(SpaceSpec.piecewise_const(2), [0.5, 1.25])
     ks = [12.0, 30.0]
     trig_rows = error_curve(step, "trig", "jittered", ks, seed=4)

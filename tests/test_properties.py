@@ -1,5 +1,6 @@
 """Property tests of the sampling weights, the estimator, exact
-reconstruction and the JSON and CSV round-trips, on derandomized examples
+reconstruction, the stability search's probe decisions and the JSON and
+CSV round-trips, on derandomized examples
 (the B-spline transform properties sit with their oracle in
 test_fourier.py)."""
 
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nugs.estimator import NonuniformFourierRegressor
-from nugs.experiments import plan_scheme
+from nugs.experiments import _StabilityEvaluator, plan_scheme
 from nugs.fourier import (FourierData, FunctionSpec, basis_transform, load_data_csv,
                           save_data_csv)
 from nugs.sampling import (SampleSet, SchemeSpec, generate, load_samples_csv,
@@ -97,6 +98,31 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
 UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0), ("spline", 1),
+                                       ("spline", 3)])
+@PROPERTY
+@given(st.sampled_from(["jittered", "log"]),
+       st.floats(min_value=2.0, max_value=30.0), st.integers(0, 2**32 - 1), UNIT, UNIT,
+       st.one_of(st.tuples(st.just("factor"), st.sampled_from([1 - 1e-12, 1.0, 1 + 1e-12])),
+                 st.tuples(st.just("threshold"),
+                           st.floats(min_value=1.0, max_value=10.0) | st.just(float("inf")))))
+def test_probe_decision_matches_exact_ratio(family, d, kind, k, seed, frac, wider, thr):
+    # a factor on ratio(m) puts the cut inside the band, where the decision
+    # is the exact ratio's; a probe at an index above m first grows the trig
+    # or Legendre Gram, so that m reads a block of it
+    s = generate(plan_scheme(kind, k, seed=seed))
+    exact = _StabilityEvaluator(family, s, d)
+    ev = _StabilityEvaluator(family, s, d)
+    m = 1 + int(frac * (exact.cap - 2))
+    above = m + 1 + int(wider * (exact.cap - m - 1))
+    mode, x = thr
+    threshold = exact.ratio(m) * x if mode == "factor" else x
+    assert ev.passes(above, threshold) == (exact.ratio(above) <= threshold)
+    assert ev.passes(m, threshold) == (exact.ratio(m) <= threshold)
+    if mode == "factor" and np.isfinite(threshold):
+        assert m in ev._cache  # the exact ratio decided
 
 
 @st.composite
