@@ -40,6 +40,8 @@ def parse_scheme(text: str, n: int, k: float, seed: int) -> SchemeSpec:
     kind = parts[0]
     theta = 0.0
     if kind == "jittered":
+        if len(parts) > 2:
+            raise ValueError(f"scheme {text!r}: the jitter fraction is the only parameter")
         try:
             theta = float(parts[1]) if len(parts) > 1 else 0.2
         except ValueError:

@@ -13,27 +13,23 @@ reconstructing at the same M on the same set.  ``scaling_table`` and
 ``error_curve`` keep one of the two rows; ``run_figure_panels`` keeps both,
 so the figure pays for one search per scheme, family and bandwidth.
 
-The stability search evaluates only the lower frame constant, and at
-most probes only compares it with the threshold: ratio(M) <= threshold is
-lambda_min(W, G) >= t for the probe's weighted Gram W and L2 Gram G, and
-a Cholesky factorization of W - sG succeeds exactly when lambda_min(W, G)
-> s.  Two factorizations, at t plus and minus a band
-(``spaces.PROBE_BAND``), decide every probe outside the band without an
-SVD or a generalized eigensolver; inside it, and at index 1, the exact
-``ratio`` decides.  ``ratio`` is the only source of the reported c_ratio.
-It is a ``solver.frame_lower`` call for an orthonormal family (trig,
-legendre), the same build, SVD and rank rule as
-``solver.stability_constant``.  For those families W is a principal block
-of one weighted Gram, built from the family's design at the widest probe
-so far (the doubling probe), so no design outlives its build.  The
-constant is basis-independent, so a spline probe uses the weighted Gram of
-the raw B-splines against their L2 Gram instead of orthonormalizing at
-every probe, and never forms the N x (l+d) design; its exact ratio is the
-generalized eigenproblem of the same pair.  The weighted Gram comes from
-``fourier.bspline_weighted_gram``: a Hermitian Toeplitz interior block from
-l-d lag sums, plus the 2d border B-splines' own columns.  The L2 Gram is
-banded, built from per-cell Legendre blocks (``spaces._bspline_gram``) that
-on uniform knots are rescaled copies of the blocks of at most 2d+1 cells.
+Every stability judgement reads one pencil: the weighted Gram W of the
+family's basis at index M against its L2 Gram G, whose smallest eigenvalue
+is the lower frame constant, so ratio(M) = (1+delta)/sqrt(lambda_min(W, G)).
+``ratio`` is that eigenvalue from ``scipy.linalg.eigh`` on the pencil built
+at M itself, and is the only source of the reported c_ratio.  Other probes
+only compare it with the threshold: ratio(M) <= threshold is
+lambda_min(W, G) >= t, and W - sG has a Cholesky factor exactly when
+lambda_min(W, G) > s, so two factorizations at t plus and minus a band
+(``spaces.PROBE_BAND``) decide every probe outside the band; inside it,
+and at index 1, ``ratio`` decides.  For trig and legendre G = I and W comes
+from the scaled design; a probe reads a principal block of the Gram of the
+widest probe so far (the doubling probe), while ``ratio`` builds its own, so
+c_ratio does not depend on which probes came first.  The constant is
+basis-independent, so a spline pencil is that of the raw B-splines: a
+Hermitian Toeplitz interior plus 2d border columns
+(``fourier.bspline_weighted_gram``) against a banded L2 Gram
+(``spaces._bspline_gram``), with no N x (l+d) design.
 """
 
 from __future__ import annotations
@@ -140,7 +136,7 @@ class _StabilityEvaluator:
 
     def ratio(self, m: int) -> float:
         if m not in self._cache:
-            self._cache[m] = solver.frame_constants(self.delta, self._frame_lower(m)).ratio
+            self._cache[m] = solver.frame_constants(self.delta, self._lower(m)).ratio
         return self._cache[m]
 
     def passes(self, m: int, threshold: float) -> bool:
@@ -164,43 +160,44 @@ class _StabilityEvaluator:
             self._passed = (m, w, g)
         return ok
 
-    def _grams(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+    def _lower(self, m: int) -> float:
+        """lambda_min(W, G) at index m, clamped at 0, from the pencil built at
+        m.  Only a spline probe's pencil is reused: a trig or Legendre probe
+        reads a block of a wider Gram, whose rounding depends on the probes
+        that came before."""
+        if self._passed is not None and self._passed[0] == m:
+            w, g = self._passed[1:]
+        else:
+            w, g = self._pencil(m)
+        lam = scipy.linalg.eigh(w, g, lower=False, eigvals_only=True, subset_by_index=(0, 0))
+        return max(float(lam[0]), 0.0)
+
+    def _pencil(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Weighted and L2 Gram of the family's basis at index m, of which
-        ``passes`` reads the upper triangles.  Trig and Legendre Grams are
-        principal blocks of one weighted Gram, built afresh only when m
-        exceeds its index: the centred 2m+1 orders for trig, the leading
-        m+1 degrees for Legendre."""
+        only the upper triangles are read.  For trig and legendre the first
+        is the upper triangle of conj(W), which has W's eigenvalues, from
+        the scaled design without a conjugated copy."""
         if self.family == "spline":
             return (_checked(fourier.bspline_weighted_gram(self.d, m, self.s.points, self.mu),
                              self.family, m),
                     _checked(spaces._bspline_gram(self.d, m), self.family, m))
+        b = solver.design_matrix(spaces.build_basis(family_space(self.family, m)), self.s)
+        b *= np.sqrt(self.mu)[:, None]
+        return _checked(scipy.linalg.blas.zherk(1.0, b.T), self.family, m), np.eye(b.shape[1])
+
+    def _grams(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pencil at index m for a probe.  Trig and Legendre Grams are
+        principal blocks of one weighted Gram, built afresh only when m
+        exceeds its index: the centred 2m+1 orders for trig, the leading
+        m+1 degrees for Legendre."""
+        if self.family == "spline":
+            return self._pencil(m)
         if self._wide is None or m > self._wide[0]:
-            b = solver.design_matrix(spaces.build_basis(family_space(self.family, m)), self.s)
-            b *= np.sqrt(self.mu)[:, None]
-            # the upper triangle of b^T conj(b) = conj(W), which has W's
-            # principal blocks up to conjugation, from b without a copy
-            self._wide = (m, _checked(scipy.linalg.blas.zherk(1.0, b.T), self.family, m))
+            self._wide = (m, self._pencil(m)[0])
         wide, w = self._wide
         n = spaces.dimension(family_space(self.family, m))
         lo = wide - m if self.family == "trig" else 0
         return w[lo:lo + n, lo:lo + n], np.eye(n)
-
-    def _frame_lower(self, m: int) -> float:
-        space = family_space(self.family, m, self.d)
-        if self.family != "spline":
-            return solver.frame_lower(spaces.build_basis(space), self.s, self.mu)
-        if spaces.dimension(space) > len(self.s):
-            return 0.0
-        return self._spline_lower(m)
-
-    def _spline_lower(self, l: int) -> float:
-        if self._passed is not None and self._passed[0] == l:
-            m1, gram = self._passed[1:]
-        else:
-            m1, gram = self._grams(l)
-        lam = scipy.linalg.eigh(m1, gram.astype(complex), eigvals_only=True,
-                                subset_by_index=(0, 0))
-        return max(float(lam[0]), 0.0)
 
 
 def _checked(a: np.ndarray, family: str, m: int) -> np.ndarray:

@@ -11,11 +11,10 @@ weights actually solved with and never factorize again.
 The lower frame constant is the smallest eigenvalue of the weighted Gram,
 equal to the squared smallest singular value of the scaled matrix.  One
 rank tolerance, ``spaces.RANK_RTOL``, decides when it is numerically
-zero, for the solve and for ``frame_lower``; the stability search's exact
-trig and Legendre ratios are ``frame_lower`` calls, and its other probes
-are Cholesky tests of the weighted Gram whose decisions agree with them
-(``spaces.PROBE_BAND``).  ``spaces`` uses the same tolerance for the
-restriction frames of the growth constants.
+zero, for the solve and for ``frame_lower``.  ``spaces`` uses the same
+tolerance for the restriction frames of the growth constants.  The
+stability search judges by the same constant as the smallest eigenvalue of
+the weighted Gram against the L2 Gram (``experiments``), without an SVD.
 The upper constant is not computable from finitely many evaluations, so
 the density-based bound ``(1 + delta)^2`` is reported and the stability ratio
 is ``(1 + delta) / sqrt(lower)`` (``frame_constants``).

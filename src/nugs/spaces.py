@@ -42,11 +42,9 @@ RANK_RTOL = 1e-12
 # Cholesky factorization by about n^2 u (1 + delta)^2: 2e-10 of the scale at
 # N = 4380, n = 401.  Measured over every probe of the K = 30 and K = 200
 # searches on log and jittered sets, the shift at which W - sG stops
-# factoring is within 3e-15 of the scale of the exact path's lambda_min.
-# Outside the band every decision is therefore the exact path's, and
-# so is its rank rule: a probe that passes has lambda_min above
-# PROBE_BAND (1 + delta)^2, far above the RANK_RTOL^2 lambda_max below which
-# the exact path reads lambda_min as 0.
+# factoring is within 3e-15 of the scale of the exact lambda_min.
+# Outside the band every decision is therefore the exact eigenvalue's, which
+# the search reads as 0 (an infinite ratio) when it is not positive.
 PROBE_BAND = 1e-8
 
 

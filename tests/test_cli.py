@@ -159,6 +159,10 @@ def test_bad_threshold_exits_1(tmp_path, capsys, args, threshold):
      "scheme 'jittered:abc': the jitter fraction 'abc' is not a number"),
     (["scaling", "--family", "trig", "--scheme", "jittered:abc", "--kmax", 10, "--kcount", 2],
      "scheme 'jittered:abc'"),
+    (["stability", "--space", "trig:2", "--scheme", "jittered:0.2:junk", "--k", 10, "--n", 40],
+     "scheme 'jittered:0.2:junk': the jitter fraction is the only parameter"),
+    (["scaling", "--family", "trig", "--scheme", "jittered:0.2:junk", "--kmax", 10,
+      "--kcount", 2], "scheme 'jittered:0.2:junk'"),
 ])
 def test_bad_count_or_grid_exits_1_before_writing(tmp_path, capsys, args, message):
     (tmp_path / "header.csv").write_text("omega,re,im\n")

@@ -56,6 +56,17 @@ def test_search_ratio_matches_stability_constant(kind, family, d, ms):
         assert ev.ratio(m) == pytest.approx(direct.ratio, rel=1e-9, abs=0)
 
 
+
+@pytest.mark.parametrize("family", ["trig", "legendre"])
+def test_selected_c_ratio_matches_stability_constant_at_large_n(family):
+    # the Gram's rounding grows with N; at the selected m the pencil's
+    # eigenvalue still agrees with the SVD of the scaled design
+    s = generate(plan_scheme("log", 60.0, seed=7))
+    [row] = scaling_table(family, "log", [60.0], seed=7)
+    assert row.n == len(s) == 1020
+    direct = stability_constant(build_basis(family_space(family, row.m)), s)
+    assert row.c_ratio == pytest.approx(direct.ratio, rel=1e-12, abs=0)
+
 def dense_spline_lower(s, d, l):
     """Oracle: the generalized eigenproblem on the dense contraction of every
     cell with every B-spline and the dense B-spline Gram."""
@@ -74,17 +85,18 @@ def test_spline_lower_matches_dense_eigenproblem(kind, d, ls):
     for l in ls:
         want = dense_spline_lower(s, d, l)
         assert want > 1e-2
-        assert ev._spline_lower(l) == pytest.approx(want, rel=1e-12, abs=0)
+        assert ev._lower(l) == pytest.approx(want, rel=1e-12, abs=0)
 
 
-def test_spline_eigensolver_failure_propagates(monkeypatch):
+@pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0), ("spline", 2)])
+def test_eigensolver_failure_propagates(monkeypatch, family, d):
     def fail(*args, **kwargs):
         raise scipy.linalg.LinAlgError("forced failure")
 
     monkeypatch.setattr(scipy.linalg, "eigh", fail)
     s = generate(SchemeSpec("jittered", 40, 15.0, theta=0.2, seed=5))
     with pytest.raises(scipy.linalg.LinAlgError, match="forced failure"):
-        max_stable_dimension("spline", s, 3.0, d=2)
+        max_stable_dimension(family, s, 3.0, d=d)
 
 
 @pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0), ("spline", 2)])
@@ -249,14 +261,17 @@ def test_scaling_deterministic_given_seed():
     assert any(ra != rc for ra, rc in zip(a, c))
 
 
-def test_scaling_parallel_matches_serial():
+@pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0), ("spline", 2)])
+def test_scaling_parallel_matches_serial(family, d):
+    # serial cells start their search from the previous result, parallel
+    # ones from scratch: c_ratio must not depend on the probes before it
     ks = [8.0, 16.0, 32.0]
-    serial = scaling_table("legendre", "jittered", ks, seed=3, jobs=1)
-    parallel = scaling_table("legendre", "jittered", ks, seed=3, jobs=2)
+    serial = scaling_table(family, "jittered", ks, d=d, seed=3, jobs=1)
+    parallel = scaling_table(family, "jittered", ks, d=d, seed=3, jobs=2)
     assert serial == parallel
     f = FunctionSpec.benchmark()
-    serial = error_curve(f, "legendre", "jittered", ks, seed=3, jobs=1)
-    parallel = error_curve(f, "legendre", "jittered", ks, seed=3, jobs=2)
+    serial = error_curve(f, family, "jittered", ks, d=d, seed=3, jobs=1)
+    parallel = error_curve(f, family, "jittered", ks, d=d, seed=3, jobs=2)
     assert serial == parallel
 
 
