@@ -84,10 +84,10 @@ def cmd_reconstruct(args) -> int:
     out = _out_dir(args)
     (out / "coefficients.json").write_text(rec.to_json() + "\n", encoding="utf-8")
     grid = (np.arange(grid_points) + 0.5) / grid_points
-    vals = rec.coefficients @ spaces.evaluate(basis, grid)
+    vals = spaces.member_values(basis, rec.coefficients, grid)
     with open(out / "reconstruction.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,re,im\n")
-        for x, v in zip(grid, np.atleast_1d(vals)):
+        for x, v in zip(grid, vals):
             fh.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n")
     constants = solver.frame_constants(sampling.density(data.samples), rec.sigma_min**2)
     diag = {"delta": constants.density, "frame_lower": constants.lower,

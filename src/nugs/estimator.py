@@ -123,7 +123,7 @@ class NonuniformFourierRegressor:
         """Reconstructed function values at positions in [0, 1)."""
         self._check_fitted()
         xs = check_positions(np.asarray(X, dtype=float).ravel(), "X")
-        return self.coef_ @ spaces.evaluate(self.basis_, xs)
+        return spaces.member_values(self.basis_, self.coef_, xs)
 
     def score(self, X, y) -> float:
         """1 minus the relative squared data misfit at the given samples."""
@@ -131,7 +131,7 @@ class NonuniformFourierRegressor:
         omega = as_float_array(X, "X")
         yv = as_complex_array(y, "y")
         check_same_length(omega, yv, "X", "y")
-        pred = fourier.basis_transform(self.basis_, omega) @ self.coef_
+        pred = fourier.member_transform(self.basis_, self.coef_, omega)
         denom = float(np.sum(np.abs(yv - np.mean(yv)) ** 2))
         if denom == 0.0:
             return 0.0

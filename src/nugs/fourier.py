@@ -17,6 +17,13 @@ stable; and Miller's downward recurrence between the two, normalized by
 sum_n (2n+1) j_n^2 = 1.  Basis transforms then contract the per-cell
 table with the basis coefficients in one matrix product.
 
+A fitted member is one polynomial of degree < p on each cell, so it is
+folded into per-cell Legendre coefficients, (cells, p), before it is
+evaluated: ``member_transform`` contracts the cell table with that one
+vector instead of the dim columns of the design, and coefficient functions
+and ``l2_error`` read member values through ``spaces.member_values``,
+without a dim x nodes table of basis values.
+
 The factor sqrt(2n+1) (-i)^n j_n(pi w h) depends on the cell only through
 its width h, so ``cell_transforms`` computes one Bessel table per distinct
 width and gathers it back to the cells; every step is elementwise, so the
@@ -95,7 +102,7 @@ class FunctionSpec:
 
     @classmethod
     def from_coefficients(cls, space: SpaceSpec, coefficients) -> "FunctionSpec":
-        coeffs = tuple(complex(c) for c in np.asarray(coefficients).ravel())
+        coeffs = tuple(complex(c) for c in as_complex_array(coefficients, "coefficients"))
         if len(coeffs) != spaces.dimension(space):
             raise ValueError("coefficient count must match the space dimension")
         jumps = tuple(float(t) for t in spaces.breakpoints(space)[1:-1])
@@ -175,8 +182,7 @@ def evaluate_function(f: FunctionSpec, x) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if f.kind == "expr":
         return _eval_expr(f.expr, xs)
-    basis = cached_basis(f.space)
-    return np.asarray(f.coefficients) @ spaces.evaluate(basis, xs)
+    return spaces.member_values(cached_basis(f.space), f.coefficients, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +376,34 @@ def basis_transform(basis: OrthoBasis, omega) -> np.ndarray:
         diff = w[:, None] - basis.orders[None, :]
         out = np.exp(-1j * np.pi * diff) * np.sinc(diff)
     else:
-        out = np.empty((w.size, basis.dim), dtype=complex)
-        # sum over cells and orders as one (n_w, n_cell*p) x (n_cell*p, dim) product
-        coeffs = basis.coeffs.reshape(basis.dim, -1).T
-        for lo in range(0, w.size, 512):
-            chunk = slice(lo, min(lo + 512, w.size))
-            t = cell_transforms(basis.breaks, basis.local_dim, w[chunk])
-            out[chunk] = t.reshape(t.shape[0], -1) @ coeffs
+        out = _contract_cells(basis, w, basis.coeffs.reshape(basis.dim, -1).T)
     return out[0] if scalar else out
+
+
+def member_transform(basis: OrthoBasis, coefficients, omega) -> np.ndarray:
+    """Transform of the member with the given coefficients, (n_w,).
+
+    A polynomial-kind member is folded into per-cell Legendre coefficients
+    first, so the cell transforms are contracted with one vector instead of
+    the dim columns of the design.  Trig sums its basis transforms.
+    """
+    coeffs = spaces.check_member(basis, coefficients)
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    if basis.orders is not None:
+        return basis_transform(basis, w) @ coeffs
+    return _contract_cells(basis, w, np.tensordot(coeffs, basis.coeffs, (0, 0)).ravel())
+
+
+def _contract_cells(basis: OrthoBasis, w: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The (n_w, n_cell*p) table of cell transforms times ``right``, which
+    is indexed by (cell, order) on its first axis; the table is built 512
+    frequencies at a time."""
+    out = np.empty((w.size,) + right.shape[1:], dtype=complex)
+    for lo in range(0, w.size, 512):
+        chunk = slice(lo, min(lo + 512, w.size))
+        t = cell_transforms(basis.breaks, basis.local_dim, w[chunk])
+        out[chunk] = t.reshape(t.shape[0], -1) @ right
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +492,10 @@ def l2_error(f: FunctionSpec, coefficients, basis: OrthoBasis,
     Panels honor both the function's jumps and the basis cells; refinement
     stops when the returned norm is stable to ``tol``.
     """
-    coeffs = np.asarray(coefficients, dtype=complex)
 
     def estimate(width):
         xs, ws = _panel_rule(f, basis, width)
-        g = coeffs @ spaces.evaluate(basis, xs)
+        g = spaces.member_values(basis, coefficients, xs)
         return math.sqrt(max(float(ws @ np.abs(evaluate_function(f, xs) - g) ** 2), 0.0))
 
     return refine(estimate, 0.125,

@@ -2,14 +2,21 @@
 
 The reconstruction minimizes ``sum_n mu_n |b_n - (A a)_n|^2`` where
 ``A[n, i]`` is the transform of basis function i at frequency n.  The
-solve factorizes ``diag(sqrt(mu)) A`` by SVD (an orthogonal factorization;
-normal equations are never formed), once per solve; the same singular
-values give the conditioning diagnostics, so callers that report frame
+scaled design ``diag(sqrt(mu)) A`` (N x dim, N >= dim) is factorized once
+per solve by a Householder QR made in place (``zgeqrf``), and then its
+dim x dim triangular factor R by SVD (Golub & Van Loan, *Matrix
+Computations*, 5.3); both are orthogonal factorizations, and normal
+equations are never formed.  Q^H is applied to the scaled data by
+``zunmqr`` without forming Q, so no N x dim singular vectors are built:
+the first dim entries of Q^H b feed the SVD solve, and the norm of the
+rest is the residual.  R has the singular values of the scaled design,
+which give the conditioning diagnostics, so callers that report frame
 constants for a solve (the estimator, ``nugs reconstruct``) describe the
 weights actually solved with and never factorize again.
 
 The lower frame constant is the smallest eigenvalue of the weighted Gram,
-equal to the squared smallest singular value of the scaled matrix.  One
+equal to the squared smallest singular value of the scaled matrix, which
+``frame_lower`` reads from the R of the same QR.  One
 rank tolerance, ``spaces.RANK_RTOL``, decides when it is numerically
 zero, for the solve and for ``frame_lower``.  ``spaces`` uses the same
 tolerance for the restriction frames of the growth constants.  The
@@ -26,6 +33,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import fourier, sampling
 from .errors import UnstableReconstructionError
@@ -97,6 +105,22 @@ def design_matrix(basis: OrthoBasis, s: SampleSet) -> np.ndarray:
     return fourier.basis_transform(basis, s.points)
 
 
+def _qr(basis: OrthoBasis, s: SampleSet, mu: np.ndarray):
+    """Householder QR of the scaled design diag(sqrt(mu)) A, N >= dim: the
+    reflectors (below the diagonal of the returned N x dim array), their
+    scalars and the dim x dim triangular factor R.
+
+    The scaled design is made in Fortran order, so ``zgeqrf`` overwrites it
+    in place; with the optimal workspace it runs blocked.  Its ``info`` is
+    nonzero only for an illegal argument, which the wrapper's shapes rule
+    out, as they do for ``zunmqr``.
+    """
+    b = np.multiply(design_matrix(basis, s), np.sqrt(mu)[:, None], order="F")
+    lwork = int(lapack.zgeqrf_lwork(*b.shape)[0].real)
+    qr, tau, _, _ = lapack.zgeqrf(b, lwork=lwork, overwrite_a=True)
+    return qr, tau, np.triu(qr[:basis.dim])
+
+
 def _lower(sig: np.ndarray) -> float:
     """Squared smallest of the descending singular values ``sig``; 0.0 when
     the scaled design is numerically rank-deficient."""
@@ -118,17 +142,17 @@ def reconstruct(basis: OrthoBasis, data: FourierData) -> Reconstruction:
             f"underdetermined: {n} samples for dimension {dim}; "
             "increase bandwidth or shrink space")
     mu = data.weights
-    a = design_matrix(basis, data.samples)
-    b = np.sqrt(mu)[:, None] * a
-    u, sig, vh = np.linalg.svd(b, full_matrices=False)
+    qr, tau, r = _qr(basis, data.samples, mu)
+    u, sig, vh = np.linalg.svd(r)
     if _lower(sig) == 0.0:
         raise UnstableReconstructionError(
             "unstable: lower frame constant is numerically zero, "
             "increase bandwidth or shrink space")
-    rhs = np.sqrt(mu) * data.values
-    coeffs = vh.conj().T @ ((u.conj().T @ rhs) / sig)
-    misfit = data.values - a @ coeffs
-    residual = float(np.sqrt(np.sum(mu * np.abs(misfit) ** 2)))
+    # Q^H b for the one data column, by the unblocked path (workspace 1)
+    qhb = lapack.zunmqr("L", "C", qr, tau, (np.sqrt(mu) * data.values)[:, None], 1,
+                        overwrite_c=True)[0]
+    coeffs = vh.conj().T @ ((u.conj().T @ qhb[:dim, 0]) / sig)
+    residual = float(np.linalg.norm(qhb[dim:, 0]))
     return Reconstruction(space=basis.space, coefficients=coeffs,
                           residual=residual, sigma_min=float(sig[-1]),
                           sigma_max=float(sig[0]))
@@ -143,8 +167,7 @@ def frame_lower(basis: OrthoBasis, s: SampleSet, weights=None) -> float:
     if len(s) < basis.dim:
         return 0.0
     mu = sampling.weights(s) if weights is None else weights
-    b = np.sqrt(mu)[:, None] * design_matrix(basis, s)
-    return _lower(np.linalg.svd(b, compute_uv=False))
+    return _lower(np.linalg.svd(_qr(basis, s, mu)[2], compute_uv=False))
 
 
 def frame_constants(delta: float, lower: float) -> FrameConstants:

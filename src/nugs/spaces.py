@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import gauss_rule
-from .validation import check_positions
+from .validation import as_complex_array, check_positions
 
 KINDS = ("trig", "legendre", "piecewise_poly", "spline", "piecewise_const")
 _KNOT_SEPARATION = 1e-14
@@ -352,6 +352,39 @@ def evaluate(basis: OrthoBasis, x) -> np.ndarray:
             phi = legendre_values(p, t) * np.sqrt((2 * np.arange(p) + 1) / h)[:, None]
             out[:, sel] = coeffs[:, j, :] @ phi
     return out[:, 0] if scalar else out
+
+
+def check_member(basis: OrthoBasis, coefficients) -> np.ndarray:
+    """``coefficients`` of a member of the basis' space: a finite complex
+    vector of length ``basis.dim``."""
+    coeffs = as_complex_array(coefficients, "coefficients")
+    if coeffs.size != basis.dim:
+        raise ValueError(f"coefficients must have length {basis.dim}, the space "
+                         f"dimension, got {coeffs.size}")
+    return coeffs
+
+
+def member_values(basis: OrthoBasis, coefficients, x) -> np.ndarray:
+    """Values at positions in [0, 1) of the member with the given
+    coefficients, (len(x),).
+
+    A polynomial-kind member is one polynomial of degree < p on each cell,
+    so its coefficients are folded into per-cell Legendre coefficients,
+    (cells, p), and each position reads the p of its own cell: no
+    (dim, len(x)) table of basis values.  Trig sums its exponentials.
+    """
+    coeffs = check_member(basis, coefficients)
+    xs = check_positions(x)
+    if basis.orders is not None:
+        return coeffs @ np.exp(2j * np.pi * basis.orders[:, None] * xs[None, :])
+    breaks, p = basis.breaks, basis.local_dim
+    h = np.diff(breaks)
+    idx = np.clip(np.searchsorted(breaks, xs, side="right") - 1, 0, h.size - 1)
+    # the Legendre normalization sqrt((2n+1)/h) goes into the (cells, p) fold
+    folded = (np.tensordot(coeffs, basis.coeffs, (0, 0))
+              * np.sqrt((2 * np.arange(p) + 1) / h[:, None]))
+    t = 2 * (xs - breaks[idx]) / h[idx] - 1
+    return np.einsum("in,ni->i", folded[idx], legendre_values(p, t))
 
 
 def _restriction_frame(basis: OrthoBasis, j: int) -> np.ndarray:

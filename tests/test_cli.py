@@ -266,3 +266,14 @@ def test_env_var_default_out_dir(tmp_path, monkeypatch, capsys):
     code = run(["residual", "--space", "legendre:1", "--zmax", 4, "--zcount", 3])
     assert code == 0
     assert (tmp_path / "envout" / "residual.csv").exists()
+
+
+def test_function_json_with_non_finite_coefficient_exits_1(tmp_path, capsys):
+    spec = tmp_path / "f.json"
+    good = FunctionSpec.from_coefficients(SpaceSpec.legendre(2), [1, 2j, -0.5]).to_json()
+    spec.write_text(good.replace("-0.5", "Infinity"), encoding="utf-8")
+    code = run(["reconstruct", "--space", "legendre:2", "--k", 10, "--n", 40,
+                "--function-json", spec, "--out-dir", tmp_path / "out"])
+    assert code == 1
+    assert "coefficients" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "coefficients.json").exists()

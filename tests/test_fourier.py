@@ -7,7 +7,7 @@ from scipy.special import spherical_jn
 
 from nugs.fourier import (FourierData, FunctionSpec, _order_factors, basis_transform,
                           bspline_weighted_gram, cell_transforms, evaluate_function,
-                          interval_exponential, l2_error, load_data_csv, project,
+                          interval_exponential, l2_error, load_data_csv, member_transform, project,
                           sample_function, save_data_csv, spherical_jn_orders,
                           transform_integrals)
 from nugs.quadrature import panel_edges, panel_nodes
@@ -368,3 +368,42 @@ def test_bspline_transforms_properties(d, l, omegas):
     want = dense_weighted_gram(d, l, omegas, mu)
     # relative to the largest entry, floored where every frequency sits at a zero of sinc
     assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-12 / l ** 2)
+
+
+@pytest.mark.parametrize("spec", [
+    SpaceSpec.trig(5), SpaceSpec.legendre(30), SpaceSpec.piecewise_poly([0.3, 0.7], [3, 1, 4]),
+    SpaceSpec.spline(3, 40), SpaceSpec.spline(0, 3), SpaceSpec.piecewise_const(16),
+], ids=lambda s: s.kind)
+def test_member_transform_matches_design_product(spec):
+    # 0, negative frequencies and 1101 of them, past two 512-row chunks;
+    # measured differences are at most 5.3e-16 of the largest transform,
+    # so 1e-14 of it leaves a wide margin
+    basis = build_basis(spec)
+    rng = np.random.default_rng(13)
+    coeffs = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    omegas = np.concatenate(([0.0], -np.linspace(0.25, 300, 550), rng.uniform(-50, 400, 550)))
+    want = basis_transform(basis, omegas) @ coeffs
+    got = member_transform(basis, coeffs, omegas)
+    assert got.shape == (omegas.size,)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("bad", [[1.0, np.nan, 0.5], [np.inf, 0.0, 0.5], np.ones((3, 2))],
+                         ids=["nan", "inf", "2-D"])
+def test_from_coefficients_rejects_bad_coefficients(bad):
+    with pytest.raises(ValueError, match="coefficients"):
+        FunctionSpec.from_coefficients(SpaceSpec.legendre(2), bad)
+
+
+def test_from_json_rejects_non_finite_coefficients():
+    text = FunctionSpec.from_coefficients(SpaceSpec.legendre(2), [1, 2j, -0.5]).to_json()
+    with pytest.raises(ValueError, match="coefficients"):
+        FunctionSpec.from_json(text.replace("-0.5", "NaN"))
+
+
+def test_l2_error_rejects_bad_coefficients():
+    f = FunctionSpec.benchmark()
+    basis = build_basis(SpaceSpec.legendre(3))
+    for bad in (np.zeros(3), np.zeros(5), [0.0, np.nan, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="coefficients"):
+            l2_error(f, bad, basis)
