@@ -11,11 +11,15 @@ polynomial, whose transform has the closed form
 with h = b - a and j_n the spherical Bessel function (odd/even in w, so
 negative frequencies follow by parity).  All orders j_0..j_{p-1} come from
 one vectorized pass (``spherical_jn_orders``): the power series below
-z = 0.5; closed-form j_0, j_1 and the upward recurrence
+z = 3, 16 terms by Horner's rule on a table of their coefficients;
+closed-form j_0, j_1 and the upward recurrence
 j_{n+1} = (2n+1)/z j_n - j_{n-1} where z >= p - 1, in which range it is
-stable; and Miller's downward recurrence between the two, normalized by
-sum_n (2n+1) j_n^2 = 1.  Basis transforms then contract the per-cell
-table with the basis coefficients in one matrix product.
+stable; and Miller's downward recurrence, normalized by
+sum_n (2n+1) j_n^2 = 1, only for 3 <= z < p - 1.  That range is empty for
+p <= 4, so cells of degree at most 3, and with them every spline probe,
+never run Miller's loop of about p + 16 + sqrt(40 p) steps.  Basis
+transforms then contract the per-cell table with the basis coefficients
+in one matrix product.
 
 A fitted member is one polynomial of degree < p on each cell, so it is
 folded into per-cell Legendre coefficients, (cells, p), before it is
@@ -73,6 +77,9 @@ from .validation import as_complex_array, as_weight_array, check_same_length
 _TWO_PI = 2.0 * np.pi
 # Gauss nodes per panel of the transform quadrature
 _TRANSFORM_NODES = 16
+# spherical Bessel power series: used below this argument, with this many terms
+_SERIES_BELOW = 3.0
+_SERIES_TERMS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +213,7 @@ def spherical_jn_orders(z, p: int) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
     out = np.empty((p, flat.size))
-    small = flat < 0.5
+    small = flat < _SERIES_BELOW
     upward = ~small & (flat >= p - 1)
     miller = ~(small | upward)
     for sel, method in ((small, _jn_series), (upward, _jn_upward), (miller, _jn_miller)):
@@ -216,18 +223,25 @@ def spherical_jn_orders(z, p: int) -> np.ndarray:
 
 
 def _jn_series(z: np.ndarray, p: int) -> np.ndarray:
-    # j_n(z) = z^n / (2n+1)!! * sum_k (-z^2/2)^k / (k! (2n+3)(2n+5)..(2n+2k+1));
-    # for z < 0.5 the terms past k = 8 are below 1e-21.  All orders at once:
-    # the leading factors z^n / (2n+1)!! as a running product over n, then
-    # the Horner sum on the (p, len(z)) array.
+    # j_n(z) = z^n / (2n+1)!! * sum_k c_nk y^k with y = -z^2/2 and
+    # c_nk = 1 / (k! (2n+3)(2n+5)..(2n+2k+1)); for z < 3 the terms past
+    # k = 15 are below 1e-21.  All orders at once: the leading factors
+    # z^n / (2n+1)!! as a running product over n, and the sums by Horner's
+    # rule in y on the (p, 16) table c.  Every step is elementwise in z; a
+    # BLAS product of c with the powers of y is not, because its kernel
+    # depends on the array's size, so a value's last bits would depend on
+    # the other arguments of the call.
     n = np.arange(p)[:, None]
+    k = np.arange(1, _SERIES_TERMS)
+    coef = np.ones((p, _SERIES_TERMS))
+    coef[:, 1:] = np.cumprod(1.0 / (k * (2 * n + 2 * k + 1)), axis=1)
+    y = -0.5 * z * z
+    acc = np.repeat(coef[:, -1:], z.size, axis=1)
+    for c in coef[:, -2::-1].T:
+        acc *= y
+        acc += c[:, None]
     steps = np.ones((p, z.size))
     steps[1:] = z / (2 * n[1:] + 1)
-    y = -0.5 * z * z
-    acc = np.ones((p, z.size))
-    for k in range(8, 0, -1):
-        acc *= y / (k * (2 * n + 2 * k + 1))
-        acc += 1.0
     return np.cumprod(steps, axis=0) * acc
 
 
@@ -276,10 +290,7 @@ def _jn_miller(z: np.ndarray, p: int) -> np.ndarray:
         if bound > 1e99:
             big = np.abs(prev) > 1e100
             if big.any():
-                prev[big] *= 1e-100
-                cur[big] *= 1e-100
-                total[big] *= 1e-200
-                out[:, big] *= 1e-100
+                _rescale(big, prev, cur, total, out)
             bound = max(float(np.abs(prev).max()), float(np.abs(cur).max()))
         nxt, cur = cur, prev
     total += cur * cur
@@ -289,16 +300,23 @@ def _jn_miller(z: np.ndarray, p: int) -> np.ndarray:
     return out * np.copysign(1.0 / np.sqrt(total), ref)
 
 
+def _rescale(big: np.ndarray, prev: np.ndarray, cur: np.ndarray, total: np.ndarray,
+             out: np.ndarray) -> None:
+    """Miller's values at the points ``big`` times 1e-100 in place, their
+    running sum of (2n+1) f_n^2 times 1e-200."""
+    prev[big] *= 1e-100
+    cur[big] *= 1e-100
+    total[big] *= 1e-200
+    out[:, big] *= 1e-100
+
+
 def _order_factors(w: np.ndarray, h: np.ndarray, p: int) -> np.ndarray:
     """sqrt(2n+1) (-i)^n j_n(pi |w| h) for n < p, (n_w, n_h, p), for cell
     widths h of shape (n_h,); j_n has the parity of n, so w < 0 takes i^n."""
     jn = spherical_jn_orders(np.pi * np.abs(w)[:, None] * h[None, :], p)
-    odd = np.where(w < 0, -1.0, 1.0)[:, None]
-    out = np.empty((w.size, h.size, p), dtype=complex)
-    for n in range(p):
-        turn = math.sqrt(2 * n + 1) * (-1j) ** n
-        out[:, :, n] = turn * jn[n] * odd if n % 2 else turn * jn[n]
-    return out
+    n = np.arange(p)
+    turn = np.sqrt(2 * n + 1) * np.array([1, -1j, -1, 1j])[n % 4]
+    return jn.transpose(1, 2, 0) * np.where((w < 0)[:, None], turn.conj(), turn)[:, None, :]
 
 
 def cell_transforms(breaks: np.ndarray, p: int, omegas: np.ndarray) -> np.ndarray:
@@ -329,27 +347,28 @@ def bspline_weighted_gram(d: int, l: int, omegas, weights) -> np.ndarray:
     mu = np.asarray(weights, dtype=float)
     p, h = d + 1, 1.0 / l
     spline, cell = np.arange(l + d), np.arange(l)
-    border = (spline < d) | (spline >= l)
+    on_border = (spline < d) | (spline >= l)
+    border, inner = np.flatnonzero(on_border), np.flatnonzero(~on_border)
     touched = np.flatnonzero((cell < d) | (cell >= l - d))
-    blocks = spaces._bspline_blocks(d, l)[touched]             # [cell, order, spline]
-    # coeffs[c, n, i]: order-n coefficient of B-spline i on the c-th touched cell
+    # coeffs[c, n, i]: order-n coefficient of B-spline i on the c-th touched
+    # cell, which touches B-splines touched[c] + r, r <= d ([cell, order, r])
     coeffs = np.zeros((touched.size, p, l + d))
-    for r in range(p):
-        coeffs[np.arange(touched.size), :, touched + r] = blocks[:, :, r]
+    coeffs[np.arange(touched.size)[:, None], :, touched[:, None] + np.arange(p)] = (
+        spaces._bspline_blocks(d, l)[touched].transpose(0, 2, 1))
     f = _order_factors(w, np.array([h]), p)[:, 0, :] * math.sqrt(h)
     phase = np.exp(-1j * np.pi * w[:, None] * ((2 * touched + 1) * h))
     a = ((phase[:, :, None] * f[:, None, :]).reshape(w.size, touched.size * p)
-         @ coeffs[:, :, border].reshape(touched.size * p, np.count_nonzero(border)))
+         @ coeffs[:, :, border].reshape(touched.size * p, border.size))
     weighted = a.conj() * mu[:, None]
     out = np.empty((l + d, l + d), dtype=complex)
-    out[np.ix_(border, border)] = weighted.T @ a
+    out[border[:, None], border] = weighted.T @ a
     if l > d:
         nhat = h * np.exp(-1j * np.pi * w * ((d + 1) * h)) * np.sinc(w * h) ** (d + 1)
         lagged = _lag_sums(np.column_stack((mu * np.abs(nhat) ** 2, weighted * nhat[:, None])),
                            w, h, l - d)
         out[d:l, d:l] = scipy.linalg.toeplitz(lagged[0].conj(), lagged[0])
-        out[np.ix_(border, ~border)] = lagged[1:]
-        out[np.ix_(~border, border)] = lagged[1:].conj().T
+        out[border[:, None], inner] = lagged[1:]
+        out[inner[:, None], border] = lagged[1:].conj().T
     return out
 
 

@@ -40,9 +40,7 @@ class SampleSet:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         check_strictly_increasing(pts, "points")
-        k = float(self.bandwidth)
-        if not np.isfinite(k) or k <= 0:
-            raise ValueError("bandwidth must be positive")
+        k = check_positive_finite(self.bandwidth, "bandwidth")
         object.__setattr__(self, "bandwidth", k)
         if np.any(np.abs(pts) > k):
             raise ValueError("all points must lie in [-K, K]")

@@ -280,15 +280,16 @@ def _bspline_blocks(d: int, l: int) -> np.ndarray:
 def _bspline_gram(d: int, l: int) -> np.ndarray:
     """Gram matrix of the l+d raw B-splines, banded with half-width d: the
     cell-Legendre frame is orthonormal, so cell j adds its block's Gram
-    into rows and columns j..j+d."""
+    into rows and columns j..j+d.  One ``np.bincount`` scatters all the
+    cells' (d+1)^2 local entries; it sums each entry's terms in the order
+    of the local row r, as a loop over (r, c) would."""
     blocks = _bspline_blocks(d, l)
     local = blocks.transpose(0, 2, 1) @ blocks
-    gram = np.zeros((l + d, l + d))
-    j = np.arange(l)
-    for r in range(d + 1):
-        for c in range(d + 1):
-            gram[j + r, j + c] += local[:, r, c]
-    return gram
+    size, j = l + d, np.arange(l)
+    r, c = np.ogrid[:d + 1, :d + 1]
+    flat = (j + r[..., None]) * size + (j + c[..., None])           # [r, c, j]
+    return np.bincount(flat.ravel(), local.transpose(1, 2, 0).ravel(),
+                       minlength=size * size).reshape(size, size)
 
 
 def build_basis(space: SpaceSpec) -> OrthoBasis:

@@ -115,6 +115,13 @@ def test_sample_weight_length_checked_before_use():
         est.fit(x, y, sample_weight=np.ones(len(x) + 3))
 
 
+@pytest.mark.parametrize("bad", ["30", [30], "abc", np.inf, True])
+def test_bad_bandwidth_rejected_with_name(bad):
+    x, y, _, _ = make_problem()
+    with pytest.raises(ValueError, match="bandwidth"):
+        NonuniformFourierRegressor(space="trig:4", bandwidth=bad).fit(x, y)
+
+
 @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
 def test_bad_sample_weight_rejected_before_solve(bad):
     x, y, _, _ = make_problem()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
+from nugs import fourier
 from nugs.fourier import (FourierData, FunctionSpec, _order_factors, basis_transform,
                           bspline_weighted_gram, cell_transforms, evaluate_function,
                           interval_exponential, l2_error, load_data_csv, member_transform, project,
@@ -210,7 +211,7 @@ def _bessel_test_points():
     return z[z >= 0.0]
 
 
-# p = 200 runs Miller's recurrence for z in [0.5, 2] through its rescaling
+# p = 200 runs Miller's recurrence for z in [3, 199) through its rescaling
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 16, 32, 200])
 def test_spherical_jn_orders_match_scipy(p):
     z = _bessel_test_points()
@@ -225,6 +226,54 @@ def test_spherical_jn_orders_keeps_shape_and_zero():
     got = spherical_jn_orders(z, 5)
     assert got.shape == (5, 2, 2)
     assert np.array_equal(got[:, 0, 0], [1.0, 0.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 8, 32, 200])
+def test_spherical_jn_orders_match_scipy_across_series_limit(p):
+    # the power series stops at z = 3, where the upward or Miller's
+    # recurrence takes over; both sides of the seam, to within 1e-12
+    z = np.concatenate([np.linspace(2.5, 3.5, 2001), [3.0 - 1e-12, 3.0, 3.0 + 1e-12]])
+    got = spherical_jn_orders(z, p)
+    for n in range(p):
+        assert np.max(np.abs(got[n] - spherical_jn(n, z))) < 1e-14, n
+
+
+def _refuse_miller(z, p):
+    raise AssertionError(f"Miller's recurrence ran for p={p} at z in "
+                         f"[{z.min()!r}, {z.max()!r}]")
+
+
+def test_four_orders_never_run_miller(monkeypatch):
+    # Miller's range 3 <= z < p - 1 is empty for p <= 4
+    monkeypatch.setattr(fourier, "_jn_miller", _refuse_miller)
+    z = _bessel_test_points()
+    for p in (1, 2, 3, 4):
+        assert spherical_jn_orders(z, p).shape == (p, z.size)
+
+
+def test_spline_probe_grams_never_run_miller(monkeypatch):
+    monkeypatch.setattr(fourier, "_jn_miller", _refuse_miller)
+    s = generate(SchemeSpec("jittered", 160, 60.0, theta=0.2, seed=3))
+    mu = weights(s)
+    for d in (1, 2, 3):
+        for l in (1, 2, 3, 5, 8, 16, 40, 100):
+            assert bspline_weighted_gram(d, l, s.points, mu).shape == (l + d, l + d)
+
+
+def test_two_hundred_orders_reach_miller_rescale(monkeypatch):
+    rescaled = []
+
+    def counting(big, *running):
+        rescaled.append(int(np.count_nonzero(big)))
+        rescale(big, *running)
+
+    rescale = fourier._rescale
+    monkeypatch.setattr(fourier, "_rescale", counting)
+    z = _bessel_test_points()
+    got = spherical_jn_orders(z, 200)
+    assert len(rescaled) > 0 and sum(rescaled) > 0
+    miller = (z >= 3.0) & (z < 199.0)
+    assert np.max(np.abs(got[:, miller] - spherical_jn(np.arange(200)[:, None], z[miller]))) < 1e-14
 
 
 def test_cell_transforms_oracle_on_uneven_grid_and_parity():

@@ -132,6 +132,12 @@ def test_sample_set_validation():
         SampleSet(points=np.array([0.0]), bandwidth=-1.0)
 
 
+@pytest.mark.parametrize("bad", ["30", [30], "abc", np.inf, True])
+def test_sample_set_rejects_bad_bandwidth_with_name(bad):
+    with pytest.raises(ValueError, match="bandwidth"):
+        SampleSet(points=np.array([0.0, 1.0]), bandwidth=bad)
+
+
 def test_csv_round_trip(tmp_path):
     s = generate(SchemeSpec("jittered", 13, 4.0, theta=0.3, seed=2))
     path = tmp_path / "samples.csv"

@@ -234,6 +234,23 @@ def test_banded_bspline_gram_matches_dense(d, l):
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_bspline_gram_scatter_matches_dense(d):
+    # one bincount scatters the cells' local Grams; it adds each entry's
+    # terms in the order of the (r, c) loop it replaced, so bit for bit
+    for l in (2 * d + 1, 2 * d + 2, 100):
+        raw = _bspline_cell_coeffs(d, l).reshape(l + d, -1)
+        gram = _bspline_gram(d, l)
+        assert np.max(np.abs(gram - raw @ raw.T)) <= 1e-15
+        blocks = _bspline_blocks(d, l)
+        local = blocks.transpose(0, 2, 1) @ blocks
+        loop, j = np.zeros((l + d, l + d)), np.arange(l)
+        for r in range(d + 1):
+            for c in range(d + 1):
+                loop[j + r, j + c] += local[:, r, c]
+        assert np.array_equal(gram, loop)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_rescaled_bspline_blocks_match_dense(d):
     for l in sorted({1, d, 2 * d, 2 * d + 1, 2 * d + 2, 23, 100} - {0}):
         j = np.arange(l)[:, None]
