@@ -85,10 +85,9 @@ def cmd_reconstruct(args) -> int:
     (out / "coefficients.json").write_text(rec.to_json() + "\n", encoding="utf-8")
     grid = (np.arange(grid_points) + 0.5) / grid_points
     vals = spaces.member_values(basis, rec.coefficients, grid)
+    rows = np.column_stack((grid, vals.real, vals.imag)).tolist()
     with open(out / "reconstruction.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,re,im\n")
-        for x, v in zip(grid, vals):
-            fh.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n")
+        fh.write("x,re,im\n" + "".join(f"{x!r},{re!r},{im!r}\n" for x, re, im in rows))
     constants = solver.frame_constants(sampling.density(data.samples), rec.sigma_min**2)
     diag = {"delta": constants.density, "frame_lower": constants.lower,
             "c_ratio": constants.ratio, "residual": rec.residual,

@@ -45,17 +45,25 @@ Hermitian Toeplitz and needs only its l-d lags, sums over the frequencies
 of the lag phases e^{-2 pi i w t h}.  Only the d border B-splines on each
 side get transform columns, from one Bessel table and the Legendre blocks
 of the at most 2d cells they touch; their cross terms with the interior
-are lag sums too.  A lag phase is a coarse times a fine factor, each
-table ceil(sqrt(l-d)) wide, so a frequency costs about 2 sqrt(l) complex
-exponentials and the sums are one matrix product.
+are lag sums too.
+
+Both the lag sums and the transform quadrature sum over an arithmetic
+progression of phases e^{-2 pi i w t step}, t < count, and take them from
+one helper, ``_phase_tables``: with s = ceil(sqrt(count)) and t = q s + r
+the phase is a coarse (q) times a fine (r) factor, so a frequency costs
+about 2 sqrt(count) complex exponentials, and no table has a column per t.
 
 Quadrature is used only for user-supplied functions and as a cross-check
-oracle in the tests.  Its panels have equal width within each jump-free
-segment, so the exponential at node a_j + c_q factors into a per-panel
-and a per-node table joined by one matrix product per segment.  The
-transform, projection and L2-error quadratures are certified by
-``quadrature.refine``; the transform grid is shared by all frequencies
-and halved as a whole until every frequency agrees.
+oracle in the tests.  Its panels have equal width h within each jump-free
+segment, so the exponential at node lo + j h + c_k is that of the node
+offset lo + c_k times the panel phase e^{-2 pi i w j h}, which
+``_phase_tables`` splits.  The sum over panels j = q s + r is one matrix
+product of the fine table with the weighted values regrouped by (q, k),
+then elementwise products with the coarse and node tables: on m panels a
+frequency costs 16 + 2 sqrt(m) exponentials, and no N x m table of panel
+phases is built.  The transform, projection and L2-error quadratures are
+certified by ``quadrature.refine``; the transform grid is shared by all
+frequencies and halved as a whole until every frequency agrees.
 """
 
 from __future__ import annotations
@@ -77,6 +85,9 @@ from .validation import as_complex_array, as_weight_array, check_same_length
 _TWO_PI = 2.0 * np.pi
 # Gauss nodes per panel of the transform quadrature
 _TRANSFORM_NODES = 16
+# entries of the (coarse panel rows x nodes, frequencies) table that the
+# transform quadrature builds for one chunk of frequencies
+_CHUNK_ENTRIES = 1_000_000
 # spherical Bessel power series: used below this argument, with this many terms
 _SERIES_BELOW = 3.0
 _SERIES_TERMS = 16
@@ -354,7 +365,7 @@ def bspline_weighted_gram(d: int, l: int, omegas, weights) -> np.ndarray:
     # cell, which touches B-splines touched[c] + r, r <= d ([cell, order, r])
     coeffs = np.zeros((touched.size, p, l + d))
     coeffs[np.arange(touched.size)[:, None], :, touched[:, None] + np.arange(p)] = (
-        spaces._bspline_blocks(d, l)[touched].transpose(0, 2, 1))
+        spaces._bspline_cell_blocks(d, l, touched).transpose(0, 2, 1))
     f = _order_factors(w, np.array([h]), p)[:, 0, :] * math.sqrt(h)
     phase = np.exp(-1j * np.pi * w[:, None] * ((2 * touched + 1) * h))
     a = ((phase[:, :, None] * f[:, None, :]).reshape(w.size, touched.size * p)
@@ -373,18 +384,23 @@ def bspline_weighted_gram(d: int, l: int, omegas, weights) -> np.ndarray:
 
 
 def _lag_sums(v: np.ndarray, w: np.ndarray, step: float, count: int) -> np.ndarray:
-    """sum_n v[n, b] e^{-2 pi i w_n t step} for t < count, (v.shape[1], count).
+    """sum_n v[n, b] e^{-2 pi i w_n t step} for t < count, (v.shape[1], count):
+    v is scaled by the coarse table of ``_phase_tables`` and one product
+    with the fine table sums over n."""
+    coarse, fine = _phase_tables(w, step, count)
+    scaled = (v[:, :, None] * coarse.T[:, None, :]).reshape(w.size, -1)
+    return (scaled.T @ fine.T).reshape(v.shape[1], -1)[:, :count]
 
-    With s = ceil(sqrt(count)) and t = q s + r the phase is a coarse (q)
-    times a fine (r) factor, so v is scaled by the coarse table and one
-    product with the fine table sums over n: about 2 sqrt(count)
-    exponentials per frequency, and no table with a column per lag.
-    """
+
+def _phase_tables(w: np.ndarray, step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The phases e^{-2 pi i w t step}, t < count, as coarse times fine
+    factors: with s = ceil(sqrt(count)) and t = q s + r, the tables of
+    e^{-2 pi i w q s step}, (ceil(count/s), n_w), and of e^{-2 pi i w r step},
+    (s, n_w)."""
     s = math.isqrt(count - 1) + 1
-    fine = np.exp(-_TWO_PI * 1j * step * w[:, None] * np.arange(s))
-    coarse = np.exp(-_TWO_PI * 1j * (s * step) * w[:, None] * np.arange(-(-count // s)))
-    scaled = (v[:, :, None] * coarse[:, None, :]).reshape(w.size, -1)
-    return (scaled.T @ fine).reshape(v.shape[1], -1)[:, :count]
+    fine = np.exp(-_TWO_PI * 1j * step * w * np.arange(s)[:, None])
+    coarse = np.exp(-_TWO_PI * 1j * (s * step) * w * np.arange(-(-count // s))[:, None])
+    return coarse, fine
 
 
 def basis_transform(basis: OrthoBasis, omega) -> np.ndarray:
@@ -454,9 +470,14 @@ def transform_integrals(f: FunctionSpec, omegas, abs_tol: float = 1e-12) -> np.n
     One composite panel grid (split at jumps, panel width at most
     1/(4 max|w| + 1)) is shared by all frequencies, so the function is
     evaluated once per width; the grid is halved until every frequency
-    agrees with the previous width to ``abs_tol``.
+    agrees with the previous width to ``abs_tol``.  ``omegas`` is a
+    scalar or a 1-D list of finite frequencies, possibly empty.
     """
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if w.ndim != 1:
+        raise ValueError(f"omegas must be a scalar or 1-dimensional, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("omegas contains non-finite values")
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
     return refine(lambda width: _batched_oscillatory(f, w, width),
                   1.0 / (4.0 * wmax + 1.0),
@@ -464,23 +485,35 @@ def transform_integrals(f: FunctionSpec, omegas, abs_tol: float = 1e-12) -> np.n
 
 
 def _batched_oscillatory(f: FunctionSpec, w: np.ndarray, width: float) -> np.ndarray:
-    # On a segment of m panels of width h starting at lo, node q of panel j
-    # sits at a_j + c_q with a_j = lo + j h and c_q = h (1 + x_q) / 2, so
-    # sum_{j,q} e^{-2 pi i w (a_j + c_q)} g_jq = sum_j e^{-2 pi i w a_j} (E_c g^T)_j.
+    # On a segment of m panels of width h starting at lo, node k of panel
+    # j = q s + r sits at lo + j h + c_k with c_k = h (1 + x_k) / 2, so with
+    # the tables of ``_phase_tables(w, h, m)`` and g[j, k] the weighted values,
+    # F(w) = sum_k e^{-2 pi i w (lo + c_k)} sum_q coarse[q] sum_r fine[r] g[q s + r, k].
+    # g, zero-padded to whole rows of s panels and regrouped as (q, k) x r,
+    # meets the fine table in one matrix product; the sums over q and k are
+    # elementwise.  A real g takes a real product with the fine table's
+    # (re, im) pairs.
     x, wq = gauss_rule(_TRANSFORM_NODES)
     out = np.zeros(w.size, dtype=complex)
     for lo, hi, m in panel_segments(0.0, 1.0, f.jumps, width):
         h = (hi - lo) / m
-        starts = lo + h * np.arange(m)
+        s = math.isqrt(m - 1) + 1
+        rows = -(-m // s)
         offsets = h / 2.0 * (1.0 + x)
-        fw = (evaluate_function(f, (starts[:, None] + offsets).ravel()).reshape(m, _TRANSFORM_NODES)
-              * (h / 2.0 * wq))
-        chunk = max(1, int(1e6 // m))
+        values = evaluate_function(f, (lo + h * np.arange(m)[:, None] + offsets).ravel())
+        g = np.zeros((rows * s, _TRANSFORM_NODES), dtype=values.dtype)
+        g[:m] = values.reshape(m, _TRANSFORM_NODES) * (h / 2.0 * wq)
+        g = g.reshape(rows, s, _TRANSFORM_NODES).transpose(0, 2, 1).reshape(-1, s)
+        chunk = max(1, int(_CHUNK_ENTRIES // g.shape[0]))
         for c in range(0, w.size, chunk):
-            sel = slice(c, min(c + chunk, w.size))
-            per_node = np.exp(-_TWO_PI * 1j * w[sel, None] * offsets) @ fw.T
-            per_panel = np.exp(-_TWO_PI * 1j * w[sel, None] * starts)
-            out[sel] += (per_panel * per_node).sum(axis=1)
+            wc = w[c:c + chunk]
+            coarse, fine = _phase_tables(wc, h, m)
+            per = g @ fine if np.iscomplexobj(g) else (g @ fine.view(float)).view(complex)
+            per = per.reshape(rows, _TRANSFORM_NODES, wc.size)
+            per *= coarse[:, None, :]
+            node = np.exp(-_TWO_PI * 1j * (lo + offsets)[:, None] * wc)
+            node *= per.sum(axis=0)
+            out[c:c + chunk] += node.sum(axis=0)
     return out
 
 
@@ -534,9 +567,10 @@ def _panel_rule(f: FunctionSpec, basis: OrthoBasis, width: float):
 
 def save_data_csv(path, data: FourierData) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("omega,re,im,weight\n")
-        for w, v, mu in zip(data.samples.points, data.values, data.weights):
-            fh.write(f"{float(w)!r},{float(v.real)!r},{float(v.imag)!r},{float(mu)!r}\n")
+        rows = np.column_stack((data.samples.points, data.values.real, data.values.imag,
+                                data.weights)).tolist()
+        fh.write("omega,re,im,weight\n"
+                 + "".join(f"{w!r},{re!r},{im!r},{mu!r}\n" for w, re, im, mu in rows))
 
 
 def load_data_csv(path, bandwidth: float | None = None) -> tuple[FourierData, bool]:

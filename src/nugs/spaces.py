@@ -262,7 +262,12 @@ def _bspline_cell_coeffs(d: int, l: int) -> np.ndarray:
 def _bspline_blocks(d: int, l: int) -> np.ndarray:
     """Per-cell blocks of ``_bspline_cell_coeffs``, (l, d+1, d+1): entry
     ``[j, n, r]`` is the Legendre order-n coefficient on cell j of B-spline
-    j + r, one of the d+1 B-splines that touch cell j.
+    j + r, one of the d+1 B-splines that touch cell j."""
+    return _bspline_cell_blocks(d, l, np.arange(l))
+
+
+def _bspline_cell_blocks(d: int, l: int, cells: np.ndarray) -> np.ndarray:
+    """``_bspline_blocks(d, l)[cells]``, built for those cells alone.
 
     On uniform knots a block scales with sqrt(h), and every cell j with
     d <= j < l - d (all d+1 B-splines interior translates) has the same
@@ -271,8 +276,7 @@ def _bspline_blocks(d: int, l: int) -> np.ndarray:
     cell between to the middle cell d.
     """
     l0 = min(l, 2 * d + 1)
-    j = np.arange(l)
-    j0 = (j - np.clip(j - d, 0, l - l0))[:, None]
+    j0 = (cells - np.clip(cells - d, 0, l - l0))[:, None]
     blocks = _bspline_cell_coeffs(d, l0)[j0 + np.arange(d + 1), j0].transpose(0, 2, 1)
     return math.sqrt(l0 / l) * blocks
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
-from nugs import fourier
+from nugs import experiments, fourier, spaces
 from nugs.fourier import (FourierData, FunctionSpec, _order_factors, basis_transform,
                           bspline_weighted_gram, cell_transforms, evaluate_function,
                           interval_exponential, l2_error, load_data_csv, member_transform, project,
                           sample_function, save_data_csv, spherical_jn_orders,
                           transform_integrals)
-from nugs.quadrature import panel_edges, panel_nodes
+from nugs.quadrature import panel_edges, panel_nodes, panel_segments
 from nugs.sampling import SampleSet, SchemeSpec, generate, weights
 from nugs.spaces import SpaceSpec, _bspline_cell_coeffs, build_basis
 
@@ -260,6 +262,26 @@ def test_spline_probe_grams_never_run_miller(monkeypatch):
             assert bspline_weighted_gram(d, l, s.points, mu).shape == (l + d, l + d)
 
 
+def test_spline_probe_builds_each_bspline_block_once(monkeypatch):
+    # a probe's L2 Gram builds the blocks of all l cells, its weighted Gram
+    # only those of the at most 2d cells its border B-splines touch
+    built = []
+
+    def counting(d, l, cells):
+        built.append(len(cells))
+        return cell_blocks(d, l, cells)
+
+    cell_blocks = spaces._bspline_cell_blocks
+    monkeypatch.setattr(spaces, "_bspline_cell_blocks", counting)
+    s = generate(SchemeSpec("jittered", 160, 60.0, theta=0.2, seed=3))
+    for d in (1, 2, 3):
+        evaluator = experiments._StabilityEvaluator("spline", s, d)
+        for l in (1, 2, 3, 5, 8, 16, 40, 100):
+            built.clear()
+            evaluator._pencil(l)
+            assert sorted(built) == sorted([l, min(l, 2 * d)]), (d, l)
+
+
 def test_two_hundred_orders_reach_miller_rescale(monkeypatch):
     rescaled = []
 
@@ -334,6 +356,65 @@ def test_transform_integrals_matches_direct_sum_across_uneven_segments():
     assert np.max(np.abs(transform_integrals(f, omegas) - want)) < 1e-13
     # a tolerance no frequency misses: the batched rule alone, with no refinement
     assert np.max(np.abs(transform_integrals(f, omegas, abs_tol=1.0) - want)) < 1e-13
+
+
+def _direct_composite_sum(f, omegas, width):
+    """The composite 16-node rule on the transform's panels, as one sum per
+    frequency over every node."""
+    xs, ws = panel_nodes(panel_edges(0.0, 1.0, f.jumps, width), 16)
+    return np.exp(-2j * np.pi * omegas[:, None] * xs[None, :]) @ (evaluate_function(f, xs) * ws)
+
+
+_SPLIT_FREQS = np.concatenate((np.linspace(-40.0, 40.0, 33), [-0.0, 1e-9, -123.4, 97.25]))
+
+
+@pytest.mark.parametrize("chunk_entries", [None, 500])
+@pytest.mark.parametrize("m", [1, 2, 9, 10, 13])
+def test_split_phase_kernel_matches_direct_sum(m, chunk_entries, monkeypatch):
+    # m panels on the widest segment: 1, 2, a square, a square + 1 and a
+    # prime; 500 table entries make chunks of 7 to 31 frequencies, so the
+    # 37 frequencies cross chunk boundaries and end in a partial chunk
+    if chunk_entries is not None:
+        monkeypatch.setattr(fourier, "_CHUNK_ENTRIES", chunk_entries)
+    smooth = FunctionSpec.benchmark()
+    jumpy = FunctionSpec.from_coefficients(
+        SpaceSpec.piecewise_poly([0.3, 0.71], [2, 3, 1]),
+        np.random.default_rng(9).normal(size=(9, 2)) @ [1.0, 1j])
+    for f, widest in ((smooth, 1.0), (jumpy, 0.41)):
+        width = widest / (m - 0.5)
+        counts = [count for _, _, count in panel_segments(0.0, 1.0, f.jumps, width)]
+        assert max(counts) == m and len(counts) == len(f.jumps) + 1
+        got = fourier._batched_oscillatory(f, _SPLIT_FREQS, width)
+        assert np.max(np.abs(got - _direct_composite_sum(f, _SPLIT_FREQS, width))) < 1e-13, f.kind
+
+
+def test_transform_quadrature_peak_memory():
+    # the (coarse rows x nodes, frequencies) table of 1067 frequencies at
+    # 3202 panels is 15.6 MB; an N x panels exponential table would be 55 MB
+    w = generate(experiments.plan_scheme("jittered", 400.0, seed=3)).points
+    assert w.size == 1067
+    f = FunctionSpec.benchmark()
+    transform_integrals(f, w[:2])
+    tracemalloc.start()
+    try:
+        transform_integrals(f, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
+
+
+@pytest.mark.parametrize("bad", [[np.inf], [np.nan], [[1.0, 2.0]]],
+                         ids=["inf", "nan", "two-dimensional"])
+def test_transform_integrals_rejects_bad_omegas_with_name(bad):
+    with pytest.raises(ValueError, match="omegas"):
+        transform_integrals(FunctionSpec.benchmark(), bad)
+
+
+def test_transform_integrals_accepts_scalar_and_empty_omegas():
+    f = FunctionSpec.benchmark()
+    assert np.array_equal(transform_integrals(f, 2.0), transform_integrals(f, [2.0]))
+    assert transform_integrals(f, []).shape == (0,)
 
 
 def test_fourier_data_rejects_negative_or_nonfinite_weights():
