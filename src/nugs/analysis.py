@@ -4,8 +4,14 @@ The z-residual of a space is the worst-case transform energy of a
 unit-norm member outside (-z, z).  Writing B(z) for the Hermitian matrix
 of banded transform inner products of an orthonormal basis, Plancherel on
 (0,1)-supported functions gives ``residual^2 = 1 - lambda_min(B(z))``,
-a finite eigenproblem.  The gap between two spaces is read off the
-smallest singular value of their cross-Gram matrix.
+a finite eigenproblem.  The gap between two polynomial-kind spaces is
+the largest singular value of the projection residual, with both bases
+re-expanded on the merged cell partition: one evaluation of each basis at
+the Gauss nodes of all merged cells and one contraction with a local
+Legendre table.  A pair with the exponential basis reads the gap off the
+smallest singular value of the cross-Gram matrix of transforms.  The gap
+bound takes the growth constants of ``spaces``, which are closed forms in
+each cell's degree and width.
 """
 
 from __future__ import annotations
@@ -130,18 +136,20 @@ def residual_curve(space: SpaceSpec, zs) -> ResidualCurve:
 
 
 def _merged_frame_coeffs(basis: OrthoBasis, cuts: np.ndarray, p: int) -> np.ndarray:
-    """Exact re-expansion of a polynomial-kind basis on a finer partition."""
-    dim = basis.dim
-    out = np.empty((dim, cuts.size - 1, p))
-    norm = np.sqrt(2 * np.arange(p) + 1)
+    """Exact re-expansion of a polynomial-kind basis on a finer partition,
+    (dim, cells, p).
+
+    Gauss rules of p + local_dim nodes make every cell's projection onto
+    its first p Legendre functions exact.  The basis is evaluated once, at
+    the nodes of all cells; the weighted local Legendre table is the same
+    on every cell up to the factor sqrt(h), so one contraction does all
+    the cells."""
     xg, wg = gauss_rule(p + basis.local_dim)
-    for j, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-        h = b - a
-        xs = (a + b) / 2 + h / 2 * xg
-        ws = h / 2 * wg
-        phi_loc = spaces.legendre_values(p, 2 * (xs - a) / h - 1) * (norm / math.sqrt(h))[:, None]
-        out[:, j, :] = (spaces.evaluate(basis, xs) * ws) @ phi_loc.T
-    return out
+    h = np.diff(cuts)
+    xs = (cuts[:-1] + h / 2)[:, None] + (h / 2)[:, None] * xg
+    vals = spaces.evaluate(basis, xs.ravel()).reshape(basis.dim, h.size, xg.size)
+    table = spaces.legendre_values(p, xg) * (np.sqrt(2 * np.arange(p) + 1) / 2)[:, None] * wg
+    return (vals @ table.T) * np.sqrt(h)[:, None]
 
 
 def gap(u: SpaceSpec, v: SpaceSpec) -> float:

@@ -22,7 +22,7 @@ from .errors import BandwidthTooSmallError, NugsError, UnstableReconstructionErr
 from .estimator import parse_space
 from .fourier import FunctionSpec
 from .sampling import SchemeSpec
-from .validation import check_count, check_positive_finite
+from .validation import check_count, check_positive_finite, check_threshold
 
 
 class _UsageError(Exception):
@@ -99,11 +99,10 @@ def cmd_reconstruct(args) -> int:
 
 
 def _function_spec(args) -> FunctionSpec:
-    if getattr(args, "function_json", None):
+    if args.function_json:
         return FunctionSpec.from_json(Path(args.function_json).read_text(encoding="utf-8"))
-    name = getattr(args, "function", "benchmark")
-    if name != "benchmark":
-        raise ValueError(f"unknown builtin function {name!r}")
+    if args.function != "benchmark":
+        raise ValueError(f"unknown builtin function {args.function!r}")
     return FunctionSpec.benchmark()
 
 
@@ -111,9 +110,8 @@ def cmd_stability(args) -> int:
     space = parse_space(args.space)
     if args.k is None or args.n is None:
         raise ValueError("stability needs --k and --n")
-    if args.threshold is not None and not args.threshold >= 1:
-        raise ValueError(f"threshold must be positive and at least 1, the smallest "
-                         f"possible stability ratio, got {args.threshold!r}")
+    if args.threshold is not None:
+        check_threshold(args.threshold)
     s = sampling.generate(parse_scheme(args.scheme, args.n, args.k, args.seed))
     constants = solver.stability_constant(fourier.cached_basis(space), s)
     print(constants.to_json())
@@ -145,11 +143,11 @@ def cmd_gap(args) -> int:
 def cmd_scaling(args) -> int:
     family = args.family
     d = args.d
-    kind = parse_scheme(args.scheme, 2, 5.0, args.seed).kind
-    theta = parse_scheme(args.scheme, 2, 5.0, args.seed).theta
+    scheme = parse_scheme(args.scheme, 2, 5.0, args.seed)
+    kind = scheme.kind
     rows = experiments.scaling_table(
         family, kind, _k_grid(args), d=d, threshold=args.threshold,
-        delta_max=args.delta_max, theta=theta, seed=args.seed, jobs=args.jobs)
+        delta_max=args.delta_max, theta=scheme.theta, seed=args.seed, jobs=args.jobs)
     out = _out_dir(args)
     label = family if family != "spline" else f"spline_d{d}"
     csv_path = out / f"scaling_{label}_{kind}.csv"
@@ -172,26 +170,36 @@ def cmd_figure1(args) -> int:
     return 0
 
 
+# the options that more than one subcommand reads, by destination
+_SHARED = {
+    "seed": ("--seed", {"type": int, "default": 0}),
+    "jobs": ("--jobs", {"type": int, "default": 1}),
+    "threshold": ("--threshold", {"type": float, "default": 3.0}),
+    "delta_max": ("--delta-max", {"type": float, "default": 0.9}),
+    "scheme": ("--scheme", {"default": "jittered",
+                            "help": "uniform | jittered[:theta] | log"}),
+    "k": ("--k", {"type": float, "default": None}),
+    "n": ("--n", {"type": int, "default": None}),
+    "kmin": ("--kmin", {"type": float, "default": 5.0}),
+    "kmax": ("--kmax", {"type": float, "default": 200.0}),
+    "kcount": ("--kcount", {"type": int, "default": 16}),
+}
+_SAMPLES = ("scheme", "k", "n")
+_GRID = ("kmin", "kmax", "kcount")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="nugs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, scheme=True, grids=False):
+    def common(p, *names):
+        """``--out-dir``, which every subcommand takes, and the named shared
+        options: a subcommand accepts only the options it reads."""
         p.add_argument("--out-dir", default=None,
                        help="output directory (default $NUGS_OUT_DIR or .)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--threshold", type=float, default=3.0)
-        p.add_argument("--delta-max", type=float, default=0.9)
-        if scheme:
-            p.add_argument("--scheme", default="jittered",
-                           help="uniform | jittered[:theta] | log")
-            p.add_argument("--k", type=float, default=None)
-            p.add_argument("--n", type=int, default=None)
-        if grids:
-            p.add_argument("--kmin", type=float, default=5.0)
-            p.add_argument("--kmax", type=float, default=200.0)
-            p.add_argument("--kcount", type=int, default=16)
+        for name in names:
+            flag, kwargs = _SHARED[name]
+            p.add_argument(flag, **kwargs)
 
     p = sub.add_parser("reconstruct", help="weighted least-squares reconstruction")
     p.add_argument("--space", required=True)
@@ -199,12 +207,12 @@ def build_parser() -> _Parser:
     p.add_argument("--function", default="benchmark")
     p.add_argument("--function-json", default=None)
     p.add_argument("--grid-points", type=int, default=512)
-    common(p)
+    common(p, "seed", "delta_max", *_SAMPLES)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("stability", help="frame constants for a space/scheme pair")
     p.add_argument("--space", required=True)
-    common(p)
+    common(p, "seed", "threshold", *_SAMPLES)
     # no threshold by default: print constants and exit 0 unless one is given
     p.set_defaults(func=cmd_stability, threshold=None)
 
@@ -213,23 +221,23 @@ def build_parser() -> _Parser:
     p.add_argument("--zmin", type=float, default=0.5)
     p.add_argument("--zmax", type=float, required=True)
     p.add_argument("--zcount", type=int, default=32)
-    common(p, scheme=False)
+    common(p)
     p.set_defaults(func=cmd_residual)
 
     p = sub.add_parser("gap", help="gap to piecewise constants and its bound")
     p.add_argument("--space", required=True)
     p.add_argument("--l", type=int, required=True)
-    common(p, scheme=False)
+    common(p)
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("scaling", help="stability-limited dimension sweep")
     p.add_argument("--family", choices=experiments.FAMILIES, required=True)
     p.add_argument("--d", type=int, default=3, help="spline degree")
-    common(p, grids=True)
+    common(p, "seed", "jobs", "threshold", "delta_max", "scheme", *_GRID)
     p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("figure1", help="all four benchmark panels")
-    common(p, scheme=False, grids=True)
+    common(p, "seed", "jobs", "threshold", "delta_max", *_GRID)
     p.set_defaults(func=cmd_figure1)
     return parser
 

@@ -48,7 +48,7 @@ from .errors import BandwidthTooSmallError
 from .fourier import FunctionSpec
 from .sampling import SampleSet, SchemeSpec
 from .spaces import SpaceSpec
-from .validation import check_count, check_positive_finite
+from .validation import check_count, check_positive_finite, check_threshold
 
 FAMILIES = ("trig", "legendre", "spline")
 # factor on the sample count 2K / delta_max in ``plan_scheme``
@@ -217,9 +217,7 @@ def _factors(a: np.ndarray) -> bool:
 
 def _search_max(ev: _StabilityEvaluator, threshold: float,
                 hint: int | None = None) -> int:
-    if not threshold >= 1:
-        raise ValueError(f"threshold must be positive and at least 1, the smallest "
-                         f"possible stability ratio, got {threshold!r}")
+    check_threshold(threshold)
     cap = ev.cap
     if cap < 1 or not ev.ratio(1) <= threshold:
         raise BandwidthTooSmallError(

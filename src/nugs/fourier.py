@@ -80,7 +80,8 @@ from . import sampling, spaces
 from .quadrature import gauss_rule, panel_edges, panel_nodes, panel_segments, refine
 from .sampling import SampleSet
 from .spaces import OrthoBasis, SpaceSpec
-from .validation import as_complex_array, as_weight_array, check_same_length
+from .validation import (as_complex_array, as_weight_array, check_same_length,
+                         is_real_number)
 
 _TWO_PI = 2.0 * np.pi
 # Gauss nodes per panel of the transform quadrature
@@ -104,7 +105,10 @@ class FunctionSpec:
     Either a closure-free expression tree over {x, const, +, -, *, neg,
     pow, sin, cos, exp} or a member of a reconstruction space given by its
     coefficients.  ``jumps`` lists interior discontinuity locations so that
-    quadrature panels never straddle one.
+    quadrature panels never straddle one.  ``from_expr`` (and so
+    ``from_json``) checks every op, its arity, the finite ``const``
+    literals and the integer ``pow`` exponents, and that the jumps are
+    finite.
     """
 
     kind: str                                   # "expr" | "coeffs"
@@ -115,8 +119,11 @@ class FunctionSpec:
 
     @classmethod
     def from_expr(cls, expr, jumps=()) -> "FunctionSpec":
+        values = np.atleast_1d(jumps)
+        if not all(is_real_number(t) and math.isfinite(t) for t in values):
+            raise ValueError(f"jumps must be finite numbers, got {jumps!r}")
         return cls(kind="expr", expr=_as_tuple_tree(expr),
-                   jumps=tuple(float(t) for t in jumps))
+                   jumps=tuple(float(t) for t in values))
 
     @classmethod
     def from_coefficients(cls, space: SpaceSpec, coefficients) -> "FunctionSpec":
@@ -154,11 +161,34 @@ class FunctionSpec:
         return cls.from_coefficients(space, coeffs)
 
 
+# number of arguments of each expression op
+_ARITY = {"x": 0, "const": 1, "neg": 1, "sin": 1, "cos": 1, "exp": 1,
+          "add": 2, "sub": 2, "mul": 2, "pow": 2}
+
+
 def _as_tuple_tree(node):
-    if isinstance(node, (list, tuple)):
-        return tuple(_as_tuple_tree(c) if isinstance(c, (list, tuple)) else c
-                     for c in node)
-    raise ValueError(f"malformed expression node {node!r}")
+    """An expression as nested tuples, checked node by node: a known op with
+    its arity, a finite number for ``const`` and an integer (2 or 2.0) for
+    the exponent of ``pow``; a ``ValueError`` names ``expr``."""
+    if not isinstance(node, (list, tuple)) or not node:
+        raise ValueError(f"expr: malformed expression node {node!r}")
+    op, args = node[0], tuple(node[1:])
+    if not isinstance(op, str) or op not in _ARITY:
+        raise ValueError(f"expr: unknown op {op!r}")
+    if len(args) != _ARITY[op]:
+        raise ValueError(f"expr: {op!r} takes {_ARITY[op]} argument(s), got {len(args)}")
+    if op == "const":
+        if not (is_real_number(args[0]) and math.isfinite(args[0])):
+            raise ValueError(f"expr: const must be a finite number, got {args[0]!r}")
+        return (op, args[0])
+    if op == "pow":
+        # the bound keeps int(exponent) a numpy int64 when it is evaluated
+        if not (is_real_number(args[1]) and abs(args[1]) <= 2**53
+                and float(args[1]).is_integer()):
+            raise ValueError(f"expr: the pow exponent must be an integer of magnitude "
+                             f"at most 2**53, got {args[1]!r}")
+        return (op, _as_tuple_tree(args[0]), args[1])
+    return (op, *(_as_tuple_tree(a) for a in args))
 
 
 def _tree_to_json(node):

@@ -16,10 +16,9 @@ weights actually solved with and never factorize again.
 
 The lower frame constant is the smallest eigenvalue of the weighted Gram,
 equal to the squared smallest singular value of the scaled matrix, which
-``frame_lower`` reads from the R of the same QR.  One
-rank tolerance, ``spaces.RANK_RTOL``, decides when it is numerically
-zero, for the solve and for ``frame_lower``.  ``spaces`` uses the same
-tolerance for the restriction frames of the growth constants.  The
+``frame_lower`` reads from the R of the same QR.  One rank tolerance,
+``RANK_RTOL``, decides when it is numerically zero, for the solve and for
+``frame_lower``; nothing else in the package uses a rank tolerance.  The
 stability search judges by the same constant as the smallest eigenvalue of
 the weighted Gram against the L2 Gram (``experiments``), without an SVD.
 The upper constant is not computable from finitely many evaluations, so
@@ -39,8 +38,11 @@ from . import fourier, sampling
 from .errors import UnstableReconstructionError
 from .fourier import FourierData
 from .sampling import SampleSet
-from .spaces import RANK_RTOL, OrthoBasis, SpaceSpec
+from .spaces import OrthoBasis, SpaceSpec
 from .validation import as_weight_array, check_same_length
+
+# singular values below this fraction of the largest count as zero
+RANK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,13 @@ coefficient space.  Cells are half-open ``[a, b)``.
 
 The module also computes the two intrinsic growth constants of a space:
 the worst-case derivative growth and the worst-case sup-norm growth of a
-unit-norm member per cell, both of which are sharp (a generalized
-eigenproblem and a reproducing-kernel maximum, not literature bounds).
+unit-norm member per cell.  Both are sharp and in closed form: on each cell
+every polynomial kind restricts to the full space P_m of its cell degree
+(for splines, the d+1 B-splines that touch a cell span P_d there), so on a
+cell of width h the derivative growth is the spectral norm of the
+derivative map on P_m, ||D_{m+1}||_2 / h, and the sup growth is
+(m+1)/sqrt(h), the square root of the reproducing-kernel diagonal
+sum_n (2n+1) P_n^2 / h at the cell's ends.
 """
 
 from __future__ import annotations
@@ -31,8 +36,6 @@ from .validation import as_complex_array, check_positions
 
 KINDS = ("trig", "legendre", "piecewise_poly", "spline", "piecewise_const")
 _KNOT_SEPARATION = 1e-14
-# singular values below this fraction of the largest count as zero
-RANK_RTOL = 1e-12
 # Half-width, in units of (1 + delta)^2, of the band around the stability
 # search's cut t = ((1 + delta)/threshold)^2 on lambda_min(W, G) inside which
 # a probe's Cholesky test (``experiments._StabilityEvaluator.passes``) defers
@@ -156,16 +159,22 @@ def min_spacing(space: SpaceSpec) -> float:
     return float(np.min(np.diff(breakpoints(space))))
 
 
+def _cell_degrees(space: SpaceSpec) -> np.ndarray:
+    """Polynomial degree of the space on each cell of its partition (every
+    kind but trig)."""
+    if space.kind == "legendre":
+        return np.array([space.degree])
+    if space.kind == "piecewise_poly":
+        return np.array(space.degrees)
+    return np.full(space.cells, space.degree if space.kind == "spline" else 0)
+
+
 def dimension(space: SpaceSpec) -> int:
     if space.kind == "trig":
         return 2 * space.degree + 1
-    if space.kind == "legendre":
-        return space.degree + 1
-    if space.kind == "piecewise_poly":
-        return sum(m + 1 for m in space.degrees)
     if space.kind == "spline":
         return space.cells + space.degree
-    return space.cells
+    return int(np.sum(_cell_degrees(space) + 1))
 
 
 @dataclass(frozen=True)
@@ -212,11 +221,6 @@ def _deriv_matrix_unit(p: int) -> np.ndarray:
         for k in range((n + 1) % 2, n, 2):  # k < n with n - k odd
             d[k, n] = 2.0 * math.sqrt((2 * n + 1) * (2 * k + 1))
     return d
-
-
-def deriv_matrix(p: int, h: float) -> np.ndarray:
-    """Map local coefficients of a polynomial to those of its derivative."""
-    return _deriv_matrix_unit(p) / h
 
 
 def _bspline_all_values(d: int, l: int, x: np.ndarray) -> np.ndarray:
@@ -309,21 +313,13 @@ def build_basis(space: SpaceSpec) -> OrthoBasis:
     if space.kind == "trig":
         m = space.degree
         return OrthoBasis(space, breaks, orders=np.arange(-m, m + 1))
-    if space.kind == "legendre":
-        p = space.degree + 1
-        coeffs = np.eye(p)[:, None, :]
-    elif space.kind == "piecewise_const":
-        l = space.cells
-        coeffs = np.eye(l)[:, :, None]
-    elif space.kind == "piecewise_poly":
-        p = max(space.degrees) + 1
-        ncell = len(space.degrees)
-        coeffs = np.zeros((dimension(space), ncell, p))
-        row = 0
-        for j, mj in enumerate(space.degrees):
-            for n in range(mj + 1):
-                coeffs[row, j, n] = 1.0
-                row += 1
+    if space.kind != "spline":
+        # basis function i is the i-th (cell, order) pair, orders 0..m_j
+        # on cell j in turn
+        m = _cell_degrees(space)
+        cell, order = np.nonzero(np.arange(m.max() + 1) <= m[:, None])
+        coeffs = np.zeros((cell.size, m.size, m.max() + 1))
+        coeffs[np.arange(cell.size), cell, order] = 1.0
     else:
         raw = _bspline_cell_coeffs(space.degree, space.cells)
         nb = raw.shape[0]
@@ -392,87 +388,26 @@ def member_values(basis: OrthoBasis, coefficients, x) -> np.ndarray:
     return np.einsum("in,ni->i", folded[idx], legendre_values(p, t))
 
 
-def _restriction_frame(basis: OrthoBasis, j: int) -> np.ndarray:
-    """Orthonormal coefficient frame of the space restricted to cell j: the
-    columns are local coefficient vectors of an orthonormal basis of the
-    restriction (numerical rank by ``RANK_RTOL``)."""
-    _, s, vh = np.linalg.svd(basis.coeffs[:, j, :], full_matrices=False)
-    return vh[:int(np.sum(s > RANK_RTOL * s[0]))].T
-
-
 def derivative_growth(space: SpaceSpec) -> float:
-    """Largest ||f'|| over cells among unit-cell-norm members of the space.
-
-    Computed per cell as the largest generalized eigenvalue of the
-    derivative Gram against the restriction Gram; both are exact in the
-    Legendre coefficient frame.  The trig derivative Gram is diagonal, so
-    that case is closed-form.
-    """
+    """Largest ||f'|| over cells among unit-cell-norm members of the space:
+    the spectral norm of the derivative map on the cell's P_m in
+    orthonormal Legendre coordinates, scaled by 1/h, maximized over cells.
+    The trig derivative is diagonal with largest entry 2 pi m."""
     if space.kind == "trig":
         return 2.0 * np.pi * space.degree
-    basis = build_basis(space)
-    p = basis.local_dim
-    best = 0.0
-    for j in range(len(basis.breaks) - 1):
-        w = _restriction_frame(basis, j)
-        h = basis.breaks[j + 1] - basis.breaks[j]
-        smax = np.linalg.svd(deriv_matrix(p, h) @ w, compute_uv=False)
-        if smax.size:
-            best = max(best, float(smax[0]))
-    return best
-
-
-def _golden_max(f, lo: float, hi: float, xtol: float = 1e-10) -> float:
-    """Golden-section maximum of a unimodal-enough scalar function."""
-    inv = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
-    return max(f(a), f(b), fc, fd)
+    m, h = _cell_degrees(space), np.diff(breakpoints(space))
+    unit = [np.linalg.norm(_deriv_matrix_unit(k + 1), 2) for k in range(m.max() + 1)]
+    return float(np.max(np.take(unit, m) / h))
 
 
 def sup_growth(space: SpaceSpec) -> float:
-    """Largest sup-norm over cells among unit-cell-norm members.
-
-    Uses the reproducing-kernel identity: with an orthonormal basis of the
-    restriction, the squared sup equals the maximum of the kernel diagonal,
-    which is searched on a Chebyshev grid with golden-section refinement.
-    """
+    """Largest sup-norm over cells among unit-cell-norm members: the square
+    root of the kernel diagonal's maximum, (m+1)^2/h at a cell's end on P_m.
+    The trig kernel diagonal is the constant 2m+1."""
     if space.kind == "trig":
-        # kernel diagonal is constant by translation invariance
         return math.sqrt(2 * space.degree + 1)
-    basis = build_basis(space)
-    p = basis.local_dim
-    norm = np.sqrt(2 * np.arange(p) + 1)
-    best = 0.0
-    for j in range(len(basis.breaks) - 1):
-        w = _restriction_frame(basis, j)
-        a, b = basis.breaks[j], basis.breaks[j + 1]
-        h = b - a
-
-        def kernel(x):
-            t = np.atleast_1d(2 * (np.asarray(x) - a) / h - 1)
-            phi = legendre_values(p, t) * (norm / math.sqrt(h))[:, None]
-            return np.sum((w.T @ phi) ** 2, axis=0)
-
-        grid = (a + b) / 2 + (h / 2) * np.cos(np.pi * np.arange(64) / 63.0)
-        vals = kernel(grid)
-        i = int(np.argmax(vals))
-        lo = grid[min(i + 1, 63)]   # grid is descending in x
-        hi = grid[max(i - 1, 0)]
-        peak = _golden_max(lambda x: float(kernel(x)[0]), lo, hi)
-        best = max(best, peak)
-    return math.sqrt(best)
+    m, h = _cell_degrees(space), np.diff(breakpoints(space))
+    return float(np.max((m + 1) / np.sqrt(h)))
 
 
 def growth_constants(space: SpaceSpec) -> GrowthConstants:

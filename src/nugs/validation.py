@@ -50,12 +50,24 @@ def as_weight_array(x, name: str) -> np.ndarray:
     return arr
 
 
+def is_real_number(value) -> bool:
+    """A real number that is not a bool; numpy scalars count."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_positive_finite(value, name: str) -> float:
     """A finite, strictly positive real number (not a bool), as a float."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and value > 0)):
+    if not (is_real_number(value) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
     return float(value)
+
+
+def check_threshold(threshold) -> None:
+    """A stability-ratio threshold: at least 1, the smallest possible ratio
+    (NaN fails)."""
+    if not threshold >= 1:
+        raise ValueError(f"threshold must be positive and at least 1, the smallest "
+                         f"possible stability ratio, got {threshold!r}")
 
 
 def check_count(value, name: str, minimum: int = 1) -> int:

@@ -277,3 +277,46 @@ def test_function_json_with_non_finite_coefficient_exits_1(tmp_path, capsys):
     assert code == 1
     assert "coefficients" in capsys.readouterr().err
     assert not (tmp_path / "out" / "coefficients.json").exists()
+
+
+@pytest.mark.parametrize("expr, jumps, message", [
+    (["tan", ["x"]], [], "expr: unknown op 'tan'"),
+    (["sin"], [], "expr: 'sin' takes 1 argument"),
+    (["pow", ["x"], 0.5], [],
+     "expr: the pow exponent must be an integer of magnitude at most 2**53, got 0.5"),
+    (["const", "one"], [], "expr: const must be a finite number"),
+    (["const", float("nan")], [], "expr: const must be a finite number"),
+    (["x"], [0.5, float("inf")], "jumps must be finite numbers"),
+])
+def test_function_json_with_bad_expression_exits_1(tmp_path, capsys, expr, jumps, message):
+    # before these were checked, x^0.5 was rebuilt as x^0 and ["sin"] raised IndexError
+    spec = tmp_path / "f.json"
+    spec.write_text(json.dumps({"kind": "expr", "expr": expr, "jumps": jumps}),
+                    encoding="utf-8")
+    code = run(["reconstruct", "--space", "legendre:2", "--k", 10, "--n", 40,
+                "--function-json", spec, "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "coefficients.json").exists()
+
+
+@pytest.mark.parametrize("args, option", [
+    (["reconstruct", "--space", "legendre:2", "--k", 10], "--jobs"),
+    (["reconstruct", "--space", "legendre:2", "--k", 10], "--threshold"),
+    (["stability", "--space", "trig:2", "--k", 10, "--n", 40], "--jobs"),
+    (["stability", "--space", "trig:2", "--k", 10, "--n", 40], "--delta-max"),
+    *[(["residual", "--space", "legendre:1", "--zmax", 4], option)
+      for option in ("--seed", "--jobs", "--threshold", "--delta-max")],
+    *[(["gap", "--space", "legendre:1", "--l", 2], option)
+      for option in ("--seed", "--jobs", "--threshold", "--delta-max")],
+    (["scaling", "--family", "trig", "--kmax", 10, "--kcount", 2], "--k"),
+    (["scaling", "--family", "trig", "--kmax", 10, "--kcount", 2], "--n"),
+])
+def test_option_a_subcommand_does_not_read_exits_1(tmp_path, capsys, args, option):
+    code = run(args + [option, 2, "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 1
+    # "--k" on scaling is also a prefix of --kmin, --kmax and --kcount
+    assert "usage error" in err and option in err
+    assert not (tmp_path / "out").exists()

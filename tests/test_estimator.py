@@ -130,3 +130,10 @@ def test_bad_sample_weight_rejected_before_solve(bad):
     est = NonuniformFourierRegressor(space="trig:4", bandwidth=9.0)
     with pytest.raises(ValueError, match="sample_weight"):
         est.fit(x, y, sample_weight=mu)
+
+
+def test_score_on_constant_targets_is_zero():
+    # y has no variance about its mean, so the R^2-style ratio is undefined
+    x, y, _, _ = make_problem()
+    est = NonuniformFourierRegressor(space="trig:4", bandwidth=9.0).fit(x, y)
+    assert est.score(x, np.full(x.size, 2.0 - 1.0j)) == 0.0

@@ -199,6 +199,66 @@ def test_data_csv_malformed_reports_line(tmp_path):
         load_data_csv(path)
 
 
+def test_data_csv_wrong_header_rejected(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("omega,real,imag\n0.0,1.0,0.0\n")
+    with pytest.raises(ValueError, match="expected header omega,re,im"):
+        load_data_csv(path)
+
+
+@pytest.mark.parametrize("header, row, fields", [
+    ("omega,re,im", "0.0,1.0", 3), ("omega,re,im", "0.0,1.0,0.0,1.0", 3),
+    ("omega,re,im,weight", "0.0,1.0,0.0", 4)])
+def test_data_csv_field_count_reports_line(tmp_path, header, row, fields):
+    path = tmp_path / "fields.csv"
+    path.write_text(f"{header}\n-1.0,1.0,0.0{',1.0' * (fields == 4)}\n{row}\n")
+    with pytest.raises(ValueError, match=f":3: expected {fields} fields"):
+        load_data_csv(path)
+
+
+def test_data_csv_blank_lines_skipped(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("omega,re,im\n\n-1.0,0.5,0.0\n   \n2.0,0.25,-0.5\n\n")
+    data, _ = load_data_csv(path)
+    assert np.array_equal(data.samples.points, [-1.0, 2.0])
+    assert np.array_equal(data.values, [0.5, 0.25 - 0.5j])
+
+
+@pytest.mark.parametrize("expr, message", [
+    (("tan", ("x",)), "expr: unknown op 'tan'"),
+    ([["x"]], "expr: unknown op"),
+    (["sin"], "expr: 'sin' takes 1 argument"),
+    (("add", ("x",)), "expr: 'add' takes 2 argument"),
+    (("x", 1.0), "expr: 'x' takes 0 argument"),
+    (("pow", ("x",), 0.5),
+     r"expr: the pow exponent must be an integer of magnitude at most 2\*\*53, got 0.5"),
+    (("pow", ("x",), "2"), "expr: the pow exponent must be an integer"),
+    (("pow", ("x",), 10**400), "expr: the pow exponent must be an integer"),
+    (("pow", ("x",), float("inf")), "expr: the pow exponent must be an integer"),
+    (("const", float("nan")), "expr: const must be a finite number"),
+    (("const", float("inf")), "expr: const must be a finite number"),
+    (("const", "1.0"), "expr: const must be a finite number"),
+    (("mul", ("x",), ("const", None)), "expr: const must be a finite number"),
+    ((), "expr: malformed expression node"),
+    (("neg", 3.0), "expr: malformed expression node 3.0"),
+])
+def test_from_expr_rejects_malformed_trees(expr, message):
+    with pytest.raises(ValueError, match=message):
+        FunctionSpec.from_expr(expr)
+
+
+@pytest.mark.parametrize("jumps", [[0.5, float("inf")], [float("nan")], ["0.5"], 0.5j])
+def test_from_expr_rejects_non_finite_jumps(jumps):
+    with pytest.raises(ValueError, match="jumps must be finite numbers"):
+        FunctionSpec.from_expr(("x",), jumps)
+
+
+def test_from_expr_accepts_integral_float_exponent():
+    f = FunctionSpec.from_expr(("pow", ("x",), 2.0), [0.5])
+    assert FunctionSpec.from_json(f.to_json()) == f
+    assert np.array_equal(fourier.evaluate_function(f, [0.5, 0.25]), [0.25, 0.0625])
+
+
 def test_fourier_data_validates_lengths():
     s = SampleSet(points=np.array([0.0, 1.0]), bandwidth=2.0)
     with pytest.raises(ValueError):

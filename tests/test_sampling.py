@@ -164,3 +164,22 @@ def test_csv_without_rows_rejected(tmp_path):
 def test_scheme_json_round_trip():
     spec = SchemeSpec("jittered", 10, 5.0, theta=0.4, seed=9)
     assert SchemeSpec.from_json(spec.to_json()) == spec
+
+
+def test_log_scheme_at_two_points_is_the_band_edges():
+    s = generate(SchemeSpec("log", 2, 7.5))
+    assert np.array_equal(s.points, [-7.5, 7.5])
+    assert weights(s).sum() == pytest.approx(15.0, abs=1e-15)
+
+
+def test_csv_wrong_header_rejected(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("freq\n1.0\n")
+    with pytest.raises(ValueError, match="expected header 'omega', got 'freq'"):
+        load_samples_csv(path)
+
+
+def test_csv_blank_lines_skipped(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("omega\n-1.0\n\n  \n2.0\n\n")
+    assert np.array_equal(load_samples_csv(path).points, [-1.0, 2.0])

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
 
+from nugs import spaces
 from nugs.spaces import (GrowthConstants, SpaceSpec, _bspline_all_values, _bspline_blocks,
                          _bspline_cell_coeffs, _bspline_gram, build_basis, breakpoints,
                          derivative_growth, dimension, evaluate,
@@ -293,3 +294,89 @@ def test_member_values_rejects_bad_coefficients(bad):
     basis = build_basis(SpaceSpec.piecewise_const(4))
     with pytest.raises(ValueError, match="coefficients"):
         member_values(basis, bad, [0.5])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SpaceSpec(kind="wavelet"), "unknown space kind 'wavelet'"),
+    (lambda: SpaceSpec.trig(-1), "order must be nonnegative"),
+    (lambda: SpaceSpec.legendre(-2), "order must be nonnegative"),
+    (lambda: SpaceSpec.piecewise_poly([0.0], [1, 1]), "knots must lie strictly inside"),
+    (lambda: SpaceSpec.piecewise_poly([0.5, 1.0], [1, 1, 1]), "knots must lie strictly inside"),
+    (lambda: SpaceSpec.piecewise_poly([0.5, 0.5], [1, 1, 1]),
+     "knots must be separated by more than 1e-14"),
+    (lambda: SpaceSpec.piecewise_poly([0.5], [1]), "need one degree per subinterval"),
+    (lambda: SpaceSpec.piecewise_poly([0.5], [1, -1]), "degrees must be nonnegative"),
+    (lambda: SpaceSpec.spline(-1, 4), "spline needs degree >= 0 and cells >= 1"),
+    (lambda: SpaceSpec.spline(2, 0), "spline needs degree >= 0 and cells >= 1"),
+    (lambda: SpaceSpec.piecewise_const(0), "piecewise_const needs cells >= 1"),
+])
+def test_space_spec_validation_messages(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_piecewise_bases_are_the_cell_order_identity():
+    assert np.array_equal(build_basis(SpaceSpec.legendre(3)).coeffs, np.eye(4)[:, None, :])
+    assert np.array_equal(build_basis(SpaceSpec.piecewise_const(5)).coeffs,
+                          np.eye(5)[:, :, None])
+    coeffs = build_basis(SpaceSpec.piecewise_poly([0.2, 0.6], [1, 0, 2])).coeffs
+    want = np.zeros((6, 3, 3))
+    for row, (cell, order) in enumerate([(0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (2, 2)]):
+        want[row, cell, order] = 1.0
+    assert np.array_equal(coeffs, want)
+
+
+def _growth_by_brute_force(spec):
+    """Both growth constants of a space cell by cell, from the cell Gram of
+    its basis (Gauss quadrature of ``evaluate`` values) and its pseudo-
+    inverse: the sup of the kernel diagonal v(x)^T G^+ v(x) on a fine grid,
+    and the largest eigenvalue of the derivative Gram, whose entries come
+    from exact Legendre derivatives (numpy's ``legder``), against G."""
+    basis = build_basis(spec)
+    p = basis.local_dim
+    xg, wg = np.polynomial.legendre.leggauss(p + 1)
+    # dmat[k, n]: order-k coefficient of d/dt of the normalized P_n
+    dmat = np.zeros((p, p))
+    for n in range(p):
+        dmat[:n, n] = np.polynomial.legendre.legder(np.eye(p)[n])[:n] * np.sqrt(
+            (2 * n + 1) / (2 * np.arange(n) + 1))
+    gamma = zeta = 0.0
+    for j, (a, b) in enumerate(zip(basis.breaks[:-1], basis.breaks[1:])):
+        h = b - a
+        v = evaluate(basis, a + h / 2 * (xg + 1))
+        gram = (v * (h / 2 * wg)) @ v.T
+        lam, vecs = np.linalg.eigh(gram)
+        keep = lam > 1e-10 * lam[-1]
+        half = vecs[:, keep] / np.sqrt(lam[keep])           # G^+ = half half^T
+        grid = a + h * np.concatenate((np.linspace(0, 1, 4001)[:-1], [1 - 1e-13]))
+        kernel = np.sum((half.T @ evaluate(basis, grid)) ** 2, axis=0)
+        zeta = max(zeta, np.sqrt(kernel.max()))
+        deriv = basis.coeffs[:, j, :] @ dmat.T * (2 / h)   # derivative coefficients
+        dgram = half.T @ deriv @ deriv.T @ half
+        gamma = max(gamma, np.sqrt(np.linalg.eigvalsh(dgram)[-1]))
+    return gamma, zeta
+
+
+@pytest.mark.parametrize("spec", [
+    SpaceSpec.spline(0, 3), SpaceSpec.spline(1, 4), SpaceSpec.spline(2, 5),
+    SpaceSpec.spline(3, 6), SpaceSpec.spline(5, 2), SpaceSpec.spline(3, 1),
+    SpaceSpec.piecewise_poly([0.3, 0.7], [3, 1, 4]),
+    SpaceSpec.piecewise_poly([0.1, 0.15, 0.9], [0, 5, 1, 2]),
+    SpaceSpec.piecewise_poly([0.25, 0.5], [2, 1, 2]),
+], ids=lambda s: s.kind + str(dimension(s)))
+def test_growth_constants_match_brute_force_oracle(spec):
+    gamma, zeta = _growth_by_brute_force(spec)
+    gc = growth_constants(spec)
+    assert gc.derivative_growth == pytest.approx(gamma, rel=1e-9)
+    # the grid's last point sits 1e-13 of a cell short of the maximizing end
+    assert gc.sup_growth == pytest.approx(zeta, rel=1e-9)
+
+
+def test_growth_constants_build_no_basis(monkeypatch):
+    def no_basis(space):
+        raise AssertionError(f"build_basis({space})")
+
+    monkeypatch.setattr(spaces, "build_basis", no_basis)
+    for spec in ALL_SPECS + [SpaceSpec.spline(3, 40), SpaceSpec.legendre(0)]:
+        gc = growth_constants(spec)
+        assert np.isfinite(gc.derivative_growth) and gc.sup_growth > 0
