@@ -77,7 +77,8 @@ def cmd_reconstruct(args) -> int:
             parse_scheme(args.scheme, 2, args.k, args.seed).kind, args.k,
             delta_max=args.delta_max, seed=args.seed).n
         s = sampling.generate(parse_scheme(args.scheme, n, args.k, args.seed))
-        f = _function_spec(args)
+        f = (FunctionSpec.from_json(Path(args.function_json).read_text(encoding="utf-8"))
+             if args.function_json else FunctionSpec.benchmark())
         data = fourier.sample_function(f, s)
         weights_source = "computed"
     rec = solver.reconstruct(basis, data)
@@ -96,14 +97,6 @@ def cmd_reconstruct(args) -> int:
     (out / "diagnostics.json").write_text(json.dumps(diag) + "\n", encoding="utf-8")
     print(json.dumps(diag))
     return 0
-
-
-def _function_spec(args) -> FunctionSpec:
-    if args.function_json:
-        return FunctionSpec.from_json(Path(args.function_json).read_text(encoding="utf-8"))
-    if args.function != "benchmark":
-        raise ValueError(f"unknown builtin function {args.function!r}")
-    return FunctionSpec.benchmark()
 
 
 def cmd_stability(args) -> int:
@@ -190,7 +183,9 @@ _GRID = ("kmin", "kmax", "kcount")
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="nugs", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching, so an unknown option never reads as a longer one
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=functools.partial(_Parser, allow_abbrev=False))
 
     def common(p, *names):
         """``--out-dir``, which every subcommand takes, and the named shared
@@ -204,7 +199,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reconstruct", help="weighted least-squares reconstruction")
     p.add_argument("--space", required=True)
     p.add_argument("--input", default=None, help="CSV omega,re,im[,weight]")
-    p.add_argument("--function", default="benchmark")
     p.add_argument("--function-json", default=None)
     p.add_argument("--grid-points", type=int, default=512)
     common(p, "seed", "delta_max", *_SAMPLES)

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import fourier, sampling, solver, spaces
 from .fourier import FourierData
-from .sampling import SampleSet
 from .spaces import SpaceSpec
 from .validation import (as_complex_array, as_float_array, as_weight_array, check_positions,
                          check_same_length)
@@ -93,17 +92,13 @@ class NonuniformFourierRegressor:
         omega = as_float_array(X, "X")
         values = as_complex_array(y, "y")
         check_same_length(omega, values, "X", "y")
-        if sample_weight is not None:
-            mu = as_weight_array(sample_weight, "sample_weight")
+        mu = None if sample_weight is None else as_weight_array(sample_weight, "sample_weight")
+        if mu is not None:
             check_same_length(omega, mu, "X", "sample_weight")
-        order = np.argsort(omega)
-        omega, values = omega[order], values[order]
-        k = self.bandwidth if self.bandwidth is not None else float(np.max(np.abs(omega)))
-        s = SampleSet(points=omega, bandwidth=k)
-        mu = sampling.weights(s) if sample_weight is None else mu[order]
+        data = FourierData.from_samples(omega, values, mu, self.bandwidth)
         basis = fourier.cached_basis(self._space_spec())
-        rec = solver.reconstruct(basis, FourierData(s, values, mu))
-        constants = solver.frame_constants(sampling.density(s), rec.sigma_min**2)
+        rec = solver.reconstruct(basis, data)
+        constants = solver.frame_constants(sampling.density(data.samples), rec.sigma_min**2)
         self.basis_ = basis
         self.coef_ = rec.coefficients
         self.residual_ = rec.residual

@@ -21,7 +21,7 @@ at M itself, and is the only source of the reported c_ratio.  Other probes
 only compare it with the threshold: ratio(M) <= threshold is
 lambda_min(W, G) >= t, and W - sG has a Cholesky factor exactly when
 lambda_min(W, G) > s, so two factorizations at t plus and minus a band
-(``spaces.PROBE_BAND``) decide every probe outside the band; inside it,
+(``PROBE_BAND``) decide every probe outside the band; inside it,
 and at index 1, ``ratio`` decides.  For trig and legendre G = I and W comes
 from the scaled design; a probe reads a principal block of the Gram of the
 widest probe so far (the doubling probe), while ``ratio`` builds its own, so
@@ -53,6 +53,19 @@ from .validation import check_count, check_positive_finite, check_threshold
 FAMILIES = ("trig", "legendre", "spline")
 # factor on the sample count 2K / delta_max in ``plan_scheme``
 OVERSAMPLE = 1.2
+# Half-width, in units of (1 + delta)^2, of the band around the stability
+# search's cut t = ((1 + delta)/threshold)^2 on lambda_min(W, G) inside which
+# a probe's Cholesky test (``_StabilityEvaluator.passes``) defers to the exact
+# eigenvalue.  (1 + delta)^2 bounds lambda_max(W, G), so it is the scale of W.
+# Forming W (N terms per entry, n columns) moves lambda_min by at most about
+# n N u (1 + delta)^2 (u = 2^-53), and the Cholesky factorization by about
+# n^2 u (1 + delta)^2: 2e-10 of the scale at N = 4380, n = 401.  Measured
+# over every probe of the K = 30 and K = 200 searches on log and jittered
+# sets, the shift at which W - sG stops factoring is within 3e-15 of the
+# scale of the exact lambda_min.  Outside the band every decision is
+# therefore the exact eigenvalue's, which the search reads as 0 (an infinite
+# ratio) when it is not positive.
+PROBE_BAND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -145,14 +158,14 @@ class _StabilityEvaluator:
         ratio(m) <= threshold is lambda_min(W, G) >= t = ((1+delta)/threshold)^2
         for the probe's weighted Gram W and L2 Gram G.  W - sG has a Cholesky
         factor exactly when lambda_min(W, G) > s, so factoring it at s = t
-        plus and minus ``spaces.PROBE_BAND`` (1+delta)^2 decides every probe
+        plus and minus ``PROBE_BAND`` (1+delta)^2 decides every probe
         outside that band; inside it the exact ``ratio(m)`` decides.
         """
         w, g = self._grams(m)
         scale, t = (1.0 + self.delta) ** 2, float(threshold) ** -2.0
-        if _factors(w - scale * (t + spaces.PROBE_BAND) * g):
+        if _factors(w - scale * (t + PROBE_BAND) * g):
             ok = True
-        elif not _factors(w - scale * (t - spaces.PROBE_BAND) * g):
+        elif not _factors(w - scale * (t - PROBE_BAND) * g):
             ok = False
         else:
             ok = self.ratio(m) <= threshold
@@ -178,9 +191,9 @@ class _StabilityEvaluator:
         is the upper triangle of conj(W), which has W's eigenvalues, from
         the scaled design without a conjugated copy."""
         if self.family == "spline":
-            return (_checked(fourier.bspline_weighted_gram(self.d, m, self.s.points, self.mu),
-                             self.family, m),
-                    _checked(spaces._bspline_gram(self.d, m), self.family, m))
+            w = fourier.bspline_weighted_gram(self.d, m, self.s.points, self.mu)
+            # the L2 Gram depends only on (d, m), and is finite
+            return _checked(w, self.family, m), spaces._bspline_gram(self.d, m)
         b = solver.design_matrix(spaces.build_basis(family_space(self.family, m)), self.s)
         b *= np.sqrt(self.mu)[:, None]
         return _checked(scipy.linalg.blas.zherk(1.0, b.T), self.family, m), np.eye(b.shape[1])

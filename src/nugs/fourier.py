@@ -1,6 +1,9 @@
 """Fourier transforms of basis and test functions at arbitrary frequencies.
 
 The transform convention is ``F(w) = int_0^1 f(x) exp(-2 pi i w x) dx``.
+Test functions are expression trees over one table of numpy ufuncs, or
+space members.  Samples of F read from a CSV file or given to the estimator
+are sorted and weighted by one constructor, ``FourierData.from_samples``.
 
 For the polynomial kinds every basis function is a per-cell Legendre
 polynomial, whose transform has the closed form
@@ -81,7 +84,7 @@ from .quadrature import gauss_rule, panel_edges, panel_nodes, panel_segments, re
 from .sampling import SampleSet
 from .spaces import OrthoBasis, SpaceSpec
 from .validation import (as_complex_array, as_weight_array, check_same_length,
-                         is_real_number)
+                         complex_pairs, csv_rows, is_real_number, json_field)
 
 _TWO_PI = 2.0 * np.pi
 # Gauss nodes per panel of the transform quadrature
@@ -102,13 +105,15 @@ _SERIES_TERMS = 16
 class FunctionSpec:
     """A square-integrable function on (0, 1).
 
-    Either a closure-free expression tree over {x, const, +, -, *, neg,
-    pow, sin, cos, exp} or a member of a reconstruction space given by its
-    coefficients.  ``jumps`` lists interior discontinuity locations so that
-    quadrature panels never straddle one.  ``from_expr`` (and so
-    ``from_json``) checks every op, its arity, the finite ``const``
-    literals and the integer ``pow`` exponents, and that the jumps are
-    finite.
+    Either a closure-free expression tree or a member of a reconstruction
+    space given by its coefficients.  A tree's leaves are ``x`` and ``const``
+    literals; ``pow`` raises a subtree to an integer, and the other ops (neg,
+    sin, cos, exp, add, sub, mul) are numpy ufuncs, one table (``_UFUNCS``)
+    giving each its function and arity.  ``jumps`` lists interior
+    discontinuity locations so that quadrature panels never straddle one.
+    ``from_expr`` (and so ``from_json``) checks every op, its arity, the
+    finite ``const`` literals and the integer ``pow`` exponents, and that
+    the jumps are finite.
     """
 
     kind: str                                   # "expr" | "coeffs"
@@ -127,9 +132,7 @@ class FunctionSpec:
 
     @classmethod
     def from_coefficients(cls, space: SpaceSpec, coefficients) -> "FunctionSpec":
-        coeffs = tuple(complex(c) for c in as_complex_array(coefficients, "coefficients"))
-        if len(coeffs) != spaces.dimension(space):
-            raise ValueError("coefficient count must match the space dimension")
+        coeffs = tuple(spaces.check_member(spaces.dimension(space), coefficients).tolist())
         jumps = tuple(float(t) for t in spaces.breakpoints(space)[1:-1])
         return cls(kind="coeffs", space=space, coefficients=coeffs, jumps=jumps)
 
@@ -146,7 +149,7 @@ class FunctionSpec:
 
     def to_json(self) -> str:
         if self.kind == "expr":
-            return json.dumps({"kind": "expr", "expr": _tree_to_json(self.expr),
+            return json.dumps({"kind": "expr", "expr": self.expr,
                                "jumps": list(self.jumps)})
         return json.dumps({"kind": "coeffs", "space": json.loads(self.space.to_json()),
                            "coefficients": [[c.real, c.imag] for c in self.coefficients]})
@@ -154,16 +157,21 @@ class FunctionSpec:
     @classmethod
     def from_json(cls, text: str) -> "FunctionSpec":
         d = json.loads(text)
-        if d["kind"] == "expr":
-            return cls.from_expr(d["expr"], d.get("jumps", ()))
-        space = SpaceSpec.from_json(json.dumps(d["space"]))
-        coeffs = [complex(re, im) for re, im in d["coefficients"]]
-        return cls.from_coefficients(space, coeffs)
+        kind = json_field(d, "kind")
+        if kind == "expr":
+            return cls.from_expr(json_field(d, "expr"), d.get("jumps", ()))
+        if kind != "coeffs":
+            raise ValueError(f"function: unknown kind {kind!r}, expected 'expr' or 'coeffs'")
+        space = SpaceSpec.from_json(json.dumps(json_field(d, "space")))
+        return cls.from_coefficients(
+            space, complex_pairs(json_field(d, "coefficients"), "coefficients"))
 
 
-# number of arguments of each expression op
-_ARITY = {"x": 0, "const": 1, "neg": 1, "sin": 1, "cos": 1, "exp": 1,
-          "add": 2, "sub": 2, "mul": 2, "pow": 2}
+# the ops over subexpressions; each takes its ufunc's nin of them
+_UFUNCS = {"neg": np.negative, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+           "add": np.add, "sub": np.subtract, "mul": np.multiply}
+# number of arguments of each op; pow's second is its integer exponent
+_ARITY = {"x": 0, "const": 1, "pow": 2, **{op: f.nin for op, f in _UFUNCS.items()}}
 
 
 def _as_tuple_tree(node):
@@ -191,33 +199,16 @@ def _as_tuple_tree(node):
     return (op, *(_as_tuple_tree(a) for a in args))
 
 
-def _tree_to_json(node):
-    return [(_tree_to_json(c) if isinstance(c, tuple) else c) for c in node]
-
-
 def _eval_expr(node, x):
+    """Values of a tree that ``_as_tuple_tree`` has checked."""
     op = node[0]
     if op == "x":
         return x
     if op == "const":
         return np.full_like(x, float(node[1]))
-    if op == "add":
-        return _eval_expr(node[1], x) + _eval_expr(node[2], x)
-    if op == "sub":
-        return _eval_expr(node[1], x) - _eval_expr(node[2], x)
-    if op == "mul":
-        return _eval_expr(node[1], x) * _eval_expr(node[2], x)
-    if op == "neg":
-        return -_eval_expr(node[1], x)
     if op == "pow":
         return _eval_expr(node[1], x) ** int(node[2])
-    if op == "sin":
-        return np.sin(_eval_expr(node[1], x))
-    if op == "cos":
-        return np.cos(_eval_expr(node[1], x))
-    if op == "exp":
-        return np.exp(_eval_expr(node[1], x))
-    raise ValueError(f"unknown expression op {op!r}")
+    return _UFUNCS[op](*(_eval_expr(a, x) for a in node[1:]))
 
 
 @lru_cache(maxsize=128)
@@ -452,7 +443,7 @@ def member_transform(basis: OrthoBasis, coefficients, omega) -> np.ndarray:
     first, so the cell transforms are contracted with one vector instead of
     the dim columns of the design.  Trig sums its basis transforms.
     """
-    coeffs = spaces.check_member(basis, coefficients)
+    coeffs = spaces.check_member(basis.dim, coefficients)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     if basis.orders is not None:
         return basis_transform(basis, w) @ coeffs
@@ -492,6 +483,17 @@ class FourierData:
         wts.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "weights", wts)
+
+    @classmethod
+    def from_samples(cls, omegas, values, weights=None, bandwidth=None) -> "FourierData":
+        """1-D samples in any order; the weights default to the midpoint weights."""
+        check_same_length(omegas, values, "omegas", "values")
+        order = np.argsort(omegas)
+        s = SampleSet(points=omegas[order], bandwidth=bandwidth)
+        if weights is None:
+            return cls(s, values[order], sampling.weights(s))
+        check_same_length(omegas, weights, "omegas", "weights")
+        return cls(s, values[order], weights[order])
 
 
 def transform_integrals(f: FunctionSpec, omegas, abs_tol: float = 1e-12) -> np.ndarray:
@@ -609,35 +611,14 @@ def load_data_csv(path, bandwidth: float | None = None) -> tuple[FourierData, bo
     Returns the data and a flag telling whether weights came from the file;
     when the column is absent they are computed from the points.
     """
-    omegas, vals, wts = [], [], []
-    with open(path, encoding="utf-8") as fh:
-        header = [c.strip() for c in fh.readline().strip().split(",")]
-        if header[:3] != ["omega", "re", "im"]:
+    def fields(header):
+        names = [c.strip() for c in header.split(",")]
+        if names[:3] != ["omega", "re", "im"]:
             raise ValueError(f"{path}: expected header omega,re,im[,weight]")
-        has_w = len(header) > 3 and header[3] == "weight"
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != (4 if has_w else 3):
-                raise ValueError(f"{path}:{lineno}: expected "
-                                 f"{4 if has_w else 3} fields, got {len(parts)}")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed number") from None
-            omegas.append(row[0])
-            vals.append(complex(row[1], row[2]))
-            if has_w:
-                wts.append(row[3])
-    if not omegas:
-        raise ValueError(f"{path}: no data rows")
-    order = np.argsort(omegas)
-    pts = np.asarray(omegas)[order]
-    if bandwidth is None:
-        bandwidth = float(np.max(np.abs(pts)))
-    s = SampleSet(points=pts, bandwidth=bandwidth)
-    values = np.asarray(vals)[order]
-    weights = np.asarray(wts)[order] if has_w else sampling.weights(s)
-    return FourierData(samples=s, values=values, weights=weights), has_w
+        return 4 if names[3:4] == ["weight"] else 3
+
+    table = csv_rows(path, fields)
+    # a view of the (re, im) pairs keeps signed zeros, which re + 1j*im drops
+    values = np.ascontiguousarray(table[:, 1:3]).view(complex)[:, 0]
+    mu = table[:, 3] if table.shape[1] == 4 else None
+    return FourierData.from_samples(table[:, 0], values, mu, bandwidth), mu is not None

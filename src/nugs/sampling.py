@@ -15,7 +15,7 @@ import numpy as np
 
 from .prng import SplitMix64
 from .validation import (as_float_array, check_count, check_positive_finite,
-                         check_strictly_increasing)
+                         check_strictly_increasing, csv_rows, json_field)
 
 SCHEME_KINDS = ("uniform", "jittered", "log")
 
@@ -28,19 +28,21 @@ class SampleSet:
     ----------
     points : ndarray
         Strictly increasing frequencies (cycles per unit length).
-    bandwidth : float
-        Half-width K of the band; every point satisfies ``|w| <= K``.
+    bandwidth : float, optional
+        Half-width K of the band; every point satisfies ``|w| <= K``.  The
+        default is the largest ``|w|``.
     """
 
     points: np.ndarray
-    bandwidth: float
+    bandwidth: float | None = None
 
     def __post_init__(self):
         pts = as_float_array(self.points, "points")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         check_strictly_increasing(pts, "points")
-        k = check_positive_finite(self.bandwidth, "bandwidth")
+        k = check_positive_finite(float(np.max(np.abs(pts))) if self.bandwidth is None
+                                  else self.bandwidth, "bandwidth")
         object.__setattr__(self, "bandwidth", k)
         if np.any(np.abs(pts) > k):
             raise ValueError("all points must lie in [-K, K]")
@@ -87,7 +89,8 @@ class SchemeSpec:
     @classmethod
     def from_json(cls, text: str) -> "SchemeSpec":
         d = json.loads(text)
-        return cls(kind=d["kind"], n=int(d["n"]), k=float(d["k"]),
+        # n and k are checked by __post_init__, not coerced
+        return cls(kind=json_field(d, "kind"), n=json_field(d, "n"), k=json_field(d, "k"),
                    theta=float(d.get("theta", 0.0)), seed=int(d.get("seed", 0)))
 
 
@@ -152,22 +155,9 @@ def save_samples_csv(path, s: SampleSet) -> None:
 
 
 def load_samples_csv(path, bandwidth: float | None = None) -> SampleSet:
-    pts = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
+    def fields(header):
         if header != "omega":
             raise ValueError(f"{path}: expected header 'omega', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                pts.append(float(line))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed value {line!r}") from None
-    if not pts:
-        raise ValueError(f"{path}: no data rows")
-    arr = np.asarray(pts)
-    if bandwidth is None:
-        bandwidth = float(np.max(np.abs(arr)))
-    return SampleSet(points=arr, bandwidth=bandwidth)
+        return 1
+
+    return SampleSet(points=csv_rows(path, fields)[:, 0], bandwidth=bandwidth)

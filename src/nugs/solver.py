@@ -39,7 +39,7 @@ from .errors import UnstableReconstructionError
 from .fourier import FourierData
 from .sampling import SampleSet
 from .spaces import OrthoBasis, SpaceSpec
-from .validation import as_weight_array, check_same_length
+from .validation import as_weight_array, check_same_length, complex_pairs, json_field
 
 # singular values below this fraction of the largest count as zero
 RANK_RTOL = 1e-12
@@ -72,10 +72,10 @@ class Reconstruction:
     @classmethod
     def from_json(cls, text: str) -> "Reconstruction":
         d = json.loads(text)
-        coeffs = np.array([complex(re, im) for re, im in d["coefficients"]])
-        return cls(space=SpaceSpec.from_json(json.dumps(d["space"])),
-                   coefficients=coeffs, residual=float(d["residual"]),
-                   sigma_min=float(d["sigma_min"]), sigma_max=float(d["sigma_max"]))
+        return cls(space=SpaceSpec.from_json(json.dumps(json_field(d, "space"))),
+                   coefficients=complex_pairs(json_field(d, "coefficients"), "coefficients"),
+                   **{key: float(json_field(d, key))
+                      for key in ("residual", "sigma_min", "sigma_max")})
 
 
 @dataclass(frozen=True)

@@ -32,23 +32,10 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import gauss_rule
-from .validation import as_complex_array, check_positions
+from .validation import as_complex_array, check_count, check_positions, json_field
 
 KINDS = ("trig", "legendre", "piecewise_poly", "spline", "piecewise_const")
 _KNOT_SEPARATION = 1e-14
-# Half-width, in units of (1 + delta)^2, of the band around the stability
-# search's cut t = ((1 + delta)/threshold)^2 on lambda_min(W, G) inside which
-# a probe's Cholesky test (``experiments._StabilityEvaluator.passes``) defers
-# to the exact eigenvalue.  (1 + delta)^2 bounds lambda_max(W, G), so it is
-# the scale of W.  Forming W (N terms per entry, n columns) moves
-# lambda_min by at most about n N u (1 + delta)^2 (u = 2^-53), and the
-# Cholesky factorization by about n^2 u (1 + delta)^2: 2e-10 of the scale at
-# N = 4380, n = 401.  Measured over every probe of the K = 30 and K = 200
-# searches on log and jittered sets, the shift at which W - sG stops
-# factoring is within 3e-15 of the scale of the exact lambda_min.
-# Outside the band every decision is therefore the exact eigenvalue's, which
-# the search reads as 0 (an infinite ratio) when it is not positive.
-PROBE_BAND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -123,14 +110,18 @@ class SpaceSpec:
     @classmethod
     def from_json(cls, text: str) -> "SpaceSpec":
         d = json.loads(text)
-        kind = d["kind"]
+        kind = json_field(d, "kind")
         if kind in ("trig", "legendre"):
-            return cls(kind=kind, degree=int(d["m"]))
+            return cls(kind=kind, degree=check_count(json_field(d, "m"), "m", 0))
         if kind == "spline":
-            return cls(kind=kind, degree=int(d["d"]), cells=int(d["l"]))
+            return cls(kind=kind, degree=check_count(json_field(d, "d"), "d", 0),
+                       cells=check_count(json_field(d, "l"), "l", 1))
         if kind == "piecewise_const":
-            return cls(kind=kind, cells=int(d["l"]))
-        return cls.piecewise_poly(d["knots"], d["degrees"])
+            return cls(kind=kind, cells=check_count(json_field(d, "l"), "l", 1))
+        if kind == "piecewise_poly":
+            degrees = [check_count(m, "degrees", 0) for m in json_field(d, "degrees")]
+            return cls.piecewise_poly(json_field(d, "knots"), degrees)
+        return cls(kind=kind)  # __post_init__ rejects the unknown kind
 
 
 @dataclass(frozen=True)
@@ -355,12 +346,12 @@ def evaluate(basis: OrthoBasis, x) -> np.ndarray:
     return out[:, 0] if scalar else out
 
 
-def check_member(basis: OrthoBasis, coefficients) -> np.ndarray:
-    """``coefficients`` of a member of the basis' space: a finite complex
-    vector of length ``basis.dim``."""
+def check_member(dim: int, coefficients) -> np.ndarray:
+    """``coefficients`` of a member of a space of dimension ``dim``: a finite
+    complex vector of that length."""
     coeffs = as_complex_array(coefficients, "coefficients")
-    if coeffs.size != basis.dim:
-        raise ValueError(f"coefficients must have length {basis.dim}, the space "
+    if coeffs.size != dim:
+        raise ValueError(f"coefficients must have length {dim}, the space "
                          f"dimension, got {coeffs.size}")
     return coeffs
 
@@ -374,7 +365,7 @@ def member_values(basis: OrthoBasis, coefficients, x) -> np.ndarray:
     (cells, p), and each position reads the p of its own cell: no
     (dim, len(x)) table of basis values.  Trig sums its exponentials.
     """
-    coeffs = check_member(basis, coefficients)
+    coeffs = check_member(basis.dim, coefficients)
     xs = check_positions(x)
     if basis.orders is not None:
         return coeffs @ np.exp(2j * np.pi * basis.orders[:, None] * xs[None, :])

@@ -2,7 +2,8 @@
 
 Small check functions in the spirit of ``sklearn.utils.validation``: coerce
 array-likes to well-formed ndarrays and raise ``ValueError`` with a named
-argument on bad input.
+argument on bad input.  Every CSV loader parses its rows by ``csv_rows``,
+and every ``from_json`` reads its keys by ``json_field``.
 """
 
 from __future__ import annotations
@@ -13,17 +14,17 @@ import numbers
 import numpy as np
 
 
-def as_float_array(x, name: str, *, ndim: int = 1) -> np.ndarray:
-    """Coerce to a float64 array of the given dimensionality.
+def as_float_array(x, name: str, dtype=float) -> np.ndarray:
+    """Coerce to a finite, non-empty 1-D array of ``dtype``.
 
-    Accepts shape (n, 1) for ndim=1 and squeezes the trailing axis, so
-    column-vector inputs from sklearn-style pipelines work unchanged.
+    Accepts shape (n, 1) and squeezes the trailing axis, so column-vector
+    inputs from sklearn-style pipelines work unchanged.
     """
-    arr = np.asarray(x, dtype=float)
-    if ndim == 1 and arr.ndim == 2 and arr.shape[1] == 1:
+    arr = np.asarray(x, dtype=dtype)
+    if arr.ndim == 2 and arr.shape[1] == 1:
         arr = arr[:, 0]
-    if arr.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be 1-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
     if not np.all(np.isfinite(arr)):
@@ -32,14 +33,7 @@ def as_float_array(x, name: str, *, ndim: int = 1) -> np.ndarray:
 
 
 def as_complex_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=complex)
-    if arr.ndim == 2 and arr.shape[1] == 1:
-        arr = arr[:, 0]
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
+    return as_float_array(x, name, complex)
 
 
 def as_weight_array(x, name: str) -> np.ndarray:
@@ -95,3 +89,44 @@ def check_same_length(a, b, name_a: str, name_b: str) -> None:
     if len(a) != len(b):
         raise ValueError(f"{name_a} and {name_b} must have equal length "
                          f"({len(a)} != {len(b)})")
+
+
+def json_field(d, key: str):
+    """``d[key]`` of a parsed JSON object."""
+    if not isinstance(d, dict) or key not in d:
+        raise ValueError(f"expected a JSON object with the key {key!r}")
+    return d[key]
+
+
+def complex_pairs(value, name: str) -> np.ndarray:
+    """[re, im] number pairs as complex numbers, viewed so as to keep -0.0."""
+    if not (isinstance(value, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(map(is_real_number, p))
+            for p in value)):
+        raise ValueError(f"{name} must be a list of [re, im] number pairs, got {value!r}")
+    return np.array(value, dtype=float).reshape(-1, 2).view(complex)[:, 0]
+
+
+def csv_rows(path, fields) -> np.ndarray:
+    """The rows of a CSV file of numbers, (rows, count), under a header line
+    that ``fields`` checks and reads the count from.  Blank lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        count = fields(fh.readline().strip())
+        lines = fh.read().split("\n")
+    rows = [line for line in lines if line.strip()]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    try:  # one numpy call; the reshape fails on another field count
+        return np.loadtxt(rows, delimiter=",", comments=None).reshape(len(rows), count)
+    except ValueError as exc:
+        error = exc
+    for lineno, line in enumerate(lines, start=2):
+        parts = line.split(",") if line.strip() else []
+        if parts and len(parts) != count:
+            raise ValueError(f"{path}:{lineno}: expected {count} "
+                             f"field{'s' * (count > 1)}, got {len(parts)}")
+        try:
+            list(map(float, parts))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed number") from None
+    raise ValueError(f"{path}: {error}")  # float reads it and numpy does not, as 1_000

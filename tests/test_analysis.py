@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
@@ -341,3 +343,16 @@ def test_merged_frame_coeffs_match_per_cell_loop(space, cells):
     assert np.max(np.abs(got - want)) <= 3e-13 * np.max(np.abs(want))
     flat = got.reshape(basis.dim, -1)
     assert np.max(np.abs(flat @ flat.T - np.eye(basis.dim))) <= 1e-13
+
+
+def test_triangle_report_json_has_every_field():
+    report = analysis.TriangleReport(tail=0.1, reference_tail=0.2, gap=0.05, slack=0.15,
+                                     holds=True)
+    assert json.loads(report.to_json()) == {"tail": 0.1, "reference_tail": 0.2, "gap": 0.05,
+                                            "slack": 0.15, "holds": True}
+
+
+def test_band_requirement_fit_rejects_a_top_z_still_above_eps():
+    # z_hi_factor 0 caps the search at z = 2, where one cell's residual is far above 1e-12
+    with pytest.raises(ValueError, match="residual at z=2 still above 1e-12 for L=1"):
+        band_requirement_fit(1e-12, [1], z_hi_factor=0.0)

@@ -320,3 +320,39 @@ def test_option_a_subcommand_does_not_read_exits_1(tmp_path, capsys, args, optio
     # "--k" on scaling is also a prefix of --kmin, --kmax and --kcount
     assert "usage error" in err and option in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option", [["--function", "benchmark"], ["--grid", 8]])
+def test_removed_or_shortened_option_is_unknown(tmp_path, capsys, option):
+    # --function and --grid are prefixes of --function-json and --grid-points
+    code = run(["reconstruct", "--space", "legendre:2", "--k", 10, "--n", 40, *option,
+                "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"usage error: unrecognized arguments: {option[0]} {option[1]}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_function_json_without_kind_exits_1_naming_the_key(tmp_path, capsys):
+    spec = tmp_path / "f.json"
+    spec.write_text('{"expr": ["x"]}', encoding="utf-8")
+    code = run(["reconstruct", "--space", "legendre:2", "--k", 10, "--n", 40,
+                "--function-json", spec, "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "expected a JSON object with the key 'kind'" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "coefficients.json").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["reconstruct", "--space", "legendre:2"], "synthetic reconstruction needs --k"),
+    (["stability", "--space", "trig:2", "--k", 10], "stability needs --k and --n"),
+    (["stability", "--space", "trig:2", "--scheme", "uniform:3", "--k", 10, "--n", 40],
+     "scheme 'uniform' takes no parameter"),
+])
+def test_missing_or_bad_sampling_option_exits_1(tmp_path, capsys, args, message):
+    code = run(args + ["--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

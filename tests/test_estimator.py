@@ -137,3 +137,17 @@ def test_score_on_constant_targets_is_zero():
     x, y, _, _ = make_problem()
     est = NonuniformFourierRegressor(space="trig:4", bandwidth=9.0).fit(x, y)
     assert est.score(x, np.full(x.size, 2.0 - 1.0j)) == 0.0
+
+
+@pytest.mark.parametrize("X, message", [(np.zeros((4, 2)), "X must be 1-dimensional"),
+                                        (np.zeros(0), "X must be non-empty")])
+def test_fit_rejects_bad_frequency_shape(X, message):
+    with pytest.raises(ValueError, match=message):
+        NonuniformFourierRegressor("legendre:1", bandwidth=5.0).fit(X, np.ones(len(X)))
+
+
+def test_fit_accepts_column_vector_values():
+    x, y, _, _ = make_problem(SpaceSpec.legendre(3), k=8.0, seed=2)
+    flat = NonuniformFourierRegressor("legendre:3").fit(x, y)
+    column = NonuniformFourierRegressor("legendre:3").fit(x, y[:, None])
+    assert np.array_equal(flat.coef_, column.coef_)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
-from nugs import experiments, fourier, spaces
+from nugs import experiments, fourier, sampling, spaces, validation
 from nugs.fourier import (FourierData, FunctionSpec, _order_factors, basis_transform,
                           bspline_weighted_gram, cell_transforms, evaluate_function,
                           interval_exponential, l2_error, load_data_csv, member_transform, project,
@@ -597,3 +598,93 @@ def test_l2_error_rejects_bad_coefficients():
     for bad in (np.zeros(3), np.zeros(5), [0.0, np.nan, 0.0, 0.0]):
         with pytest.raises(ValueError, match="coefficients"):
             l2_error(f, bad, basis)
+
+
+def test_every_expression_op_evaluates_as_its_numpy_function():
+    x, two = ("x",), ("const", 2.0)
+    xs = np.linspace(0.0, 0.9, 7)
+    cases = [(x, xs), (("const", 1.5), np.full_like(xs, 1.5)), (("neg", x), -xs),
+             (("sin", x), np.sin(xs)), (("cos", x), np.cos(xs)), (("exp", x), np.exp(xs)),
+             (("add", x, two), xs + 2.0), (("sub", x, two), xs - 2.0),
+             (("mul", x, two), xs * 2.0), (("pow", x, 3), xs**3)]
+    for expr, want in cases:
+        assert np.array_equal(evaluate_function(FunctionSpec.from_expr(expr), xs), want)
+
+
+def test_from_coefficients_rejects_wrong_count():
+    with pytest.raises(ValueError, match="coefficients must have length 3, the space dimension"):
+        FunctionSpec.from_coefficients(SpaceSpec.legendre(2), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"expr": ["x"]}', "kind"),
+    ('{"kind": "expr"}', "expr"),
+    ('{"kind": "coeffs", "space": {"kind": "legendre", "m": 1}}', "coefficients"),
+    ('{"kind": "coeffs", "coefficients": [[1, 0]]}', "space"),
+    ("[1, 2]", "kind"),
+])
+def test_function_from_json_names_the_missing_key(text, key):
+    with pytest.raises(ValueError, match=f"expected a JSON object with the key '{key}'"):
+        FunctionSpec.from_json(text)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"coefficients": [1, 2]}, r"coefficients must be a list of \[re, im\] number pairs"),
+    ({"coefficients": [[1, 0], ["2", 0]]}, r"coefficients must be a list of \[re, im\]"),
+    ({"space": {"kind": "legendre", "m": None}}, "m must be an integer >= 0, got None"),
+    ({"kind": "nope"}, "unknown kind 'nope'"),
+])
+def test_function_from_json_rejects_malformed_fields(change, message):
+    d = json.loads(FunctionSpec.from_coefficients(SpaceSpec.legendre(1), [1, 2j]).to_json())
+    with pytest.raises(ValueError, match=message):
+        FunctionSpec.from_json(json.dumps({**d, **change}))
+
+
+def test_function_from_json_keeps_signed_zeros():
+    f = FunctionSpec.from_coefficients(SpaceSpec.legendre(1), [complex(-0.0, 1.0), -1j])
+    back = FunctionSpec.from_json(f.to_json())
+    assert np.signbit([back.coefficients[0].real, back.coefficients[1].real]).all()
+
+
+class _CountingFloat:
+    """Stands in for ``float`` in the modules that load CSV files and counts
+    its calls; numpy reads its ``dtype`` where code passes float as one."""
+
+    dtype = np.dtype(float)
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return float(*args)
+
+
+def test_csv_loaders_convert_rows_in_one_numpy_call(tmp_path, monkeypatch):
+    s = generate(SchemeSpec("jittered", 600, 200.0, theta=0.3, seed=4))
+    data = FourierData(s, np.exp(1j * s.points), weights(s))
+    save_data_csv(tmp_path / "data.csv", data)
+    sampling.save_samples_csv(tmp_path / "samples.csv", s)
+    counting = _CountingFloat()
+    for module in (validation, fourier, sampling):
+        monkeypatch.setattr(module, "float", counting, raising=False)
+    back, had_weights = load_data_csv(tmp_path / "data.csv")
+    assert had_weights and np.array_equal(back.values, data.values)
+    assert np.array_equal(sampling.load_samples_csv(tmp_path / "samples.csv").points, s.points)
+    # the few calls left check the bandwidth; a per-row loop makes thousands
+    assert counting.calls < 20
+
+
+def test_data_csv_bad_header_is_reported_before_bad_rows(tmp_path):
+    path = tmp_path / "both.csv"
+    path.write_text("omega,real,imag\n0.0,oops\n")
+    with pytest.raises(ValueError, match="expected header omega,re,im"):
+        load_data_csv(path)
+
+
+def test_data_csv_number_numpy_cannot_read_names_the_file(tmp_path):
+    # float reads 1_000, the row parser does not; no line is named then
+    path = tmp_path / "underscore.csv"
+    path.write_text("omega,re,im\n-1.0,1_000,0.0\n1.0,0.5,0.0\n")
+    with pytest.raises(ValueError, match="underscore.csv: could not convert string '1_000'"):
+        load_data_csv(path)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,34 @@ def test_csv_blank_lines_skipped(tmp_path):
     path = tmp_path / "blank.csv"
     path.write_text("omega\n-1.0\n\n  \n2.0\n\n")
     assert np.array_equal(load_samples_csv(path).points, [-1.0, 2.0])
+
+
+def test_csv_extra_field_reports_line(tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("omega\n1.0\n2.0,3.0\n")
+    with pytest.raises(ValueError, match=":3: expected 1 field, got 2"):
+        load_samples_csv(path)
+
+
+def test_sample_set_bandwidth_defaults_to_largest_magnitude():
+    assert SampleSet(points=[-2.5, 0.5, 1.0]).bandwidth == 2.5
+    with pytest.raises(ValueError, match="bandwidth must be finite and positive, got 0.0"):
+        SampleSet(points=[0.0])
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"n": 4.5}, "n must be an integer >= 2, got 4.5"),
+    ({"k": "5"}, "k must be finite and positive, got '5'"),
+])
+def test_scheme_from_json_checks_counts_and_bandwidth(change, message):
+    d = json.loads(SchemeSpec("uniform", 4, 5.0).to_json())
+    with pytest.raises(ValueError, match=message):
+        SchemeSpec.from_json(json.dumps({**d, **change}))
+
+
+@pytest.mark.parametrize("key", ["kind", "n", "k"])
+def test_scheme_from_json_names_the_missing_key(key):
+    d = json.loads(SchemeSpec("uniform", 4, 5.0).to_json())
+    del d[key]
+    with pytest.raises(ValueError, match=f"expected a JSON object with the key '{key}'"):
+        SchemeSpec.from_json(json.dumps(d))

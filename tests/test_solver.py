@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from nugs.errors import UnstableReconstructionError
 from nugs.fourier import FourierData, FunctionSpec, basis_transform, l2_error, project, sample_function
 from nugs.sampling import SampleSet, SchemeSpec, density, generate, weights
-from nugs.solver import (design_matrix, frame_lower, reconstruct,
+from nugs.solver import (Reconstruction, design_matrix, frame_lower, reconstruct,
                          stability_constant)
 from nugs.spaces import SpaceSpec, build_basis
 from nugs import analysis
@@ -260,3 +262,13 @@ def test_square_system_solves():
     rec = reconstruct(basis, FourierData(INTEGER_GRID, values, weights(INTEGER_GRID)))
     assert np.allclose(rec.coefficients, values, atol=1e-15)
     assert rec.residual <= 1e-15
+
+
+@pytest.mark.parametrize("key", ["space", "coefficients", "residual", "sigma_min", "sigma_max"])
+def test_reconstruction_from_json_names_the_missing_key(key):
+    rec = Reconstruction(space=SpaceSpec.legendre(0), coefficients=np.array([1.0 + 0j]),
+                         residual=0.0, sigma_min=1.0, sigma_max=1.0)
+    d = json.loads(rec.to_json())
+    del d[key]
+    with pytest.raises(ValueError, match=f"expected a JSON object with the key '{key}'"):
+        Reconstruction.from_json(json.dumps(d))

@@ -380,3 +380,24 @@ def test_growth_constants_build_no_basis(monkeypatch):
     for spec in ALL_SPECS + [SpaceSpec.spline(3, 40), SpaceSpec.legendre(0)]:
         gc = growth_constants(spec)
         assert np.isfinite(gc.derivative_growth) and gc.sup_growth > 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"kind": "legendre", "m": 2.7}', "m must be an integer >= 0, got 2.7"),
+    ('{"kind": "trig", "m": true}', "m must be an integer >= 0, got True"),
+    ('{"kind": "spline", "d": 3}', "expected a JSON object with the key 'l'"),
+    ('{"kind": "piecewise_const", "l": 0}', "l must be an integer >= 1, got 0"),
+    ('{"kind": "piecewise_poly", "knots": [0.5], "degrees": [1, 1.5]}',
+     "degrees must be an integer >= 0, got 1.5"),
+    ('{"kind": "nope", "knots": [], "degrees": [1]}', "unknown space kind 'nope'"),
+    ('{"m": 2}', "expected a JSON object with the key 'kind'"),
+    ('["legendre", 2]', "expected a JSON object with the key 'kind'"),
+])
+def test_space_from_json_rejects_malformed_input(text, message):
+    with pytest.raises(ValueError, match=message):
+        SpaceSpec.from_json(text)
+
+
+def test_build_basis_rejects_cells_narrower_than_knot_separation():
+    with pytest.raises(ValueError, match="cells narrower than 1e-14"):
+        build_basis(SpaceSpec.piecewise_poly([1e-16], [0, 0]))
