@@ -4,7 +4,11 @@ The z-residual of a space is the worst-case transform energy of a
 unit-norm member outside (-z, z).  Writing B(z) for the Hermitian matrix
 of banded transform inner products of an orthonormal basis, Plancherel on
 (0,1)-supported functions gives ``residual^2 = 1 - lambda_min(B(z))``,
-a finite eigenproblem.  The gap between two polynomial-kind spaces is
+a finite eigenproblem.  On the uniform cells of piecewise constants and
+splines a cell transform depends on its cell j only through the phase
+e^{-pi i w (2j+1) h}, so the Gram of the cell transforms is block Toeplitz,
+and ``concentration_matrix`` sums its lags instead of building a table of
+transforms per cell.  The gap between two polynomial-kind spaces is
 the largest singular value of the projection residual, with both bases
 re-expanded on the merged cell partition: one evaluation of each basis at
 the Gauss nodes of all merged cells and one contraction with a local
@@ -25,9 +29,15 @@ import numpy as np
 from . import fourier, spaces
 from .quadrature import gauss_rule, panel_edges, panel_nodes, refine
 from .spaces import OrthoBasis, SpaceSpec
-from .validation import check_count
+from .validation import check_count, check_positive_finite, is_real_number
 
 _KNOT_FREE = ("trig", "legendre")
+# kinds on uniform cells, whose cell-level Gram of transforms is block Toeplitz
+_UNIFORM_CELLS = ("piecewise_const", "spline")
+# they contract their block-Toeplitz cell Gram at a cost of dim (L p)^2, the
+# dense path at about nodes L p dim, so they take it while L p is at most
+# this many times the node count (the measured crossover is 3 to 8)
+_LAG_NODES = 4
 # Gauss nodes per frequency panel of the concentration quadrature
 _CONCENTRATION_NODES = 12
 
@@ -90,7 +100,18 @@ def concentration_matrix(basis: OrthoBasis, z: float, abs_tol: float = 1e-11) ->
     wide when z < 2 so that the first halving always changes the node
     layout; ``refine`` compares them with panels half as wide and
     returns the finer estimate.
+
+    Piecewise constants and splines lie on L uniform cells of width h, so
+    their cell Gram is block Toeplitz: block (j, k) is
+    h sum_v q_v conj(f(w_v)) f(w_v)^T e^{-2 pi i w_v (k - j) h}, one table of
+    p order factors f and p^2 lag sequences (``fourier.uniform_cell_lags``)
+    in place of the nodes x L p table of cell transforms.  The other kinds
+    contract their basis transforms node by node, and so do uniform cells
+    while L p exceeds 4 times the node count (small z), where the (L p)^2
+    Gram costs more than the per-node products.  Both paths take the nodes
+    in chunks of 2e5 / dim.
     """
+    z = check_positive_finite(z, "z")
     return refine(lambda width: _concentration_fixed(basis, z, width), min(2.0, z),
                   lambda new, old: np.max(np.abs(new - old)) <= abs_tol,
                   f"concentration on (-{z:g}, {z:g})")
@@ -101,14 +122,37 @@ def _concentration_fixed(basis: OrthoBasis, z: float, width: float) -> np.ndarra
     # negative half-band contributes the conjugate: integrate (0, z) twice
     real_basis = basis.orders is None
     edges = panel_edges(0.0 if real_basis else -z, z, (0.0,), width)
-    xs_all, ws_all = panel_nodes(edges, _CONCENTRATION_NODES)
+    xs, ws = panel_nodes(edges, _CONCENTRATION_NODES)
+    if basis.space.kind in _UNIFORM_CELLS and basis.coeffs[0].size <= _LAG_NODES * xs.size:
+        return _toeplitz_concentration(basis, xs, ws)
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    chunk = max(1, int(2e5 // max(basis.dim, 1)))
-    for lo in range(0, xs_all.size, chunk):
-        sel = slice(lo, min(lo + chunk, xs_all.size))
-        phi = fourier.basis_transform(basis, xs_all[sel])
-        out += (phi.conj() * ws_all[sel, None]).T @ phi
+    for sel in _node_chunks(xs.size, basis.dim):
+        phi = fourier.basis_transform(basis, xs[sel])
+        out += (phi.conj() * ws[sel, None]).T @ phi
     return 2.0 * out.real if real_basis else out
+
+
+def _toeplitz_concentration(basis: OrthoBasis, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """2 Re C G C^T on the half-band nodes ``xs`` with weights ``ws``, for a
+    basis on uniform cells.  G, the Gram of the cell transforms indexed by
+    (cell, order) like ``OrthoBasis.coeffs``, has block (j, k) equal to lag
+    k - j of ``fourier.uniform_cell_lags`` for k >= j, and to the conjugate
+    transpose of lag j - k otherwise."""
+    cells, p = basis.coeffs.shape[1:]
+    lags = sum(fourier.uniform_cell_lags(cells, p, xs[sel], ws[sel])
+               for sel in _node_chunks(xs.size, basis.dim)).real
+    # lags -(cells-1)..cells-1 of Re G; lag -t is the transpose of lag t
+    ext = np.concatenate((lags.transpose(1, 0, 2)[:, :, :0:-1], lags), axis=2)
+    j = np.arange(cells)
+    gram = ext[:, :, j - j[:, None] + cells - 1].transpose(2, 0, 3, 1).reshape(cells * p, -1)
+    coeffs = basis.coeffs.reshape(basis.dim, -1)
+    return 2.0 * (coeffs @ gram @ coeffs.T)
+
+
+def _node_chunks(count: int, dim: int) -> list[slice]:
+    """Slices of ``count`` nodes, 2e5 / dim at a time."""
+    step = max(1, int(2e5 // max(dim, 1)))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 def residual(space: SpaceSpec, z: float, abs_tol: float = 1e-11) -> float:
@@ -117,18 +161,17 @@ def residual(space: SpaceSpec, z: float, abs_tol: float = 1e-11) -> float:
 
 
 def residual_from_basis(basis: OrthoBasis, z: float, abs_tol: float = 1e-11) -> float:
-    if z <= 0:
-        raise ValueError("band half-width z must be positive")
-    b = concentration_matrix(basis, z, abs_tol)
+    b = concentration_matrix(basis, check_positive_finite(z, "z"), abs_tol)
     lam = np.linalg.eigvalsh(b)
     lam = np.clip(lam, 0.0, 1.0)
     return math.sqrt(max(1.0 - float(lam[0]), 0.0))
 
 
 def residual_curve(space: SpaceSpec, zs) -> ResidualCurve:
+    zs = [check_positive_finite(z, "z in zs") for z in zs]
     basis = fourier.cached_basis(space)
-    es = np.array([residual_from_basis(basis, float(z)) for z in zs])
-    return ResidualCurve(space=space, z=np.asarray(zs, dtype=float), e=es)
+    es = np.array([residual_from_basis(basis, z) for z in zs])
+    return ResidualCurve(space=space, z=np.array(zs, dtype=float), e=es)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +278,11 @@ def band_requirement_fit(eps: float, cell_counts, z_hi_factor: float = 4.0):
     the slope is the measured proportionality constant (it is not a stored
     ground truth, only its existence is relied upon).
     """
+    if not (is_real_number(eps) and 0 < eps < 1):
+        raise ValueError(f"eps must be a number in (0, 1), got {eps!r}")
+    # the top of each bracket, z_hi_factor L + 2, stays at 2 or above
+    if not (is_real_number(z_hi_factor) and math.isfinite(z_hi_factor) and z_hi_factor >= 0):
+        raise ValueError(f"z_hi_factor must be finite and nonnegative, got {z_hi_factor!r}")
     counts = [check_count(l, "cells in cell_counts") for l in cell_counts]
     crossings = []
     for l in counts:

@@ -50,11 +50,19 @@ side get transform columns, from one Bessel table and the Legendre blocks
 of the at most 2d cells they touch; their cross terms with the interior
 are lag sums too.
 
-Both the lag sums and the transform quadrature sum over an arithmetic
-progression of phases e^{-2 pi i w t step}, t < count, and take them from
-one helper, ``_phase_tables``: with s = ceil(sqrt(count)) and t = q s + r
-the phase is a coarse (q) times a fine (r) factor, so a frequency costs
-about 2 sqrt(count) complex exponentials, and no table has a column per t.
+``uniform_cell_lags`` gives the concentration matrices of piecewise
+constants and splines (``analysis.concentration_matrix``) the same kind of
+structure: on L uniform cells the product conj(T_{j,n}) T_{k,m} of two cell
+transforms is h conj(f_n) f_m e^{-2 pi i w (k-j) h}, so the weighted Gram
+of all the cell transforms is block Toeplitz, and its p^2 lag sequences of
+length L are ``_lag_sums`` of one order-factor table at the width 1/L.
+
+The lag sums of both callers and the transform quadrature sum over an
+arithmetic progression of phases e^{-2 pi i w t step}, t < count, and take
+them from one helper, ``_phase_tables``: with s = ceil(sqrt(count)) and
+t = q s + r the phase is a coarse (q) times a fine (r) factor, so a
+frequency costs about 2 sqrt(count) complex exponentials, and no table has
+a column per t.
 
 Quadrature is used only for user-supplied functions and as a cross-check
 oracle in the tests.  Its panels have equal width h within each jump-free
@@ -359,6 +367,23 @@ def cell_transforms(breaks: np.ndarray, p: int, omegas: np.ndarray) -> np.ndarra
     widths, cell_width = np.unique(h, return_inverse=True)
     phase = np.exp(-1j * np.pi * w[:, None] * (a + b)[None, :]) * np.sqrt(h)[None, :]
     return phase[:, :, None] * _order_factors(w, widths, p)[:, cell_width, :]
+
+
+def uniform_cell_lags(cells: int, p: int, omegas, weights) -> np.ndarray:
+    """Weighted products of the cell transforms on ``cells`` uniform cells,
+    by lag, (p, p, cells): entry [n, m, t] is
+    sum_v weights_v conj(T_{j,n}(w_v)) T_{j+t,m}(w_v), the same for every j.
+
+    With h = 1/cells, T_{j,n}(w) = sqrt(h) e^{-pi i w (2j+1) h} f_n(w), where
+    f_n(w) = sqrt(2n+1) (-i)^n j_n(pi w h) does not depend on j, so the
+    product is h conj(f_n) f_m e^{-2 pi i w t h}: one order-factor table at
+    the width h and p^2 lag sequences from one ``_lag_sums``.
+    """
+    w = np.asarray(omegas, dtype=float)
+    h = 1.0 / cells
+    f = _order_factors(w, np.array([h]), p)[:, 0, :]
+    v = (f.conj() * (h * np.asarray(weights, dtype=float))[:, None])[:, :, None] * f[:, None, :]
+    return _lag_sums(v.reshape(w.size, p * p), w, h, cells).reshape(p, p, cells)
 
 
 def bspline_weighted_gram(d: int, l: int, omegas, weights) -> np.ndarray:

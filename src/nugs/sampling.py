@@ -15,7 +15,7 @@ import numpy as np
 
 from .prng import SplitMix64
 from .validation import (as_float_array, check_count, check_positive_finite,
-                         check_strictly_increasing, csv_rows, json_field)
+                         check_strictly_increasing, csv_rows, json_field, json_number)
 
 SCHEME_KINDS = ("uniform", "jittered", "log")
 
@@ -62,8 +62,8 @@ class SchemeSpec:
     """Descriptor of a deterministic sampling scheme.
 
     kind is one of ``uniform``, ``jittered``, ``log``.  ``theta`` is the
-    jitter fraction in [0, 1); ``seed`` drives the SplitMix64 generator so
-    jittered output is bit-reproducible.
+    jitter fraction in [0, 1); ``seed``, an integer >= 0, drives the
+    SplitMix64 generator so jittered output is bit-reproducible.
     """
 
     kind: str
@@ -77,6 +77,7 @@ class SchemeSpec:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         check_positive_finite(self.k, "k")
         check_count(self.n, "n", 2)
+        check_count(self.seed, "seed", 0)
         if not (0.0 <= self.theta < 1.0):
             raise ValueError("jitter fraction must lie in [0, 1)")
         if self.kind == "log" and self.n % 2 != 0:
@@ -89,9 +90,9 @@ class SchemeSpec:
     @classmethod
     def from_json(cls, text: str) -> "SchemeSpec":
         d = json.loads(text)
-        # n and k are checked by __post_init__, not coerced
+        # n, k, seed and the range of theta are checked by __post_init__, not coerced
         return cls(kind=json_field(d, "kind"), n=json_field(d, "n"), k=json_field(d, "k"),
-                   theta=float(d.get("theta", 0.0)), seed=int(d.get("seed", 0)))
+                   theta=json_number(d.get("theta", 0.0), "theta"), seed=d.get("seed", 0))
 
 
 def generate(spec: SchemeSpec) -> SampleSet:

@@ -39,7 +39,8 @@ from .errors import UnstableReconstructionError
 from .fourier import FourierData
 from .sampling import SampleSet
 from .spaces import OrthoBasis, SpaceSpec
-from .validation import as_weight_array, check_same_length, complex_pairs, json_field
+from .validation import (as_weight_array, check_same_length, complex_pairs, json_field,
+                         json_number)
 
 # singular values below this fraction of the largest count as zero
 RANK_RTOL = 1e-12
@@ -74,7 +75,7 @@ class Reconstruction:
         d = json.loads(text)
         return cls(space=SpaceSpec.from_json(json.dumps(json_field(d, "space"))),
                    coefficients=complex_pairs(json_field(d, "coefficients"), "coefficients"),
-                   **{key: float(json_field(d, key))
+                   **{key: json_number(json_field(d, key), key)
                       for key in ("residual", "sigma_min", "sigma_max")})
 
 

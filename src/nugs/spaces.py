@@ -32,7 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import gauss_rule
-from .validation import as_complex_array, check_count, check_positions, json_field
+from .validation import (as_complex_array, check_count, check_positions, json_field,
+                         json_list, json_number)
 
 KINDS = ("trig", "legendre", "piecewise_poly", "spline", "piecewise_const")
 _KNOT_SEPARATION = 1e-14
@@ -119,8 +120,10 @@ class SpaceSpec:
         if kind == "piecewise_const":
             return cls(kind=kind, cells=check_count(json_field(d, "l"), "l", 1))
         if kind == "piecewise_poly":
-            degrees = [check_count(m, "degrees", 0) for m in json_field(d, "degrees")]
-            return cls.piecewise_poly(json_field(d, "knots"), degrees)
+            knots = [json_number(t, "knots") for t in json_list(json_field(d, "knots"), "knots")]
+            degrees = [check_count(m, "degrees", 0)
+                       for m in json_list(json_field(d, "degrees"), "degrees")]
+            return cls.piecewise_poly(knots, degrees)
         return cls(kind=kind)  # __post_init__ rejects the unknown kind
 
 

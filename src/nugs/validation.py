@@ -3,7 +3,8 @@
 Small check functions in the spirit of ``sklearn.utils.validation``: coerce
 array-likes to well-formed ndarrays and raise ``ValueError`` with a named
 argument on bad input.  Every CSV loader parses its rows by ``csv_rows``,
-and every ``from_json`` reads its keys by ``json_field``.
+and every ``from_json`` reads its keys by ``json_field`` and its numbers and
+lists by ``json_number``, ``json_list`` and ``check_count``.
 """
 
 from __future__ import annotations
@@ -96,6 +97,20 @@ def json_field(d, key: str):
     if not isinstance(d, dict) or key not in d:
         raise ValueError(f"expected a JSON object with the key {key!r}")
     return d[key]
+
+
+def json_number(value, name: str) -> float:
+    """A JSON number (not a bool, string or null) as a float."""
+    if not is_real_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_list(value, name: str) -> list:
+    """A JSON array."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
 
 
 def complex_pairs(value, name: str) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import toeplitz
 from scipy.special import sici
 
-from nugs import analysis, spaces
+from nugs import analysis, fourier, spaces
 from nugs.analysis import (band_requirement_fit, concentration_matrix, gap, gap_bound,
                            residual, residual_curve, verify_gap_bound,
                            verify_triangle_bound)
@@ -356,3 +356,116 @@ def test_band_requirement_fit_rejects_a_top_z_still_above_eps():
     # z_hi_factor 0 caps the search at z = 2, where one cell's residual is far above 1e-12
     with pytest.raises(ValueError, match="residual at z=2 still above 1e-12 for L=1"):
         band_requirement_fit(1e-12, [1], z_hi_factor=0.0)
+
+
+def _half_band_nodes(z, width):
+    """The (0, z) panel nodes and weights of one ``concentration_matrix`` estimate."""
+    return panel_nodes(panel_edges(0.0, z, (0.0,), width), 12)
+
+
+def _dense_half_band(basis, xs, ws):
+    """2 Re of the dense basis-transform product on the given nodes."""
+    phi = basis_transform(basis, xs)
+    return 2.0 * ((phi.conj() * ws[:, None]).T @ phi).real
+
+
+@pytest.mark.parametrize("space", [
+    SpaceSpec.piecewise_const(2), SpaceSpec.piecewise_const(3), SpaceSpec.piecewise_const(64),
+    SpaceSpec.spline(3, 5), SpaceSpec.spline(2, 4), SpaceSpec.spline(1, 40),
+    SpaceSpec.spline(3, 40)], ids=str)
+@pytest.mark.parametrize("z", [0.3, 1.7, 3.5, 60.0])
+def test_block_toeplitz_path_matches_dense_product(space, z):
+    # splines with l < 2d, l = 2d and l = 40; z below and above 2
+    basis = build_basis(space)
+    for width in (min(2.0, z), min(2.0, z) / 2):
+        xs, ws = _half_band_nodes(z, width)
+        got = analysis._toeplitz_concentration(basis, xs, ws)
+        assert np.max(np.abs(got - _dense_half_band(basis, xs, ws))) <= 1e-13
+
+
+@pytest.mark.parametrize("space", [SpaceSpec.piecewise_const(64), SpaceSpec.spline(3, 40)],
+                         ids=str)
+def test_block_toeplitz_path_sums_across_node_chunks(space):
+    basis = build_basis(space)
+    xs, ws = _half_band_nodes(400.0, 1.0)
+    assert len(analysis._node_chunks(xs.size, basis.dim)) == 2
+    got = analysis._toeplitz_concentration(basis, xs, ws)
+    assert np.max(np.abs(got - _dense_half_band(basis, xs, ws))) <= 1e-13
+
+
+@pytest.mark.parametrize("space", [SpaceSpec.piecewise_const(16), SpaceSpec.spline(2, 9)],
+                         ids=str)
+def test_uniform_cell_concentration_builds_no_transform_table(space, monkeypatch):
+    # at z = 7.5 every estimate has at least 48 nodes, so the cell Gram of
+    # at most 27 x 27 entries takes the block-Toeplitz path
+    basis = build_basis(space)
+    want = concentration_matrix(basis, 7.5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the block-Toeplitz path builds no transform table")
+
+    monkeypatch.setattr(fourier, "cell_transforms", refuse)
+    monkeypatch.setattr(fourier, "basis_transform", refuse)
+    assert np.array_equal(concentration_matrix(basis, 7.5), want)
+    assert 0.0 <= residual(space, 7.5) <= 1.0
+
+
+BAD_Z = [(float("nan"), "nan"), (float("inf"), "inf"), ("3", "'3'"), (True, "True"),
+         (0.0, "0.0"), (-1.0, "-1.0")]
+
+
+@pytest.mark.parametrize("z, shown", BAD_Z)
+@pytest.mark.parametrize("call", [
+    lambda z: residual(SpaceSpec.legendre(2), z),
+    lambda z: verify_triangle_bound(SpaceSpec.legendre(2), 4, z),
+    lambda z: concentration_matrix(build_basis(SpaceSpec.legendre(2)), z),
+], ids=["residual", "verify_triangle_bound", "concentration_matrix"])
+def test_band_analysis_rejects_a_bad_z(call, z, shown):
+    with pytest.raises(ValueError, match=f"z must be finite and positive, got {shown}"):
+        call(z)
+
+
+@pytest.mark.parametrize("z, shown", BAD_Z)
+def test_residual_curve_rejects_a_bad_z_in_zs(z, shown):
+    with pytest.raises(ValueError,
+                       match=f"z in zs must be finite and positive, got {shown}"):
+        residual_curve(SpaceSpec.legendre(2), [1.0, z, 2.0])
+
+
+@pytest.mark.parametrize("eps", [float("nan"), 2.0, 1.0, 0.0, -0.1, "0.1", True])
+def test_band_requirement_fit_rejects_eps_outside_the_unit_interval(eps):
+    with pytest.raises(ValueError, match=r"eps must be a number in \(0, 1\)"):
+        band_requirement_fit(eps, [2, 4])
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), -1.0, "4", None])
+def test_band_requirement_fit_rejects_a_bad_z_hi_factor(factor):
+    with pytest.raises(ValueError, match="z_hi_factor must be finite and nonnegative"):
+        band_requirement_fit(0.1, [2, 4], z_hi_factor=factor)
+
+
+@pytest.mark.parametrize("space, z, toeplitz", [
+    (SpaceSpec.piecewise_const(64), 0.5, [False, True]),   # 12, then 24 nodes
+    (SpaceSpec.spline(3, 40), 4.0, [False, True]),         # 24, then 48 nodes for L p = 160
+    (SpaceSpec.spline(1, 16), 0.5, [True, True]),
+    (SpaceSpec.legendre(3), 60.0, [False, False]),
+    (SpaceSpec.piecewise_poly([0.5], [1, 1]), 60.0, [False, False]),
+], ids=str)
+def test_concentration_path_follows_kind_and_node_count(space, z, toeplitz, monkeypatch):
+    taken = []
+    real = analysis._toeplitz_concentration
+
+    def spy(*args):
+        taken[-1] = True
+        return real(*args)
+
+    real_edges = analysis.panel_edges
+
+    def edges(*args, **kwargs):
+        taken.append(False)
+        return real_edges(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_toeplitz_concentration", spy)
+    monkeypatch.setattr(analysis, "panel_edges", edges)
+    concentration_matrix(build_basis(space), z)
+    assert taken == toeplitz

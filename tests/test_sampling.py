@@ -216,3 +216,23 @@ def test_scheme_from_json_names_the_missing_key(key):
     del d[key]
     with pytest.raises(ValueError, match=f"expected a JSON object with the key '{key}'"):
         SchemeSpec.from_json(json.dumps(d))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"seed": 4.5}, "seed must be an integer >= 0, got 4.5"),
+    ({"seed": True}, "seed must be an integer >= 0, got True"),
+    ({"seed": "4"}, "seed must be an integer >= 0, got '4'"),
+    ({"theta": "0.3"}, "theta must be a number, got '0.3'"),
+    ({"theta": None}, "theta must be a number, got None"),
+    ({"theta": False}, "theta must be a number, got False"),
+])
+def test_scheme_from_json_checks_theta_and_seed(change, message):
+    d = json.loads(SchemeSpec("jittered", 4, 5.0, theta=0.2, seed=3).to_json())
+    with pytest.raises(ValueError, match=message):
+        SchemeSpec.from_json(json.dumps({**d, **change}))
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0, True, None])
+def test_scheme_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+        SchemeSpec("jittered", 4, 5.0, theta=0.2, seed=seed)

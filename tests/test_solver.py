@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -271,4 +272,14 @@ def test_reconstruction_from_json_names_the_missing_key(key):
     d = json.loads(rec.to_json())
     del d[key]
     with pytest.raises(ValueError, match=f"expected a JSON object with the key '{key}'"):
+        Reconstruction.from_json(json.dumps(d))
+
+
+@pytest.mark.parametrize("key", ["residual", "sigma_min", "sigma_max"])
+@pytest.mark.parametrize("value", ["0.5", None, True, [0.5]])
+def test_reconstruction_from_json_reads_numbers_only(key, value):
+    rec = Reconstruction(space=SpaceSpec.legendre(0), coefficients=np.array([1.0 + 0j]),
+                         residual=0.0, sigma_min=1.0, sigma_max=1.0)
+    d = {**json.loads(rec.to_json()), key: value}
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be a number, got {value!r}")):
         Reconstruction.from_json(json.dumps(d))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -401,3 +403,16 @@ def test_space_from_json_rejects_malformed_input(text, message):
 def test_build_basis_rejects_cells_narrower_than_knot_separation():
     with pytest.raises(ValueError, match="cells narrower than 1e-14"):
         build_basis(SpaceSpec.piecewise_poly([1e-16], [0, 0]))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"knots": 5}, "knots must be a list, got 5"),
+    ({"degrees": 3}, "degrees must be a list, got 3"),
+    ({"knots": ["0.5"]}, "knots must be a number, got '0.5'"),
+    ({"knots": [None]}, "knots must be a number, got None"),
+    ({"knots": [True]}, "knots must be a number, got True"),
+])
+def test_space_from_json_checks_the_knot_and_degree_lists(change, message):
+    d = json.loads(SpaceSpec.piecewise_poly([0.5], [1, 2]).to_json())
+    with pytest.raises(ValueError, match=message):
+        SpaceSpec.from_json(json.dumps({**d, **change}))
