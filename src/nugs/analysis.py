@@ -4,8 +4,11 @@ The z-residual of a space is the worst-case transform energy of a
 unit-norm member outside (-z, z).  Writing B(z) for the Hermitian matrix
 of banded transform inner products of an orthonormal basis, Plancherel on
 (0,1)-supported functions gives ``residual^2 = 1 - lambda_min(B(z))``,
-a finite eigenproblem.  On the uniform cells of piecewise constants and
-splines a cell transform depends on its cell j only through the phase
+a finite eigenproblem.  For the exponentials B(z) is real symmetric and
+has a closed form in sine and cosine integrals, 2 (2m + 1) of them per
+matrix and no quadrature.  The other kinds integrate over panels of Gauss
+nodes.  On the uniform cells of piecewise constants and splines a cell
+transform depends on its cell j only through the phase
 e^{-pi i w (2j+1) h}, so the Gram of the cell transforms is block Toeplitz,
 and ``concentration_matrix`` sums its lags instead of building a table of
 transforms per cell.  The gap between two polynomial-kind spaces is
@@ -25,11 +28,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import sici
 
 from . import fourier, spaces
 from .quadrature import gauss_rule, panel_edges, panel_nodes, refine
 from .spaces import OrthoBasis, SpaceSpec
-from .validation import check_count, check_positive_finite, is_real_number
+from .validation import check_count, check_positive_finite, is_real_number, write_csv
 
 _KNOT_FREE = ("trig", "legendre")
 # kinds on uniform cells, whose cell-level Gram of transforms is block Toeplitz
@@ -49,10 +53,8 @@ class ResidualCurve:
     e: np.ndarray
 
     def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("z,e\n")
-            for zi, ei in zip(self.z, self.e):
-                fh.write(f"{float(zi)!r},{float(ei)!r}\n")
+        write_csv(path, ("z", "e"),
+                  np.column_stack((self.z, self.e)).astype(float).ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -92,44 +94,76 @@ class TriangleReport:
 def concentration_matrix(basis: OrthoBasis, z: float, abs_tol: float = 1e-11) -> np.ndarray:
     """Banded Gram ``B[i,k] = int_{-z}^{z} conj(F_i) F_k`` of basis transforms.
 
-    The integrand ``conj(F_i(w)) F_k(w)`` is
+    The exponentials of ``trig`` have F_j(w) = e^{-pi i (w - j)} sinc(w - j),
+    so conj(F_j) F_k = sin^2(pi w) / (pi^2 (w - j) (w - k)) and B is real
+    symmetric, in closed form (``_trig_concentration``):
+    B_jk = (S_j - S_k) / (pi^2 (j - k)) off the diagonal, with
+    S_a = (Cin(2 pi |z - a|) - Cin(2 pi |z + a|)) / 2, and
+    B_jj = G(z - j) + G(z + j) with G(u) = Si(2 pi u) / pi - sin^2(pi u) / (pi^2 u).
+    It is exact up to rounding, so ``abs_tol`` is checked but not used.
+
+    The other kinds have real coefficients, so their transforms are
+    conjugate symmetric and B is twice the real part of the integral over
+    (0, z).  The integrand ``conj(F_i(w)) F_k(w)`` is
     ``int int conj(phi_i(x)) phi_k(y) exp(2 pi i w (x - y)) dx dy`` with
     |x - y| < 1, so it oscillates at most once per unit of w, and a
     12-node Gauss panel one unit wide resolves it to about 1e-19 (two
     units wide, to about 3e-12).  The panels start two units wide, or z
     wide when z < 2 so that the first halving always changes the node
     layout; ``refine`` compares them with panels half as wide and
-    returns the finer estimate.
+    returns the finer estimate once no entry moved by more than ``abs_tol``.
 
     Piecewise constants and splines lie on L uniform cells of width h, so
     their cell Gram is block Toeplitz: block (j, k) is
     h sum_v q_v conj(f(w_v)) f(w_v)^T e^{-2 pi i w_v (k - j) h}, one table of
     p order factors f and p^2 lag sequences (``fourier.uniform_cell_lags``)
-    in place of the nodes x L p table of cell transforms.  The other kinds
-    contract their basis transforms node by node, and so do uniform cells
-    while L p exceeds 4 times the node count (small z), where the (L p)^2
-    Gram costs more than the per-node products.  Both paths take the nodes
-    in chunks of 2e5 / dim.
+    in place of the nodes x L p table of cell transforms.  Legendre and
+    piecewise polynomials contract their basis transforms node by node, and
+    so do uniform cells while L p exceeds 4 times the node count (small z),
+    where the (L p)^2 Gram costs more than the per-node products.  Both
+    paths take the nodes in chunks of 2e5 / dim.
     """
     z = check_positive_finite(z, "z")
+    if not (is_real_number(abs_tol) and not math.isnan(abs_tol)):
+        raise ValueError(f"abs_tol must be a number, got {abs_tol!r}")
+    if basis.orders is not None:
+        return _trig_concentration(basis.orders, z)
     return refine(lambda width: _concentration_fixed(basis, z, width), min(2.0, z),
                   lambda new, old: np.max(np.abs(new - old)) <= abs_tol,
                   f"concentration on (-{z:g}, {z:g})")
 
 
+def _trig_concentration(orders: np.ndarray, z: float) -> np.ndarray:
+    """The closed form of B(z) for the exponentials of integer ``orders``:
+    2 (2m + 1) sine and cosine integrals, no quadrature."""
+    a = orders.astype(float)
+    u = np.concatenate((z - a, z + a))
+    x = 2.0 * np.pi * np.abs(u)
+    at0 = x == 0.0
+    x[at0] = 1.0  # Cin(0) = G(0) = 0, set below
+    si, ci = sici(x)
+    # Cin(x) = gamma + ln x - Ci(x); sin^2(pi u) = sin^2(pi z) for integer orders
+    cin = np.where(at0, 0.0, np.euler_gamma + np.log(x) - ci)
+    s2 = math.sin(math.pi * math.fmod(z, 1.0)) ** 2
+    g = np.where(at0, 0.0, np.copysign(si / np.pi - 2.0 * s2 / (np.pi * x), u))
+    dim = a.size
+    s = (cin[:dim] - cin[dim:]) / 2.0
+    diff = a[:, None] - a[None, :]
+    np.fill_diagonal(diff, 1.0)
+    out = (s[:, None] - s[None, :]) / (np.pi**2 * diff)
+    np.fill_diagonal(out, g[:dim] + g[dim:])
+    return out
+
+
 def _concentration_fixed(basis: OrthoBasis, z: float, width: float) -> np.ndarray:
-    # real-coefficient bases have conjugate-symmetric transforms, so the
-    # negative half-band contributes the conjugate: integrate (0, z) twice
-    real_basis = basis.orders is None
-    edges = panel_edges(0.0 if real_basis else -z, z, (0.0,), width)
-    xs, ws = panel_nodes(edges, _CONCENTRATION_NODES)
+    xs, ws = panel_nodes(panel_edges(0.0, z, max_width=width), _CONCENTRATION_NODES)
     if basis.space.kind in _UNIFORM_CELLS and basis.coeffs[0].size <= _LAG_NODES * xs.size:
         return _toeplitz_concentration(basis, xs, ws)
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
     for sel in _node_chunks(xs.size, basis.dim):
         phi = fourier.basis_transform(basis, xs[sel])
         out += (phi.conj() * ws[sel, None]).T @ phi
-    return 2.0 * out.real if real_basis else out
+    return 2.0 * out.real
 
 
 def _toeplitz_concentration(basis: OrthoBasis, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
@@ -284,6 +318,9 @@ def band_requirement_fit(eps: float, cell_counts, z_hi_factor: float = 4.0):
     if not (is_real_number(z_hi_factor) and math.isfinite(z_hi_factor) and z_hi_factor >= 0):
         raise ValueError(f"z_hi_factor must be finite and nonnegative, got {z_hi_factor!r}")
     counts = [check_count(l, "cells in cell_counts") for l in cell_counts]
+    if len(set(counts)) < 2:  # a line through one L is not determined
+        raise ValueError(f"cell_counts must hold at least two distinct cell counts, "
+                         f"got {counts}")
     crossings = []
     for l in counts:
         basis = fourier.cached_basis(_reference_space(l))

@@ -22,7 +22,7 @@ from .errors import BandwidthTooSmallError, NugsError, UnstableReconstructionErr
 from .estimator import parse_space
 from .fourier import FunctionSpec
 from .sampling import SchemeSpec
-from .validation import check_count, check_positive_finite, check_threshold
+from .validation import check_count, check_positive_finite, check_threshold, write_csv
 
 
 class _UsageError(Exception):
@@ -86,9 +86,8 @@ def cmd_reconstruct(args) -> int:
     (out / "coefficients.json").write_text(rec.to_json() + "\n", encoding="utf-8")
     grid = (np.arange(grid_points) + 0.5) / grid_points
     vals = spaces.member_values(basis, rec.coefficients, grid)
-    rows = np.column_stack((grid, vals.real, vals.imag)).tolist()
-    with open(out / "reconstruction.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,re,im\n" + "".join(f"{x!r},{re!r},{im!r}\n" for x, re, im in rows))
+    write_csv(out / "reconstruction.csv", ("x", "re", "im"),
+              np.column_stack((grid, vals.real, vals.imag)).ravel().tolist())
     constants = solver.frame_constants(sampling.density(data.samples), rec.sigma_min**2)
     diag = {"delta": constants.density, "frame_lower": constants.lower,
             "c_ratio": constants.ratio, "residual": rec.residual,

@@ -48,7 +48,7 @@ from .errors import BandwidthTooSmallError
 from .fourier import FunctionSpec
 from .sampling import SampleSet, SchemeSpec
 from .spaces import SpaceSpec
-from .validation import check_count, check_positive_finite, check_threshold
+from .validation import check_count, check_positive_finite, check_threshold, write_csv
 
 FAMILIES = ("trig", "legendre", "spline")
 # factor on the sample count 2K / delta_max in ``plan_scheme``
@@ -384,17 +384,14 @@ def run_figure_panels(out_dir, *, seed: int = 0, k_grid=None, jobs: int = 1,
 
 
 def write_scaling_csv(path, rows: list[ScalingRow], *, with_family: bool = False) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(("family," if with_family else "") + "k,n,m,ratio,c_ratio\n")
-        for r in rows:
-            prefix = f"{r.family}," if with_family else ""
-            fh.write(f"{prefix}{float(r.k)!r},{r.n},{r.m},"
-                     f"{float(r.ratio)!r},{float(r.c_ratio)!r}\n")
+    family = ("family",) if with_family else ()
+    write_csv(path, family + ("k", "n", "m", "ratio", "c_ratio"),
+              [v for r in rows for v in (r.family,) * with_family
+               + (float(r.k), r.n, r.m, float(r.ratio), float(r.c_ratio))])
 
 
 def write_error_csv(path, rows: list[ErrorRow], *, with_family: bool = False) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(("family," if with_family else "") + "k,n,m,error\n")
-        for r in rows:
-            prefix = f"{r.family}," if with_family else ""
-            fh.write(f"{prefix}{float(r.k)!r},{r.n},{r.m},{float(r.error)!r}\n")
+    family = ("family",) if with_family else ()
+    write_csv(path, family + ("k", "n", "m", "error"),
+              [v for r in rows for v in (r.family,) * with_family
+               + (float(r.k), r.n, r.m, float(r.error))])

@@ -92,7 +92,7 @@ from .quadrature import gauss_rule, panel_edges, panel_nodes, panel_segments, re
 from .sampling import SampleSet
 from .spaces import OrthoBasis, SpaceSpec
 from .validation import (as_complex_array, as_weight_array, check_same_length,
-                         complex_pairs, csv_rows, is_real_number, json_field)
+                         complex_pairs, csv_rows, is_real_number, json_field, write_csv)
 
 _TWO_PI = 2.0 * np.pi
 # Gauss nodes per panel of the transform quadrature
@@ -623,11 +623,9 @@ def _panel_rule(f: FunctionSpec, basis: OrthoBasis, width: float):
 
 
 def save_data_csv(path, data: FourierData) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        rows = np.column_stack((data.samples.points, data.values.real, data.values.imag,
-                                data.weights)).tolist()
-        fh.write("omega,re,im,weight\n"
-                 + "".join(f"{w!r},{re!r},{im!r},{mu!r}\n" for w, re, im, mu in rows))
+    write_csv(path, ("omega", "re", "im", "weight"),
+              np.column_stack((data.samples.points, data.values.real, data.values.imag,
+                               data.weights)).ravel().tolist())
 
 
 def load_data_csv(path, bandwidth: float | None = None) -> tuple[FourierData, bool]:

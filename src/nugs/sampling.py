@@ -15,7 +15,8 @@ import numpy as np
 
 from .prng import SplitMix64
 from .validation import (as_float_array, check_count, check_positive_finite,
-                         check_strictly_increasing, csv_rows, json_field, json_number)
+                         check_strictly_increasing, csv_rows, json_field, json_number,
+                         write_csv)
 
 SCHEME_KINDS = ("uniform", "jittered", "log")
 
@@ -149,10 +150,7 @@ def weights(s: SampleSet) -> np.ndarray:
 
 
 def save_samples_csv(path, s: SampleSet) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("omega\n")
-        for w in s.points:
-            fh.write(f"{float(w)!r}\n")
+    write_csv(path, ("omega",), s.points.tolist())
 
 
 def load_samples_csv(path, bandwidth: float | None = None) -> SampleSet:

@@ -3,8 +3,9 @@
 Small check functions in the spirit of ``sklearn.utils.validation``: coerce
 array-likes to well-formed ndarrays and raise ``ValueError`` with a named
 argument on bad input.  Every CSV loader parses its rows by ``csv_rows``,
-and every ``from_json`` reads its keys by ``json_field`` and its numbers and
-lists by ``json_number``, ``json_list`` and ``check_count``.
+every CSV writer formats its rows by ``write_csv``, and every ``from_json``
+reads its keys by ``json_field`` and its numbers and lists by
+``json_number``, ``json_list`` and ``check_count``.
 """
 
 from __future__ import annotations
@@ -145,3 +146,16 @@ def csv_rows(path, fields) -> np.ndarray:
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed number") from None
     raise ValueError(f"{path}: {error}")  # float reads it and numpy does not, as 1_000
+
+
+def write_csv(path, header, values) -> None:
+    """Write a CSV file with LF line endings: the names in ``header``, then
+    the list ``values``, every field row after row, ``len(header)`` to a line.
+    Fields are Python floats (their shortest round-trip repr), integers or
+    strings, typed column by column like the first row; pass ``tolist()``
+    values, not numpy floats."""
+    width = len(header)
+    # str and repr agree on a float; "%r" skips a call per field
+    line = ",".join(["%r" if isinstance(v, float) else "%s" for v in values[:width]]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n" + line * (len(values) // width) % tuple(values))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -210,8 +211,11 @@ def concentration_layouts(monkeypatch):
 def test_concentration_matches_fixed_eighth_width_rule(space, z, concentration_layouts):
     basis = build_basis(space)
     got = concentration_matrix(basis, z)
-    assert len(concentration_layouts) == 2  # converged at the first comparison
-    assert not np.array_equal(*concentration_layouts)  # and compared two layouts
+    if space.kind == "trig":
+        assert concentration_layouts == []  # closed form, no panels
+    else:
+        assert len(concentration_layouts) == 2  # converged at the first comparison
+        assert not np.array_equal(*concentration_layouts)  # and compared two layouts
     want = _fixed_panel_concentration(basis, z, 0.125)
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -355,7 +359,7 @@ def test_triangle_report_json_has_every_field():
 def test_band_requirement_fit_rejects_a_top_z_still_above_eps():
     # z_hi_factor 0 caps the search at z = 2, where one cell's residual is far above 1e-12
     with pytest.raises(ValueError, match="residual at z=2 still above 1e-12 for L=1"):
-        band_requirement_fit(1e-12, [1], z_hi_factor=0.0)
+        band_requirement_fit(1e-12, [1, 2], z_hi_factor=0.0)
 
 
 def _half_band_nodes(z, width):
@@ -469,3 +473,88 @@ def test_concentration_path_follows_kind_and_node_count(space, z, toeplitz, monk
     monkeypatch.setattr(analysis, "panel_edges", edges)
     concentration_matrix(build_basis(space), z)
     assert taken == toeplitz
+
+
+@pytest.mark.parametrize("counts", [[], [2], [2, 2], [3, 3, 3]])
+def test_band_requirement_fit_needs_two_distinct_cell_counts(counts, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no residual before the cell counts are checked")
+
+    monkeypatch.setattr(analysis, "residual_from_basis", refuse)
+    with pytest.raises(ValueError, match="cell_counts must hold at least two distinct"):
+        band_requirement_fit(0.5, counts)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), np.float64("nan"), "1e-11", None, True])
+@pytest.mark.parametrize("space", KIND_SPACES, ids=lambda s: s.kind)
+def test_concentration_matrix_rejects_a_bad_abs_tol(space, tol):
+    with pytest.raises(ValueError, match="abs_tol must be a number"):
+        concentration_matrix(build_basis(space), 2.0, abs_tol=tol)
+    with pytest.raises(ValueError, match="abs_tol must be a number"):
+        residual(space, 2.0, abs_tol=tol)
+
+
+def test_trig_concentration_ignores_the_tolerance():
+    # closed form: no refinement a tolerance could stop or fail
+    basis = build_basis(SpaceSpec.trig(3))
+    want = concentration_matrix(basis, 4.5)
+    for tol in (-1.0, 0.0, 1e-3):
+        assert np.array_equal(concentration_matrix(basis, 4.5, abs_tol=tol), want)
+
+
+def _trig_entry_by_mpmath(mpmath, j, k, z):
+    """int_{-z}^{z} sin^2(pi w) / (pi^2 (w - j) (w - k)) dw, split at the integers."""
+    pi = mpmath.pi
+    z = mpmath.mpf(z)
+    cuts = [-z, *range(math.floor(-z) + 1, math.ceil(z)), z]
+    return mpmath.quad(lambda w: mpmath.sin(pi * w) ** 2 / (pi**2 * (w - j) * (w - k)), cuts)
+
+
+@pytest.mark.parametrize("z", [0.3, 1.0, 2.0, 3.5])
+def test_trig_concentration_matches_mpmath_quadrature(z):
+    # z = 1 and 2 put z - j = 0 on an order
+    mpmath = pytest.importorskip("mpmath")
+    got = concentration_matrix(build_basis(SpaceSpec.trig(2)), z)
+    assert got.dtype == float and np.array_equal(got, got.T)
+    with mpmath.workdps(20):
+        for j in range(-2, 3):
+            for k in range(j, 3):
+                want = float(_trig_entry_by_mpmath(mpmath, j, k, z))
+                assert abs(got[j + 2, k + 2] - want) <= 5e-16
+
+
+@pytest.mark.parametrize("z", [0.3, 1.0, 3.0, 7.5, 60.0])
+def test_constants_have_one_residual_on_every_concentration_path(z, monkeypatch):
+    # trig(0), legendre(0) and piecewise_const(1) all span the constants:
+    # closed form, dense quadrature and block-Toeplitz lag sums
+    toeplitz = []
+    real = analysis._toeplitz_concentration
+    monkeypatch.setattr(analysis, "_toeplitz_concentration",
+                        lambda *args: toeplitz.append(1) or real(*args))
+    es = [residual(SpaceSpec.trig(0), z), residual(SpaceSpec.legendre(0), z)]
+    assert not toeplitz
+    es.append(residual(SpaceSpec.piecewise_const(1), z))
+    assert toeplitz
+    assert max(es) - min(es) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [0, 5])
+def test_trig_concentration_builds_no_transforms_and_no_nodes(m, monkeypatch):
+    basis = build_basis(SpaceSpec.trig(m))
+    want = concentration_matrix(basis, 7.5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the trig closed form evaluates no transform at any node")
+
+    monkeypatch.setattr(fourier, "basis_transform", refuse)
+    monkeypatch.setattr(analysis, "panel_nodes", refuse)
+    assert np.array_equal(concentration_matrix(basis, 7.5), want)
+    assert 0.0 <= residual(SpaceSpec.trig(m), 7.5) <= 1.0
+
+
+def test_residual_curve_csv_bytes(tmp_path):
+    curve = analysis.ResidualCurve(SpaceSpec.trig(1), np.array([0.5, 3.0, 1e3]),
+                                   np.array([0.9, 0.1 + 0.2, 2.5e-17]))
+    curve.save_csv(tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_bytes() == (
+        b"z,e\n0.5,0.9\n3.0,0.30000000000000004\n1000.0,2.5e-17\n")

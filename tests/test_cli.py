@@ -8,7 +8,7 @@ from nugs.estimator import NonuniformFourierRegressor
 from nugs.fourier import FunctionSpec, basis_transform, sample_function, save_data_csv
 from nugs.sampling import SchemeSpec, generate
 from nugs.solver import Reconstruction
-from nugs.spaces import SpaceSpec, build_basis
+from nugs.spaces import SpaceSpec, build_basis, member_values
 
 
 def run(args):
@@ -356,3 +356,16 @@ def test_missing_or_bad_sampling_option_exits_1(tmp_path, capsys, args, message)
     assert code == 1
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_reconstruction_csv_bytes(tmp_path):
+    # the grid values of the written coefficients, one repr per field
+    code = run(["reconstruct", "--space", "legendre:3", "--scheme", "jittered:0.2",
+                "--k", 12, "--n", 40, "--seed", 4, "--grid-points", 7, "--out-dir", tmp_path])
+    assert code == 0
+    rec = Reconstruction.from_json((tmp_path / "coefficients.json").read_text())
+    grid = (np.arange(7) + 0.5) / 7
+    vals = member_values(build_basis(rec.space), rec.coefficients, grid)
+    want = "x,re,im\n" + "".join(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n"
+                                 for x, v in zip(grid, vals))
+    assert (tmp_path / "reconstruction.csv").read_bytes() == want.encode()

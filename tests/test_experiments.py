@@ -390,3 +390,24 @@ def test_figure_panels_spline_degree_zero_raises_before_writing(tmp_path):
 def test_error_curve_accepts_spline_degree_zero():
     rows = error_curve(FunctionSpec.benchmark(), "spline", "jittered", [8.0], d=0, seed=1)
     assert len(rows) == 1 and rows[0].m >= 1 and np.isfinite(rows[0].error)
+
+
+def test_csv_writer_bytes(tmp_path):
+    # numpy scalars are written like Python numbers
+    rows = [ScalingRow("legendre", 10.0, 27, 9, 2.846, 2.5),
+            ScalingRow("spline_d1", np.float64(1e16), np.int64(3), 2, np.float64(0.1) * 3, 1e-7)]
+    erows = [ErrorRow("trig", 10.0, 27, 9, 1.5e-3),
+             ErrorRow("spline_d2", 6, 5, 1, np.float64(2) / 3)]
+    write_scaling_csv(tmp_path / "s.csv", rows)
+    write_scaling_csv(tmp_path / "sf.csv", rows, with_family=True)
+    write_error_csv(tmp_path / "e.csv", erows)
+    write_error_csv(tmp_path / "ef.csv", erows, with_family=True)
+    assert (tmp_path / "s.csv").read_bytes() == (
+        b"k,n,m,ratio,c_ratio\n10.0,27,9,2.846,2.5\n1e+16,3,2,0.30000000000000004,1e-07\n")
+    assert (tmp_path / "sf.csv").read_bytes() == (
+        b"family,k,n,m,ratio,c_ratio\nlegendre,10.0,27,9,2.846,2.5\n"
+        b"spline_d1,1e+16,3,2,0.30000000000000004,1e-07\n")
+    assert (tmp_path / "e.csv").read_bytes() == (
+        b"k,n,m,error\n10.0,27,9,0.0015\n6.0,5,1,0.6666666666666666\n")
+    assert (tmp_path / "ef.csv").read_bytes() == (
+        b"family,k,n,m,error\ntrig,10.0,27,9,0.0015\nspline_d2,6.0,5,1,0.6666666666666666\n")

@@ -688,3 +688,14 @@ def test_data_csv_number_numpy_cannot_read_names_the_file(tmp_path):
     path.write_text("omega,re,im\n-1.0,1_000,0.0\n1.0,0.5,0.0\n")
     with pytest.raises(ValueError, match="underscore.csv: could not convert string '1_000'"):
         load_data_csv(path)
+
+
+def test_data_csv_bytes(tmp_path):
+    s = SampleSet(points=np.array([-3.0, -0.1, 1e-20, 2.5, 3.0000000000000004]), bandwidth=4.0)
+    data = FourierData(samples=s, values=np.array([1, -0.0 - 2.5j, 1e16 + 1e-300j, 0.1 + 0.2j,
+                                                    -1 / 3]),
+                       weights=np.array([0.5, 1.0, 2.0, 1e-5, 123456789.123]))
+    save_data_csv(tmp_path / "d.csv", data)
+    assert (tmp_path / "d.csv").read_bytes() == (
+        b"omega,re,im,weight\n-3.0,1.0,0.0,0.5\n-0.1,-0.0,-2.5,1.0\n1e-20,1e+16,1e-300,2.0\n"
+        b"2.5,0.1,0.2,1e-05\n3.0000000000000004,-0.3333333333333333,0.0,123456789.123\n")

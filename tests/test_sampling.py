@@ -236,3 +236,10 @@ def test_scheme_from_json_checks_theta_and_seed(change, message):
 def test_scheme_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
     with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
         SchemeSpec("jittered", 4, 5.0, theta=0.2, seed=seed)
+
+
+def test_samples_csv_bytes(tmp_path):
+    s = SampleSet(points=np.array([-3.0, -0.1, 1e-20, 2.5, 3.0000000000000004]), bandwidth=4.0)
+    save_samples_csv(tmp_path / "s.csv", s)
+    assert (tmp_path / "s.csv").read_bytes() == (
+        b"omega\n-3.0\n-0.1\n1e-20\n2.5\n3.0000000000000004\n")
