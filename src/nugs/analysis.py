@@ -44,6 +44,12 @@ _UNIFORM_CELLS = ("piecewise_const", "spline")
 _LAG_NODES = 4
 # Gauss nodes per frequency panel of the concentration quadrature
 _CONCENTRATION_NODES = 12
+# entrywise agreement of two panel widths at which a concentration matrix is kept
+_CONCENTRATION_TOL = 1e-11
+# rounding allowance of the gap and triangle bound checks
+_SLACK = 1e-10
+# the top of each ``band_requirement_fit`` bracket is this many times L, plus 2
+_Z_HI_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -91,7 +97,7 @@ class TriangleReport:
                            "gap": self.gap, "slack": self.slack, "holds": self.holds})
 
 
-def concentration_matrix(basis: OrthoBasis, z: float, abs_tol: float = 1e-11) -> np.ndarray:
+def concentration_matrix(basis: OrthoBasis, z: float) -> np.ndarray:
     """Banded Gram ``B[i,k] = int_{-z}^{z} conj(F_i) F_k`` of basis transforms.
 
     The exponentials of ``trig`` have F_j(w) = e^{-pi i (w - j)} sinc(w - j),
@@ -100,7 +106,7 @@ def concentration_matrix(basis: OrthoBasis, z: float, abs_tol: float = 1e-11) ->
     B_jk = (S_j - S_k) / (pi^2 (j - k)) off the diagonal, with
     S_a = (Cin(2 pi |z - a|) - Cin(2 pi |z + a|)) / 2, and
     B_jj = G(z - j) + G(z + j) with G(u) = Si(2 pi u) / pi - sin^2(pi u) / (pi^2 u).
-    It is exact up to rounding, so ``abs_tol`` is checked but not used.
+    It is exact up to rounding.
 
     The other kinds have real coefficients, so their transforms are
     conjugate symmetric and B is twice the real part of the integral over
@@ -111,7 +117,7 @@ def concentration_matrix(basis: OrthoBasis, z: float, abs_tol: float = 1e-11) ->
     units wide, to about 3e-12).  The panels start two units wide, or z
     wide when z < 2 so that the first halving always changes the node
     layout; ``refine`` compares them with panels half as wide and
-    returns the finer estimate once no entry moved by more than ``abs_tol``.
+    returns the finer estimate once no entry moved by more than 1e-11.
 
     Piecewise constants and splines lie on L uniform cells of width h, so
     their cell Gram is block Toeplitz: block (j, k) is
@@ -124,12 +130,10 @@ def concentration_matrix(basis: OrthoBasis, z: float, abs_tol: float = 1e-11) ->
     paths take the nodes in chunks of 2e5 / dim.
     """
     z = check_positive_finite(z, "z")
-    if not (is_real_number(abs_tol) and not math.isnan(abs_tol)):
-        raise ValueError(f"abs_tol must be a number, got {abs_tol!r}")
     if basis.orders is not None:
         return _trig_concentration(basis.orders, z)
     return refine(lambda width: _concentration_fixed(basis, z, width), min(2.0, z),
-                  lambda new, old: np.max(np.abs(new - old)) <= abs_tol,
+                  lambda new, old: np.max(np.abs(new - old)) <= _CONCENTRATION_TOL,
                   f"concentration on (-{z:g}, {z:g})")
 
 
@@ -189,13 +193,13 @@ def _node_chunks(count: int, dim: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def residual(space: SpaceSpec, z: float, abs_tol: float = 1e-11) -> float:
+def residual(space: SpaceSpec, z: float) -> float:
     """Worst-case out-of-band transform energy of a unit-norm member."""
-    return residual_from_basis(fourier.cached_basis(space), z, abs_tol)
+    return residual_from_basis(fourier.cached_basis(space), z)
 
 
-def residual_from_basis(basis: OrthoBasis, z: float, abs_tol: float = 1e-11) -> float:
-    b = concentration_matrix(basis, check_positive_finite(z, "z"), abs_tol)
+def residual_from_basis(basis: OrthoBasis, z: float) -> float:
+    b = concentration_matrix(basis, check_positive_finite(z, "z"))
     lam = np.linalg.eigvalsh(b)
     lam = np.clip(lam, 0.0, 1.0)
     return math.sqrt(max(1.0 - float(lam[0]), 0.0))
@@ -279,32 +283,31 @@ def gap_bound(space: SpaceSpec, cells: int) -> float:
                      + 4.0 * g.sup_growth**2 / cells)
 
 
-def verify_gap_bound(space: SpaceSpec, cells: int, slack_tol: float = 1e-10) -> GapReport:
-    """Check gap <= bound; requires cell width 1/L at most the space's
-    minimum knot spacing, otherwise no assertion is made."""
+def verify_gap_bound(space: SpaceSpec, cells: int) -> GapReport:
+    """Check gap <= bound up to 1e-10; requires cell width 1/L at most the
+    space's minimum knot spacing, otherwise no assertion is made."""
     cells = check_count(cells, "cells")
     eta = spaces.min_spacing(space)
     ok = (1.0 / cells) <= eta * (1.0 + 1e-12)
     g = gap(_reference_space(cells), space)
     bound = gap_bound(space, cells)
-    holds = bool(g <= bound + slack_tol) if ok else None
+    holds = bool(g <= bound + _SLACK) if ok else None
     return GapReport(gap=g, bound=bound, cells=cells, min_spacing=eta,
                      precondition_ok=ok, holds=holds)
 
 
-def verify_triangle_bound(space: SpaceSpec, cells: int, z: float,
-                          slack_tol: float = 1e-10) -> TriangleReport:
-    """Check residual(space, z) <= residual(constants_L, z) + gap."""
+def verify_triangle_bound(space: SpaceSpec, cells: int, z: float) -> TriangleReport:
+    """Check residual(space, z) <= residual(constants_L, z) + gap, up to 1e-10."""
     cells = check_count(cells, "cells")
     e_t = residual(space, z)
     e_s = residual(_reference_space(cells), z)
     g = gap(_reference_space(cells), space)
     slack = e_s + g - e_t
     return TriangleReport(tail=e_t, reference_tail=e_s, gap=g, slack=slack,
-                          holds=bool(slack >= -slack_tol))
+                          holds=bool(slack >= -_SLACK))
 
 
-def band_requirement_fit(eps: float, cell_counts, z_hi_factor: float = 4.0):
+def band_requirement_fit(eps: float, cell_counts):
     """Empirical band growth of the piecewise-constant residual.
 
     For each L, bisect the smallest z with residual <= eps, then fit the
@@ -314,9 +317,6 @@ def band_requirement_fit(eps: float, cell_counts, z_hi_factor: float = 4.0):
     """
     if not (is_real_number(eps) and 0 < eps < 1):
         raise ValueError(f"eps must be a number in (0, 1), got {eps!r}")
-    # the top of each bracket, z_hi_factor L + 2, stays at 2 or above
-    if not (is_real_number(z_hi_factor) and math.isfinite(z_hi_factor) and z_hi_factor >= 0):
-        raise ValueError(f"z_hi_factor must be finite and nonnegative, got {z_hi_factor!r}")
     counts = [check_count(l, "cells in cell_counts") for l in cell_counts]
     if len(set(counts)) < 2:  # a line through one L is not determined
         raise ValueError(f"cell_counts must hold at least two distinct cell counts, "
@@ -324,7 +324,7 @@ def band_requirement_fit(eps: float, cell_counts, z_hi_factor: float = 4.0):
     crossings = []
     for l in counts:
         basis = fourier.cached_basis(_reference_space(l))
-        lo, hi = 1e-3, z_hi_factor * float(l) + 2.0
+        lo, hi = 1e-3, _Z_HI_FACTOR * float(l) + 2.0
         if residual_from_basis(basis, hi) > eps:
             raise ValueError(f"residual at z={hi:g} still above {eps:g} for L={l}")
         for _ in range(60):

@@ -53,6 +53,9 @@ from .validation import check_count, check_positive_finite, check_threshold, wri
 FAMILIES = ("trig", "legendre", "spline")
 # factor on the sample count 2K / delta_max in ``plan_scheme``
 OVERSAMPLE = 1.2
+# the density a planned scheme meets, and the jitter of a jittered one
+_DELTA_MAX = 0.9
+_THETA = 0.2
 # Half-width, in units of (1 + delta)^2, of the band around the stability
 # search's cut t = ((1 + delta)/threshold)^2 on lambda_min(W, G) inside which
 # a probe's Cholesky test (``_StabilityEvaluator.passes``) defers to the exact
@@ -97,8 +100,8 @@ def family_space(family: str, m: int, d: int = 0) -> SpaceSpec:
     raise ValueError(f"unknown family {family!r}")
 
 
-def plan_scheme(kind: str, k: float, *, delta_max: float = 0.9, theta: float = 0.2,
-                seed: int = 0) -> SchemeSpec:
+def plan_scheme(kind: str, k: float, *, delta_max: float = _DELTA_MAX,
+                theta: float = _THETA, seed: int = 0) -> SchemeSpec:
     """Sample count coupling for a bandwidth.
 
     Uniform and jittered schemes use ``N = ceil(2K * OVERSAMPLE / delta_max)``.
@@ -319,26 +322,25 @@ def _sweep(cell, k_grid, jobs: int) -> list:
 
 
 def scaling_table(family: str, kind: str, k_grid=None, *, d: int = 0,
-                  threshold: float = 3.0, delta_max: float = 0.9,
-                  theta: float = 0.2, seed: int = 0, jobs: int = 1) -> list[ScalingRow]:
+                  threshold: float = 3.0, delta_max: float = _DELTA_MAX,
+                  theta: float = _THETA, seed: int = 0, jobs: int = 1) -> list[ScalingRow]:
     """Selected dimension and ratio across a bandwidth grid (one family)."""
     _check_ratio_degree(family, d)
     return [row for row, _ in _sweep(partial(_cell, None, family, kind, d, threshold,
                                              delta_max, theta, seed), k_grid, jobs)]
 
 
-def error_curve(f: FunctionSpec, family: str, kind: str, k_grid=None, *,
-                d: int = 0, threshold: float = 3.0, delta_max: float = 0.9,
-                theta: float = 0.2, seed: int = 0, jobs: int = 1) -> list[ErrorRow]:
+def error_curve(f: FunctionSpec, family: str, kind: str, k_grid=None, *, d: int = 0,
+                threshold: float = 3.0, seed: int = 0, jobs: int = 1) -> list[ErrorRow]:
     """Reconstruction error across a bandwidth grid with the stability-
-    selected dimension at each bandwidth."""
+    selected dimension at each bandwidth, on the default schemes of ``plan_scheme``."""
     return [row for _, row in _sweep(partial(_cell, f, family, kind, d, threshold,
-                                             delta_max, theta, seed), k_grid, jobs)]
+                                             _DELTA_MAX, _THETA, seed), k_grid, jobs)]
 
 
 def run_figure_panels(out_dir, *, seed: int = 0, k_grid=None, jobs: int = 1,
-                      threshold: float = 3.0, delta_max: float = 0.9,
-                      theta: float = 0.2, spline_degrees=(1, 2, 3)) -> list[str]:
+                      threshold: float = 3.0, delta_max: float = _DELTA_MAX,
+                      spline_degrees=(1, 2, 3)) -> list[str]:
     """Write the four benchmark panels (scaling and error, jittered and log).
 
     Each panel is one CSV (with a leading family column) plus one
@@ -358,7 +360,7 @@ def run_figure_panels(out_dir, *, seed: int = 0, k_grid=None, jobs: int = 1,
         for family, d in fam_list:
             label = family if family != "spline" else f"spline_d{d}"
             for srow, erow in _sweep(partial(_cell, f, family, kind, d, threshold,
-                                             delta_max, theta, seed), ks, jobs):
+                                             delta_max, _THETA, seed), ks, jobs):
                 srows.append(replace(srow, family=label))
                 erows.append(replace(erow, family=label))
         spath = out / f"scaling_{kind}.csv"

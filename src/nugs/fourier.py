@@ -81,7 +81,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -97,6 +97,10 @@ from .validation import (as_complex_array, as_weight_array, check_same_length,
 _TWO_PI = 2.0 * np.pi
 # Gauss nodes per panel of the transform quadrature
 _TRANSFORM_NODES = 16
+# agreement of two panel widths at which a transform or projection is kept
+_TRANSFORM_TOL = 1e-12
+# relative agreement of two panel widths at which an L2 error is kept
+_L2_TOL = 1e-10
 # entries of the (coarse panel rows x nodes, frequencies) table that the
 # transform quadrature builds for one chunk of frequencies
 _CHUNK_ENTRIES = 1_000_000
@@ -521,13 +525,13 @@ class FourierData:
         return cls(s, values[order], weights[order])
 
 
-def transform_integrals(f: FunctionSpec, omegas, abs_tol: float = 1e-12) -> np.ndarray:
+def transform_integrals(f: FunctionSpec, omegas) -> np.ndarray:
     """Quadrature values of F(w) on an arbitrary frequency list.
 
     One composite panel grid (split at jumps, panel width at most
     1/(4 max|w| + 1)) is shared by all frequencies, so the function is
     evaluated once per width; the grid is halved until every frequency
-    agrees with the previous width to ``abs_tol``.  ``omegas`` is a
+    agrees with the previous width to 1e-12.  ``omegas`` is a
     scalar or a 1-D list of finite frequencies, possibly empty.
     """
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
@@ -538,7 +542,7 @@ def transform_integrals(f: FunctionSpec, omegas, abs_tol: float = 1e-12) -> np.n
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
     return refine(lambda width: _batched_oscillatory(f, w, width),
                   1.0 / (4.0 * wmax + 1.0),
-                  lambda new, old: np.all(np.abs(new - old) <= abs_tol), "transform")
+                  lambda new, old: np.all(np.abs(new - old) <= _TRANSFORM_TOL), "transform")
 
 
 def _batched_oscillatory(f: FunctionSpec, w: np.ndarray, width: float) -> np.ndarray:
@@ -574,32 +578,31 @@ def _batched_oscillatory(f: FunctionSpec, w: np.ndarray, width: float) -> np.nda
     return out
 
 
-def sample_function(f: FunctionSpec, s: SampleSet, abs_tol: float = 1e-12) -> FourierData:
+def sample_function(f: FunctionSpec, s: SampleSet) -> FourierData:
     """Transform samples of ``f`` on a sample set, with midpoint weights attached."""
-    values = transform_integrals(f, s.points, abs_tol=abs_tol)
+    values = transform_integrals(f, s.points)
     return FourierData(samples=s, values=values, weights=sampling.weights(s))
 
 
-def project(f: FunctionSpec, basis: OrthoBasis, abs_tol: float = 1e-12) -> np.ndarray:
+def project(f: FunctionSpec, basis: OrthoBasis) -> np.ndarray:
     """Coefficients of the orthogonal projection of ``f`` onto the space."""
     if basis.orders is not None:
         # projection coefficients are transform values at the integer orders
-        return transform_integrals(f, basis.orders.astype(float), abs_tol=abs_tol)
+        return transform_integrals(f, basis.orders.astype(float))
 
     def estimate(width):
         xs, ws = _panel_rule(f, basis, width)
         return spaces.evaluate(basis, xs) @ (evaluate_function(f, xs) * ws)
 
     return refine(estimate, 0.25,
-                  lambda new, old: np.max(np.abs(new - old)) <= abs_tol, "projection")
+                  lambda new, old: np.max(np.abs(new - old)) <= _TRANSFORM_TOL, "projection")
 
 
-def l2_error(f: FunctionSpec, coefficients, basis: OrthoBasis,
-             tol: float = 1e-10) -> float:
+def l2_error(f: FunctionSpec, coefficients, basis: OrthoBasis) -> float:
     """L2 distance on (0, 1) between ``f`` and a coefficient vector.
 
     Panels honor both the function's jumps and the basis cells; refinement
-    stops when the returned norm is stable to ``tol``.
+    stops when the returned norm is stable to 1e-10 (relative above 1).
     """
 
     def estimate(width):
@@ -608,7 +611,7 @@ def l2_error(f: FunctionSpec, coefficients, basis: OrthoBasis,
         return math.sqrt(max(float(ws @ np.abs(evaluate_function(f, xs) - g) ** 2), 0.0))
 
     return refine(estimate, 0.125,
-                  lambda new, old: abs(new - old) <= tol * max(1.0, new), "L2 error")
+                  lambda new, old: abs(new - old) <= _L2_TOL * max(1.0, new), "L2 error")
 
 
 def _panel_rule(f: FunctionSpec, basis: OrthoBasis, width: float):

@@ -15,8 +15,8 @@ import numpy as np
 
 from .prng import SplitMix64
 from .validation import (as_float_array, check_count, check_positive_finite,
-                         check_strictly_increasing, csv_rows, json_field, json_number,
-                         write_csv)
+                         check_strictly_increasing, csv_rows, is_real_number, json_field,
+                         json_number, write_csv)
 
 SCHEME_KINDS = ("uniform", "jittered", "log")
 
@@ -79,8 +79,8 @@ class SchemeSpec:
         check_positive_finite(self.k, "k")
         check_count(self.n, "n", 2)
         check_count(self.seed, "seed", 0)
-        if not (0.0 <= self.theta < 1.0):
-            raise ValueError("jitter fraction must lie in [0, 1)")
+        if not (is_real_number(self.theta) and 0.0 <= self.theta < 1.0):
+            raise ValueError(f"theta: jitter fraction must lie in [0, 1), got {self.theta!r}")
         if self.kind == "log" and self.n % 2 != 0:
             raise ValueError("log scheme requires an even sample count")
 

@@ -39,8 +39,7 @@ from .errors import UnstableReconstructionError
 from .fourier import FourierData
 from .sampling import SampleSet
 from .spaces import OrthoBasis, SpaceSpec
-from .validation import (as_weight_array, check_same_length, complex_pairs, json_field,
-                         json_number)
+from .validation import complex_pairs, json_field, json_number
 
 # singular values below this fraction of the largest count as zero
 RANK_RTOL = 1e-12
@@ -161,16 +160,13 @@ def reconstruct(basis: OrthoBasis, data: FourierData) -> Reconstruction:
                           sigma_max=float(sig[0]))
 
 
-def frame_lower(basis: OrthoBasis, s: SampleSet, weights=None) -> float:
-    """Sharp lower frame constant: squared smallest singular value of the
-    scaled design matrix (0 at numerical rank deficiency)."""
-    if weights is not None:
-        weights = as_weight_array(weights, "weights")
-        check_same_length(s.points, weights, "samples", "weights")
+def frame_lower(basis: OrthoBasis, s: SampleSet) -> float:
+    """Sharp lower frame constant at the midpoint weights: squared smallest
+    singular value of the scaled design matrix (0 at numerical rank
+    deficiency)."""
     if len(s) < basis.dim:
         return 0.0
-    mu = sampling.weights(s) if weights is None else weights
-    return _lower(np.linalg.svd(_qr(basis, s, mu)[2], compute_uv=False))
+    return _lower(np.linalg.svd(_qr(basis, s, sampling.weights(s))[2], compute_uv=False))
 
 
 def frame_constants(delta: float, lower: float) -> FrameConstants:

@@ -32,8 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import gauss_rule
-from .validation import (as_complex_array, check_count, check_positions, json_field,
-                         json_list, json_number)
+from .validation import (as_complex_array, check_count, check_integer, check_positions,
+                         json_field, json_list, json_number)
 
 KINDS = ("trig", "legendre", "piecewise_poly", "spline", "piecewise_const")
 _KNOT_SEPARATION = 1e-14
@@ -55,28 +55,33 @@ class SpaceSpec:
 
     @classmethod
     def trig(cls, m: int) -> "SpaceSpec":
-        return cls(kind="trig", degree=int(m))
+        return cls(kind="trig", degree=m)
 
     @classmethod
     def legendre(cls, m: int) -> "SpaceSpec":
-        return cls(kind="legendre", degree=int(m))
+        return cls(kind="legendre", degree=m)
 
     @classmethod
     def piecewise_poly(cls, knots, degrees) -> "SpaceSpec":
         return cls(kind="piecewise_poly", knots=tuple(float(w) for w in knots),
-                   degrees=tuple(int(m) for m in degrees))
+                   degrees=tuple(degrees))
 
     @classmethod
     def spline(cls, d: int, l: int) -> "SpaceSpec":
-        return cls(kind="spline", degree=int(d), cells=int(l))
+        return cls(kind="spline", degree=d, cells=l)
 
     @classmethod
     def piecewise_const(cls, l: int) -> "SpaceSpec":
-        return cls(kind="piecewise_const", cells=int(l))
+        return cls(kind="piecewise_const", cells=l)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown space kind {self.kind!r}")
+        # numpy integers are stored as int, so the JSON round trip holds
+        for name in ("degree", "cells"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
+        object.__setattr__(self, "degrees", tuple(check_integer(m, "each entry of degrees")
+                                                  for m in self.degrees))
         if self.kind in ("trig", "legendre"):
             if self.degree < 0:
                 raise ValueError("order must be nonnegative")
@@ -335,18 +340,20 @@ def evaluate(basis: OrthoBasis, x) -> np.ndarray:
     if basis.orders is not None:
         out = np.exp(2j * np.pi * basis.orders[:, None] * xs[None, :])
     else:
-        breaks, coeffs = basis.breaks, basis.coeffs
-        dim, ncell, p = coeffs.shape
-        out = np.zeros((dim, xs.size))
-        idx = np.clip(np.searchsorted(breaks, xs, side="right") - 1, 0, ncell - 1)
-        for j in np.unique(idx):
-            sel = idx == j
-            a, b = breaks[j], breaks[j + 1]
-            h = b - a
-            t = 2 * (xs[sel] - a) / h - 1
-            phi = legendre_values(p, t) * np.sqrt((2 * np.arange(p) + 1) / h)[:, None]
-            out[:, sel] = coeffs[:, j, :] @ phi
+        idx, t, h = _locate(basis.breaks, xs)
+        p = basis.local_dim
+        phi = legendre_values(p, t) * np.sqrt((2 * np.arange(p) + 1)[:, None] / h[idx])
+        out = basis.coeffs[:, idx, 0] * phi[0]
+        for n in range(1, p):  # one gather per order, no (dim, len(x), p) table
+            out += basis.coeffs[:, idx, n] * phi[n]
     return out[:, 0] if scalar else out
+
+
+def _locate(breaks: np.ndarray, xs: np.ndarray):
+    """Each position's cell and coordinate in [-1, 1) on it; all cell widths."""
+    h = np.diff(breaks)
+    idx = np.clip(np.searchsorted(breaks, xs, side="right") - 1, 0, h.size - 1)
+    return idx, 2 * (xs - breaks[idx]) / h[idx] - 1, h
 
 
 def check_member(dim: int, coefficients) -> np.ndarray:
@@ -372,13 +379,11 @@ def member_values(basis: OrthoBasis, coefficients, x) -> np.ndarray:
     xs = check_positions(x)
     if basis.orders is not None:
         return coeffs @ np.exp(2j * np.pi * basis.orders[:, None] * xs[None, :])
-    breaks, p = basis.breaks, basis.local_dim
-    h = np.diff(breaks)
-    idx = np.clip(np.searchsorted(breaks, xs, side="right") - 1, 0, h.size - 1)
+    p = basis.local_dim
+    idx, t, h = _locate(basis.breaks, xs)
     # the Legendre normalization sqrt((2n+1)/h) goes into the (cells, p) fold
     folded = (np.tensordot(coeffs, basis.coeffs, (0, 0))
               * np.sqrt((2 * np.arange(p) + 1) / h[:, None]))
-    t = 2 * (xs - breaks[idx]) / h[idx] - 1
     return np.einsum("in,ni->i", folded[idx], legendre_values(p, t))
 
 

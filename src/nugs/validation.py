@@ -51,6 +51,13 @@ def is_real_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def check_integer(value, name: str) -> int:
+    """An integer (not a bool, nor a float such as 2.0) as an int."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_positive_finite(value, name: str) -> float:
     """A finite, strictly positive real number (not a bool), as a float."""
     if not (is_real_number(value) and math.isfinite(value) and value > 0):

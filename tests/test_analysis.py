@@ -44,9 +44,8 @@ def test_residual_monotone_and_vanishing():
 
 
 def test_residual_exhausted_at_huge_band():
-    # transform mass is exhausted once the band is enormous; a loose
-    # tolerance is plenty against the 1e-3 threshold
-    assert residual(SpaceSpec.piecewise_const(1), 1e6, abs_tol=1e-6) <= 1e-3
+    # transform mass is exhausted once the band is enormous
+    assert residual(SpaceSpec.piecewise_const(1), 1e6) <= 1e-3
 
 
 def test_concentration_spectrum_in_unit_interval():
@@ -356,10 +355,11 @@ def test_triangle_report_json_has_every_field():
                                             "slack": 0.15, "holds": True}
 
 
-def test_band_requirement_fit_rejects_a_top_z_still_above_eps():
-    # z_hi_factor 0 caps the search at z = 2, where one cell's residual is far above 1e-12
+def test_band_requirement_fit_rejects_a_top_z_still_above_eps(monkeypatch):
+    # a factor of 0 caps the search at z = 2, where one cell's residual is far above 1e-12
+    monkeypatch.setattr(analysis, "_Z_HI_FACTOR", 0.0)
     with pytest.raises(ValueError, match="residual at z=2 still above 1e-12 for L=1"):
-        band_requirement_fit(1e-12, [1, 2], z_hi_factor=0.0)
+        band_requirement_fit(1e-12, [1, 2])
 
 
 def _half_band_nodes(z, width):
@@ -442,12 +442,6 @@ def test_band_requirement_fit_rejects_eps_outside_the_unit_interval(eps):
         band_requirement_fit(eps, [2, 4])
 
 
-@pytest.mark.parametrize("factor", [float("nan"), float("inf"), -1.0, "4", None])
-def test_band_requirement_fit_rejects_a_bad_z_hi_factor(factor):
-    with pytest.raises(ValueError, match="z_hi_factor must be finite and nonnegative"):
-        band_requirement_fit(0.1, [2, 4], z_hi_factor=factor)
-
-
 @pytest.mark.parametrize("space, z, toeplitz", [
     (SpaceSpec.piecewise_const(64), 0.5, [False, True]),   # 12, then 24 nodes
     (SpaceSpec.spline(3, 40), 4.0, [False, True]),         # 24, then 48 nodes for L p = 160
@@ -485,21 +479,13 @@ def test_band_requirement_fit_needs_two_distinct_cell_counts(counts, monkeypatch
         band_requirement_fit(0.5, counts)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), np.float64("nan"), "1e-11", None, True])
-@pytest.mark.parametrize("space", KIND_SPACES, ids=lambda s: s.kind)
-def test_concentration_matrix_rejects_a_bad_abs_tol(space, tol):
-    with pytest.raises(ValueError, match="abs_tol must be a number"):
-        concentration_matrix(build_basis(space), 2.0, abs_tol=tol)
-    with pytest.raises(ValueError, match="abs_tol must be a number"):
-        residual(space, 2.0, abs_tol=tol)
-
-
-def test_trig_concentration_ignores_the_tolerance():
+def test_trig_concentration_ignores_the_tolerance(monkeypatch):
     # closed form: no refinement a tolerance could stop or fail
     basis = build_basis(SpaceSpec.trig(3))
     want = concentration_matrix(basis, 4.5)
     for tol in (-1.0, 0.0, 1e-3):
-        assert np.array_equal(concentration_matrix(basis, 4.5, abs_tol=tol), want)
+        monkeypatch.setattr(analysis, "_CONCENTRATION_TOL", tol)
+        assert np.array_equal(concentration_matrix(basis, 4.5), want)
 
 
 def _trig_entry_by_mpmath(mpmath, j, k, z):

@@ -4,7 +4,7 @@ import pytest
 from nugs.errors import UnstableReconstructionError
 from nugs.estimator import NonuniformFourierRegressor, parse_space
 from nugs.fourier import basis_transform
-from nugs.sampling import SchemeSpec, generate
+from nugs.sampling import SampleSet, SchemeSpec, generate, weights
 from nugs.spaces import SpaceSpec, build_basis, evaluate
 
 
@@ -113,6 +113,14 @@ def test_sample_weight_length_checked_before_use():
     est = NonuniformFourierRegressor(space="trig:4", bandwidth=9.0)
     with pytest.raises(ValueError, match="sample_weight"):
         est.fit(x, y, sample_weight=np.ones(len(x) + 3))
+
+
+def test_frame_lower_scales_linearly_in_weights():
+    x, y, _, _ = make_problem(SpaceSpec.legendre(3), k=10.0, n=30, seed=3)
+    mu = weights(SampleSet(points=x, bandwidth=10.0))
+    est = NonuniformFourierRegressor(space="legendre:3", bandwidth=10.0)
+    c1 = est.fit(x, y, sample_weight=mu).frame_lower_
+    assert est.fit(x, y, sample_weight=2 * mu).frame_lower_ == pytest.approx(2 * c1, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", ["30", [30], "abc", np.inf, True])

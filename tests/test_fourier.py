@@ -405,7 +405,7 @@ def test_basis_transform_matches_einsum_oracle(spec):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_transform_integrals_matches_direct_sum_across_uneven_segments():
+def test_transform_integrals_matches_direct_sum_across_uneven_segments(monkeypatch):
     spec = SpaceSpec.piecewise_poly([0.3, 0.71], [2, 3, 1])
     f = FunctionSpec.from_coefficients(spec, np.random.default_rng(8).normal(size=9))
     assert f.jumps == (0.3, 0.71)
@@ -416,7 +416,8 @@ def test_transform_integrals_matches_direct_sum_across_uneven_segments():
     want = np.exp(-2j * np.pi * omegas[:, None] * xs[None, :]) @ (evaluate_function(f, xs) * ws)
     assert np.max(np.abs(transform_integrals(f, omegas) - want)) < 1e-13
     # a tolerance no frequency misses: the batched rule alone, with no refinement
-    assert np.max(np.abs(transform_integrals(f, omegas, abs_tol=1.0) - want)) < 1e-13
+    monkeypatch.setattr(fourier, "_TRANSFORM_TOL", 1.0)
+    assert np.max(np.abs(transform_integrals(f, omegas) - want)) < 1e-13
 
 
 def _direct_composite_sum(f, omegas, width):

@@ -69,6 +69,13 @@ def test_scheme_spec_rejects_bad_count_or_bandwidth(n, k, match):
             SchemeSpec(kind, n, k)
 
 
+@pytest.mark.parametrize("theta", [None, "0.2"])
+def test_scheme_spec_rejects_a_theta_that_is_not_a_number(theta):
+    with pytest.raises(ValueError, match=f"theta: jitter fraction must lie in \\[0, 1\\), "
+                                         f"got {theta!r}"):
+        SchemeSpec("jittered", 4, 2.0, theta=theta)
+
+
 def test_scheme_spec_accepts_numpy_scalars():
     s = generate(SchemeSpec("uniform", np.int64(4), np.float64(2.0)))
     assert np.allclose(s.points, [-1.5, -0.5, 0.5, 1.5])

@@ -57,26 +57,6 @@ def test_frame_lower_degenerate_is_zero():
     assert frame_lower(basis, INTEGER_GRID) == 0.0
 
 
-def test_frame_lower_scales_linearly_in_weights():
-    basis = build_basis(SpaceSpec.legendre(3))
-    s = generate(SchemeSpec("jittered", 30, 10.0, theta=0.2, seed=3))
-    mu = weights(s)
-    c1 = frame_lower(basis, s, mu)
-    assert frame_lower(basis, s, 2 * mu) == pytest.approx(2 * c1, rel=1e-12)
-
-
-def test_frame_lower_rejects_bad_weights():
-    basis = build_basis(SpaceSpec.legendre(4))
-    s = generate(SchemeSpec("jittered", 40, 15.0, theta=0.2, seed=3))
-    for bad in (-weights(s)[7], np.nan):
-        mu = weights(s).copy()
-        mu[7] = bad
-        with pytest.raises(ValueError, match="weights"):
-            frame_lower(basis, s, mu)
-    with pytest.raises(ValueError, match="samples and weights must have equal length"):
-        frame_lower(basis, s, weights(s)[:-3])
-
-
 def test_stability_constant_identity_case():
     fc = stability_constant(build_basis(SpaceSpec.trig(1)), INTEGER_GRID)
     assert fc.density == pytest.approx(1.0)
