@@ -160,7 +160,7 @@ def _trig_concentration(orders: np.ndarray, z: float) -> np.ndarray:
 
 
 def _concentration_fixed(basis: OrthoBasis, z: float, width: float) -> np.ndarray:
-    xs, ws = panel_nodes(panel_edges(0.0, z, max_width=width), _CONCENTRATION_NODES)
+    xs, ws = panel_nodes(panel_edges(0.0, z, (), width), _CONCENTRATION_NODES)
     if basis.space.kind in _UNIFORM_CELLS and basis.coeffs[0].size <= _LAG_NODES * xs.size:
         return _toeplitz_concentration(basis, xs, ws)
     out = np.zeros((basis.dim, basis.dim), dtype=complex)

@@ -43,7 +43,7 @@ def parse_scheme(text: str, n: int, k: float, seed: int) -> SchemeSpec:
         if len(parts) > 2:
             raise ValueError(f"scheme {text!r}: the jitter fraction is the only parameter")
         try:
-            theta = float(parts[1]) if len(parts) > 1 else 0.2
+            theta = float(parts[1]) if len(parts) > 1 else experiments._THETA
         except ValueError:
             raise ValueError(f"scheme {text!r}: the jitter fraction {parts[1]!r} "
                              "is not a number") from None

@@ -56,6 +56,8 @@ OVERSAMPLE = 1.2
 # the density a planned scheme meets, and the jitter of a jittered one
 _DELTA_MAX = 0.9
 _THETA = 0.2
+# the spline degrees of the figure panels
+_SPLINE_DEGREES = (1, 2, 3)
 # Half-width, in units of (1 + delta)^2, of the band around the stability
 # search's cut t = ((1 + delta)/threshold)^2 on lambda_min(W, G) inside which
 # a probe's Cholesky test (``_StabilityEvaluator.passes``) defers to the exact
@@ -267,7 +269,7 @@ def _check_ratio_degree(family: str, d: int) -> None:
 
 
 def max_stable_dimension(family: str, s: SampleSet, threshold: float = 3.0,
-                         *, d: int = 0, hint: int | None = None) -> int:
+                         *, d: int = 0) -> int:
     """Largest family index whose stability ratio stays at or below the
     threshold; exponential growth then bisection.
 
@@ -275,7 +277,7 @@ def max_stable_dimension(family: str, s: SampleSet, threshold: float = 3.0,
     The returned M is maximal in the sense ratio(M) <= threshold and
     either M is the count cap or ratio(M+1) > threshold.
     """
-    return _search_max(_StabilityEvaluator(family, s, d), threshold, hint)
+    return _search_max(_StabilityEvaluator(family, s, d), threshold)
 
 
 def _cell(f, family, kind, d, threshold, delta_max, theta, seed, k, hint=None):
@@ -339,16 +341,13 @@ def error_curve(f: FunctionSpec, family: str, kind: str, k_grid=None, *, d: int 
 
 
 def run_figure_panels(out_dir, *, seed: int = 0, k_grid=None, jobs: int = 1,
-                      threshold: float = 3.0, delta_max: float = _DELTA_MAX,
-                      spline_degrees=(1, 2, 3)) -> list[str]:
+                      threshold: float = 3.0, delta_max: float = _DELTA_MAX) -> list[str]:
     """Write the four benchmark panels (scaling and error, jittered and log).
 
     Each panel is one CSV (with a leading family column) plus one
     self-contained SVG.  Returns the paths written.
     """
-    fam_list = [("trig", 0), ("legendre", 0)] + [("spline", d) for d in spline_degrees]
-    for d in spline_degrees:
-        _check_ratio_degree("spline", d)
+    fam_list = [("trig", 0), ("legendre", 0)] + [("spline", d) for d in _SPLINE_DEGREES]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ks = default_k_grid(count=16) if k_grid is None else np.asarray(k_grid, dtype=float)

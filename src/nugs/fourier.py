@@ -47,8 +47,8 @@ one cardinal B-spline with a closed-form transform, so their block is
 Hermitian Toeplitz and needs only its l-d lags, sums over the frequencies
 of the lag phases e^{-2 pi i w t h}.  Only the d border B-splines on each
 side get transform columns, from one Bessel table and the Legendre blocks
-of the at most 2d cells they touch; their cross terms with the interior
-are lag sums too.
+that ``spaces._bspline_blocks`` gives for the at most 2d cells they touch;
+their cross terms with the interior are lag sums too.
 
 ``uniform_cell_lags`` gives the concentration matrices of piecewise
 constants and splines (``analysis.concentration_matrix``) the same kind of
@@ -415,7 +415,7 @@ def bspline_weighted_gram(d: int, l: int, omegas, weights) -> np.ndarray:
     # cell, which touches B-splines touched[c] + r, r <= d ([cell, order, r])
     coeffs = np.zeros((touched.size, p, l + d))
     coeffs[np.arange(touched.size)[:, None], :, touched[:, None] + np.arange(p)] = (
-        spaces._bspline_cell_blocks(d, l, touched).transpose(0, 2, 1))
+        spaces._bspline_blocks(d, l)[touched].transpose(0, 2, 1))
     f = _order_factors(w, np.array([h]), p)[:, 0, :] * math.sqrt(h)
     phase = np.exp(-1j * np.pi * w[:, None] * ((2 * touched + 1) * h))
     a = ((phase[:, :, None] * f[:, None, :]).reshape(w.size, touched.size * p)

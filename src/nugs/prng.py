@@ -30,7 +30,7 @@ def _mix(z: int) -> int:
 
 
 class SplitMix64:
-    """Seeded, splittable 64-bit generator with documented algorithm."""
+    """Seeded 64-bit generator with documented algorithm."""
 
     def __init__(self, seed: int):
         self._state = seed & _MASK
@@ -47,7 +47,3 @@ class SplitMix64:
     def uniform_signed(self) -> float:
         """Uniform double in [-1, 1)."""
         return 2.0 * self.uniform() - 1.0
-
-    def split(self) -> "SplitMix64":
-        """Derive an independent child generator (advances this one)."""
-        return SplitMix64(self.next_raw())

@@ -31,8 +31,8 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def panel_segments(a: float, b: float, breakpoints=(),
-                   max_width: float = np.inf) -> list[tuple[float, float, int]]:
+def panel_segments(a: float, b: float, breakpoints,
+                   max_width: float) -> list[tuple[float, float, int]]:
     """Breakpoint-free segments (lo, hi, m) of [a, b], each cut into m equal
     panels no wider than max width."""
     cuts = [a, b]
@@ -40,14 +40,11 @@ def panel_segments(a: float, b: float, breakpoints=(),
         if a < t < b:
             cuts.append(float(t))
     cuts = sorted(set(cuts))
-    segments = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        m = max(1, int(np.ceil((hi - lo) / max_width))) if np.isfinite(max_width) else 1
-        segments.append((lo, hi, m))
-    return segments
+    return [(lo, hi, max(1, int(np.ceil((hi - lo) / max_width))))
+            for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
-def panel_edges(a: float, b: float, breakpoints=(), max_width: float = np.inf) -> np.ndarray:
+def panel_edges(a: float, b: float, breakpoints, max_width: float) -> np.ndarray:
     """Panel edges covering [a, b], split at breakpoints and by max width."""
     pieces = [np.array([float(a)])]
     for lo, hi, m in panel_segments(a, b, breakpoints, max_width):

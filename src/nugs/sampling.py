@@ -15,8 +15,7 @@ import numpy as np
 
 from .prng import SplitMix64
 from .validation import (as_float_array, check_count, check_positive_finite,
-                         check_strictly_increasing, csv_rows, is_real_number, json_field,
-                         json_number, write_csv)
+                         check_strictly_increasing, is_real_number, json_field, json_number)
 
 SCHEME_KINDS = ("uniform", "jittered", "log")
 
@@ -147,16 +146,3 @@ def weights(s: SampleSet) -> np.ndarray:
     """
     ext = s.with_ghosts()
     return (ext[2:] - ext[:-2]) / 2.0
-
-
-def save_samples_csv(path, s: SampleSet) -> None:
-    write_csv(path, ("omega",), s.points.tolist())
-
-
-def load_samples_csv(path, bandwidth: float | None = None) -> SampleSet:
-    def fields(header):
-        if header != "omega":
-            raise ValueError(f"{path}: expected header 'omega', got {header!r}")
-        return 1
-
-    return SampleSet(points=csv_rows(path, fields)[:, 0], bandwidth=bandwidth)

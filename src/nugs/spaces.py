@@ -9,7 +9,10 @@ Every non-trig space is realized as per-cell coefficients in shifted,
 normalized Legendre polynomials, which are orthonormal on each cell under
 the plain L2 inner product.  This makes Gram matrices, derivatives and
 Fourier transforms exact, and makes orthonormalization a plain QR in
-coefficient space.  Cells are half-open ``[a, b)``.
+coefficient space.  Cells are half-open ``[a, b)``.  All B-spline
+coefficients come from one table, ``_bspline_blocks``: the d+1 blocks of
+each cell, rescaled from at most 2d+1 cells.  A spline basis orthonormalizes
+those blocks scattered into its (l+d, l, d+1) coefficient array.
 
 The module also computes the two intrinsic growth constants of a space:
 the worst-case derivative growth and the worst-case sup-norm growth of a
@@ -33,7 +36,7 @@ import numpy as np
 
 from .quadrature import gauss_rule
 from .validation import (as_complex_array, check_count, check_integer, check_positions,
-                         json_field, json_list, json_number)
+                         is_real_number, json_field, json_list, json_number)
 
 KINDS = ("trig", "legendre", "piecewise_poly", "spline", "piecewise_const")
 _KNOT_SEPARATION = 1e-14
@@ -63,8 +66,7 @@ class SpaceSpec:
 
     @classmethod
     def piecewise_poly(cls, knots, degrees) -> "SpaceSpec":
-        return cls(kind="piecewise_poly", knots=tuple(float(w) for w in knots),
-                   degrees=tuple(degrees))
+        return cls(kind="piecewise_poly", knots=knots, degrees=tuple(degrees))
 
     @classmethod
     def spline(cls, d: int, l: int) -> "SpaceSpec":
@@ -82,6 +84,11 @@ class SpaceSpec:
             object.__setattr__(self, name, check_integer(getattr(self, name), name))
         object.__setattr__(self, "degrees", tuple(check_integer(m, "each entry of degrees")
                                                   for m in self.degrees))
+        knots = tuple(self.knots) if np.iterable(self.knots) else None
+        if knots is None or not all(is_real_number(t) and math.isfinite(t) for t in knots):
+            raise ValueError(f"knots must be a sequence of finite real numbers, "
+                             f"got {self.knots!r}")
+        object.__setattr__(self, "knots", tuple(map(float, knots)))
         if self.kind in ("trig", "legendre"):
             if self.degree < 0:
                 raise ValueError("order must be nonnegative")
@@ -242,35 +249,33 @@ def _bspline_all_values(d: int, l: int, x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _bspline_cell_coeffs(d: int, l: int) -> np.ndarray:
-    """Raw B-spline coefficients in the per-cell Legendre frame, (l+d, l, d+1)."""
+def _bspline_table(d: int, l0: int) -> np.ndarray:
+    """``_bspline_blocks(d, l0)`` for l0 <= 2d+1 cells, projected from the
+    values of all l0+d B-splines at the cells' d+1 Gauss nodes."""
     p = d + 1
     gx, gw = gauss_rule(p)
-    breaks = np.linspace(0.0, 1.0, l + 1)
-    h = 1.0 / l
+    breaks = np.linspace(0.0, 1.0, l0 + 1)
+    h = 1.0 / l0
     # Gauss nodes for every cell at once
     mids = (breaks[:-1] + breaks[1:]) / 2
-    nodes = mids[:, None] + (h / 2) * gx[None, :]          # (l, p)
-    bvals = _bspline_all_values(d, l, nodes.ravel()).reshape(l + d, l, p)
-    t = 2 * (nodes - breaks[:-1, None]) / h - 1            # (l, p)
+    nodes = mids[:, None] + (h / 2) * gx[None, :]          # (l0, p)
+    bvals = _bspline_all_values(d, l0, nodes.ravel()).reshape(l0 + d, l0, p)
+    t = 2 * (nodes - breaks[:-1, None]) / h - 1            # (l0, p)
     norm = np.sqrt((2 * np.arange(p) + 1) / h)
-    leg = legendre_values(p, t.ravel()).reshape(p, l, p)   # (n, cell, node)
+    leg = legendre_values(p, t.ravel()).reshape(p, l0, p)  # (n, cell, node)
     phi = leg * norm[:, None, None]
     # coeff[i, j, n] = sum_q w_q * B_i(x_jq) * phi_n(x_jq), w_q = gw * h/2
     coeff = np.einsum("ijq,njq,q->ijn", bvals, phi, gw * h / 2)
-    coeff.setflags(write=False)
-    return coeff
+    j = np.arange(l0)[:, None]
+    blocks = coeff[j + np.arange(p), j].transpose(0, 2, 1)
+    blocks.setflags(write=False)
+    return blocks
 
 
 def _bspline_blocks(d: int, l: int) -> np.ndarray:
-    """Per-cell blocks of ``_bspline_cell_coeffs``, (l, d+1, d+1): entry
-    ``[j, n, r]`` is the Legendre order-n coefficient on cell j of B-spline
-    j + r, one of the d+1 B-splines that touch cell j."""
-    return _bspline_cell_blocks(d, l, np.arange(l))
-
-
-def _bspline_cell_blocks(d: int, l: int, cells: np.ndarray) -> np.ndarray:
-    """``_bspline_blocks(d, l)[cells]``, built for those cells alone.
+    """Per-cell B-spline coefficients in the cell-Legendre frame,
+    (l, d+1, d+1): entry ``[j, n, r]`` is the order-n coefficient on cell j
+    of B-spline j + r, one of the d+1 B-splines that touch cell j.
 
     On uniform knots a block scales with sqrt(h), and every cell j with
     d <= j < l - d (all d+1 B-splines interior translates) has the same
@@ -278,10 +283,8 @@ def _bspline_cell_blocks(d: int, l: int, cells: np.ndarray) -> np.ndarray:
     sqrt(l0/l): the d boundary cells on each side map to their own, every
     cell between to the middle cell d.
     """
-    l0 = min(l, 2 * d + 1)
-    j0 = (cells - np.clip(cells - d, 0, l - l0))[:, None]
-    blocks = _bspline_cell_coeffs(d, l0)[j0 + np.arange(d + 1), j0].transpose(0, 2, 1)
-    return math.sqrt(l0 / l) * blocks
+    l0, cells = min(l, 2 * d + 1), np.arange(l)
+    return math.sqrt(l0 / l) * _bspline_table(d, l0)[cells - np.clip(cells - d, 0, l - l0)]
 
 
 def _bspline_gram(d: int, l: int) -> np.ndarray:
@@ -303,8 +306,9 @@ def build_basis(space: SpaceSpec) -> OrthoBasis:
     """Construct the canonical orthonormal basis of a space.
 
     Piecewise-polynomial kinds are exactly orthonormal by construction;
-    splines start from the B-spline basis and are orthonormalized by QR in
-    the (isometric) local Legendre coordinates.
+    splines scatter the B-spline blocks of ``_bspline_blocks`` into the raw
+    (l+d, l, d+1) coefficient array and orthonormalize it by QR in the
+    (isometric) local Legendre coordinates.
     """
     breaks = breakpoints(space)
     if np.min(np.diff(breaks)) < _KNOT_SEPARATION:
@@ -320,8 +324,10 @@ def build_basis(space: SpaceSpec) -> OrthoBasis:
         coeffs = np.zeros((cell.size, m.size, m.max() + 1))
         coeffs[np.arange(cell.size), cell, order] = 1.0
     else:
-        raw = _bspline_cell_coeffs(space.degree, space.cells)
-        nb = raw.shape[0]
+        d, l = space.degree, space.cells
+        raw, j = np.zeros((l + d, l, d + 1)), np.arange(l)[:, None]
+        raw[j + np.arange(d + 1), j] = _bspline_blocks(d, l).transpose(0, 2, 1)
+        nb = l + d
         q, _ = np.linalg.qr(raw.reshape(nb, -1).T)
         # fix signs so the realization is deterministic
         lead = np.argmax(np.abs(q), axis=0)

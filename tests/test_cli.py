@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from nugs.cli import main
+from nugs import experiments
+from nugs.cli import main, parse_scheme
 from nugs.estimator import NonuniformFourierRegressor
 from nugs.fourier import FunctionSpec, basis_transform, sample_function, save_data_csv
 from nugs.sampling import SchemeSpec, generate
@@ -172,6 +173,13 @@ def test_bad_count_or_grid_exits_1_before_writing(tmp_path, capsys, args, messag
     assert code == 1
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_bare_jittered_scheme_takes_the_experiments_jitter(monkeypatch):
+    assert parse_scheme("jittered", 10, 5.0, 0).theta == experiments._THETA
+    monkeypatch.setattr(experiments, "_THETA", 0.35)
+    assert parse_scheme("jittered", 10, 5.0, 0).theta == 0.35
+    assert parse_scheme("jittered:0.1", 10, 5.0, 0).theta == 0.1
 
 
 def test_usage_error_exits_1(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from dense_bspline import dense_bspline_coeffs
 from nugs import experiments, fourier, solver, spaces
 from nugs.errors import BandwidthTooSmallError
 from nugs.experiments import (ErrorRow, ScalingRow, _StabilityEvaluator, default_k_grid,
@@ -13,7 +14,7 @@ from nugs.experiments import (ErrorRow, ScalingRow, _StabilityEvaluator, default
 from nugs.fourier import FunctionSpec, cell_transforms
 from nugs.sampling import SampleSet, SchemeSpec, density, generate, weights
 from nugs.solver import stability_constant
-from nugs.spaces import SpaceSpec, _bspline_cell_coeffs, build_basis
+from nugs.spaces import SpaceSpec, build_basis
 
 INTEGER_GRID = SampleSet(points=np.arange(-10, 11, dtype=float), bandwidth=10.5)
 
@@ -70,7 +71,7 @@ def test_selected_c_ratio_matches_stability_constant_at_large_n(family):
 def dense_spline_lower(s, d, l):
     """Oracle: the generalized eigenproblem on the dense contraction of every
     cell with every B-spline and the dense B-spline Gram."""
-    raw = _bspline_cell_coeffs(d, l).reshape(l + d, -1)
+    raw = dense_bspline_coeffs(d, l).reshape(l + d, -1)
     t = cell_transforms(np.linspace(0.0, 1.0, l + 1), d + 1, s.points)
     a = t.reshape(len(s), -1) @ raw.T
     m1 = (a.conj() * weights(s)[:, None]).T @ a
@@ -152,7 +153,8 @@ def test_hint_does_not_change_result():
     s = generate(SchemeSpec("jittered", 80, 30.0, theta=0.2, seed=9))
     base = max_stable_dimension("legendre", s, 3.0)
     for hint in (1, 3, base, base + 4, 60):
-        assert max_stable_dimension("legendre", s, 3.0, hint=hint) == base
+        ev = _StabilityEvaluator("legendre", s, 0)
+        assert experiments._search_max(ev, 3.0, hint) == base
 
 
 def test_plan_scheme_density_targets():
@@ -345,9 +347,9 @@ def test_csv_writers(tmp_path):
     assert (tmp_path / "e.csv").read_text() == "k,n,m,error\n10.0,27,9,0.0015\n"
 
 
-def test_figure_panels_write_files(tmp_path):
-    paths = run_figure_panels(tmp_path, seed=1, k_grid=[6.0, 12.0], jobs=1,
-                              spline_degrees=(1,))
+def test_figure_panels_write_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_SPLINE_DEGREES", (1,))
+    paths = run_figure_panels(tmp_path, seed=1, k_grid=[6.0, 12.0], jobs=1)
     assert len(paths) == 8
     for p in paths:
         assert (tmp_path / p.split("/")[-1]).exists()
@@ -365,7 +367,8 @@ def test_figure_panels_search_once_per_bandwidth(tmp_path, monkeypatch):
 
     search = experiments._search_max
     monkeypatch.setattr(experiments, "_search_max", counted)
-    run_figure_panels(tmp_path, seed=1, k_grid=[6.0, 12.0], spline_degrees=(1,))
+    monkeypatch.setattr(experiments, "_SPLINE_DEGREES", (1,))
+    run_figure_panels(tmp_path, seed=1, k_grid=[6.0, 12.0])
     # 2 schemes x 3 families x 2 bandwidths, each searched once; the second
     # bandwidth's search starts from the first one's selection
     assert len(calls) == 12
@@ -378,13 +381,6 @@ def test_figure_panels_search_once_per_bandwidth(tmp_path, monkeypatch):
                  (tmp_path / f"error_{kind}.csv").read_text().splitlines()]
         # family, k, n, m: the error rows reuse each bandwidth's selection
         assert error == scaling
-
-
-def test_figure_panels_spline_degree_zero_raises_before_writing(tmp_path):
-    out = tmp_path / "panels"
-    with pytest.raises(ValueError, match="d >= 1, got d=0"):
-        run_figure_panels(out, k_grid=[6.0], spline_degrees=(0,))
-    assert not out.exists()
 
 
 def test_error_curve_accepts_spline_degree_zero():

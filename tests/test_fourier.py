@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
+from dense_bspline import dense_bspline_coeffs
 from nugs import experiments, fourier, sampling, spaces, validation
 from nugs.fourier import (FourierData, FunctionSpec, _order_factors, basis_transform,
                           bspline_weighted_gram, cell_transforms, evaluate_function,
@@ -16,7 +17,7 @@ from nugs.fourier import (FourierData, FunctionSpec, _order_factors, basis_trans
                           transform_integrals)
 from nugs.quadrature import panel_edges, panel_nodes, panel_segments
 from nugs.sampling import SampleSet, SchemeSpec, generate, weights
-from nugs.spaces import SpaceSpec, _bspline_cell_coeffs, build_basis
+from nugs.spaces import SpaceSpec, build_basis
 
 
 def quad_transform(f, omega):
@@ -200,6 +201,13 @@ def test_data_csv_malformed_reports_line(tmp_path):
         load_data_csv(path)
 
 
+def test_data_csv_without_rows_rejected(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("omega,re,im\n\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        load_data_csv(path)
+
+
 def test_data_csv_wrong_header_rejected(tmp_path):
     path = tmp_path / "header.csv"
     path.write_text("omega,real,imag\n0.0,1.0,0.0\n")
@@ -324,23 +332,23 @@ def test_spline_probe_grams_never_run_miller(monkeypatch):
 
 
 def test_spline_probe_builds_each_bspline_block_once(monkeypatch):
-    # a probe's L2 Gram builds the blocks of all l cells, its weighted Gram
-    # only those of the at most 2d cells its border B-splines touch
-    built = []
-
-    def counting(d, l, cells):
-        built.append(len(cells))
-        return cell_blocks(d, l, cells)
-
-    cell_blocks = spaces._bspline_cell_blocks
-    monkeypatch.setattr(spaces, "_bspline_cell_blocks", counting)
+    # the blocks of every probe's L2 Gram and weighted Gram are rescaled
+    # from one table per l0 = min(l, 2d+1) cells, evaluated once at its
+    # l0 (d+1) Gauss nodes
+    evaluated = []
+    values = spaces._bspline_all_values
+    monkeypatch.setattr(spaces, "_bspline_all_values",
+                        lambda d, l, x: evaluated.append((d, l, x.size)) or values(d, l, x))
+    spaces._bspline_table.cache_clear()
     s = generate(SchemeSpec("jittered", 160, 60.0, theta=0.2, seed=3))
+    ls = (1, 2, 3, 5, 8, 16, 40, 100)
     for d in (1, 2, 3):
         evaluator = experiments._StabilityEvaluator("spline", s, d)
-        for l in (1, 2, 3, 5, 8, 16, 40, 100):
-            built.clear()
+        evaluated.clear()
+        for l in ls:
             evaluator._pencil(l)
-            assert sorted(built) == sorted([l, min(l, 2 * d)]), (d, l)
+        l0s = sorted({min(l, 2 * d + 1) for l in ls})
+        assert evaluated == [(d, l0, l0 * (d + 1)) for l0 in l0s], d
 
 
 def test_two_hundred_orders_reach_miller_rescale(monkeypatch):
@@ -489,7 +497,7 @@ def test_fourier_data_rejects_negative_or_nonfinite_weights():
 def dense_bspline_transforms(d, l, omegas):
     """Oracle: every cell's Legendre transforms contracted with every
     B-spline's cell coefficients, band or not."""
-    raw = _bspline_cell_coeffs(d, l)
+    raw = dense_bspline_coeffs(d, l)
     t = cell_transforms(np.linspace(0.0, 1.0, l + 1), d + 1, omegas)
     return t.reshape(t.shape[0], -1) @ raw.reshape(raw.shape[0], -1).T
 
@@ -665,13 +673,11 @@ def test_csv_loaders_convert_rows_in_one_numpy_call(tmp_path, monkeypatch):
     s = generate(SchemeSpec("jittered", 600, 200.0, theta=0.3, seed=4))
     data = FourierData(s, np.exp(1j * s.points), weights(s))
     save_data_csv(tmp_path / "data.csv", data)
-    sampling.save_samples_csv(tmp_path / "samples.csv", s)
     counting = _CountingFloat()
     for module in (validation, fourier, sampling):
         monkeypatch.setattr(module, "float", counting, raising=False)
     back, had_weights = load_data_csv(tmp_path / "data.csv")
     assert had_weights and np.array_equal(back.values, data.values)
-    assert np.array_equal(sampling.load_samples_csv(tmp_path / "samples.csv").points, s.points)
     # the few calls left check the bandwidth; a per-row loop makes thousands
     assert counting.calls < 20
 

@@ -1,5 +1,3 @@
-import numpy as np
-
 from nugs.prng import SplitMix64
 
 
@@ -22,11 +20,3 @@ def test_seeds_decorrelate():
     a = [SplitMix64(0).uniform() for _ in range(1)]
     b = [SplitMix64(1).uniform() for _ in range(1)]
     assert a != b
-
-
-def test_split_is_independent():
-    parent = SplitMix64(7)
-    child = parent.split()
-    xs = [child.uniform() for _ in range(100)]
-    ys = [parent.uniform() for _ in range(100)]
-    assert not np.allclose(xs, ys)

@@ -13,8 +13,7 @@ from nugs.estimator import NonuniformFourierRegressor
 from nugs.experiments import _StabilityEvaluator, plan_scheme
 from nugs.fourier import (FourierData, FunctionSpec, basis_transform, load_data_csv,
                           save_data_csv)
-from nugs.sampling import (SampleSet, SchemeSpec, generate, load_samples_csv,
-                           save_samples_csv, weights)
+from nugs.sampling import SampleSet, SchemeSpec, generate, weights
 from nugs.solver import Reconstruction, reconstruct, stability_constant
 from nugs.spaces import SpaceSpec, build_basis, dimension
 
@@ -225,14 +224,4 @@ def test_data_csv_round_trip(tmp_path_factory, s, data):
     assert had_weights
     second = first.with_name("b.csv")
     save_data_csv(second, loaded)
-    assert second.read_bytes() == first.read_bytes()
-
-
-@PROPERTY
-@given(sample_sets())
-def test_samples_csv_round_trip(tmp_path_factory, s):
-    first = tmp_path_factory.mktemp("samples") / "a.csv"
-    save_samples_csv(first, s)
-    second = first.with_name("b.csv")
-    save_samples_csv(second, load_samples_csv(first, bandwidth=s.bandwidth))
     assert second.read_bytes() == first.read_bytes()

@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nugs.sampling import (SampleSet, SchemeSpec, density, generate,
-                           load_samples_csv, save_samples_csv, weights)
+from nugs.sampling import SampleSet, SchemeSpec, density, generate, weights
 
 
 def test_uniform_midpoint_grid():
@@ -147,29 +146,6 @@ def test_sample_set_rejects_bad_bandwidth_with_name(bad):
         SampleSet(points=np.array([0.0, 1.0]), bandwidth=bad)
 
 
-def test_csv_round_trip(tmp_path):
-    s = generate(SchemeSpec("jittered", 13, 4.0, theta=0.3, seed=2))
-    path = tmp_path / "samples.csv"
-    save_samples_csv(path, s)
-    assert path.read_text().splitlines()[0] == "omega"
-    back = load_samples_csv(path, bandwidth=4.0)
-    assert np.array_equal(back.points, s.points)
-
-
-def test_csv_malformed_row_reports_line(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("omega\n1.0\nnot-a-number\n")
-    with pytest.raises(ValueError, match="3"):
-        load_samples_csv(path)
-
-
-def test_csv_without_rows_rejected(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("omega\n")
-    with pytest.raises(ValueError, match="no data rows"):
-        load_samples_csv(path)
-
-
 def test_scheme_json_round_trip():
     spec = SchemeSpec("jittered", 10, 5.0, theta=0.4, seed=9)
     assert SchemeSpec.from_json(spec.to_json()) == spec
@@ -179,26 +155,6 @@ def test_log_scheme_at_two_points_is_the_band_edges():
     s = generate(SchemeSpec("log", 2, 7.5))
     assert np.array_equal(s.points, [-7.5, 7.5])
     assert weights(s).sum() == pytest.approx(15.0, abs=1e-15)
-
-
-def test_csv_wrong_header_rejected(tmp_path):
-    path = tmp_path / "header.csv"
-    path.write_text("freq\n1.0\n")
-    with pytest.raises(ValueError, match="expected header 'omega', got 'freq'"):
-        load_samples_csv(path)
-
-
-def test_csv_blank_lines_skipped(tmp_path):
-    path = tmp_path / "blank.csv"
-    path.write_text("omega\n-1.0\n\n  \n2.0\n\n")
-    assert np.array_equal(load_samples_csv(path).points, [-1.0, 2.0])
-
-
-def test_csv_extra_field_reports_line(tmp_path):
-    path = tmp_path / "two.csv"
-    path.write_text("omega\n1.0\n2.0,3.0\n")
-    with pytest.raises(ValueError, match=":3: expected 1 field, got 2"):
-        load_samples_csv(path)
 
 
 def test_sample_set_bandwidth_defaults_to_largest_magnitude():
@@ -243,10 +199,3 @@ def test_scheme_from_json_checks_theta_and_seed(change, message):
 def test_scheme_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
     with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
         SchemeSpec("jittered", 4, 5.0, theta=0.2, seed=seed)
-
-
-def test_samples_csv_bytes(tmp_path):
-    s = SampleSet(points=np.array([-3.0, -0.1, 1e-20, 2.5, 3.0000000000000004]), bandwidth=4.0)
-    save_samples_csv(tmp_path / "s.csv", s)
-    assert (tmp_path / "s.csv").read_bytes() == (
-        b"omega\n-3.0\n-0.1\n1e-20\n2.5\n3.0000000000000004\n")

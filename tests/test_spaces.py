@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
 
+from dense_bspline import dense_bspline_coeffs
 from nugs import spaces
 from nugs.spaces import (GrowthConstants, SpaceSpec, _bspline_all_values, _bspline_blocks,
-                         _bspline_cell_coeffs, _bspline_gram, build_basis, breakpoints,
+                         _bspline_gram, build_basis, breakpoints,
                          derivative_growth, dimension, evaluate,
                          growth_constants, member_values, min_spacing, sup_growth)
 
@@ -231,7 +232,7 @@ def test_bspline_values_match_scipy_design_matrix(d, l):
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 @pytest.mark.parametrize("l", [1, 2, 5, 23])
 def test_banded_bspline_gram_matches_dense(d, l):
-    raw = _bspline_cell_coeffs(d, l).reshape(l + d, -1)
+    raw = dense_bspline_coeffs(d, l).reshape(l + d, -1)
     gram = _bspline_gram(d, l)
     assert np.max(np.abs(gram - raw @ raw.T)) <= 1e-15
     rows, cols = np.indices(gram.shape)
@@ -243,7 +244,7 @@ def test_bspline_gram_scatter_matches_dense(d):
     # one bincount scatters the cells' local Grams; it adds each entry's
     # terms in the order of the (r, c) loop it replaced, so bit for bit
     for l in (2 * d + 1, 2 * d + 2, 100):
-        raw = _bspline_cell_coeffs(d, l).reshape(l + d, -1)
+        raw = dense_bspline_coeffs(d, l).reshape(l + d, -1)
         gram = _bspline_gram(d, l)
         assert np.max(np.abs(gram - raw @ raw.T)) <= 1e-15
         blocks = _bspline_blocks(d, l)
@@ -259,12 +260,74 @@ def test_bspline_gram_scatter_matches_dense(d):
 def test_rescaled_bspline_blocks_match_dense(d):
     for l in sorted({1, d, 2 * d, 2 * d + 1, 2 * d + 2, 23, 100} - {0}):
         j = np.arange(l)[:, None]
-        want = _bspline_cell_coeffs(d, l)[j + np.arange(d + 1), j].transpose(0, 2, 1)
+        want = dense_bspline_coeffs(d, l)[j + np.arange(d + 1), j].transpose(0, 2, 1)
         got = _bspline_blocks(d, l)
         assert got.shape == (l, d + 1, d + 1)
         assert np.max(np.abs(got - want)) <= 1e-14
         if l <= 2 * d + 1:
             assert np.array_equal(got, want)
+
+
+def _bspline_blocks_by_mpmath(mpmath, d, l, cells):
+    """Oracle: the blocks of ``cells``, [c, n, r], projected at 40 digits
+    from Cox-de Boor on exact knots by a (d+1)-point Gauss rule, which is
+    exact for the degree <= 2d products."""
+    p = d + 1
+    tau = [0] * d + [mpmath.mpf(k) / l for k in range(l + 1)] + [1] * d
+
+    def bspline(i, r, x):
+        if r == 0:
+            return 1 if tau[i] <= x < tau[i + 1] else 0
+        out = 0
+        if tau[i + r] > tau[i]:
+            out += (x - tau[i]) / (tau[i + r] - tau[i]) * bspline(i, r - 1, x)
+        if tau[i + r + 1] > tau[i + 1]:
+            out += (tau[i + r + 1] - x) / (tau[i + r + 1] - tau[i + 1]) * bspline(i + 1, r - 1, x)
+        return out
+
+    gx = [mpmath.findroot(lambda t: mpmath.legendre(p, t), t0)
+          for t0 in np.polynomial.legendre.leggauss(p)[0]]
+    gw = [2 * (1 - t**2) / (p * mpmath.legendre(p - 1, t)) ** 2 for t in gx]
+    h = mpmath.mpf(1) / l
+    out = np.empty((len(cells), p, p))
+    for c, j in enumerate(cells):
+        for n in range(p):
+            for r in range(p):
+                out[c, n, r] = float(sum(
+                    w * h / 2 * bspline(j + r, d, j * h + h / 2 * (1 + t))
+                    * mpmath.sqrt((2 * n + 1) / h) * mpmath.legendre(n, t)
+                    for t, w in zip(gx, gw)))
+    return out
+
+
+@pytest.mark.parametrize("d, l", [(1, 16), (3, 8), (3, 60), (3, 243), (1, 794)])
+def test_bspline_blocks_and_spline_basis_raw_array_match_mpmath(monkeypatch, d, l):
+    # the border cells and a middle one, against 40-digit coefficients; the
+    # raw array is the one build_basis hands to its QR
+    mpmath = pytest.importorskip("mpmath")
+    cells = sorted({*range(min(l, d + 1)), *range(max(0, l - d - 1), l), l // 2})
+    with mpmath.workdps(40):
+        want = _bspline_blocks_by_mpmath(mpmath, d, l, cells)
+    assert np.max(np.abs(_bspline_blocks(d, l)[cells] - want)) <= 1e-15
+    factored = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: factored.append(a.copy()) or qr(a))
+    build_basis(SpaceSpec.spline(d, l))
+    raw = factored[0].T.reshape(l + d, l, d + 1)
+    j = np.array(cells)[:, None]
+    got = raw[j + np.arange(d + 1), j].transpose(0, 2, 1)
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("d, l", [(1, 794), (3, 243), (2, 30)])
+def test_spline_basis_evaluates_bsplines_on_at_most_2d_plus_1_cells(monkeypatch, d, l):
+    sizes = []
+    values = spaces._bspline_all_values
+    monkeypatch.setattr(spaces, "_bspline_all_values",
+                        lambda *args: sizes.append(args[2].size) or values(*args))
+    spaces._bspline_table.cache_clear()
+    build_basis(SpaceSpec.spline(d, l))
+    assert sizes and max(sizes) <= (2 * d + 1) * (d + 1)
 
 
 def test_bspline_gram_is_hat_mass_matrix_at_degree_one():
@@ -452,8 +515,20 @@ def test_build_basis_rejects_cells_narrower_than_knot_separation():
         build_basis(SpaceSpec.piecewise_poly([1e-16], [0, 0]))
 
 
+@pytest.mark.parametrize("knots", [("0.5",), 0.5, (True,)])
+def test_space_spec_knots_must_be_finite_real_numbers(knots):
+    with pytest.raises(ValueError, match="knots must be a sequence of finite real numbers"):
+        SpaceSpec(kind="piecewise_poly", knots=knots, degrees=(1, 1))
+
+
+def test_space_spec_stores_knots_as_floats():
+    spec = SpaceSpec(kind="piecewise_poly", knots=[np.float32(0.5)], degrees=(1, 1))
+    assert spec.knots == (0.5,) and type(spec.knots[0]) is float
+
+
 @pytest.mark.parametrize("change, message", [
     ({"knots": 5}, "knots must be a list, got 5"),
+    ({"knots": 0.5}, "knots must be a list, got 0.5"),
     ({"degrees": 3}, "degrees must be a list, got 3"),
     ({"knots": ["0.5"]}, "knots must be a number, got '0.5'"),
     ({"knots": [None]}, "knots must be a number, got None"),
