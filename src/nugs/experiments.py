@@ -22,10 +22,15 @@ only compare it with the threshold: ratio(M) <= threshold is
 lambda_min(W, G) >= t, and W - sG has a Cholesky factor exactly when
 lambda_min(W, G) > s, so two factorizations at t plus and minus a band
 (``PROBE_BAND``) decide every probe outside the band; inside it,
-and at index 1, ``ratio`` decides.  For trig and legendre G = I and W comes
-from the scaled design; a probe reads a principal block of the Gram of the
-widest probe so far (the doubling probe), while ``ratio`` builds its own, so
-c_ratio does not depend on which probes came first.  The constant is
+and at index 1, ``ratio`` decides.  For trig and legendre G = I, and the
+design is A = diag(e^{-i pi w}) B D with B a real N x dim table and D
+diagonal unitary (``_real_table``), so W = A^H M A (M = diag(mu)) is a
+unitary similarity of the real symmetric B^T M B.  ``dsyrk`` builds that,
+a Cholesky test (``dpotrf``) shifts only its diagonal, and ``ratio`` runs
+the standard real ``eigh``; no complex design or identity matrix is
+formed.  A probe reads a principal block of the Gram of the widest probe
+so far (the doubling probe), while ``ratio`` builds its own, so c_ratio
+does not depend on which probes came first.  The constant is
 basis-independent, so a spline pencil is that of the raw B-splines: a
 Hermitian Toeplitz interior plus 2d border columns
 (``fourier.bspline_weighted_gram``) against a banded L2 Gram
@@ -168,9 +173,9 @@ class _StabilityEvaluator:
         """
         w, g = self._grams(m)
         scale, t = (1.0 + self.delta) ** 2, float(threshold) ** -2.0
-        if _factors(w - scale * (t + PROBE_BAND) * g):
+        if _factors(_shifted(w, g, scale * (t + PROBE_BAND))):
             ok = True
-        elif not _factors(w - scale * (t - PROBE_BAND) * g):
+        elif not _factors(_shifted(w, g, scale * (t - PROBE_BAND))):
             ok = False
         else:
             ok = self.ratio(m) <= threshold
@@ -182,7 +187,8 @@ class _StabilityEvaluator:
         """lambda_min(W, G) at index m, clamped at 0, from the pencil built at
         m.  Only a spline probe's pencil is reused: a trig or Legendre probe
         reads a block of a wider Gram, whose rounding depends on the probes
-        that came before."""
+        that came before.  G = None is the identity, and ``eigh`` then solves
+        the standard problem."""
         if self._passed is not None and self._passed[0] == m:
             w, g = self._passed[1:]
         else:
@@ -190,24 +196,26 @@ class _StabilityEvaluator:
         lam = scipy.linalg.eigh(w, g, lower=False, eigvals_only=True, subset_by_index=(0, 0))
         return max(float(lam[0]), 0.0)
 
-    def _pencil(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+    def _pencil(self, m: int) -> tuple[np.ndarray, np.ndarray | None]:
         """Weighted and L2 Gram of the family's basis at index m, of which
-        only the upper triangles are read.  For trig and legendre the first
-        is the upper triangle of conj(W), which has W's eigenvalues, from
-        the scaled design without a conjugated copy."""
+        only the upper triangles are read.  For trig and legendre the L2
+        Gram is the identity, returned as None, and the weighted Gram is the
+        real symmetric B^T M B of the scaled real table (``_real_table``),
+        from ``dsyrk``: a diagonal unitary similarity of A^H M A, so it has
+        the same eigenvalues."""
         if self.family == "spline":
             w = fourier.bspline_weighted_gram(self.d, m, self.s.points, self.mu)
             # the L2 Gram depends only on (d, m), and is finite
             return _checked(w, self.family, m), spaces._bspline_gram(self.d, m)
-        b = solver.design_matrix(spaces.build_basis(family_space(self.family, m)), self.s)
+        b = _real_table(self.family, m, self.s.points)
         b *= np.sqrt(self.mu)[:, None]
-        return _checked(scipy.linalg.blas.zherk(1.0, b.T), self.family, m), np.eye(b.shape[1])
+        return _checked(scipy.linalg.blas.dsyrk(1.0, b.T), self.family, m), None
 
-    def _grams(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+    def _grams(self, m: int) -> tuple[np.ndarray, np.ndarray | None]:
         """The pencil at index m for a probe.  Trig and Legendre Grams are
-        principal blocks of one weighted Gram, built afresh only when m
+        principal blocks of one real weighted Gram, built afresh only when m
         exceeds its index: the centred 2m+1 orders for trig, the leading
-        m+1 degrees for Legendre."""
+        m+1 degrees for Legendre; their L2 Gram is the identity (None)."""
         if self.family == "spline":
             return self._pencil(m)
         if self._wide is None or m > self._wide[0]:
@@ -215,7 +223,30 @@ class _StabilityEvaluator:
         wide, w = self._wide
         n = spaces.dimension(family_space(self.family, m))
         lo = wide - m if self.family == "trig" else 0
-        return w[lo:lo + n, lo:lo + n], np.eye(n)
+        return w[lo:lo + n, lo:lo + n], None
+
+
+def _real_table(family: str, m: int, w: np.ndarray) -> np.ndarray:
+    """The real N x dim table B of the trig or Legendre basis at index m on
+    the frequencies w, whose design is A = diag(e^{-i pi w}) B D with D
+    diagonal unitary, so that A^H M A = D^H B^T M B D.
+
+    Trig: B_nj = sin(pi w_n) / (pi (w_n - j)), j = -m..m, and D = I, since
+    e^{-i pi (w - j)} sinc(w - j) = e^{-i pi w} sin(pi w) / (pi (w - j)).
+    sin(pi w) is (-1)^k sin(pi r) with k = rint(w) and r = w - k exact, and
+    where w_n = j the entry is (-1)^j.  Legendre on [0, 1]: B_nj =
+    sqrt(2j+1) j_j(pi w_n), j <= m, and D = diag((-i)^j), the cell
+    transform without its phase (``fourier._real_order_factors``).
+    """
+    if family == "legendre":
+        return np.ascontiguousarray(fourier._real_order_factors(w, np.ones(1), m + 1)[:, 0, :])
+    k = np.rint(w)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    with np.errstate(invalid="ignore"):  # 0/0 where w_n = j, set below
+        b = (sign * np.sin(np.pi * (w - k)) / np.pi)[:, None] / (w[:, None] - np.arange(-m, m + 1))
+    on = np.flatnonzero((w == k) & (np.abs(k) <= m))
+    b[on, k[on].astype(int) + m] = sign[on]
+    return b
 
 
 def _checked(a: np.ndarray, family: str, m: int) -> np.ndarray:
@@ -226,11 +257,22 @@ def _checked(a: np.ndarray, family: str, m: int) -> np.ndarray:
     return a
 
 
+def _shifted(w: np.ndarray, g: np.ndarray | None, s: float) -> np.ndarray:
+    """W - sG as a new array; G = None is the identity, whose shift touches
+    only the diagonal of a Fortran-ordered copy of W."""
+    if g is not None:
+        return w - s * g
+    a = w.copy(order="F")
+    a[np.diag_indices_from(a)] -= s
+    return a
+
+
 def _factors(a: np.ndarray) -> bool:
-    """Whether the Hermitian matrix with ``a``'s upper triangle has a
-    Cholesky factor, i.e. is numerically positive definite; ``a`` is
-    overwritten."""
-    return scipy.linalg.lapack.zpotrf(a, overwrite_a=True)[1] == 0
+    """Whether the real symmetric or complex Hermitian matrix with ``a``'s
+    upper triangle has a Cholesky factor, i.e. is numerically positive
+    definite; ``potrf`` is that of ``a``'s dtype, and ``a`` is overwritten."""
+    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (a,))
+    return potrf(a, overwrite_a=True)[1] == 0
 
 
 def _search_max(ev: _StabilityEvaluator, threshold: float,
@@ -309,11 +351,11 @@ def default_k_grid(kmin: float = 5.0, kmax: float = 200.0, count: int = 20) -> n
 
 
 def _sweep(cell, k_grid, jobs: int) -> list:
-    """Row pairs of ``cell(k, hint)`` across the grid.  Serially each
-    bandwidth's search starts from the previous selected index; parallel
-    cells search from scratch."""
+    """Row pairs of ``cell(k, hint)`` across the grid on ``jobs`` processes.
+    Serially each bandwidth's search starts from the previous selected
+    index; parallel cells search from scratch."""
     ks = (default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)).tolist()
-    if jobs > 1:
+    if check_count(jobs, "jobs") > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(cell, ks))
     rows, hint = [], None

@@ -31,7 +31,10 @@ vector instead of the dim columns of the design, and coefficient functions
 and ``l2_error`` read member values through ``spaces.member_values``,
 without a dim x nodes table of basis values.
 
-The factor sqrt(2n+1) (-i)^n j_n(pi w h) depends on the cell only through
+The factor sqrt(2n+1) (-i)^n j_n(pi w h) is (-i)^n times the real table
+sqrt(2n+1) j_n(pi w h) of ``_real_order_factors``, which takes j_n at |w|
+with the parity of n; the Legendre stability probe (``experiments``) reads
+that real table directly.  The factor depends on the cell only through
 its width h, so ``cell_transforms`` computes one Bessel table per distinct
 width and gathers it back to the cells; every step is elementwise, so the
 result is bitwise that of a per-cell table.  It pays in proportion to
@@ -354,13 +357,21 @@ def _rescale(big: np.ndarray, prev: np.ndarray, cur: np.ndarray, total: np.ndarr
     out[:, big] *= 1e-100
 
 
-def _order_factors(w: np.ndarray, h: np.ndarray, p: int) -> np.ndarray:
-    """sqrt(2n+1) (-i)^n j_n(pi |w| h) for n < p, (n_w, n_h, p), for cell
-    widths h of shape (n_h,); j_n has the parity of n, so w < 0 takes i^n."""
+def _real_order_factors(w: np.ndarray, h: np.ndarray, p: int) -> np.ndarray:
+    """sqrt(2n+1) j_n(pi w h) for n < p, (n_w, n_h, p), for cell widths h of
+    shape (n_h,): the table of |w|, with (-1)^n for w < 0 (j_n has the
+    parity of n)."""
     jn = spherical_jn_orders(np.pi * np.abs(w)[:, None] * h[None, :], p)
-    n = np.arange(p)
-    turn = np.sqrt(2 * n + 1) * np.array([1, -1j, -1, 1j])[n % 4]
-    return jn.transpose(1, 2, 0) * np.where((w < 0)[:, None], turn.conj(), turn)[:, None, :]
+    root = np.sqrt(2 * np.arange(p) + 1)
+    parity = np.where((w < 0)[:, None], root * (-1.0) ** np.arange(p), root)
+    return jn.transpose(1, 2, 0) * parity[:, None, :]
+
+
+def _order_factors(w: np.ndarray, h: np.ndarray, p: int) -> np.ndarray:
+    """sqrt(2n+1) (-i)^n j_n(pi w h) for n < p, (n_w, n_h, p): the real
+    table of ``_real_order_factors`` times (-i)^n."""
+    turn = np.array([1, -1j, -1, 1j])[np.arange(p) % 4]
+    return _real_order_factors(w, h, p) * turn
 
 
 def cell_transforms(breaks: np.ndarray, p: int, omegas: np.ndarray) -> np.ndarray:

@@ -66,7 +66,7 @@ class SpaceSpec:
 
     @classmethod
     def piecewise_poly(cls, knots, degrees) -> "SpaceSpec":
-        return cls(kind="piecewise_poly", knots=knots, degrees=tuple(degrees))
+        return cls(kind="piecewise_poly", knots=knots, degrees=degrees)
 
     @classmethod
     def spline(cls, d: int, l: int) -> "SpaceSpec":
@@ -82,6 +82,8 @@ class SpaceSpec:
         # numpy integers are stored as int, so the JSON round trip holds
         for name in ("degree", "cells"):
             object.__setattr__(self, name, check_integer(getattr(self, name), name))
+        if not np.iterable(self.degrees):
+            raise ValueError(f"degrees must be a sequence of integers, got {self.degrees!r}")
         object.__setattr__(self, "degrees", tuple(check_integer(m, "each entry of degrees")
                                                   for m in self.degrees))
         knots = tuple(self.knots) if np.iterable(self.knots) else None

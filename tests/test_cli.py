@@ -145,6 +145,8 @@ def test_bad_threshold_exits_1(tmp_path, capsys, args, threshold):
     (["residual", "--space", "legendre:3", "--zmax", 0], "zmax"),
     (["scaling", "--family", "trig", "--kmax", 10, "--kcount", 0], "kcount"),
     (["scaling", "--family", "trig", "--kmin", 0], "kmin"),
+    (["scaling", "--family", "trig", "--kmax", 10, "--kcount", 2, "--jobs", 0], "jobs"),
+    (["scaling", "--family", "trig", "--kmax", 10, "--kcount", 2, "--jobs", -1], "jobs"),
     (["figure1", "--kcount", 0], "kcount"),
     (["scaling", "--family", "trig", "--kmax", 10, "--kcount", 2, "--threshold", 0.5],
      "threshold must be positive"),

@@ -104,19 +104,57 @@ def test_eigensolver_failure_propagates(monkeypatch, family, d):
 def test_non_finite_gram_raises(monkeypatch, family, d):
     # a Cholesky test reads a NaN pivot as "not positive definite", which
     # would end the search at index 1 instead of raising
-    spline_gram, design = fourier.bspline_weighted_gram, solver.design_matrix
+    spline_gram, table = fourier.bspline_weighted_gram, experiments._real_table
 
     def nan_spline_gram(d, l, *args):
         return spline_gram(d, l, *args) * (np.nan if l > 1 else 1.0)
 
-    def nan_design(basis, s):
-        return design(basis, s) * (np.nan if basis.space.degree > 1 else 1.0)
+    def nan_table(family, m, w):
+        return table(family, m, w) * (np.nan if m > 1 else 1.0)
 
     monkeypatch.setattr(fourier, "bspline_weighted_gram", nan_spline_gram)
-    monkeypatch.setattr(solver, "design_matrix", nan_design)
+    monkeypatch.setattr(experiments, "_real_table", nan_table)
     s = generate(SchemeSpec("jittered", 40, 15.0, theta=0.2, seed=5))
     with pytest.raises(np.linalg.LinAlgError, match=f"non-finite .* {family} probe"):
         max_stable_dimension(family, s, 3.0, d=d)
+
+
+@pytest.mark.parametrize("family", ["trig", "legendre"])
+@pytest.mark.parametrize("s", [generate(plan_scheme("log", 40.0, seed=1)), INTEGER_GRID],
+                         ids=["log", "integers"])
+def test_real_table_is_the_design_up_to_diagonal_phases(family, s):
+    # A = diag(e^{-i pi w}) B D, D = I for trig and diag((-i)^j) for
+    # Legendre, at negative frequencies and where w_n = j for trig
+    m = 10
+    a = solver.design_matrix(build_basis(family_space(family, m)), s)
+    turn = 1.0 if family == "trig" else (-1j) ** np.arange(m + 1)
+    b = experiments._real_table(family, m, s.points)
+    assert b.dtype == float
+    assert np.max(np.abs(np.exp(-1j * np.pi * s.points)[:, None] * b * turn - a)) <= 1e-14
+
+
+@pytest.mark.parametrize("family, d, potrf", [("trig", 0, "dpotrf"), ("legendre", 0, "dpotrf"),
+                                              ("spline", 2, "zpotrf")])
+def test_probes_factor_in_the_pencil_dtype(monkeypatch, family, d, potrf):
+    # trig and Legendre pencils are real: no complex design, zherk or
+    # zpotrf, and no dense identity; spline pencils stay complex
+    calls = []
+    get_lapack_funcs = scipy.linalg.get_lapack_funcs
+
+    def counted(name, func):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, arrays: [
+        counted(f.typecode + name, f) for name, f in zip(names, get_lapack_funcs(names, arrays))])
+    for module, name in ((scipy.linalg.blas, "zherk"), (scipy.linalg.lapack, "zpotrf"),
+                         (solver, "design_matrix"), (np, "eye")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    [row] = scaling_table(family, "log", [20.0], d=d, seed=3)
+    assert row.m > 1
+    assert set(calls) == {potrf}
 
 
 @pytest.mark.parametrize("kind", ["jittered", "log"])
@@ -226,6 +264,18 @@ def test_trig_search_memory_stays_per_probe():
 def test_default_k_grid_rejects_bad_arguments(args, name):
     with pytest.raises(ValueError, match=name):
         default_k_grid(*args)
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 1.5])
+@pytest.mark.parametrize("sweep", [
+    lambda jobs, out: scaling_table("trig", "jittered", [5.0], jobs=jobs),
+    lambda jobs, out: error_curve(FunctionSpec.benchmark(), "trig", "jittered", [5.0], jobs=jobs),
+    lambda jobs, out: run_figure_panels(out, k_grid=[5.0], jobs=jobs),
+], ids=["scaling_table", "error_curve", "run_figure_panels"])
+def test_sweeps_reject_bad_jobs(tmp_path, sweep, jobs):
+    with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, got {jobs}"):
+        sweep(jobs, tmp_path)
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_spline_scaling_needs_positive_degree():

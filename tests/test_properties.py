@@ -1,16 +1,18 @@
 """Property tests of the sampling weights, the estimator, exact
-reconstruction, the stability search's probe decisions and the JSON and
-CSV round-trips, on derandomized examples
+reconstruction, the stability search's probe decisions and real pencils,
+and the JSON and CSV round-trips, on derandomized examples
 (the B-spline transform properties sit with their oracle in
 test_fourier.py)."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nugs.estimator import NonuniformFourierRegressor
-from nugs.experiments import _StabilityEvaluator, plan_scheme
+from nugs.experiments import (_StabilityEvaluator, family_space, max_stable_dimension,
+                              plan_scheme)
 from nugs.fourier import (FourierData, FunctionSpec, basis_transform, load_data_csv,
                           save_data_csv)
 from nugs.sampling import SampleSet, SchemeSpec, generate, weights
@@ -122,6 +124,31 @@ def test_probe_decision_matches_exact_ratio(family, d, kind, k, seed, frac, wide
     assert ev.passes(m, threshold) == (exact.ratio(m) <= threshold)
     if mode == "factor" and np.isfinite(threshold):
         assert m in ev._cache  # the exact ratio decided
+
+
+def complex_design_lower(family, m, s):
+    """The reference: lambda_min of the Hermitian weighted Gram that zherk
+    builds from the scaled complex design."""
+    b = basis_transform(build_basis(family_space(family, m)), s.points)
+    w = scipy.linalg.blas.zherk(1.0, (b * np.sqrt(weights(s))[:, None]).T)
+    return scipy.linalg.eigh(w, lower=False, eigvals_only=True, subset_by_index=(0, 0))[0]
+
+
+@pytest.mark.parametrize("family", ["trig", "legendre"])
+@pytest.mark.parametrize("kind", ["jittered", "log", "integers"])
+@pytest.mark.parametrize("k", [6.0, 20.0, 45.0])
+def test_real_pencil_matches_complex_design(family, kind, k):
+    # on integer frequencies w_n = j entries and negative frequencies occur;
+    # up to the searched m the pencils are nested, so lambda_min stays above
+    # ((1 + delta)/3)^2 and a relative bound is meaningful
+    if kind == "integers":
+        s = SampleSet(points=np.arange(-k, k + 1), bandwidth=k + 0.5)
+    else:
+        s = generate(plan_scheme(kind, k, seed=int(k)))
+    top = max_stable_dimension(family, s, 3.0)
+    ev = _StabilityEvaluator(family, s)
+    for m in sorted({1, 2, top // 3, 2 * top // 3, top} - {0}):
+        assert ev._lower(m) == pytest.approx(complex_design_lower(family, m, s), rel=1e-14, abs=0)
 
 
 @st.composite

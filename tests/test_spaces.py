@@ -387,6 +387,12 @@ def test_member_values_rejects_bad_coefficients(bad):
      "knots must be separated by more than 1e-14"),
     (lambda: SpaceSpec.piecewise_poly([0.5], [1]), "need one degree per subinterval"),
     (lambda: SpaceSpec.piecewise_poly([0.5], [1, -1]), "degrees must be nonnegative"),
+    (lambda: SpaceSpec(kind="piecewise_poly", knots=(0.5,), degrees=1),
+     "degrees must be a sequence of integers, got 1"),
+    (lambda: SpaceSpec.piecewise_poly([0.5], 2), "degrees must be a sequence of integers, got 2"),
+    (lambda: SpaceSpec(kind="piecewise_poly", knots=(0.5,), degrees=None),
+     "degrees must be a sequence of integers, got None"),
+    (lambda: SpaceSpec.piecewise_poly([0.5], None), "degrees must be a sequence"),
     (lambda: SpaceSpec.spline(-1, 4), "spline needs degree >= 0 and cells >= 1"),
     (lambda: SpaceSpec.spline(2, 0), "spline needs degree >= 0 and cells >= 1"),
     (lambda: SpaceSpec.piecewise_const(0), "piecewise_const needs cells >= 1"),
