@@ -175,7 +175,7 @@ def _toeplitz_concentration(basis: OrthoBasis, xs: np.ndarray, ws: np.ndarray) -
     basis on uniform cells.  G, the Gram of the cell transforms indexed by
     (cell, order) like ``OrthoBasis.coeffs``, has block (j, k) equal to lag
     k - j of ``fourier.uniform_cell_lags`` for k >= j, and to the conjugate
-    transpose of lag j - k otherwise."""
+    transpose of lag j - k otherwise.  Piecewise constants have C = I."""
     cells, p = basis.coeffs.shape[1:]
     lags = sum(fourier.uniform_cell_lags(cells, p, xs[sel], ws[sel])
                for sel in _node_chunks(xs.size, basis.dim)).real
@@ -183,6 +183,8 @@ def _toeplitz_concentration(basis: OrthoBasis, xs: np.ndarray, ws: np.ndarray) -
     ext = np.concatenate((lags.transpose(1, 0, 2)[:, :, :0:-1], lags), axis=2)
     j = np.arange(cells)
     gram = ext[:, :, j - j[:, None] + cells - 1].transpose(2, 0, 3, 1).reshape(cells * p, -1)
+    if basis.space.kind == "piecewise_const":
+        return 2.0 * gram
     coeffs = basis.coeffs.reshape(basis.dim, -1)
     return 2.0 * (coeffs @ gram @ coeffs.T)
 

@@ -52,11 +52,13 @@ def parse_scheme(text: str, n: int, k: float, seed: int) -> SchemeSpec:
     return SchemeSpec(kind=kind, n=n, k=k, theta=theta, seed=seed)
 
 
+def _out_path(args) -> Path:
+    return Path(args.out_dir or os.environ.get("NUGS_OUT_DIR") or ".")
+
+
 def _out_dir(args) -> Path:
-    root = args.out_dir or os.environ.get("NUGS_OUT_DIR") or "."
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    _out_path(args).mkdir(parents=True, exist_ok=True)
+    return _out_path(args)
 
 
 def _k_grid(args) -> np.ndarray:
@@ -153,9 +155,9 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_figure1(args) -> int:
-    ks = _k_grid(args)
+    # run_figure_panels makes the directory once every option is checked
     written = experiments.run_figure_panels(
-        _out_dir(args), seed=args.seed, k_grid=ks, jobs=args.jobs,
+        _out_path(args), seed=args.seed, k_grid=_k_grid(args), jobs=args.jobs,
         threshold=args.threshold, delta_max=args.delta_max)
     for path in written:
         print(f"wrote {path}")

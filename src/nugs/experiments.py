@@ -23,9 +23,10 @@ lambda_min(W, G) >= t, and W - sG has a Cholesky factor exactly when
 lambda_min(W, G) > s, so two factorizations at t plus and minus a band
 (``PROBE_BAND``) decide every probe outside the band; inside it,
 and at index 1, ``ratio`` decides.  For trig and legendre G = I, and the
-design is A = diag(e^{-i pi w}) B D with B a real N x dim table and D
-diagonal unitary (``_real_table``), so W = A^H M A (M = diag(mu)) is a
-unitary similarity of the real symmetric B^T M B.  ``dsyrk`` builds that,
+design is A = diag(e^{-i pi w}) B D with B the real table of
+``fourier._trig_factors`` (D = I) or ``fourier._real_order_factors``
+(D = diag((-i)^j)), so W = A^H M A (M = diag(mu)) is a unitary similarity
+of the real symmetric B^T M B.  ``dsyrk`` builds that,
 a Cholesky test (``dpotrf``) shifts only its diagonal, and ``ratio`` runs
 the standard real ``eigh``; no complex design or identity matrix is
 formed.  A probe reads a principal block of the Gram of the widest probe
@@ -143,7 +144,7 @@ class _StabilityEvaluator:
         self.mu = sampling.weights(s)
         self.delta = sampling.density(s)
         self._cache: dict[int, float] = {}
-        # trig, legendre: (index, upper triangle of conj(W)) of the widest probe
+        # trig, legendre: (index, upper triangle of W) of the widest probe
         self._wide: tuple[int, np.ndarray] | None = None
         self._passed: tuple[int, np.ndarray, np.ndarray] | None = None  # spline: (l, W, G)
 
@@ -200,14 +201,17 @@ class _StabilityEvaluator:
         """Weighted and L2 Gram of the family's basis at index m, of which
         only the upper triangles are read.  For trig and legendre the L2
         Gram is the identity, returned as None, and the weighted Gram is the
-        real symmetric B^T M B of the scaled real table (``_real_table``),
-        from ``dsyrk``: a diagonal unitary similarity of A^H M A, so it has
-        the same eigenvalues."""
+        real symmetric B^T M B of the ``fourier`` real table B, from
+        ``dsyrk``: a diagonal unitary similarity of A^H M A, so it has the
+        same eigenvalues."""
         if self.family == "spline":
             w = fourier.bspline_weighted_gram(self.d, m, self.s.points, self.mu)
             # the L2 Gram depends only on (d, m), and is finite
             return _checked(w, self.family, m), spaces._bspline_gram(self.d, m)
-        b = _real_table(self.family, m, self.s.points)
+        if self.family == "trig":
+            b = fourier._trig_factors(self.s.points, np.arange(-m, m + 1))[1]
+        else:  # degrees 0..m on the one cell [0, 1]
+            b = fourier._real_order_factors(self.s.points, np.ones(1), m + 1)[:, 0, :]
         b *= np.sqrt(self.mu)[:, None]
         return _checked(scipy.linalg.blas.dsyrk(1.0, b.T), self.family, m), None
 
@@ -224,29 +228,6 @@ class _StabilityEvaluator:
         n = spaces.dimension(family_space(self.family, m))
         lo = wide - m if self.family == "trig" else 0
         return w[lo:lo + n, lo:lo + n], None
-
-
-def _real_table(family: str, m: int, w: np.ndarray) -> np.ndarray:
-    """The real N x dim table B of the trig or Legendre basis at index m on
-    the frequencies w, whose design is A = diag(e^{-i pi w}) B D with D
-    diagonal unitary, so that A^H M A = D^H B^T M B D.
-
-    Trig: B_nj = sin(pi w_n) / (pi (w_n - j)), j = -m..m, and D = I, since
-    e^{-i pi (w - j)} sinc(w - j) = e^{-i pi w} sin(pi w) / (pi (w - j)).
-    sin(pi w) is (-1)^k sin(pi r) with k = rint(w) and r = w - k exact, and
-    where w_n = j the entry is (-1)^j.  Legendre on [0, 1]: B_nj =
-    sqrt(2j+1) j_j(pi w_n), j <= m, and D = diag((-i)^j), the cell
-    transform without its phase (``fourier._real_order_factors``).
-    """
-    if family == "legendre":
-        return np.ascontiguousarray(fourier._real_order_factors(w, np.ones(1), m + 1)[:, 0, :])
-    k = np.rint(w)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
-    with np.errstate(invalid="ignore"):  # 0/0 where w_n = j, set below
-        b = (sign * np.sin(np.pi * (w - k)) / np.pi)[:, None] / (w[:, None] - np.arange(-m, m + 1))
-    on = np.flatnonzero((w == k) & (np.abs(k) <= m))
-    b[on, k[on].astype(int) + m] = sign[on]
-    return b
 
 
 def _checked(a: np.ndarray, family: str, m: int) -> np.ndarray:
@@ -303,11 +284,6 @@ def _search_max(ev: _StabilityEvaluator, threshold: float,
         else:
             hi = mid
     return lo
-
-
-def _check_ratio_degree(family: str, d: int) -> None:
-    if family == "spline" and d < 1:
-        raise ValueError(f"the spline ratio M d^2/K needs degree d >= 1, got d={d}")
 
 
 def max_stable_dimension(family: str, s: SampleSet, threshold: float = 3.0,
@@ -369,7 +345,8 @@ def scaling_table(family: str, kind: str, k_grid=None, *, d: int = 0,
                   threshold: float = 3.0, delta_max: float = _DELTA_MAX,
                   theta: float = _THETA, seed: int = 0, jobs: int = 1) -> list[ScalingRow]:
     """Selected dimension and ratio across a bandwidth grid (one family)."""
-    _check_ratio_degree(family, d)
+    if family == "spline" and d < 1:
+        raise ValueError(f"the spline ratio M d^2/K needs degree d >= 1, got d={d}")
     return [row for row, _ in _sweep(partial(_cell, None, family, kind, d, threshold,
                                              delta_max, theta, seed), k_grid, jobs)]
 
@@ -391,7 +368,6 @@ def run_figure_panels(out_dir, *, seed: int = 0, k_grid=None, jobs: int = 1,
     """
     fam_list = [("trig", 0), ("legendre", 0)] + [("spline", d) for d in _SPLINE_DEGREES]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ks = default_k_grid(count=16) if k_grid is None else np.asarray(k_grid, dtype=float)
     f = FunctionSpec.benchmark()
     written = []
@@ -404,10 +380,12 @@ def run_figure_panels(out_dir, *, seed: int = 0, k_grid=None, jobs: int = 1,
                                              delta_max, _THETA, seed), ks, jobs):
                 srows.append(replace(srow, family=label))
                 erows.append(replace(erow, family=label))
+        # made only once the sweeps above have checked every option
+        out.mkdir(parents=True, exist_ok=True)
         spath = out / f"scaling_{kind}.csv"
         write_scaling_csv(spath, srows, with_family=True)
         epath = out / f"error_{kind}.csv"
-        write_error_csv(epath, erows, with_family=True)
+        write_error_csv(epath, erows)
         labels = [lab for lab in dict.fromkeys(r.family for r in srows)]
         svgplot.line_plot(
             out / f"scaling_{kind}.svg",
@@ -433,8 +411,6 @@ def write_scaling_csv(path, rows: list[ScalingRow], *, with_family: bool = False
                + (float(r.k), r.n, r.m, float(r.ratio), float(r.c_ratio))])
 
 
-def write_error_csv(path, rows: list[ErrorRow], *, with_family: bool = False) -> None:
-    family = ("family",) if with_family else ()
-    write_csv(path, family + ("k", "n", "m", "error"),
-              [v for r in rows for v in (r.family,) * with_family
-               + (float(r.k), r.n, r.m, float(r.error))])
+def write_error_csv(path, rows: list[ErrorRow]) -> None:
+    write_csv(path, ("family", "k", "n", "m", "error"),
+              [v for r in rows for v in (r.family, float(r.k), r.n, r.m, float(r.error))])

@@ -31,17 +31,23 @@ vector instead of the dim columns of the design, and coefficient functions
 and ``l2_error`` read member values through ``spaces.member_values``,
 without a dim x nodes table of basis values.
 
-The factor sqrt(2n+1) (-i)^n j_n(pi w h) is (-i)^n times the real table
-sqrt(2n+1) j_n(pi w h) of ``_real_order_factors``, which takes j_n at |w|
-with the parity of n; the Legendre stability probe (``experiments``) reads
-that real table directly.  The factor depends on the cell only through
-its width h, so ``cell_transforms`` computes one Bessel table per distinct
-width and gathers it back to the cells; every step is elementwise, so the
-result is bitwise that of a per-cell table.  It pays in proportion to
-the cells that share a width: ``np.linspace`` partitions have a handful
-of distinct widths (they differ in the last bit), not one per cell, and
-piecewise constants on up to 64 cells skip most of their table; on
-partitions whose cells all differ the sort and gather are pure overhead.
+Both bases are a phase times a real table, which the stability probes
+(``experiments``) read directly.  An exponential of integer order j has
+the transform e^{-i pi (w-j)} sinc(w-j) = e^{-i pi w} B_wj, where B_wj =
+sin(pi w) / (pi (w-j)), (-1)^j at w = j (``_trig_factors``).  With
+k = rint(w) and r = w - k exact, e^{-i pi w} = (-1)^k e^{-i pi r} and
+sin(pi w) = (-1)^k sin(pi r): no argument exceeds pi/2, pi w is never
+rounded, and a design or member costs one sine and one exponential per
+frequency.  The Legendre factor is (-i)^n times the real table
+sqrt(2n+1) j_n(pi w h) of ``_real_order_factors`` (j_n at |w| with the
+parity of n).  It depends on the cell only through its width h, so
+``cell_transforms`` computes one Bessel table per distinct width and
+gathers it back to the cells; every step is elementwise, so the result is
+bitwise that of a per-cell table.  It pays in proportion to the cells
+that share a width: ``np.linspace`` partitions have a handful of distinct
+widths (they differ in the last bit), not one per cell, and piecewise
+constants on up to 64 cells skip most of their table; on partitions
+whose cells all differ the sort and gather are pure overhead.
 
 ``bspline_weighted_gram`` gives the spline stability probe the weighted
 Gram A^H diag(mu) A of the raw clamped B-splines on l uniform cells without
@@ -71,13 +77,11 @@ Quadrature is used only for user-supplied functions and as a cross-check
 oracle in the tests.  Its panels have equal width h within each jump-free
 segment, so the exponential at node lo + j h + c_k is that of the node
 offset lo + c_k times the panel phase e^{-2 pi i w j h}, which
-``_phase_tables`` splits.  The sum over panels j = q s + r is one matrix
-product of the fine table with the weighted values regrouped by (q, k),
-then elementwise products with the coarse and node tables: on m panels a
-frequency costs 16 + 2 sqrt(m) exponentials, and no N x m table of panel
-phases is built.  The transform, projection and L2-error quadratures are
-certified by ``quadrature.refine``; the transform grid is shared by all
-frequencies and halved as a whole until every frequency agrees.
+``_phase_tables`` splits (``_batched_oscillatory``): on m panels a
+frequency costs 16 + 2 sqrt(m) exponentials.  The transform, projection
+and L2-error quadratures are certified by ``quadrature.refine``; the
+transform grid is shared by all frequencies and halved as a whole until
+every frequency agrees.
 """
 
 from __future__ import annotations
@@ -367,6 +371,18 @@ def _real_order_factors(w: np.ndarray, h: np.ndarray, p: int) -> np.ndarray:
     return jn.transpose(1, 2, 0) * parity[:, None, :]
 
 
+def _trig_factors(w: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^{-i pi (w-j)} sinc(w-j) for consecutive integer orders j as the phase
+    e^{-i pi w}, (n_w,), and the real table B of the module docstring, (n_w, n_j)."""
+    k = np.rint(w)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    with np.errstate(invalid="ignore"):  # 0/0 where w = j, set below
+        b = (sign * np.sin(np.pi * (w - k)) / np.pi)[:, None] / (w[:, None] - orders)
+    on = np.flatnonzero((w == k) & (k >= orders[0]) & (k <= orders[-1]))
+    b[on, (k[on] - orders[0]).astype(int)] = sign[on]
+    return sign * np.exp(-1j * np.pi * (w - k)), b
+
+
 def _order_factors(w: np.ndarray, h: np.ndarray, p: int) -> np.ndarray:
     """sqrt(2n+1) (-i)^n j_n(pi w h) for n < p, (n_w, n_h, p): the real
     table of ``_real_order_factors`` times (-i)^n."""
@@ -469,8 +485,8 @@ def basis_transform(basis: OrthoBasis, omega) -> np.ndarray:
     scalar = np.isscalar(omega) or np.ndim(omega) == 0
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     if basis.orders is not None:
-        diff = w[:, None] - basis.orders[None, :]
-        out = np.exp(-1j * np.pi * diff) * np.sinc(diff)
+        phase, b = _trig_factors(w, basis.orders)
+        out = phase[:, None] * b
     else:
         out = _contract_cells(basis, w, basis.coeffs.reshape(basis.dim, -1).T)
     return out[0] if scalar else out
@@ -481,12 +497,13 @@ def member_transform(basis: OrthoBasis, coefficients, omega) -> np.ndarray:
 
     A polynomial-kind member is folded into per-cell Legendre coefficients
     first, so the cell transforms are contracted with one vector instead of
-    the dim columns of the design.  Trig sums its basis transforms.
+    the dim columns of the design.  Trig scales the real product B c by the phase.
     """
     coeffs = spaces.check_member(basis.dim, coefficients)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     if basis.orders is not None:
-        return basis_transform(basis, w) @ coeffs
+        phase, b = _trig_factors(w, basis.orders)
+        return phase * (b @ np.column_stack((coeffs.real, coeffs.imag))).view(complex)[:, 0]
     return _contract_cells(basis, w, np.tensordot(coeffs, basis.coeffs, (0, 0)).ravel())
 
 

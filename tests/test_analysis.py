@@ -387,6 +387,18 @@ def test_block_toeplitz_path_matches_dense_product(space, z):
         assert np.max(np.abs(got - _dense_half_band(basis, xs, ws))) <= 1e-13
 
 
+@pytest.mark.parametrize("cells", [16, 64, 400])
+def test_piecewise_constant_concentration_is_twice_the_lag_layout(cells):
+    # the basis coefficients are the identity, so 2 C G C^T is 2 G exactly:
+    # lag k - j of the cell transforms' Gram in block (j, k), its transpose below
+    basis = build_basis(SpaceSpec.piecewise_const(cells))
+    xs, ws = _half_band_nodes(3.5, 1.0)
+    lags = fourier.uniform_cell_lags(cells, 1, xs, ws).real[0, 0]
+    j = np.arange(cells)
+    gram = lags[np.abs(j[:, None] - j)]
+    assert np.array_equal(analysis._toeplitz_concentration(basis, xs, ws), 2.0 * gram)
+
+
 @pytest.mark.parametrize("space", [SpaceSpec.piecewise_const(64), SpaceSpec.spline(3, 40)],
                          ids=str)
 def test_block_toeplitz_path_sums_across_node_chunks(space):

@@ -166,6 +166,9 @@ def test_bad_threshold_exits_1(tmp_path, capsys, args, threshold):
      "scheme 'jittered:0.2:junk': the jitter fraction is the only parameter"),
     (["scaling", "--family", "trig", "--scheme", "jittered:0.2:junk", "--kmax", 10,
       "--kcount", 2], "scheme 'jittered:0.2:junk'"),
+    (["figure1", "--jobs", 0], "jobs"),
+    (["figure1", "--threshold", 0.5], "threshold must be positive"),
+    (["figure1", "--delta-max", -1], "delta_max"),
 ])
 def test_bad_count_or_grid_exits_1_before_writing(tmp_path, capsys, args, message):
     (tmp_path / "header.csv").write_text("omega,re,im\n")

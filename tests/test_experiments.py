@@ -104,16 +104,22 @@ def test_eigensolver_failure_propagates(monkeypatch, family, d):
 def test_non_finite_gram_raises(monkeypatch, family, d):
     # a Cholesky test reads a NaN pivot as "not positive definite", which
     # would end the search at index 1 instead of raising
-    spline_gram, table = fourier.bspline_weighted_gram, experiments._real_table
+    spline_gram = fourier.bspline_weighted_gram
+    trig, legendre = fourier._trig_factors, fourier._real_order_factors
 
     def nan_spline_gram(d, l, *args):
         return spline_gram(d, l, *args) * (np.nan if l > 1 else 1.0)
 
-    def nan_table(family, m, w):
-        return table(family, m, w) * (np.nan if m > 1 else 1.0)
+    def nan_trig(w, orders):
+        phase, b = trig(w, orders)
+        return phase, b * (np.nan if orders.size > 3 else 1.0)
+
+    def nan_legendre(w, h, p):
+        return legendre(w, h, p) * (np.nan if p > 2 else 1.0)
 
     monkeypatch.setattr(fourier, "bspline_weighted_gram", nan_spline_gram)
-    monkeypatch.setattr(experiments, "_real_table", nan_table)
+    monkeypatch.setattr(fourier, "_trig_factors", nan_trig)
+    monkeypatch.setattr(fourier, "_real_order_factors", nan_legendre)
     s = generate(SchemeSpec("jittered", 40, 15.0, theta=0.2, seed=5))
     with pytest.raises(np.linalg.LinAlgError, match=f"non-finite .* {family} probe"):
         max_stable_dimension(family, s, 3.0, d=d)
@@ -128,7 +134,10 @@ def test_real_table_is_the_design_up_to_diagonal_phases(family, s):
     m = 10
     a = solver.design_matrix(build_basis(family_space(family, m)), s)
     turn = 1.0 if family == "trig" else (-1j) ** np.arange(m + 1)
-    b = experiments._real_table(family, m, s.points)
+    if family == "trig":
+        b = fourier._trig_factors(s.points, np.arange(-m, m + 1))[1]
+    else:
+        b = fourier._real_order_factors(s.points, np.ones(1), m + 1)[:, 0, :]
     assert b.dtype == float
     assert np.max(np.abs(np.exp(-1j * np.pi * s.points)[:, None] * b * turn - a)) <= 1e-14
 
@@ -394,7 +403,7 @@ def test_csv_writers(tmp_path):
     assert (tmp_path / "sf.csv").read_text().splitlines()[0] == "family,k,n,m,ratio,c_ratio"
     erows = [ErrorRow("trig", 10.0, 27, 9, 1.5e-3)]
     write_error_csv(tmp_path / "e.csv", erows)
-    assert (tmp_path / "e.csv").read_text() == "k,n,m,error\n10.0,27,9,0.0015\n"
+    assert (tmp_path / "e.csv").read_text() == "family,k,n,m,error\ntrig,10.0,27,9,0.0015\n"
 
 
 def test_figure_panels_write_files(tmp_path, monkeypatch):
@@ -406,6 +415,16 @@ def test_figure_panels_write_files(tmp_path, monkeypatch):
     text = (tmp_path / "scaling_jittered.csv").read_text()
     assert text.splitlines()[0] == "family,k,n,m,ratio,c_ratio"
     assert "spline_d1" in text
+
+
+@pytest.mark.parametrize("option, message", [
+    ({"jobs": 0}, "jobs"), ({"threshold": 0.5}, "threshold"), ({"delta_max": -1.0}, "delta_max"),
+    ({"k_grid": [6.0, np.nan]}, "k must be"),
+], ids=["jobs", "threshold", "delta_max", "grid"])
+def test_figure_panels_check_options_before_making_the_directory(tmp_path, option, message):
+    with pytest.raises(ValueError, match=message):
+        run_figure_panels(tmp_path / "out", seed=1, **{"k_grid": [6.0], **option})
+    assert not (tmp_path / "out").exists()
 
 
 def test_figure_panels_search_once_per_bandwidth(tmp_path, monkeypatch):
@@ -447,13 +466,10 @@ def test_csv_writer_bytes(tmp_path):
     write_scaling_csv(tmp_path / "s.csv", rows)
     write_scaling_csv(tmp_path / "sf.csv", rows, with_family=True)
     write_error_csv(tmp_path / "e.csv", erows)
-    write_error_csv(tmp_path / "ef.csv", erows, with_family=True)
     assert (tmp_path / "s.csv").read_bytes() == (
         b"k,n,m,ratio,c_ratio\n10.0,27,9,2.846,2.5\n1e+16,3,2,0.30000000000000004,1e-07\n")
     assert (tmp_path / "sf.csv").read_bytes() == (
         b"family,k,n,m,ratio,c_ratio\nlegendre,10.0,27,9,2.846,2.5\n"
         b"spline_d1,1e+16,3,2,0.30000000000000004,1e-07\n")
     assert (tmp_path / "e.csv").read_bytes() == (
-        b"k,n,m,error\n10.0,27,9,0.0015\n6.0,5,1,0.6666666666666666\n")
-    assert (tmp_path / "ef.csv").read_bytes() == (
         b"family,k,n,m,error\ntrig,10.0,27,9,0.0015\nspline_d2,6.0,5,1,0.6666666666666666\n")

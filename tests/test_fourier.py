@@ -588,6 +588,72 @@ def test_member_transform_matches_design_product(spec):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
+def _trig_frequencies(k, n, seed):
+    """A jittered set on [-k, k] with every integer from -k to k in steps of 7."""
+    s = generate(SchemeSpec("jittered", n, k, theta=0.2, seed=seed))
+    return np.concatenate((s.points, np.arange(-k, k + 1, 7.0)))
+
+
+@pytest.mark.parametrize("transform", ["basis", "member"])
+def test_trig_transforms_take_one_exponential_per_frequency(monkeypatch, transform):
+    # the phase e^{-i pi w} times the real table of _trig_factors: no sinc,
+    # and no exponential of more than one value per frequency
+    basis = build_basis(SpaceSpec.trig(20))
+    w = _trig_frequencies(30.0, 97, 2)
+    sizes, exp = [], np.exp
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    def no_sinc(x):
+        raise AssertionError("np.sinc called")
+
+    monkeypatch.setattr(np, "exp", counted)
+    monkeypatch.setattr(np, "sinc", no_sinc)
+    if transform == "basis":
+        basis_transform(basis, w)
+    else:
+        member_transform(basis, np.ones(basis.dim), w)
+    assert sizes and max(sizes) <= w.size
+
+
+def test_trig_basis_transform_matches_40_digit_oracle():
+    # e^{-i pi (w - j)} sinc(w - j) at |w| up to 400, negative w and w = j:
+    # the reduction w = k + r keeps every sine and exponential argument
+    # within pi/2, so pi w is never rounded
+    mpmath = pytest.importorskip("mpmath")
+    basis = build_basis(SpaceSpec.trig(400))
+    w = _trig_frequencies(400.0, 1067, 3)
+    got = basis_transform(basis, w)
+    assert np.array_equal(basis_transform(basis, basis.orders.astype(float)), np.eye(basis.dim))
+    rng = np.random.default_rng(5)
+    # plus the rows w = -1, 398 and the orders j = -400, -1, 0, 398, 400
+    rows = np.concatenate((rng.choice(w.size, 20, replace=False),
+                           np.flatnonzero(np.isin(w, (-1.0, 398.0)))))
+    cols = np.concatenate((rng.choice(basis.dim, 20, replace=False), [0, 399, 400, 798, 800]))
+    with mpmath.workdps(40):
+        for n in rows:
+            for j in cols:
+                d = mpmath.mpf(float(w[n])) - int(basis.orders[j])
+                sinc = mpmath.sin(mpmath.pi * d) / (mpmath.pi * d) if d else 1
+                want = complex(mpmath.exp(-1j * mpmath.pi * d) * sinc)
+                assert abs(got[n, j] - want) <= 2e-16
+
+
+@pytest.mark.parametrize("m", [5, 40])
+def test_trig_member_transform_matches_design_product(m):
+    # phase * (B c) against (phase * B) c: only the rounding of the dim-term
+    # sums differs
+    basis = build_basis(SpaceSpec.trig(m))
+    rng = np.random.default_rng(17)
+    coeffs = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    w = _trig_frequencies(2.0 * m, 4 * m + 40, 4)
+    want = basis_transform(basis, w) @ coeffs
+    np.testing.assert_allclose(member_transform(basis, coeffs, w), want,
+                               rtol=0, atol=1e-15 * np.abs(want).max())
+
+
 @pytest.mark.parametrize("bad", [[1.0, np.nan, 0.5], [np.inf, 0.0, 0.5], np.ones((3, 2))],
                          ids=["nan", "inf", "2-D"])
 def test_from_coefficients_rejects_bad_coefficients(bad):
