@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import sici
@@ -76,10 +76,7 @@ class GapReport:
     holds: bool | None
 
     def to_json(self) -> str:
-        return json.dumps({"gap": self.gap, "bound": self.bound,
-                           "cells": self.cells, "min_spacing": self.min_spacing,
-                           "precondition_ok": self.precondition_ok,
-                           "holds": self.holds})
+        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -93,8 +90,7 @@ class TriangleReport:
     holds: bool
 
     def to_json(self) -> str:
-        return json.dumps({"tail": self.tail, "reference_tail": self.reference_tail,
-                           "gap": self.gap, "slack": self.slack, "holds": self.holds})
+        return json.dumps(asdict(self))
 
 
 def concentration_matrix(basis: OrthoBasis, z: float) -> np.ndarray:

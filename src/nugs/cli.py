@@ -13,11 +13,12 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, experiments, fourier, sampling, solver, spaces, svgplot
+from . import analysis, experiments, fourier, sampling, solver, spaces
 from .errors import BandwidthTooSmallError, NugsError, UnstableReconstructionError
 from .estimator import parse_space
 from .fourier import FunctionSpec
@@ -109,9 +110,7 @@ def cmd_stability(args) -> int:
     s = sampling.generate(parse_scheme(args.scheme, args.n, args.k, args.seed))
     constants = solver.stability_constant(fourier.cached_basis(space), s)
     print(constants.to_json())
-    if args.threshold is not None and constants.ratio > args.threshold:
-        return 2
-    return 0
+    return 2 if args.threshold is not None and constants.ratio > args.threshold else 0
 
 
 def cmd_residual(args) -> int:
@@ -135,21 +134,16 @@ def cmd_gap(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    family = args.family
-    d = args.d
-    scheme = parse_scheme(args.scheme, 2, 5.0, args.seed)
-    kind = scheme.kind
+    # only the kind and theta of the scheme are read, not its n and k
+    scheme = parse_scheme(args.scheme, 2, 1.0, args.seed)
     rows = experiments.scaling_table(
-        family, kind, _k_grid(args), d=d, threshold=args.threshold,
+        args.family, scheme.kind, _k_grid(args), d=args.d, threshold=args.threshold,
         delta_max=args.delta_max, theta=scheme.theta, seed=args.seed, jobs=args.jobs)
-    out = _out_dir(args)
-    label = family if family != "spline" else f"spline_d{d}"
-    csv_path = out / f"scaling_{label}_{kind}.csv"
-    experiments.write_scaling_csv(csv_path, rows)
-    svgplot.line_plot(out / f"scaling_{label}_{kind}.svg",
-                      [(label, [r.k for r in rows], [r.ratio for r in rows])],
-                      title=f"dimension ratio, {kind}", xlabel="K",
-                      ylabel="ratio", logx=True)
+    label = experiments._label(args.family, args.d)
+    csv_path, _ = experiments._write_panel(
+        _out_path(args), f"scaling_{label}_{scheme.kind}",
+        [replace(r, family=label) for r in rows], f"dimension ratio, {scheme.kind}",
+        with_family=False)
     print(f"wrote {csv_path}")
     return 0
 
@@ -168,15 +162,15 @@ def cmd_figure1(args) -> int:
 _SHARED = {
     "seed": ("--seed", {"type": int, "default": 0}),
     "jobs": ("--jobs", {"type": int, "default": 1}),
-    "threshold": ("--threshold", {"type": float, "default": 3.0}),
-    "delta_max": ("--delta-max", {"type": float, "default": 0.9}),
+    "threshold": ("--threshold", {"type": float, "default": experiments._THRESHOLD}),
+    "delta_max": ("--delta-max", {"type": float, "default": experiments._DELTA_MAX}),
     "scheme": ("--scheme", {"default": "jittered",
                             "help": "uniform | jittered[:theta] | log"}),
     "k": ("--k", {"type": float, "default": None}),
     "n": ("--n", {"type": int, "default": None}),
-    "kmin": ("--kmin", {"type": float, "default": 5.0}),
-    "kmax": ("--kmax", {"type": float, "default": 200.0}),
-    "kcount": ("--kcount", {"type": int, "default": 16}),
+    "kmin": ("--kmin", {"type": float, "default": experiments._K_GRID[0]}),
+    "kmax": ("--kmax", {"type": float, "default": experiments._K_GRID[1]}),
+    "kcount": ("--kcount", {"type": int, "default": experiments._K_GRID[2]}),
 }
 _SAMPLES = ("scheme", "k", "n")
 _GRID = ("kmin", "kmax", "kcount")
@@ -251,8 +245,9 @@ def main(argv=None) -> int:
     except (UnstableReconstructionError, BandwidthTooSmallError) as exc:
         print(f"unstable: {exc}", file=sys.stderr)
         return 2
-    except (NugsError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NugsError, ValueError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; Python's own is blank
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

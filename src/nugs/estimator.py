@@ -95,7 +95,7 @@ class NonuniformFourierRegressor:
         mu = None if sample_weight is None else as_weight_array(sample_weight, "sample_weight")
         if mu is not None:
             check_same_length(omega, mu, "X", "sample_weight")
-        data = FourierData.from_samples(omega, values, mu, self.bandwidth)
+        data = FourierData.from_samples(omega, values, mu, self.bandwidth, name="X")
         basis = fourier.cached_basis(self._space_spec())
         rec = solver.reconstruct(basis, data)
         constants = solver.frame_constants(sampling.density(data.samples), rec.sigma_min**2)

@@ -12,6 +12,7 @@ the scaling row from that search and, given a function, the error row by
 reconstructing at the same M on the same set.  ``scaling_table`` and
 ``error_curve`` keep one of the two rows; ``run_figure_panels`` keeps both,
 so the figure pays for one search per scheme, family and bandwidth.
+Given no grid, a sweep runs ``default_k_grid()``: the 16 points of figure1.
 
 Every stability judgement reads one pencil: the weighted Gram W of the
 family's basis at index M against its L2 Gram G, whose smallest eigenvalue
@@ -62,6 +63,10 @@ OVERSAMPLE = 1.2
 # the density a planned scheme meets, and the jitter of a jittered one
 _DELTA_MAX = 0.9
 _THETA = 0.2
+# the stability ratio a selected dimension stays at or below
+_THRESHOLD = 3.0
+# kmin, kmax and count of the geometric bandwidth grid of a sweep given none
+_K_GRID = (5.0, 200.0, 16)
 # the spline degrees of the figure panels
 _SPLINE_DEGREES = (1, 2, 3)
 # Half-width, in units of (1 + delta)^2, of the band around the stability
@@ -286,7 +291,7 @@ def _search_max(ev: _StabilityEvaluator, threshold: float,
     return lo
 
 
-def max_stable_dimension(family: str, s: SampleSet, threshold: float = 3.0,
+def max_stable_dimension(family: str, s: SampleSet, threshold: float = _THRESHOLD,
                          *, d: int = 0) -> int:
     """Largest family index whose stability ratio stays at or below the
     threshold; exponential growth then bisection.
@@ -321,7 +326,8 @@ def _cell(f, family, kind, d, threshold, delta_max, theta, seed, k, hint=None):
     return row, ErrorRow(family=family, k=k, n=len(s), m=m, error=err)
 
 
-def default_k_grid(kmin: float = 5.0, kmax: float = 200.0, count: int = 20) -> np.ndarray:
+def default_k_grid(kmin: float = _K_GRID[0], kmax: float = _K_GRID[1],
+                   count: int = _K_GRID[2]) -> np.ndarray:
     return np.geomspace(check_positive_finite(kmin, "kmin"),
                         check_positive_finite(kmax, "kmax"), check_count(count, "kcount"))
 
@@ -342,7 +348,7 @@ def _sweep(cell, k_grid, jobs: int) -> list:
 
 
 def scaling_table(family: str, kind: str, k_grid=None, *, d: int = 0,
-                  threshold: float = 3.0, delta_max: float = _DELTA_MAX,
+                  threshold: float = _THRESHOLD, delta_max: float = _DELTA_MAX,
                   theta: float = _THETA, seed: int = 0, jobs: int = 1) -> list[ScalingRow]:
     """Selected dimension and ratio across a bandwidth grid (one family)."""
     if family == "spline" and d < 1:
@@ -352,7 +358,7 @@ def scaling_table(family: str, kind: str, k_grid=None, *, d: int = 0,
 
 
 def error_curve(f: FunctionSpec, family: str, kind: str, k_grid=None, *, d: int = 0,
-                threshold: float = 3.0, seed: int = 0, jobs: int = 1) -> list[ErrorRow]:
+                threshold: float = _THRESHOLD, seed: int = 0, jobs: int = 1) -> list[ErrorRow]:
     """Reconstruction error across a bandwidth grid with the stability-
     selected dimension at each bandwidth, on the default schemes of ``plan_scheme``."""
     return [row for _, row in _sweep(partial(_cell, f, family, kind, d, threshold,
@@ -360,48 +366,54 @@ def error_curve(f: FunctionSpec, family: str, kind: str, k_grid=None, *, d: int 
 
 
 def run_figure_panels(out_dir, *, seed: int = 0, k_grid=None, jobs: int = 1,
-                      threshold: float = 3.0, delta_max: float = _DELTA_MAX) -> list[str]:
+                      threshold: float = _THRESHOLD,
+                      delta_max: float = _DELTA_MAX) -> list[str]:
     """Write the four benchmark panels (scaling and error, jittered and log).
 
     Each panel is one CSV (with a leading family column) plus one
     self-contained SVG.  Returns the paths written.
     """
     fam_list = [("trig", 0), ("legendre", 0)] + [("spline", d) for d in _SPLINE_DEGREES]
-    out = Path(out_dir)
-    ks = default_k_grid(count=16) if k_grid is None else np.asarray(k_grid, dtype=float)
     f = FunctionSpec.benchmark()
     written = []
     for kind in ("jittered", "log"):
-        srows: list[ScalingRow] = []
-        erows: list[ErrorRow] = []
+        srows, erows = [], []
         for family, d in fam_list:
-            label = family if family != "spline" else f"spline_d{d}"
+            label = _label(family, d)
             for srow, erow in _sweep(partial(_cell, f, family, kind, d, threshold,
-                                             delta_max, _THETA, seed), ks, jobs):
+                                             delta_max, _THETA, seed), k_grid, jobs):
                 srows.append(replace(srow, family=label))
                 erows.append(replace(erow, family=label))
-        # made only once the sweeps above have checked every option
-        out.mkdir(parents=True, exist_ok=True)
-        spath = out / f"scaling_{kind}.csv"
-        write_scaling_csv(spath, srows, with_family=True)
-        epath = out / f"error_{kind}.csv"
-        write_error_csv(epath, erows)
-        labels = [lab for lab in dict.fromkeys(r.family for r in srows)]
-        svgplot.line_plot(
-            out / f"scaling_{kind}.svg",
-            [(lab, [r.k for r in srows if r.family == lab],
-              [r.ratio for r in srows if r.family == lab]) for lab in labels],
-            title=f"dimension ratios, {kind} sampling", xlabel="K",
-            ylabel="ratio", logx=True)
-        svgplot.line_plot(
-            out / f"error_{kind}.svg",
-            [(lab, [r.k for r in erows if r.family == lab],
-              [r.error for r in erows if r.family == lab]) for lab in labels],
-            title=f"reconstruction error, {kind} sampling", xlabel="K",
-            ylabel="L2 error", logx=True, logy=True)
-        written += [str(spath), str(epath),
-                    str(out / f"scaling_{kind}.svg"), str(out / f"error_{kind}.svg")]
+        panels = (_write_panel(out_dir, f"scaling_{kind}", srows,
+                               f"dimension ratios, {kind} sampling"),
+                  _write_panel(out_dir, f"error_{kind}", erows,
+                               f"reconstruction error, {kind} sampling"))
+        written += [path for pair in zip(*panels) for path in pair]  # CSVs, then SVGs
     return written
+
+
+def _label(family: str, d: int) -> str:
+    return family if family != "spline" else f"spline_d{d}"
+
+
+def _write_panel(out_dir, stem: str, rows: list, title: str, *,
+                 with_family: bool = True) -> list[str]:
+    """Write ``rows``, all scaling or all error rows whose families are their
+    series labels, to ``stem``.csv and ``stem``.svg, making ``out_dir`` only
+    now that the sweep has checked every option.  Returns both paths."""
+    out, scaling = Path(out_dir), all(isinstance(r, ScalingRow) for r in rows)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / f"{stem}.csv", out / f"{stem}.svg"]
+    if scaling:
+        write_scaling_csv(paths[0], rows, with_family=with_family)
+    else:
+        write_error_csv(paths[0], rows)
+    series = [(lab, [r.k for r in rows if r.family == lab],
+               [r.ratio if scaling else r.error for r in rows if r.family == lab])
+              for lab in dict.fromkeys(r.family for r in rows)]
+    svgplot.line_plot(paths[1], series, title=title, xlabel="K",
+                      ylabel="ratio" if scaling else "L2 error", logy=not scaling)
+    return [str(p) for p in paths]
 
 
 def write_scaling_csv(path, rows: list[ScalingRow], *, with_family: bool = False) -> None:

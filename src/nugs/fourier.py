@@ -98,8 +98,9 @@ from . import sampling, spaces
 from .quadrature import gauss_rule, panel_edges, panel_nodes, panel_segments, refine
 from .sampling import SampleSet
 from .spaces import OrthoBasis, SpaceSpec
-from .validation import (as_complex_array, as_weight_array, check_same_length,
-                         complex_pairs, csv_rows, is_real_number, json_field, write_csv)
+from .validation import (as_complex_array, as_weight_array, check_positive_finite,
+                         check_same_length, complex_pairs, csv_rows, is_real_number,
+                         json_field, write_csv)
 
 _TWO_PI = 2.0 * np.pi
 # Gauss nodes per panel of the transform quadrature
@@ -542,14 +543,21 @@ class FourierData:
         object.__setattr__(self, "weights", wts)
 
     @classmethod
-    def from_samples(cls, omegas, values, weights=None, bandwidth=None) -> "FourierData":
-        """1-D samples in any order; the weights default to the midpoint weights."""
-        check_same_length(omegas, values, "omegas", "values")
+    def from_samples(cls, omegas, values, weights=None, bandwidth=None, *,
+                     name: str = "omegas") -> "FourierData":
+        """1-D samples in any order, called ``name`` in errors; midpoint weights by default."""
+        check_same_length(omegas, values, name, "values")
         order = np.argsort(omegas)
-        s = SampleSet(points=omegas[order], bandwidth=bandwidth)
+        pts = omegas[order]
+        repeated, wmax = pts[1:][np.diff(pts) == 0], float(max(-pts[0], pts[-1]))
+        if repeated.size:
+            raise ValueError(f"{name} repeats the frequency {float(repeated[0])!r}")
+        if bandwidth is not None and wmax > check_positive_finite(bandwidth, "bandwidth"):
+            raise ValueError(f"{name} exceeds bandwidth {float(bandwidth)!r}: |w| = {wmax!r}")
+        s = SampleSet(points=pts, bandwidth=bandwidth)
         if weights is None:
             return cls(s, values[order], sampling.weights(s))
-        check_same_length(omegas, weights, "omegas", "weights")
+        check_same_length(omegas, weights, name, "weights")
         return cls(s, values[order], weights[order])
 
 
@@ -675,4 +683,5 @@ def load_data_csv(path, bandwidth: float | None = None) -> tuple[FourierData, bo
     # a view of the (re, im) pairs keeps signed zeros, which re + 1j*im drops
     values = np.ascontiguousarray(table[:, 1:3]).view(complex)[:, 0]
     mu = table[:, 3] if table.shape[1] == 4 else None
-    return FourierData.from_samples(table[:, 0], values, mu, bandwidth), mu is not None
+    return (FourierData.from_samples(table[:, 0], values, mu, bandwidth,
+                                     name=f"{path}: omega"), mu is not None)

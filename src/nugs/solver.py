@@ -29,7 +29,7 @@ is ``(1 + delta) / sqrt(lower)`` (``frame_constants``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -97,9 +97,7 @@ class FrameConstants:
     implied_tail: float | None
 
     def to_json(self) -> str:
-        return json.dumps({"lower": self.lower, "upper_bound": self.upper_bound,
-                           "ratio": self.ratio, "density": self.density,
-                           "implied_tail": self.implied_tail})
+        return json.dumps(asdict(self))
 
 
 def design_matrix(basis: OrthoBasis, s: SampleSet) -> np.ndarray:

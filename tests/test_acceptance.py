@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.  The
-full run takes about 30 seconds on a 2-vCPU machine; the scaling and
+full run takes about 5 seconds on a 2-vCPU machine; the scaling and
 error-curve sweeps dominate.
 
 Criterion 5's middle clause (the sqrt(2) M^2 derivative-growth bound for

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from nugs import experiments
-from nugs.cli import main, parse_scheme
+from nugs import analysis, experiments
+from nugs.cli import build_parser, main, parse_scheme
 from nugs.estimator import NonuniformFourierRegressor
 from nugs.fourier import FunctionSpec, basis_transform, sample_function, save_data_csv
 from nugs.sampling import SchemeSpec, generate
@@ -105,7 +105,7 @@ def test_reconstruct_negative_weight_csv_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("row, message", [
     ("0.0,nan,0.0,1.0", "values contains non-finite values"),
-    ("-1.0,0.5,0.0,1.0", "points must be strictly increasing"),
+    ("-1.0,0.5,0.0,1.0", "omega repeats the frequency -1.0"),
     ("0.0,1.0,0.0,inf", "weights contains non-finite values"),
 ])
 def test_reconstruct_bad_csv_row_exits_1(tmp_path, capsys, row, message):
@@ -382,3 +382,47 @@ def test_reconstruction_csv_bytes(tmp_path):
     want = "x,re,im\n" + "".join(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n"
                                  for x, v in zip(grid, vals))
     assert (tmp_path / "reconstruction.csv").read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("rows, k, message", [
+    ("-1.0,0.5,0.0\n-1.0,0.5,0.0\n1.0,0.5,0.0\n", [], "omega repeats the frequency -1.0"),
+    ("-4.0,0.5,0.0\n0.0,1.0,0.0\n4.0,0.5,0.0\n", ["--k", 1],
+     "omega exceeds bandwidth 1.0: |w| = 4.0"),
+], ids=["repeated_omega", "k_below_max_omega"])
+def test_reconstruct_csv_sample_errors_name_the_file(tmp_path, capsys, rows, k, message):
+    path = tmp_path / "F.csv"
+    path.write_text("omega,re,im\n" + rows)
+    code = run(["reconstruct", "--space", "legendre:2", "--input", path, *k,
+                "--out-dir", tmp_path / "out"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 745. GiB for an array with shape (100000000000,)",
+     "Unable to allocate 745. GiB for an array with shape (100000000000,)"),
+    ("", "MemoryError"),
+], ids=["numpy", "bare"])
+def test_allocation_failure_exits_1_without_traceback(monkeypatch, capsys, message, shown):
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(analysis, "verify_gap_bound", too_large)
+    assert run(["gap", "--space", "legendre:2", "--l", 100000000000]) == 1
+    assert capsys.readouterr().err == f"error: {shown}\n"
+
+
+def test_sweep_option_defaults_are_the_experiments_constants():
+    parser = build_parser()
+    grid = experiments.default_k_grid()
+    assert (grid[0], grid[-1], grid.size) == experiments._K_GRID
+    for command in (["figure1"], ["scaling", "--family", "trig"]):
+        args = parser.parse_args(command)
+        assert args.threshold == experiments._THRESHOLD
+        assert args.delta_max == experiments._DELTA_MAX
+        assert (args.kmin, args.kmax, args.kcount) == experiments._K_GRID
+    # stability judges against a threshold only when one is given
+    assert parser.parse_args(["stability", "--space", "trig:2"]).threshold is None
+    assert parser.parse_args(["reconstruct", "--space", "trig:2"]).delta_max == \
+        experiments._DELTA_MAX

@@ -159,3 +159,14 @@ def test_fit_accepts_column_vector_values():
     flat = NonuniformFourierRegressor("legendre:3").fit(x, y)
     column = NonuniformFourierRegressor("legendre:3").fit(x, y[:, None])
     assert np.array_equal(flat.coef_, column.coef_)
+
+
+@pytest.mark.parametrize("X, bandwidth, message", [
+    ([1.0, 1.0, 2.0, 3.0], 5, "X repeats the frequency 1.0"),
+    ([-4.0, -1.0, 2.0, 4.0], 1, "X exceeds bandwidth 1.0: |w| = 4.0"),
+], ids=["repeated", "beyond_bandwidth"])
+def test_fit_sample_errors_name_x_and_bandwidth(X, bandwidth, message):
+    est = NonuniformFourierRegressor("legendre:2", bandwidth=bandwidth)
+    with pytest.raises(ValueError) as info:
+        est.fit(X, np.ones(4, dtype=complex))
+    assert str(info.value) == message

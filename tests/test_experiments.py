@@ -473,3 +473,24 @@ def test_csv_writer_bytes(tmp_path):
         b"spline_d1,1e+16,3,2,0.30000000000000004,1e-07\n")
     assert (tmp_path / "e.csv").read_bytes() == (
         b"family,k,n,m,error\ntrig,10.0,27,9,0.0015\nspline_d2,6.0,5,1,0.6666666666666666\n")
+
+
+@pytest.mark.parametrize("sweep, rounds", [
+    (lambda out: scaling_table("trig", "jittered"), 1),
+    (lambda out: error_curve(FunctionSpec.benchmark(), "legendre", "log"), 1),
+    (lambda out: run_figure_panels(out), 10),
+], ids=["scaling_table", "error_curve", "run_figure_panels"])
+def test_sweep_without_grid_visits_the_default_grid(tmp_path, monkeypatch, sweep, rounds):
+    visited = []
+
+    def cell(f, family, kind, d, threshold, delta_max, theta, seed, k, hint=None):
+        # the search and the error row are not run: only the arguments count
+        visited.append((k, threshold, delta_max))
+        return (ScalingRow(family, k, 10, 1, 0.5, 1.5),
+                ErrorRow(family, k, 10, 1, 1e-3) if f is not None else None)
+
+    monkeypatch.setattr(experiments, "_cell", cell)
+    sweep(tmp_path)
+    want = [(k, experiments._THRESHOLD, experiments._DELTA_MAX)
+            for k in default_k_grid().tolist()]
+    assert visited == want * rounds
