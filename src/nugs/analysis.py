@@ -7,12 +7,17 @@ of banded transform inner products of an orthonormal basis, Plancherel on
 a finite eigenproblem.  For the exponentials B(z) is real symmetric and
 has a closed form in sine and cosine integrals, 2 (2m + 1) of them per
 matrix and no quadrature.  The other kinds integrate over panels of Gauss
-nodes.  On the uniform cells of piecewise constants and splines a cell
+nodes.  A residual curve costs one refinement per 2.5e5 / dim^2 bands:
+``_concentrations`` integrates each segment between successive bands
+once, all segments of a group in one pass of transforms per round, and
+takes B at each band as the running sum of the segment integrals, so B
+grows with z by construction; one band (``concentration_matrix``) is one
+segment.  On the uniform cells of piecewise constants and splines a cell
 transform depends on its cell j only through the phase
 e^{-pi i w (2j+1) h}, so the Gram of the cell transforms is block Toeplitz,
-and ``concentration_matrix`` sums its lags instead of building a table of
-transforms per cell.  The gap between two polynomial-kind spaces is
-the largest singular value of the projection residual, with both bases
+and the concentration quadrature sums its lags instead of building a
+table of transforms per cell.  The gap between two polynomial-kind spaces
+is the largest singular value of the projection residual, with both bases
 re-expanded on the merged cell partition: one evaluation of each basis at
 the Gauss nodes of all merged cells and one contraction with a local
 Legendre table.  A pair with the exponential basis reads the gap off the
@@ -26,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import sici
@@ -38,10 +44,15 @@ from .validation import check_count, check_positive_finite, is_real_number, writ
 _KNOT_FREE = ("trig", "legendre")
 # kinds on uniform cells, whose cell-level Gram of transforms is block Toeplitz
 _UNIFORM_CELLS = ("piecewise_const", "spline")
-# they contract their block-Toeplitz cell Gram at a cost of dim (L p)^2, the
-# dense path at about nodes L p dim, so they take it while L p is at most
-# this many times the node count (the measured crossover is 3 to 8)
+# they contract one block-Toeplitz cell Gram per band segment at a cost of
+# dim (L p)^2 each, the dense path at about nodes L p dim, so they take it
+# while segments times L p is at most this many times the node count (the
+# measured crossover of one segment is 3 to 8)
 _LAG_NODES = 4
+# matrix entries of the stack of concentration matrices one refinement
+# holds (2 MB): a residual curve refines its bands this many over dim^2 at
+# a time, so its memory does not grow with the number of bands
+_CURVE_ENTRIES = 2.5e5
 # Gauss nodes per frequency panel of the concentration quadrature
 _CONCENTRATION_NODES = 12
 # entrywise agreement of two panel widths at which a concentration matrix is kept
@@ -94,11 +105,13 @@ class TriangleReport:
 
 
 def concentration_matrix(basis: OrthoBasis, z: float) -> np.ndarray:
-    """Banded Gram ``B[i,k] = int_{-z}^{z} conj(F_i) F_k`` of basis transforms.
+    """Banded Gram ``B[i,k] = int_{-z}^{z} conj(F_i) F_k`` of basis transforms,
+    the one-band case of ``_concentrations``, which gives B at every band of
+    a residual curve from one refinement.
 
     The exponentials of ``trig`` have F_j(w) = e^{-pi i (w - j)} sinc(w - j),
     so conj(F_j) F_k = sin^2(pi w) / (pi^2 (w - j) (w - k)) and B is real
-    symmetric, in closed form (``_trig_concentration``):
+    symmetric, in closed form (``_trig_concentration``), band by band:
     B_jk = (S_j - S_k) / (pi^2 (j - k)) off the diagonal, with
     S_a = (Cin(2 pi |z - a|) - Cin(2 pi |z + a|)) / 2, and
     B_jj = G(z - j) + G(z + j) with G(u) = Si(2 pi u) / pi - sin^2(pi u) / (pi^2 u).
@@ -110,10 +123,14 @@ def concentration_matrix(basis: OrthoBasis, z: float) -> np.ndarray:
     ``int int conj(phi_i(x)) phi_k(y) exp(2 pi i w (x - y)) dx dy`` with
     |x - y| < 1, so it oscillates at most once per unit of w, and a
     12-node Gauss panel one unit wide resolves it to about 1e-19 (two
-    units wide, to about 3e-12).  The panels start two units wide, or z
-    wide when z < 2 so that the first halving always changes the node
-    layout; ``refine`` compares them with panels half as wide and
-    returns the finer estimate once no entry moved by more than 1e-11.
+    units wide, to about 3e-12).  Each segment (z_{j-1}, z_j) between
+    successive bands, with z_0 = 0, is integrated once, and B(z_j) is the
+    running sum of the segment integrals, so the curve of lambda_min is
+    monotone by construction.  A segment's panels start two units wide, or
+    as wide as the segment when it is narrower, so that the first halving
+    always changes its node layout; all segments halve together, and
+    ``refine`` returns the finer estimates once no entry of any B(z_j)
+    moved by more than 1e-11.  One band is one segment on (0, z).
 
     Piecewise constants and splines lie on L uniform cells of width h, so
     their cell Gram is block Toeplitz: block (j, k) is
@@ -121,16 +138,49 @@ def concentration_matrix(basis: OrthoBasis, z: float) -> np.ndarray:
     p order factors f and p^2 lag sequences (``fourier.uniform_cell_lags``)
     in place of the nodes x L p table of cell transforms.  Legendre and
     piecewise polynomials contract their basis transforms node by node, and
-    so do uniform cells while L p exceeds 4 times the node count (small z),
-    where the (L p)^2 Gram costs more than the per-node products.  Both
-    paths take the nodes in chunks of 2e5 / dim.
+    so do uniform cells while the segments times L p exceed 4 times the
+    node count (small z, or many narrow segments), where an (L p)^2 Gram per
+    segment costs more than the per-node products.  Both paths take the
+    nodes of all segments together, in chunks of 2e5 / dim: one transform
+    table, or one order-factor table, per chunk, and each segment's sums
+    over its own nodes in it.  A curve refines its bands 2.5e5 / dim^2 at
+    a time, each group's running sum starting from the last B of the group
+    before, so its memory does not grow with the number of bands.
     """
-    z = check_positive_finite(z, "z")
+    return next(_concentrations(basis, [check_positive_finite(z, "z")]))
+
+
+def _concentrations(basis: OrthoBasis, zs: list[float]):
+    """Yield B(z) of ``concentration_matrix`` at each band of the ascending,
+    distinct, positive ``zs``, in order, refining ``_CURVE_ENTRIES / dim^2``
+    bands at a time."""
     if basis.orders is not None:
-        return _trig_concentration(basis.orders, z)
-    return refine(lambda width: _concentration_fixed(basis, z, width), min(2.0, z),
+        for z in zs:
+            yield _trig_concentration(basis.orders, z)
+        return
+    size = max(1, int(_CURVE_ENTRIES // basis.dim**2))
+    for lo in range(0, len(zs), size):
+        group = _refined(basis, zs[lo - 1] if lo else 0.0, zs[lo:lo + size])
+        if lo:
+            group += last
+        last = group[-1].copy()
+        yield from group
+
+
+def _refined(basis: OrthoBasis, start: float, zs: list[float]) -> np.ndarray:
+    """B(z_j) - B(start) for the bands ``zs`` above ``start``, from one
+    refinement, (len(zs), dim, dim)."""
+    bands = [start, *zs]
+    starts = [min(2.0, hi - lo) for lo, hi in zip(bands, zs)]
+    widest = max(starts)
+
+    def estimate(width):
+        # width / widest is a power of two, so every segment halves exactly
+        return _concentration_fixed(basis, bands, [s * (width / widest) for s in starts])
+
+    return refine(estimate, widest,
                   lambda new, old: np.max(np.abs(new - old)) <= _CONCENTRATION_TOL,
-                  f"concentration on (-{z:g}, {z:g})")
+                  f"concentration on (-{zs[-1]:g}, {zs[-1]:g})")
 
 
 def _trig_concentration(orders: np.ndarray, z: float) -> np.ndarray:
@@ -155,34 +205,54 @@ def _trig_concentration(orders: np.ndarray, z: float) -> np.ndarray:
     return out
 
 
-def _concentration_fixed(basis: OrthoBasis, z: float, width: float) -> np.ndarray:
-    xs, ws = panel_nodes(panel_edges(0.0, z, (), width), _CONCENTRATION_NODES)
-    if basis.space.kind in _UNIFORM_CELLS and basis.coeffs[0].size <= _LAG_NODES * xs.size:
-        return _toeplitz_concentration(basis, xs, ws)
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for sel in _node_chunks(xs.size, basis.dim):
+def _concentration_fixed(basis: OrthoBasis, bands: list[float],
+                         widths: list[float]) -> np.ndarray:
+    """B(z_j) - B(z_0) for the ascending ``bands`` z_0 < z_1 < ..., on
+    panels of the given width in each segment (z_{j-1}, z_j)."""
+    edges = [panel_edges(lo, hi, (), width)
+             for lo, hi, width in zip(bands, bands[1:], widths)]
+    xs, ws = panel_nodes(np.concatenate([edges[0], *(e[1:] for e in edges[1:])]),
+                         _CONCENTRATION_NODES)
+    stops = list(accumulate((e.size - 1) * _CONCENTRATION_NODES for e in edges))
+    if (basis.space.kind in _UNIFORM_CELLS
+            and len(stops) * basis.coeffs[0].size <= _LAG_NODES * xs.size):
+        return np.cumsum(_toeplitz_concentration(basis, xs, ws, stops), axis=0)
+    out = np.zeros((len(stops), basis.dim, basis.dim), dtype=complex)
+    for sel, parts in _chunk_parts(stops, basis.dim):
         phi = fourier.basis_transform(basis, xs[sel])
-        out += (phi.conj() * ws[sel, None]).T @ phi
-    return 2.0 * out.real
+        wts = ws[sel]
+        for j, r in parts:
+            out[j] += (phi[r].conj() * wts[r, None]).T @ phi[r]
+    return np.cumsum(2.0 * out.real, axis=0)
 
 
-def _toeplitz_concentration(basis: OrthoBasis, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+def _toeplitz_concentration(basis: OrthoBasis, xs: np.ndarray, ws: np.ndarray,
+                            stops=None) -> np.ndarray:
     """2 Re C G C^T on the half-band nodes ``xs`` with weights ``ws``, for a
     basis on uniform cells.  G, the Gram of the cell transforms indexed by
     (cell, order) like ``OrthoBasis.coeffs``, has block (j, k) equal to lag
     k - j of ``fourier.uniform_cell_lags`` for k >= j, and to the conjugate
-    transpose of lag j - k otherwise.  Piecewise constants have C = I."""
+    transpose of lag j - k otherwise.  Piecewise constants have C = I.
+    Given the ends ``stops`` of successive node segments, it returns one
+    matrix per segment, (len(stops), dim, dim)."""
     cells, p = basis.coeffs.shape[1:]
-    lags = sum(fourier.uniform_cell_lags(cells, p, xs[sel], ws[sel])
-               for sel in _node_chunks(xs.size, basis.dim)).real
-    # lags -(cells-1)..cells-1 of Re G; lag -t is the transpose of lag t
-    ext = np.concatenate((lags.transpose(1, 0, 2)[:, :, :0:-1], lags), axis=2)
+    segments = [xs.size] if stops is None else stops
+    lags = [0.0] * len(segments)
+    for sel, parts in _chunk_parts(segments, basis.dim):
+        sums = fourier.uniform_cell_lags(cells, p, xs[sel], ws[sel], [r for _, r in parts])
+        for (j, _), part in zip(parts, sums):
+            lags[j] = lags[j] + part
+    out = np.empty((len(lags), basis.dim, basis.dim))
     j = np.arange(cells)
-    gram = ext[:, :, j - j[:, None] + cells - 1].transpose(2, 0, 3, 1).reshape(cells * p, -1)
-    if basis.space.kind == "piecewise_const":
-        return 2.0 * gram
     coeffs = basis.coeffs.reshape(basis.dim, -1)
-    return 2.0 * (coeffs @ gram @ coeffs.T)
+    for seg, lag in enumerate(lags):
+        # lags -(cells-1)..cells-1 of Re G; lag -t is the transpose of lag t
+        lag = lag.real
+        ext = np.concatenate((lag.transpose(1, 0, 2)[:, :, :0:-1], lag), axis=2)
+        gram = ext[:, :, j - j[:, None] + cells - 1].transpose(2, 0, 3, 1).reshape(cells * p, -1)
+        out[seg] = 2.0 * (gram if basis.space.kind == "piecewise_const"
+                          else coeffs @ gram @ coeffs.T)
+    return out[0] if stops is None else out
 
 
 def _node_chunks(count: int, dim: int) -> list[slice]:
@@ -191,23 +261,38 @@ def _node_chunks(count: int, dim: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
+def _chunk_parts(stops, dim: int):
+    """The ``_node_chunks`` of the nodes of successive segments ending at
+    ``stops``, each with the pairs (segment, node range within the chunk)
+    of the segments it meets."""
+    bounds = list(zip([0, *stops[:-1]], stops))
+    for sel in _node_chunks(stops[-1], dim):
+        yield sel, [(j, slice(max(lo, sel.start) - sel.start, min(hi, sel.stop) - sel.start))
+                    for j, (lo, hi) in enumerate(bounds) if lo < sel.stop and hi > sel.start]
+
+
 def residual(space: SpaceSpec, z: float) -> float:
     """Worst-case out-of-band transform energy of a unit-norm member."""
     return residual_from_basis(fourier.cached_basis(space), z)
 
 
 def residual_from_basis(basis: OrthoBasis, z: float) -> float:
-    b = concentration_matrix(basis, check_positive_finite(z, "z"))
-    lam = np.linalg.eigvalsh(b)
-    lam = np.clip(lam, 0.0, 1.0)
+    return _residual_of(concentration_matrix(basis, check_positive_finite(z, "z")))
+
+
+def _residual_of(b: np.ndarray) -> float:
+    """sqrt(1 - lambda_min(B)), with the spectrum clipped to [0, 1]."""
+    lam = np.clip(np.linalg.eigvalsh(b), 0.0, 1.0)
     return math.sqrt(max(1.0 - float(lam[0]), 0.0))
 
 
 def residual_curve(space: SpaceSpec, zs) -> ResidualCurve:
-    zs = [check_positive_finite(z, "z in zs") for z in zs]
-    basis = fourier.cached_basis(space)
-    es = np.array([residual_from_basis(basis, z) for z in zs])
-    return ResidualCurve(space=space, z=np.array(zs, dtype=float), e=es)
+    """Residuals at the bands ``zs``, in any order and with repeats, from
+    one ``_concentrations`` pass over their distinct values."""
+    zs = np.array([check_positive_finite(z, "z in zs") for z in zs], dtype=float)
+    bands, back = np.unique(zs, return_inverse=True)
+    es = [_residual_of(b) for b in _concentrations(fourier.cached_basis(space), bands.tolist())]
+    return ResidualCurve(space=space, z=zs, e=np.array(es, dtype=float)[back])
 
 
 # ---------------------------------------------------------------------------

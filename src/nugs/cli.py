@@ -71,7 +71,8 @@ def cmd_reconstruct(args) -> int:
     grid_points = check_count(args.grid_points, "grid_points")
     basis = fourier.cached_basis(space)
     if args.input:
-        data, had_weights = fourier.load_data_csv(args.input, bandwidth=args.k)
+        data, had_weights = fourier.load_data_csv(args.input, bandwidth=args.k,
+                                                  bandwidth_name="--k")
         weights_source = "file" if had_weights else "computed"
     else:
         if args.k is None:

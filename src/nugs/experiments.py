@@ -337,6 +337,8 @@ def _sweep(cell, k_grid, jobs: int) -> list:
     Serially each bandwidth's search starts from the previous selected
     index; parallel cells search from scratch."""
     ks = (default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)).tolist()
+    if not ks:
+        raise ValueError("k_grid must hold at least one bandwidth, got an empty grid")
     if check_count(jobs, "jobs") > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(cell, ks))

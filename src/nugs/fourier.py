@@ -65,6 +65,8 @@ structure: on L uniform cells the product conj(T_{j,n}) T_{k,m} of two cell
 transforms is h conj(f_n) f_m e^{-2 pi i w (k-j) h}, so the weighted Gram
 of all the cell transforms is block Toeplitz, and its p^2 lag sequences of
 length L are ``_lag_sums`` of one order-factor table at the width 1/L.
+The frequencies may be split into parts, the band segments of a residual
+curve, whose sums are kept apart from one table of each kind.
 
 The lag sums of both callers and the transform quadrature sum over an
 arithmetic progression of phases e^{-2 pi i w t step}, t < count, and take
@@ -401,10 +403,13 @@ def cell_transforms(breaks: np.ndarray, p: int, omegas: np.ndarray) -> np.ndarra
     return phase[:, :, None] * _order_factors(w, widths, p)[:, cell_width, :]
 
 
-def uniform_cell_lags(cells: int, p: int, omegas, weights) -> np.ndarray:
+def uniform_cell_lags(cells: int, p: int, omegas, weights,
+                      parts=None) -> np.ndarray | list[np.ndarray]:
     """Weighted products of the cell transforms on ``cells`` uniform cells,
     by lag, (p, p, cells): entry [n, m, t] is
     sum_v weights_v conj(T_{j,n}(w_v)) T_{j+t,m}(w_v), the same for every j.
+    Given ``parts``, slices of the frequencies, it sums each slice apart
+    and returns a list of them.
 
     With h = 1/cells, T_{j,n}(w) = sqrt(h) e^{-pi i w (2j+1) h} f_n(w), where
     f_n(w) = sqrt(2n+1) (-i)^n j_n(pi w h) does not depend on j, so the
@@ -415,7 +420,9 @@ def uniform_cell_lags(cells: int, p: int, omegas, weights) -> np.ndarray:
     h = 1.0 / cells
     f = _order_factors(w, np.array([h]), p)[:, 0, :]
     v = (f.conj() * (h * np.asarray(weights, dtype=float))[:, None])[:, :, None] * f[:, None, :]
-    return _lag_sums(v.reshape(w.size, p * p), w, h, cells).reshape(p, p, cells)
+    lags = [s.reshape(p, p, cells) for s in _lag_sums(
+        v.reshape(w.size, p * p), w, h, cells, [slice(None)] if parts is None else parts)]
+    return lags[0] if parts is None else lags
 
 
 def bspline_weighted_gram(d: int, l: int, omegas, weights) -> np.ndarray:
@@ -454,20 +461,22 @@ def bspline_weighted_gram(d: int, l: int, omegas, weights) -> np.ndarray:
     if l > d:
         nhat = h * np.exp(-1j * np.pi * w * ((d + 1) * h)) * np.sinc(w * h) ** (d + 1)
         lagged = _lag_sums(np.column_stack((mu * np.abs(nhat) ** 2, weighted * nhat[:, None])),
-                           w, h, l - d)
+                           w, h, l - d, [slice(None)])[0]
         out[d:l, d:l] = scipy.linalg.toeplitz(lagged[0].conj(), lagged[0])
         out[border[:, None], inner] = lagged[1:]
         out[inner[:, None], border] = lagged[1:].conj().T
     return out
 
 
-def _lag_sums(v: np.ndarray, w: np.ndarray, step: float, count: int) -> np.ndarray:
-    """sum_n v[n, b] e^{-2 pi i w_n t step} for t < count, (v.shape[1], count):
-    v is scaled by the coarse table of ``_phase_tables`` and one product
-    with the fine table sums over n."""
+def _lag_sums(v: np.ndarray, w: np.ndarray, step: float, count: int,
+              parts: list[slice]) -> list[np.ndarray]:
+    """sum_n v[n, b] e^{-2 pi i w_n t step} for t < count, (v.shape[1], count),
+    one sum over each slice of n in ``parts``: v is scaled by the coarse
+    table of ``_phase_tables`` and one product per slice with the fine
+    table sums over its n."""
     coarse, fine = _phase_tables(w, step, count)
     scaled = (v[:, :, None] * coarse.T[:, None, :]).reshape(w.size, -1)
-    return (scaled.T @ fine.T).reshape(v.shape[1], -1)[:, :count]
+    return [(scaled[r].T @ fine.T[r]).reshape(v.shape[1], -1)[:, :count] for r in parts]
 
 
 def _phase_tables(w: np.ndarray, step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -544,16 +553,18 @@ class FourierData:
 
     @classmethod
     def from_samples(cls, omegas, values, weights=None, bandwidth=None, *,
-                     name: str = "omegas") -> "FourierData":
-        """1-D samples in any order, called ``name`` in errors; midpoint weights by default."""
+                     name: str = "omegas", bandwidth_name: str = "bandwidth") -> "FourierData":
+        """1-D samples in any order, called ``name`` in errors, as the bandwidth
+        is called ``bandwidth_name``; midpoint weights by default."""
         check_same_length(omegas, values, name, "values")
         order = np.argsort(omegas)
         pts = omegas[order]
         repeated, wmax = pts[1:][np.diff(pts) == 0], float(max(-pts[0], pts[-1]))
         if repeated.size:
             raise ValueError(f"{name} repeats the frequency {float(repeated[0])!r}")
-        if bandwidth is not None and wmax > check_positive_finite(bandwidth, "bandwidth"):
-            raise ValueError(f"{name} exceeds bandwidth {float(bandwidth)!r}: |w| = {wmax!r}")
+        if bandwidth is not None and wmax > check_positive_finite(bandwidth, bandwidth_name):
+            raise ValueError(f"{name} exceeds {bandwidth_name} {float(bandwidth)!r}: "
+                             f"|w| = {wmax!r}")
         s = SampleSet(points=pts, bandwidth=bandwidth)
         if weights is None:
             return cls(s, values[order], sampling.weights(s))
@@ -667,8 +678,10 @@ def save_data_csv(path, data: FourierData) -> None:
                                data.weights)).ravel().tolist())
 
 
-def load_data_csv(path, bandwidth: float | None = None) -> tuple[FourierData, bool]:
-    """Read ``omega,re,im[,weight]`` rows.
+def load_data_csv(path, bandwidth: float | None = None, *,
+                  bandwidth_name: str = "bandwidth") -> tuple[FourierData, bool]:
+    """Read ``omega,re,im[,weight]`` rows, against a bandwidth called
+    ``bandwidth_name`` in errors.
 
     Returns the data and a flag telling whether weights came from the file;
     when the column is absent they are computed from the points.
@@ -683,5 +696,5 @@ def load_data_csv(path, bandwidth: float | None = None) -> tuple[FourierData, bo
     # a view of the (re, im) pairs keeps signed zeros, which re + 1j*im drops
     values = np.ascontiguousarray(table[:, 1:3]).view(complex)[:, 0]
     mu = table[:, 3] if table.shape[1] == 4 else None
-    return (FourierData.from_samples(table[:, 0], values, mu, bandwidth,
-                                     name=f"{path}: omega"), mu is not None)
+    return (FourierData.from_samples(table[:, 0], values, mu, bandwidth, name=f"{path}: omega",
+                                     bandwidth_name=bandwidth_name), mu is not None)

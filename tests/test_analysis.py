@@ -556,3 +556,97 @@ def test_residual_curve_csv_bytes(tmp_path):
     curve.save_csv(tmp_path / "r.csv")
     assert (tmp_path / "r.csv").read_bytes() == (
         b"z,e\n0.5,0.9\n3.0,0.30000000000000004\n1000.0,2.5e-17\n")
+
+
+# unsorted, with repeats, on both sides of z = 2
+CURVE_BANDS = [7.5, 0.3, 3.0, 1.7, 60.0, 3.0, 0.3]
+
+
+@pytest.mark.parametrize("space", KIND_SPACES, ids=lambda s: s.kind)
+def test_residual_curve_matches_the_residual_band_by_band(space):
+    curve = residual_curve(space, CURVE_BANDS)
+    assert np.array_equal(curve.z, CURVE_BANDS)
+    want = np.array([residual(space, z) for z in CURVE_BANDS])
+    assert np.max(np.abs(curve.e - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("space", KIND_SPACES, ids=lambda s: s.kind)
+def test_one_band_curve_is_the_residual_and_no_band_an_empty_curve(space):
+    for z in (0.3, 3.0, 60.0):
+        assert residual_curve(space, [z]).e.tolist() == [residual(space, z)]
+    empty = residual_curve(space, [])
+    assert empty.z.shape == empty.e.shape == (0,)
+
+
+@pytest.mark.parametrize("space", KIND_SPACES, ids=lambda s: s.kind)
+def test_residual_curve_is_non_increasing(space):
+    e = residual_curve(space, np.geomspace(0.05, 200.0, 16)).e
+    assert np.all(np.diff(e) <= 1e-15)
+
+
+@pytest.mark.parametrize("space, passes", [
+    (SpaceSpec.legendre(8), "basis_transform"),
+    (SpaceSpec.piecewise_poly([0.3, 0.7], [3, 2, 4]), "basis_transform"),
+    (SpaceSpec.piecewise_const(16), "_order_factors"),
+    (SpaceSpec.spline(3, 8), "_order_factors"),
+], ids=str)
+def test_six_band_curve_makes_one_transform_pass_per_round(space, passes, monkeypatch):
+    # band by band, two rounds per band would make 12 passes; the segments
+    # between successive bands share each round's one transform or
+    # order-factor table
+    calls = {"basis_transform": 0, "_order_factors": 0}
+    for name in calls:
+        real = getattr(fourier, name)
+        monkeypatch.setattr(fourier, name, lambda *a, real=real, name=name:
+                            calls.__setitem__(name, calls[name] + 1) or real(*a))
+    residual_curve(space, np.geomspace(0.5, 200.0, 6))
+    assert calls[passes] == 2
+    if passes == "_order_factors":
+        assert calls["basis_transform"] == 0
+
+
+def _stack(basis, zs):
+    return np.array(list(analysis._concentrations(basis, zs)))
+
+
+@pytest.mark.parametrize("space", KIND_SPACES, ids=lambda s: s.kind)
+def test_concentrations_are_running_sums_of_segment_integrals(space):
+    basis = build_basis(space)
+    got = _stack(basis, [0.3, 1.7, 3.0, 60.0])
+    assert got.shape == (4, basis.dim, basis.dim)
+    for b, z in zip(got, [0.3, 1.7, 3.0, 60.0]):
+        assert np.max(np.abs(b - concentration_matrix(basis, z))) <= 1e-13
+    # each segment adds a positive semidefinite integral
+    assert all(np.linalg.eigvalsh(d)[0] >= -1e-14 for d in np.diff(got, axis=0))
+    assert list(analysis._concentrations(basis, [])) == []
+
+
+@pytest.mark.parametrize("space", KIND_SPACES[1:], ids=lambda s: s.kind)
+def test_segments_summed_across_node_chunks(space, monkeypatch):
+    # 50-node chunks cut the 12-node panels and the segments mid-way
+    basis = build_basis(space)
+    want = _stack(basis, [0.3, 1.7, 3.0, 60.0])
+    monkeypatch.setattr(analysis, "_node_chunks", lambda count, dim: [
+        slice(lo, lo + 50) for lo in range(0, count, 50)])
+    got = _stack(basis, [0.3, 1.7, 3.0, 60.0])
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("space", KIND_SPACES[1:], ids=lambda s: s.kind)
+@pytest.mark.parametrize("per_group", [1, 2, 3])
+def test_curve_bands_refined_a_group_at_a_time(space, per_group, monkeypatch):
+    # a budget of per_group matrices: no refinement holds more, and the
+    # groups' running sums continue each other
+    zs = np.geomspace(0.05, 200.0, 7)
+    basis = fourier.cached_basis(space)
+    want = _stack(basis, zs.tolist())
+    widest = []
+    real = analysis._concentration_fixed
+    monkeypatch.setattr(analysis, "_CURVE_ENTRIES", per_group * basis.dim**2 + 0.5)
+    monkeypatch.setattr(analysis, "_concentration_fixed", lambda basis, bands, widths:
+                        widest.append(len(bands) - 1) or real(basis, bands, widths))
+    got = _stack(basis, zs.tolist())
+    assert max(widest) == per_group
+    assert np.max(np.abs(got - want)) <= 1e-14
+    curve = residual_curve(space, zs)
+    assert np.max(np.abs(curve.e - [residual(space, z) for z in zs])) <= 1e-14

@@ -387,7 +387,7 @@ def test_reconstruction_csv_bytes(tmp_path):
 @pytest.mark.parametrize("rows, k, message", [
     ("-1.0,0.5,0.0\n-1.0,0.5,0.0\n1.0,0.5,0.0\n", [], "omega repeats the frequency -1.0"),
     ("-4.0,0.5,0.0\n0.0,1.0,0.0\n4.0,0.5,0.0\n", ["--k", 1],
-     "omega exceeds bandwidth 1.0: |w| = 4.0"),
+     "omega exceeds --k 1.0: |w| = 4.0"),
 ], ids=["repeated_omega", "k_below_max_omega"])
 def test_reconstruct_csv_sample_errors_name_the_file(tmp_path, capsys, rows, k, message):
     path = tmp_path / "F.csv"
@@ -396,6 +396,16 @@ def test_reconstruct_csv_sample_errors_name_the_file(tmp_path, capsys, rows, k, 
                 "--out-dir", tmp_path / "out"])
     assert code == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_reconstruct_csv_names_k_for_a_bad_bandwidth(tmp_path, capsys):
+    path = tmp_path / "F.csv"
+    path.write_text("omega,re,im\n-1.0,0.5,0.0\n1.0,0.5,0.0\n")
+    code = run(["reconstruct", "--space", "legendre:2", "--input", path, "--k", 0,
+                "--out-dir", tmp_path / "out"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --k must be finite and positive, got 0.0\n"
     assert not (tmp_path / "out").exists()
 
 

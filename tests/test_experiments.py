@@ -287,6 +287,17 @@ def test_sweeps_reject_bad_jobs(tmp_path, sweep, jobs):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("sweep", [
+    lambda out: scaling_table("trig", "jittered", []),
+    lambda out: error_curve(FunctionSpec.benchmark(), "trig", "jittered", []),
+    lambda out: run_figure_panels(out, k_grid=[]),
+], ids=["scaling_table", "error_curve", "run_figure_panels"])
+def test_sweeps_reject_an_empty_bandwidth_grid(tmp_path, sweep):
+    with pytest.raises(ValueError, match="k_grid must hold at least one bandwidth"):
+        sweep(tmp_path / "out")
+    assert not list(tmp_path.iterdir())
+
+
 def test_spline_scaling_needs_positive_degree():
     with pytest.raises(ValueError, match="d >= 1, got d=0"):
         scaling_table("spline", "jittered", [10.0], d=0)

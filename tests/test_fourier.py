@@ -772,3 +772,18 @@ def test_data_csv_bytes(tmp_path):
     assert (tmp_path / "d.csv").read_bytes() == (
         b"omega,re,im,weight\n-3.0,1.0,0.0,0.5\n-0.1,-0.0,-2.5,1.0\n1e-20,1e+16,1e-300,2.0\n"
         b"2.5,0.1,0.2,1e-05\n3.0000000000000004,-0.3333333333333333,0.0,123456789.123\n")
+
+
+@pytest.mark.parametrize("cells, p", [(16, 1), (8, 4)])
+def test_uniform_cell_lags_sum_each_part_apart(cells, p):
+    rng = np.random.default_rng(3)
+    w, mu = np.sort(rng.uniform(-40.0, 40.0, 90)), rng.uniform(0.1, 1.0, 90)
+    parts = [slice(0, 7), slice(7, 60), slice(60, 90)]
+    got = fourier.uniform_cell_lags(cells, p, w, mu, parts)
+    assert len(got) == 3
+    for part, r in zip(got, parts):
+        assert part.shape == (p, p, cells)
+        want = fourier.uniform_cell_lags(cells, p, w[r], mu[r])
+        assert np.max(np.abs(part - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(fourier.uniform_cell_lags(cells, p, w, mu, [slice(0, 90)])[0],
+                          fourier.uniform_cell_lags(cells, p, w, mu))
