@@ -77,10 +77,11 @@ def cmd_reconstruct(args) -> int:
     else:
         if args.k is None:
             raise ValueError("synthetic reconstruction needs --k")
-        n = args.n or experiments.plan_scheme(
+        n = args.n if args.n is not None else experiments.plan_scheme(
             parse_scheme(args.scheme, 2, args.k, args.seed).kind, args.k,
             delta_max=args.delta_max, seed=args.seed).n
-        s = sampling.generate(parse_scheme(args.scheme, n, args.k, args.seed))
+        s = sampling.generate(parse_scheme(args.scheme, check_count(n, "--n", 2), args.k,
+                                           args.seed))
         f = (FunctionSpec.from_json(Path(args.function_json).read_text(encoding="utf-8"))
              if args.function_json else FunctionSpec.benchmark())
         data = fourier.sample_function(f, s)
@@ -108,7 +109,8 @@ def cmd_stability(args) -> int:
         raise ValueError("stability needs --k and --n")
     if args.threshold is not None:
         check_threshold(args.threshold)
-    s = sampling.generate(parse_scheme(args.scheme, args.n, args.k, args.seed))
+    s = sampling.generate(parse_scheme(args.scheme, check_count(args.n, "--n", 2), args.k,
+                                       args.seed))
     constants = solver.stability_constant(fourier.cached_basis(space), s)
     print(constants.to_json())
     return 2 if args.threshold is not None and constants.ratio > args.threshold else 0

@@ -16,8 +16,7 @@ import numpy as np
 from . import fourier, sampling, solver, spaces
 from .fourier import FourierData
 from .spaces import SpaceSpec
-from .validation import (as_complex_array, as_float_array, as_weight_array, check_positions,
-                         check_same_length)
+from .validation import as_complex_array, as_float_array, check_positions, check_same_length
 
 _PARAM_NAMES = ("space", "bandwidth")
 
@@ -89,13 +88,8 @@ class NonuniformFourierRegressor:
 
     def fit(self, X, y, sample_weight=None) -> "NonuniformFourierRegressor":
         """Fit to frequencies ``X`` (shape (n,) or (n, 1)) and complex values ``y``."""
-        omega = as_float_array(X, "X")
-        values = as_complex_array(y, "y")
-        check_same_length(omega, values, "X", "y")
-        mu = None if sample_weight is None else as_weight_array(sample_weight, "sample_weight")
-        if mu is not None:
-            check_same_length(omega, mu, "X", "sample_weight")
-        data = FourierData.from_samples(omega, values, mu, self.bandwidth, name="X")
+        data = FourierData.from_samples(X, y, sample_weight, self.bandwidth,
+                                        names=("X", "y", "sample_weight"))
         basis = fourier.cached_basis(self._space_spec())
         rec = solver.reconstruct(basis, data)
         constants = solver.frame_constants(sampling.density(data.samples), rec.sigma_min**2)

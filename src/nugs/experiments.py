@@ -25,18 +25,18 @@ lambda_min(W, G) > s, so two factorizations at t plus and minus a band
 (``PROBE_BAND``) decide every probe outside the band; inside it,
 and at index 1, ``ratio`` decides.  For trig and legendre G = I, and the
 design is A = diag(e^{-i pi w}) B D with B the real table of
-``fourier._trig_factors`` (D = I) or ``fourier._real_order_factors``
-(D = diag((-i)^j)), so W = A^H M A (M = diag(mu)) is a unitary similarity
-of the real symmetric B^T M B.  ``dsyrk`` builds that,
-a Cholesky test (``dpotrf``) shifts only its diagonal, and ``ratio`` runs
-the standard real ``eigh``; no complex design or identity matrix is
-formed.  A probe reads a principal block of the Gram of the widest probe
-so far (the doubling probe), while ``ratio`` builds its own, so c_ratio
-does not depend on which probes came first.  The constant is
-basis-independent, so a spline pencil is that of the raw B-splines: a
-Hermitian Toeplitz interior plus 2d border columns
-(``fourier.bspline_weighted_gram``) against a banded L2 Gram
-(``spaces._bspline_gram``), with no N x (l+d) design.
+``fourier._trig_factors`` (D = I) or ``fourier._legendre_factors``
+(D = diag((-i)^j)), the tables that ``solver.reconstruct`` factorizes
+too, so W = A^H M A (M = diag(mu)) is a unitary similarity of the real
+symmetric B^T M B.  ``dsyrk`` builds that, a Cholesky test (``dpotrf``)
+shifts only its diagonal, and ``ratio`` runs the standard real ``eigh``;
+no complex design or identity matrix is formed.  A probe reads a
+principal block of the Gram of the widest probe so far (the doubling
+probe), while ``ratio`` builds its own, so c_ratio does not depend on
+which probes came first.  The constant is basis-independent, so a spline
+pencil is that of the raw B-splines: a Hermitian Toeplitz interior plus 2d
+border columns (``fourier.bspline_weighted_gram``) against a banded L2
+Gram (``spaces._bspline_gram``), with no N x (l+d) design.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ class _StabilityEvaluator:
         if self.family == "trig":
             b = fourier._trig_factors(self.s.points, np.arange(-m, m + 1))[1]
         else:  # degrees 0..m on the one cell [0, 1]
-            b = fourier._real_order_factors(self.s.points, np.ones(1), m + 1)[:, 0, :]
+            b = fourier._legendre_factors(self.s.points, m + 1)[1]
         b *= np.sqrt(self.mu)[:, None]
         return _checked(scipy.linalg.blas.dsyrk(1.0, b.T), self.family, m), None
 

@@ -21,8 +21,10 @@ stable; and Miller's downward recurrence, normalized by
 sum_n (2n+1) j_n^2 = 1, only for 3 <= z < p - 1.  That range is empty for
 p <= 4, so cells of degree at most 3, and with them every spline probe,
 never run Miller's loop of about p + 16 + sqrt(40 p) steps.  Basis
-transforms then contract the per-cell table with the basis coefficients
-in one matrix product.
+transforms of the cell kinds (piecewise polynomials, splines, piecewise
+constants) then contract the per-cell table with the basis coefficients in
+one matrix product, the table built 2^16 entries (and at least 512
+frequencies) at a time.
 
 A fitted member is one polynomial of degree < p on each cell, so it is
 folded into per-cell Legendre coefficients, (cells, p), before it is
@@ -31,23 +33,31 @@ vector instead of the dim columns of the design, and coefficient functions
 and ``l2_error`` read member values through ``spaces.member_values``,
 without a dim x nodes table of basis values.
 
-Both bases are a phase times a real table, which the stability probes
-(``experiments``) read directly.  An exponential of integer order j has
-the transform e^{-i pi (w-j)} sinc(w-j) = e^{-i pi w} B_wj, where B_wj =
-sin(pi w) / (pi (w-j)), (-1)^j at w = j (``_trig_factors``).  With
-k = rint(w) and r = w - k exact, e^{-i pi w} = (-1)^k e^{-i pi r} and
+The exponentials and the global polynomials are instead a phase times a
+real table times units, A = diag(e^{-i pi w}) B D (``_real_table``, the
+one place that tells the kinds apart), which ``basis_transform``,
+``member_transform``, the stability probes (``experiments``) and the solve
+(``solver``) all read.  An exponential of integer order j has the
+transform e^{-i pi (w-j)} sinc(w-j) = e^{-i pi w} B_wj, where B_wj =
+sin(pi w) / (pi (w-j)), (-1)^j at w = j, and D = I (``_trig_factors``).
+With k = rint(w) and r = w - k exact, e^{-i pi w} = (-1)^k e^{-i pi r} and
 sin(pi w) = (-1)^k sin(pi r): no argument exceeds pi/2, pi w is never
 rounded, and a design or member costs one sine and one exponential per
-frequency.  The Legendre factor is (-i)^n times the real table
-sqrt(2n+1) j_n(pi w h) of ``_real_order_factors`` (j_n at |w| with the
-parity of n).  It depends on the cell only through its width h, so
-``cell_transforms`` computes one Bessel table per distinct width and
-gathers it back to the cells; every step is elementwise, so the result is
-bitwise that of a per-cell table.  It pays in proportion to the cells
-that share a width: ``np.linspace`` partitions have a handful of distinct
-widths (they differ in the last bit), not one per cell, and piecewise
-constants on up to 64 cells skip most of their table; on partitions
-whose cells all differ the sort and gather are pure overhead.
+frequency.  The Legendre degree n on [0, 1] has B_wn = sqrt(2n+1) j_n(pi w)
+and D_nn = (-i)^n (``_legendre_factors``), the real table of
+``_real_order_factors`` at the width 1 (j_n at |w| with the parity of n);
+its phase is computed as ``cell_transforms`` computes that of the cell
+[0, 1], so the design is bitwise the one-cell table.
+
+A cell's factor sqrt(2n+1) (-i)^n j_n(pi w h) depends on the cell only
+through its width h, so ``cell_transforms`` computes one Bessel table per
+distinct width and gathers it back to the cells; every step is
+elementwise, so the result is bitwise that of a per-cell table.  It pays
+in proportion to the cells that share a width: ``np.linspace`` partitions
+have a handful of distinct widths (they differ in the last bit), not one
+per cell, and piecewise constants on up to 64 cells skip most of their
+table; on partitions whose cells all differ the sort and gather are pure
+overhead.
 
 ``bspline_weighted_gram`` gives the spline stability probe the weighted
 Gram A^H diag(mu) A of the raw clamped B-splines on l uniform cells without
@@ -100,9 +110,9 @@ from . import sampling, spaces
 from .quadrature import gauss_rule, panel_edges, panel_nodes, panel_segments, refine
 from .sampling import SampleSet
 from .spaces import OrthoBasis, SpaceSpec
-from .validation import (as_complex_array, as_weight_array, check_positive_finite,
-                         check_same_length, complex_pairs, csv_rows, is_real_number,
-                         json_field, write_csv)
+from .validation import (as_complex_array, as_float_array, as_weight_array,
+                         check_positive_finite, check_same_length, complex_pairs, csv_rows,
+                         is_real_number, json_field, write_csv)
 
 _TWO_PI = 2.0 * np.pi
 # Gauss nodes per panel of the transform quadrature
@@ -114,6 +124,10 @@ _L2_TOL = 1e-10
 # entries of the (coarse panel rows x nodes, frequencies) table that the
 # transform quadrature builds for one chunk of frequencies
 _CHUNK_ENTRIES = 1_000_000
+# entries of the (frequencies, cells x orders) cell table that
+# ``_contract_cells`` builds at once: a narrow table pays the Bessel set-up
+# once per chunk, so it takes many frequencies per chunk
+_CELL_ENTRIES = 1 << 16
 # spherical Bessel power series: used below this argument, with this many terms
 _SERIES_BELOW = 3.0
 _SERIES_TERMS = 16
@@ -386,11 +400,24 @@ def _trig_factors(w: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.nda
     return sign * np.exp(-1j * np.pi * (w - k)), b
 
 
+def _legendre_factors(w: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The transforms of the Legendre degrees n < p on the one cell [0, 1]
+    as the phase e^{-i pi w}, (n_w,), times the real table
+    sqrt(2n+1) j_n(pi w) of ``_real_order_factors``, (n_w, p), times (-i)^n.
+    The phase is that of ``cell_transforms`` on [0, 1], so the product is
+    bitwise its table (up to the sign of zeros)."""
+    return np.exp(-1j * np.pi * w), _real_order_factors(w, np.ones(1), p)[:, 0, :]
+
+
+def _turns(p: int) -> np.ndarray:
+    """(-i)^n for n < p."""
+    return np.array([1, -1j, -1, 1j])[np.arange(p) % 4]
+
+
 def _order_factors(w: np.ndarray, h: np.ndarray, p: int) -> np.ndarray:
     """sqrt(2n+1) (-i)^n j_n(pi w h) for n < p, (n_w, n_h, p): the real
     table of ``_real_order_factors`` times (-i)^n."""
-    turn = np.array([1, -1j, -1, 1j])[np.arange(p) % 4]
-    return _real_order_factors(w, h, p) * turn
+    return _real_order_factors(w, h, p) * _turns(p)
 
 
 def cell_transforms(breaks: np.ndarray, p: int, omegas: np.ndarray) -> np.ndarray:
@@ -490,40 +517,59 @@ def _phase_tables(w: np.ndarray, step: float, count: int) -> tuple[np.ndarray, n
     return coarse, fine
 
 
+def _real_table(basis: OrthoBasis, w: np.ndarray):
+    """The design of trig and Legendre at the frequencies w as
+    diag(phase) B diag(turn): the phase e^{-i pi w}, (n_w,), the real table
+    B, (n_w, dim), and the units turn, 1 for trig and (-i)^n for Legendre;
+    None for the cell kinds, whose design is complex.  The one place that
+    tells these kinds apart."""
+    if basis.orders is not None:
+        return *_trig_factors(w, basis.orders), 1.0
+    if basis.space.kind == "legendre":
+        return *_legendre_factors(w, basis.dim), _turns(basis.dim)
+    return None
+
+
 def basis_transform(basis: OrthoBasis, omega) -> np.ndarray:
     """Transforms of all basis functions; shape (dim,) or (n_w, dim)."""
     scalar = np.isscalar(omega) or np.ndim(omega) == 0
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    if basis.orders is not None:
-        phase, b = _trig_factors(w, basis.orders)
-        out = phase[:, None] * b
-    else:
+    table = _real_table(basis, w)
+    if table is None:
         out = _contract_cells(basis, w, basis.coeffs.reshape(basis.dim, -1).T)
+    else:
+        phase, b, turn = table
+        out = phase[:, None] * b * turn
     return out[0] if scalar else out
 
 
 def member_transform(basis: OrthoBasis, coefficients, omega) -> np.ndarray:
     """Transform of the member with the given coefficients, (n_w,).
 
-    A polynomial-kind member is folded into per-cell Legendre coefficients
-    first, so the cell transforms are contracted with one vector instead of
-    the dim columns of the design.  Trig scales the real product B c by the phase.
+    A cell-kind member is folded into per-cell Legendre coefficients first,
+    so the cell transforms are contracted with one vector instead of the
+    dim columns of the design.  Trig and Legendre scale the real product
+    B (turn c) by the phase.
     """
     coeffs = spaces.check_member(basis.dim, coefficients)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    if basis.orders is not None:
-        phase, b = _trig_factors(w, basis.orders)
-        return phase * (b @ np.column_stack((coeffs.real, coeffs.imag))).view(complex)[:, 0]
-    return _contract_cells(basis, w, np.tensordot(coeffs, basis.coeffs, (0, 0)).ravel())
+    table = _real_table(basis, w)
+    if table is None:
+        return _contract_cells(basis, w, np.tensordot(coeffs, basis.coeffs, (0, 0)).ravel())
+    phase, b, turn = table
+    c = turn * coeffs
+    return phase * (b @ np.column_stack((c.real, c.imag))).view(complex)[:, 0]
 
 
 def _contract_cells(basis: OrthoBasis, w: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The (n_w, n_cell*p) table of cell transforms times ``right``, which
-    is indexed by (cell, order) on its first axis; the table is built 512
-    frequencies at a time."""
+    is indexed by (cell, order) on its first axis; the table is built
+    ``_CELL_ENTRIES`` entries, and never fewer than 512 frequencies, at a
+    time."""
+    rows = max(512, _CELL_ENTRIES // basis.coeffs[0].size)
     out = np.empty((w.size,) + right.shape[1:], dtype=complex)
-    for lo in range(0, w.size, 512):
-        chunk = slice(lo, min(lo + 512, w.size))
+    for lo in range(0, w.size, rows):
+        chunk = slice(lo, min(lo + rows, w.size))
         t = cell_transforms(basis.breaks, basis.local_dim, w[chunk])
         out[chunk] = t.reshape(t.shape[0], -1) @ right
     return out
@@ -553,10 +599,18 @@ class FourierData:
 
     @classmethod
     def from_samples(cls, omegas, values, weights=None, bandwidth=None, *,
-                     name: str = "omegas", bandwidth_name: str = "bandwidth") -> "FourierData":
-        """1-D samples in any order, called ``name`` in errors, as the bandwidth
-        is called ``bandwidth_name``; midpoint weights by default."""
-        check_same_length(omegas, values, name, "values")
+                     names: tuple[str, str, str] = ("omegas", "values", "weights"),
+                     bandwidth_name: str = "bandwidth") -> "FourierData":
+        """1-D samples in any order; midpoint weights by default.  Errors call
+        the frequencies, values and weights by ``names`` and the bandwidth by
+        ``bandwidth_name``; each array is checked (1-D, finite, weights
+        non-negative) before anything else."""
+        name, values_name, weights_name = names
+        omegas = as_float_array(omegas, name)
+        values = as_complex_array(values, values_name)
+        if weights is not None:
+            weights = as_weight_array(weights, weights_name)
+        check_same_length(omegas, values, name, values_name)
         order = np.argsort(omegas)
         pts = omegas[order]
         repeated, wmax = pts[1:][np.diff(pts) == 0], float(max(-pts[0], pts[-1]))
@@ -568,7 +622,7 @@ class FourierData:
         s = SampleSet(points=pts, bandwidth=bandwidth)
         if weights is None:
             return cls(s, values[order], sampling.weights(s))
-        check_same_length(omegas, weights, name, "weights")
+        check_same_length(omegas, weights, name, weights_name)
         return cls(s, values[order], weights[order])
 
 
@@ -696,5 +750,6 @@ def load_data_csv(path, bandwidth: float | None = None, *,
     # a view of the (re, im) pairs keeps signed zeros, which re + 1j*im drops
     values = np.ascontiguousarray(table[:, 1:3]).view(complex)[:, 0]
     mu = table[:, 3] if table.shape[1] == 4 else None
-    return (FourierData.from_samples(table[:, 0], values, mu, bandwidth, name=f"{path}: omega",
+    names = (f"{path}: omega", f"{path}: re/im", f"{path}: weight")
+    return (FourierData.from_samples(table[:, 0], values, mu, bandwidth, names=names,
                                      bandwidth_name=bandwidth_name), mu is not None)

@@ -1,18 +1,25 @@
 """Weighted least-squares reconstruction and computable frame constants.
 
 The reconstruction minimizes ``sum_n mu_n |b_n - (A a)_n|^2`` where
-``A[n, i]`` is the transform of basis function i at frequency n.  The
-scaled design ``diag(sqrt(mu)) A`` (N x dim, N >= dim) is factorized once
-per solve by a Householder QR made in place (``zgeqrf``), and then its
-dim x dim triangular factor R by SVD (Golub & Van Loan, *Matrix
-Computations*, 5.3); both are orthogonal factorizations, and normal
-equations are never formed.  Q^H is applied to the scaled data by
-``zunmqr`` without forming Q, so no N x dim singular vectors are built:
-the first dim entries of Q^H b feed the SVD solve, and the norm of the
-rest is the residual.  R has the singular values of the scaled design,
-which give the conditioning diagnostics, so callers that report frame
-constants for a solve (the estimator, ``nugs reconstruct``) describe the
-weights actually solved with and never factorize again.
+``A[n, i]`` is the transform of basis function i at frequency n.  For trig
+and Legendre A = diag(phase) B D with a real table B and unit diagonals
+(``fourier._real_table``), so the problem is that of B with the data
+conj(phase) b, whose real and imaginary parts are two real right-hand
+sides, and the coefficients are conj(D) times its solution.  The cell
+kinds' table is their complex design, with phase and D the identity.
+
+The scaled table diag(sqrt(mu)) T (N x dim, N >= dim) is factorized once
+per solve by a Householder QR made in place, ``dgeqrf`` on a real table
+and ``zgeqrf`` on a complex one (Golub & Van Loan, *Matrix Computations*,
+5.3); normal equations are never formed.  Q^T (or Q^H) is applied to the
+scaled data by ``dormqr`` (``zunmqr``) without forming Q: the first dim
+entries give the coefficients by back substitution in the dim x dim
+triangular factor R (``trtrs``), and the norm of the rest is the
+residual.  Of R only the singular values are computed, no singular
+vectors: they are those of the scaled design, so they decide the rank
+before any solve and give the conditioning diagnostics, and callers that
+report frame constants for a solve (the estimator, ``nugs reconstruct``)
+describe the weights actually solved with and never factorize again.
 
 The lower frame constant is the smallest eigenvalue of the weighted Gram,
 equal to the squared smallest singular value of the scaled matrix, which
@@ -106,19 +113,24 @@ def design_matrix(basis: OrthoBasis, s: SampleSet) -> np.ndarray:
 
 
 def _qr(basis: OrthoBasis, s: SampleSet, mu: np.ndarray):
-    """Householder QR of the scaled design diag(sqrt(mu)) A, N >= dim: the
-    reflectors (below the diagonal of the returned N x dim array), their
-    scalars and the dim x dim triangular factor R.
+    """Householder QR of the scaled table diag(sqrt(mu)) T, N >= dim, of the
+    design A = diag(phase) T diag(turn): the reflectors (below the diagonal
+    of the returned N x dim array), their scalars, the dim x dim triangular
+    factor R, the phase and the turn.  T is the real table of trig and
+    Legendre (``fourier._real_table``), factorized by ``dgeqrf``, or for the
+    cell kinds the complex design itself, phase and turn 1, by ``zgeqrf``.
 
-    The scaled design is made in Fortran order, so ``zgeqrf`` overwrites it
+    The scaled table is made in Fortran order, so ``geqrf`` overwrites it
     in place; with the optimal workspace it runs blocked.  Its ``info`` is
     nonzero only for an illegal argument, which the wrapper's shapes rule
-    out, as they do for ``zunmqr``.
+    out, as they do for ``ormqr``/``unmqr``.
     """
-    b = np.multiply(design_matrix(basis, s), np.sqrt(mu)[:, None], order="F")
-    lwork = int(lapack.zgeqrf_lwork(*b.shape)[0].real)
-    qr, tau, _, _ = lapack.zgeqrf(b, lwork=lwork, overwrite_a=True)
-    return qr, tau, np.triu(qr[:basis.dim])
+    table = fourier._real_table(basis, s.points)
+    phase, t, turn = (1.0, design_matrix(basis, s), 1.0) if table is None else table
+    t = np.multiply(t, np.sqrt(mu)[:, None], order="F")
+    geqrf, geqrf_lwork = lapack.get_lapack_funcs(("geqrf", "geqrf_lwork"), (t,))
+    qr, tau, _, _ = geqrf(t, lwork=int(geqrf_lwork(*t.shape)[0].real), overwrite_a=True)
+    return qr, tau, np.triu(qr[:basis.dim]), phase, turn
 
 
 def _lower(sig: np.ndarray) -> float:
@@ -142,17 +154,24 @@ def reconstruct(basis: OrthoBasis, data: FourierData) -> Reconstruction:
             f"underdetermined: {n} samples for dimension {dim}; "
             "increase bandwidth or shrink space")
     mu = data.weights
-    qr, tau, r = _qr(basis, data.samples, mu)
-    u, sig, vh = np.linalg.svd(r)
+    qr, tau, r, phase, turn = _qr(basis, data.samples, mu)
+    sig = np.linalg.svd(r, compute_uv=False)
     if _lower(sig) == 0.0:
         raise UnstableReconstructionError(
             "unstable: lower frame constant is numerically zero, "
             "increase bandwidth or shrink space")
-    # Q^H b for the one data column, by the unblocked path (workspace 1)
-    qhb = lapack.zunmqr("L", "C", qr, tau, (np.sqrt(mu) * data.values)[:, None], 1,
-                        overwrite_c=True)[0]
-    coeffs = vh.conj().T @ ((u.conj().T @ qhb[:dim, 0]) / sig)
-    residual = float(np.linalg.norm(qhb[dim:, 0]))
+    # Q^H of the scaled data without the phase, by the unblocked path
+    # (workspace of one column each): for a real table Q^T of its real and
+    # imaginary parts, two real columns
+    c = (np.sqrt(mu) * data.values * np.conj(phase))[:, None].view(qr.dtype)
+    ormqr, trtrs = lapack.get_lapack_funcs(("ormqr", "trtrs"), (qr,))
+    qhc = ormqr("L", "T" if qr.dtype == float else "C", qr, tau, c, c.shape[1],
+                overwrite_c=True)[0]
+    # R is nonsingular once the rank rule has passed, so trtrs finds no
+    # zero pivot
+    x = trtrs(r, qhc[:dim])[0]
+    coeffs = np.ascontiguousarray(x).view(complex)[:, 0] * np.conj(turn)
+    residual = float(np.linalg.norm(qhc[dim:]))
     return Reconstruction(space=basis.space, coefficients=coeffs,
                           residual=residual, sigma_min=float(sig[-1]),
                           sigma_max=float(sig[0]))

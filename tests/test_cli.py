@@ -100,13 +100,13 @@ def test_reconstruct_negative_weight_csv_exits_1(tmp_path, capsys):
     code = run(["reconstruct", "--space", "piecewise_const:1", "--input", path,
                 "--out-dir", tmp_path])
     assert code == 1
-    assert "weights must be non-negative" in capsys.readouterr().err
+    assert f"{path}: weight must be non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("row, message", [
-    ("0.0,nan,0.0,1.0", "values contains non-finite values"),
+    ("0.0,nan,0.0,1.0", "re/im contains non-finite values"),
     ("-1.0,0.5,0.0,1.0", "omega repeats the frequency -1.0"),
-    ("0.0,1.0,0.0,inf", "weights contains non-finite values"),
+    ("0.0,1.0,0.0,inf", "weight contains non-finite values"),
 ])
 def test_reconstruct_bad_csv_row_exits_1(tmp_path, capsys, row, message):
     path = tmp_path / "bad.csv"
@@ -115,7 +115,7 @@ def test_reconstruct_bad_csv_row_exits_1(tmp_path, capsys, row, message):
                 "--out-dir", tmp_path])
     assert code == 1
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert f"error: {path}: {message}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("args", [
@@ -362,6 +362,13 @@ def test_function_json_without_kind_exits_1_naming_the_key(tmp_path, capsys):
     (["stability", "--space", "trig:2", "--k", 10], "stability needs --k and --n"),
     (["stability", "--space", "trig:2", "--scheme", "uniform:3", "--k", 10, "--n", 40],
      "scheme 'uniform' takes no parameter"),
+    # 0 is a given count, not a missing one
+    (["reconstruct", "--space", "legendre:2", "--k", 5, "--n", 0],
+     "--n must be an integer >= 2, got 0"),
+    (["reconstruct", "--space", "legendre:2", "--k", 5, "--n", 1],
+     "--n must be an integer >= 2, got 1"),
+    (["stability", "--space", "trig:2", "--k", 10, "--n", 0],
+     "--n must be an integer >= 2, got 0"),
 ])
 def test_missing_or_bad_sampling_option_exits_1(tmp_path, capsys, args, message):
     code = run(args + ["--out-dir", tmp_path / "out"])
@@ -388,7 +395,10 @@ def test_reconstruction_csv_bytes(tmp_path):
     ("-1.0,0.5,0.0\n-1.0,0.5,0.0\n1.0,0.5,0.0\n", [], "omega repeats the frequency -1.0"),
     ("-4.0,0.5,0.0\n0.0,1.0,0.0\n4.0,0.5,0.0\n", ["--k", 1],
      "omega exceeds --k 1.0: |w| = 4.0"),
-], ids=["repeated_omega", "k_below_max_omega"])
+    # each column is checked under its name before anything else
+    ("-1.0,0.5,0.0\nnan,1.0,0.0\n1.0,0.5,0.0\n", [], "omega contains non-finite values"),
+    ("-1.0,0.5,0.0\n0.0,1.0,inf\n1.0,0.5,0.0\n", [], "re/im contains non-finite values"),
+], ids=["repeated_omega", "k_below_max_omega", "nan_omega", "inf_im"])
 def test_reconstruct_csv_sample_errors_name_the_file(tmp_path, capsys, rows, k, message):
     path = tmp_path / "F.csv"
     path.write_text("omega,re,im\n" + rows)

@@ -588,6 +588,49 @@ def test_member_transform_matches_design_product(spec):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
+@pytest.mark.parametrize("transform", ["basis", "member"])
+def test_legendre_transforms_equal_the_cell_table_path(monkeypatch, transform):
+    # Legendre reads its real table instead of the one-cell table; the phase
+    # is the same, so only the order of the member's sums can differ
+    basis = build_basis(SpaceSpec.legendre(20))
+    w = np.concatenate((np.random.default_rng(6).uniform(-400.0, 400.0, 900),
+                        [-3.0, -1e-9, 0.0, 1e-9, 2.5, 7.0]))
+    c = np.random.default_rng(7).normal(size=(basis.dim, 2)) @ [1.0, 1j]
+    t = cell_transforms(basis.breaks, basis.local_dim, w)[:, 0, :]
+    want = t if transform == "basis" else t @ c
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Legendre builds no cell table")
+
+    monkeypatch.setattr(fourier, "cell_transforms", refuse)
+    got = basis_transform(basis, w) if transform == "basis" else member_transform(basis, c, w)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_cell_table_is_built_by_entry_budget(monkeypatch):
+    # a narrow table (4 cells, p = 4) takes 2000 frequencies in one chunk
+    # and gives the 512-row chunks' product within rounding; a wide one
+    # (60 cells x 4) keeps 512 rows
+    w = generate(SchemeSpec("jittered", 2000, 150.0, theta=0.2, seed=8)).points
+    calls, table = [], fourier.cell_transforms
+
+    def counted(breaks, p, omegas):
+        calls.append((breaks.size - 1, omegas.size))
+        return table(breaks, p, omegas)
+
+    for space in (SpaceSpec.piecewise_poly([0.25, 0.5, 0.75], [3, 3, 3, 3]),
+                  SpaceSpec.spline(3, 57)):
+        basis = build_basis(space)
+        right = basis.coeffs.reshape(basis.dim, -1).T
+        want = np.concatenate([
+            table(basis.breaks, basis.local_dim, w[lo:lo + 512]).reshape(-1, right.shape[0])
+            @ right for lo in range(0, w.size, 512)])
+        monkeypatch.setattr(fourier, "cell_transforms", counted)
+        assert np.max(np.abs(basis_transform(basis, w) - want)) <= 1e-15
+        monkeypatch.undo()
+    assert calls == [(4, 2000)] + [(57, 512)] * 3 + [(57, 464)]
+
+
 def _trig_frequencies(k, n, seed):
     """A jittered set on [-k, k] with every integer from -k to k in steps of 7."""
     s = generate(SchemeSpec("jittered", n, k, theta=0.2, seed=seed))

@@ -3,8 +3,11 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from nugs import fourier
 from nugs.errors import UnstableReconstructionError
+from nugs.estimator import NonuniformFourierRegressor, parse_space
 from nugs.fourier import FourierData, FunctionSpec, basis_transform, l2_error, project, sample_function
 from nugs.sampling import SampleSet, SchemeSpec, density, generate, weights
 from nugs.solver import (Reconstruction, design_matrix, frame_lower, reconstruct,
@@ -263,3 +266,89 @@ def test_reconstruction_from_json_reads_numbers_only(key, value):
     d = {**json.loads(rec.to_json()), key: value}
     with pytest.raises(ValueError, match=re.escape(f"{key} must be a number, got {value!r}")):
         Reconstruction.from_json(json.dumps(d))
+
+
+REAL_TABLE_SETS = [
+    generate(SchemeSpec("jittered", 120, 40.0, theta=0.3, seed=6)),
+    generate(SchemeSpec("log", 240, 60.0)),
+    # w = j for trig: the on-order entries of the table
+    SampleSet(points=np.arange(-30, 31, dtype=float), bandwidth=30.5),
+]
+
+
+@pytest.mark.parametrize("s", REAL_TABLE_SETS, ids=["jittered", "log", "integers"])
+@pytest.mark.parametrize("spec", [SpaceSpec.trig(10), SpaceSpec.legendre(14)],
+                         ids=["trig", "legendre"])
+def test_real_table_solve_matches_complex_qr_of_the_design(spec, s):
+    # the oracle: numpy's complex QR of the scaled design and a triangular
+    # solve; the real table and the phase taken off the data give the same
+    # problem up to a diagonal unitary scaling of the rows and columns
+    basis, mu = build_basis(spec), weights(s)
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=len(s)) + 1j * rng.normal(size=len(s))
+    q, r = np.linalg.qr(np.sqrt(mu)[:, None] * design_matrix(basis, s))
+    sig = np.linalg.svd(r, compute_uv=False)
+    qhb = q.conj().T @ (np.sqrt(mu) * values)
+    coeffs = np.linalg.solve(r, qhb)
+    residual = np.sqrt(np.sum(mu * np.abs(values) ** 2) - np.sum(np.abs(qhb) ** 2))
+    rec = reconstruct(basis, FourierData(s, values, mu))
+    rtol = 1e-13 * sig[0] / sig[-1]
+    assert np.max(np.abs(rec.coefficients - coeffs)) <= rtol * np.max(np.abs(coeffs))
+    assert rec.sigma_min == pytest.approx(sig[-1], rel=rtol)
+    assert rec.sigma_max == pytest.approx(sig[0], rel=rtol)
+    assert rec.residual == pytest.approx(residual, rel=rtol)
+
+
+def _lapack_calls(monkeypatch) -> list[str]:
+    """The names of the LAPACK routines that ``get_lapack_funcs`` hands out
+    from here on, recorded as they are called."""
+    calls = []
+    get_lapack_funcs = scipy.linalg.lapack.get_lapack_funcs
+
+    def counted(f):
+        def call(*args, **kwargs):
+            calls.append(f.__name__.split()[-1])  # "function dgeqrf"
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", lambda names, arrays: [
+        counted(f) for f in get_lapack_funcs(names, arrays)])
+    return calls
+
+
+REAL_ROUTINES = {"dgeqrf_lwork", "dgeqrf", "dormqr", "dtrtrs"}
+
+
+@pytest.mark.parametrize("space, routines", [
+    ("trig:6", REAL_ROUTINES), ("legendre:8", REAL_ROUTINES),
+    ("spline:2:6", {"zgeqrf_lwork", "zgeqrf", "zunmqr", "ztrtrs"}),
+])
+def test_fit_and_score_factor_the_table_in_its_dtype(monkeypatch, space, routines):
+    # trig and Legendre factor their real table: no complex design, no cell
+    # table and no complex QR; the cell kinds keep their complex design
+    calls = _lapack_calls(monkeypatch)
+    if routines is REAL_ROUTINES:
+        def refuse(*args, **kwargs):
+            raise AssertionError("a real table builds no cell table and no complex QR")
+        monkeypatch.setattr(fourier, "cell_transforms", refuse)
+        for name in ("zgeqrf", "zunmqr"):  # called by name, not through get_lapack_funcs
+            monkeypatch.setattr(scipy.linalg.lapack, name, refuse)
+    s = generate(SchemeSpec("jittered", 80, 30.0, theta=0.2, seed=3))
+    basis = build_basis(parse_space(space))
+    y = basis_transform(basis, s.points) @ np.linspace(1.0, 2.0, basis.dim)
+    est = NonuniformFourierRegressor(space=space, bandwidth=s.bandwidth).fit(s.points, y)
+    assert est.score(s.points, y) >= 1.0 - 1e-12
+    assert set(calls) == routines
+
+
+@pytest.mark.parametrize("spec", [SpaceSpec.trig(1), SpaceSpec.legendre(3)],
+                         ids=["trig", "legendre"])
+def test_rank_deficient_real_table_raises_before_any_solve(monkeypatch, spec):
+    # two distinct frequencies cannot resolve 3 or 4 dimensions: the rank
+    # rule raises after the QR and before Q^T or R is applied
+    calls = _lapack_calls(monkeypatch)
+    s = SampleSet(points=np.array([0.0, 1e-13, 0.5, 0.5 + 1e-13]), bandwidth=1.0)
+    data = FourierData(s, np.ones(4, dtype=complex), weights(s))
+    with pytest.raises(UnstableReconstructionError, match="unstable"):
+        reconstruct(build_basis(spec), data)
+    assert calls == ["dgeqrf_lwork", "dgeqrf"]
