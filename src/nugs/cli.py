@@ -36,9 +36,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_scheme(text: str, n: int, k: float, seed: int) -> SchemeSpec:
-    """``uniform``, ``jittered[:theta]`` or ``log``."""
+    """``uniform``, ``jittered[:theta]`` or ``log``; the seed, and the even
+    count of a log scheme, are checked here under their options' names."""
     parts = text.strip().split(":")
     kind = parts[0]
+    check_count(seed, "--seed", 0)
+    if kind == "log" and n % 2 != 0:
+        raise ValueError(f"--n: the log scheme requires an even sample count, got {n}")
     theta = 0.0
     if kind == "jittered":
         if len(parts) > 2:
@@ -154,8 +158,8 @@ def cmd_scaling(args) -> int:
 def cmd_figure1(args) -> int:
     # run_figure_panels makes the directory once every option is checked
     written = experiments.run_figure_panels(
-        _out_path(args), seed=args.seed, k_grid=_k_grid(args), jobs=args.jobs,
-        threshold=args.threshold, delta_max=args.delta_max)
+        _out_path(args), seed=check_count(args.seed, "--seed", 0), k_grid=_k_grid(args),
+        jobs=args.jobs, threshold=args.threshold, delta_max=args.delta_max)
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -14,6 +14,18 @@ reconstructing at the same M on the same set.  ``scaling_table`` and
 so the figure pays for one search per scheme, family and bandwidth.
 Given no grid, a sweep runs ``default_k_grid()``: the 16 points of figure1.
 
+The search starts where the paper's laws put its answer: at ceil(K) for
+trig and splines, whose stable index grows linearly in the bandwidth K, and
+at ceil(sqrt(K)) for Legendre, whose bandwidth grows quadratically in the
+degree; a serial sweep starts each bandwidth at the previous selected index
+instead.  A start that passes is doubled until a probe fails, and one that
+fails bounds a bisection from 1.  Trig orders and Legendre degrees are
+nested spaces, so lambda_min(W, G) cannot rise with M (Cauchy interlacing)
+and the selected M does not depend on the start.  Spline spaces are nested
+from 1 to any l and from l to 2l but not from l to l+1, where lambda_min
+may rise; there the search keeps its contract, ratio(M) <= threshold and M
+is the cap or ratio(M+1) > threshold, from any start.
+
 Every stability judgement reads one pencil: the weighted Gram W of the
 family's basis at index M against its L2 Gram G, whose smallest eigenvalue
 is the lower frame constant, so ratio(M) = (1+delta)/sqrt(lambda_min(W, G)).
@@ -31,12 +43,12 @@ too, so W = A^H M A (M = diag(mu)) is a unitary similarity of the real
 symmetric B^T M B.  ``dsyrk`` builds that, a Cholesky test (``dpotrf``)
 shifts only its diagonal, and ``ratio`` runs the standard real ``eigh``;
 no complex design or identity matrix is formed.  A probe reads a
-principal block of the Gram of the widest probe so far (the doubling
-probe), while ``ratio`` builds its own, so c_ratio does not depend on
-which probes came first.  The constant is basis-independent, so a spline
-pencil is that of the raw B-splines: a Hermitian Toeplitz interior plus 2d
-border columns (``fourier.bspline_weighted_gram``) against a banded L2
-Gram (``spaces._bspline_gram``), with no N x (l+d) design.
+principal block of the Gram of the widest probe so far (the start or a
+doubling probe), while ``ratio`` builds its own, so c_ratio does not
+depend on which probes came first.  The constant is basis-independent, so
+a spline pencil is that of the raw B-splines: a Hermitian Toeplitz interior
+plus 2d border columns (``fourier.bspline_weighted_gram``) against a banded
+L2 Gram (``spaces._bspline_gram``), with no N x (l+d) design.
 """
 
 from __future__ import annotations
@@ -263,25 +275,31 @@ def _factors(a: np.ndarray) -> bool:
 
 def _search_max(ev: _StabilityEvaluator, threshold: float,
                 hint: int | None = None) -> int:
+    """An index M <= cap with ratio(M) <= threshold and either M = cap or
+    ratio(M+1) > threshold.  The first probe is ``hint``, or else the
+    family's law at the bandwidth (ceil(K), or ceil(sqrt(K)) for Legendre),
+    clamped to [1, cap]; it is doubled while probes pass, and if it fails it
+    is the upper end of a bisection from 1."""
     check_threshold(threshold)
     cap = ev.cap
     if cap < 1 or not ev.ratio(1) <= threshold:
         raise BandwidthTooSmallError(
             f"bandwidth too small: no stable dimension for {ev.family} "
             f"(N={len(ev.s)}, K={ev.s.bandwidth:g})")
-    lo = 1
-    if hint is not None and 1 < hint <= cap and ev.passes(hint, threshold):
-        lo = hint
-    probe = lo
-    while probe < cap:
-        probe = min(2 * probe, cap)
-        if ev.passes(probe, threshold):
-            lo = probe
-        else:
-            break
-    if lo == cap:
-        return cap
-    hi = probe
+    if hint is None:
+        k = ev.s.bandwidth
+        hint = math.ceil(math.sqrt(k) if ev.family == "legendre" else k)
+    lo = hi = min(max(hint, 1), cap)
+    if lo > 1 and not ev.passes(lo, threshold):
+        lo = 1
+    else:
+        while lo < cap:
+            hi = min(2 * lo, cap)
+            if not ev.passes(hi, threshold):
+                break
+            lo = hi
+        if lo == cap:
+            return cap
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if ev.passes(mid, threshold):
@@ -294,7 +312,9 @@ def _search_max(ev: _StabilityEvaluator, threshold: float,
 def max_stable_dimension(family: str, s: SampleSet, threshold: float = _THRESHOLD,
                          *, d: int = 0) -> int:
     """Largest family index whose stability ratio stays at or below the
-    threshold; exponential growth then bisection.
+    threshold: the search probes first at the bandwidth's law (ceil(K), or
+    ceil(sqrt(K)) for Legendre), doubles from there while probes pass, then
+    bisects.
 
     Raises ``BandwidthTooSmallError`` when not even index 1 is stable.
     The returned M is maximal in the sense ratio(M) <= threshold and
@@ -335,7 +355,7 @@ def default_k_grid(kmin: float = _K_GRID[0], kmax: float = _K_GRID[1],
 def _sweep(cell, k_grid, jobs: int) -> list:
     """Row pairs of ``cell(k, hint)`` across the grid on ``jobs`` processes.
     Serially each bandwidth's search starts from the previous selected
-    index; parallel cells search from scratch."""
+    index; parallel cells start from the law of their own bandwidth."""
     ks = (default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)).tolist()
     if not ks:
         raise ValueError("k_grid must hold at least one bandwidth, got an empty grid")

@@ -369,6 +369,17 @@ def test_function_json_without_kind_exits_1_naming_the_key(tmp_path, capsys):
      "--n must be an integer >= 2, got 1"),
     (["stability", "--space", "trig:2", "--k", 10, "--n", 0],
      "--n must be an integer >= 2, got 0"),
+    # the scheme's own checks, reported under the options' names
+    *[([command, "--space", "trig:2", "--scheme", "log", "--k", 10, "--n", 41],
+       "--n: the log scheme requires an even sample count, got 41")
+      for command in ("reconstruct", "stability")],
+    *[([command, "--space", "trig:2", "--k", 10, "--n", 40, "--seed", -1],
+       "--seed must be an integer >= 0, got -1")
+      for command in ("reconstruct", "stability")],
+    *[(args + ["--seed", -1], "--seed must be an integer >= 0, got -1")
+      for args in (["reconstruct", "--space", "trig:2", "--k", 10],
+                   ["scaling", "--family", "trig", "--kmax", 10, "--kcount", 2],
+                   ["figure1", "--kmax", 10, "--kcount", 2])],
 ])
 def test_missing_or_bad_sampling_option_exits_1(tmp_path, capsys, args, message):
     code = run(args + ["--out-dir", tmp_path / "out"])

@@ -204,6 +204,48 @@ def test_hint_does_not_change_result():
         assert experiments._search_max(ev, 3.0, hint) == base
 
 
+@pytest.mark.parametrize("kind, k, seed", [("jittered", 40.0, 3), ("log", 30.0, 5)])
+@pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0), ("spline", 1),
+                                       ("spline", 2), ("spline", 3)])
+def test_search_start_does_not_change_selection(kind, k, seed, family, d):
+    s = generate(plan_scheme(kind, k, seed=seed))
+    m = max_stable_dimension(family, s, 3.0, d=d)
+    cap = _StabilityEvaluator(family, s, d).cap
+    assert m < cap
+    for hint in (None, 1, 3, m, m + 1, m + 4, cap):
+        assert experiments._search_max(_StabilityEvaluator(family, s, d), 3.0, hint) == m
+    ev = _StabilityEvaluator(family, s, d)
+    assert ev.ratio(m) <= 3.0 < ev.ratio(m + 1)
+
+
+def test_failing_default_start_bounds_the_bisection():
+    # spline d = 6 holds about 0.5 K cells, so the start at K = 60 fails
+    s = generate(plan_scheme("jittered", 60.0, seed=21))
+    assert not _StabilityEvaluator("spline", s, 6).passes(60, 3.0)
+    assert max_stable_dimension("spline", s, 3.0, d=6) == 31
+    for hint in (1, 3, 31, 32, 35, 60):
+        assert experiments._search_max(_StabilityEvaluator("spline", s, 6), 3.0, hint) == 31
+
+
+@pytest.mark.parametrize("family, d, m, probes", [("trig", 0, 99, 8), ("legendre", 0, 35, 7),
+                                                  ("spline", 1, 194, 9), ("spline", 2, 150, 8),
+                                                  ("spline", 3, 110, 9)])
+def test_search_without_hint_starts_at_the_bandwidth_law(family, d, m, probes, monkeypatch):
+    # a search doubling from index 1 makes 13, 11, 15, 15 and 13 probes here
+    calls = []
+    passes = _StabilityEvaluator.passes
+
+    def counted(self, index, threshold):
+        calls.append(index)
+        return passes(self, index, threshold)
+
+    monkeypatch.setattr(_StabilityEvaluator, "passes", counted)
+    s = generate(plan_scheme("jittered", 100.0, seed=21))
+    assert max_stable_dimension(family, s, 3.0, d=d) == m
+    assert len(calls) == probes
+    assert calls[0] == (10 if family == "legendre" else 100)
+
+
 def test_plan_scheme_density_targets():
     for kind in ("uniform", "jittered", "log"):
         spec = plan_scheme(kind, 18.0, delta_max=0.9, seed=2)

@@ -4,6 +4,8 @@ and the JSON and CSV round-trips, on derandomized examples
 (the B-spline transform properties sit with their oracle in
 test_fourier.py)."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nugs.estimator import NonuniformFourierRegressor
-from nugs.experiments import (_StabilityEvaluator, family_space, max_stable_dimension,
-                              plan_scheme)
+from nugs.experiments import (PROBE_BAND, _StabilityEvaluator, family_space,
+                              max_stable_dimension, plan_scheme)
 from nugs.fourier import (FourierData, FunctionSpec, basis_transform, load_data_csv,
                           save_data_csv)
 from nugs.sampling import SampleSet, SchemeSpec, generate, weights
@@ -149,6 +151,32 @@ def test_real_pencil_matches_complex_design(family, kind, k):
     ev = _StabilityEvaluator(family, s)
     for m in sorted({1, 2, top // 3, 2 * top // 3, top} - {0}):
         assert ev._lower(m) == pytest.approx(complex_design_lower(family, m, s), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0), ("spline", 1),
+                                       ("spline", 2), ("spline", 3)])
+@settings(PROPERTY, max_examples=20)  # about 4K pencils an example
+@given(st.sampled_from(["jittered", "log"]), st.floats(min_value=2.0, max_value=25.0),
+       st.integers(0, 2**32 - 1))
+def test_lower_frame_constant_falls_on_nested_spaces(family, d, kind, k, seed):
+    # the nesting that lets the stability search start anywhere: trig orders
+    # and Legendre degrees grow by one basis function, and a spline space
+    # holds the one-cell space (polynomials of degree <= d) and its own
+    # refinement at twice the cells.  Checked up to index 4K, twice the
+    # largest stable index of any family, and above the probe band, below
+    # which lambda_min is rounding (1e-17 on log trig at K = 21.5, index 28)
+    s = generate(plan_scheme(kind, k, seed=seed))
+    ev = _StabilityEvaluator(family, s, d)
+    top = min(ev.cap, 4 * math.ceil(k))
+    lower = {m: ev._lower(m) for m in range(1, top + 1)}
+    if family == "spline":
+        pairs = [(1, l) for l in lower] + [(l, 2 * l) for l in lower if 2 * l in lower]
+    else:
+        pairs = [(m, m + 1) for m in lower if m + 1 in lower]
+    floor = PROBE_BAND * (1 + ev.delta) ** 2
+    for small, large in pairs:
+        if lower[small] > floor:
+            assert lower[large] <= lower[small] * (1 + 1e-12), (small, large)
 
 
 @st.composite
