@@ -47,8 +47,15 @@ principal block of the Gram of the widest probe so far (the start or a
 doubling probe), while ``ratio`` builds its own, so c_ratio does not
 depend on which probes came first.  The constant is basis-independent, so
 a spline pencil is that of the raw B-splines: a Hermitian Toeplitz interior
-plus 2d border columns (``fourier.bspline_weighted_gram``) against a banded
-L2 Gram (``spaces._bspline_gram``), with no N x (l+d) design.
+plus 2d border columns (``fourier.bspline_weighted_gram``) against the L2
+Gram of half-width d, with no N x (l+d) design.
+
+A probe's shift has one path, ``_shifted``: it subtracts s times the upper
+band of G from those diagonals of a Fortran-ordered copy of W, the d+1
+diagonals of ``spaces._bspline_band`` for a spline and the one diagonal of
+ones of the identity for trig and Legendre, and ``potrf`` reads only that
+upper triangle.  So a spline probe builds no dense L2 Gram; only ``ratio``
+does (``spaces._bspline_gram``), for ``eigh``.
 """
 
 from __future__ import annotations
@@ -132,21 +139,22 @@ def plan_scheme(kind: str, k: float, *, delta_max: float = _DELTA_MAX,
     Uniform and jittered schemes use ``N = ceil(2K * OVERSAMPLE / delta_max)``.
     The log scheme's largest gap grows like 2 K log(N) / N, so its count is
     increased until the measured density actually meets ``delta_max``;
-    a fixed formula would leave the stability threshold unreachable.
+    a fixed formula would leave the stability threshold unreachable.  The
+    counts are tried on the raw points that ``sampling.generate`` draws, and
+    only the spec of the count that meets it is built and checked.
     """
     n = math.ceil(2.0 * check_positive_finite(k, "k") * OVERSAMPLE
                   / check_positive_finite(delta_max, "delta_max"))
     if kind != "log":
         return SchemeSpec(kind=kind, n=n, k=k, theta=theta if kind == "jittered" else 0.0,
                           seed=seed)
+    check_count(seed, "seed", 0)
     n += n % 2
-    spec = SchemeSpec(kind="log", n=n, k=k, seed=seed)
     for _ in range(64):
-        if sampling.density(sampling.generate(spec)) <= delta_max:
-            return spec
+        if sampling._density(sampling._log_points(n, k), float(k)) <= delta_max:
+            return SchemeSpec(kind="log", n=n, k=k, seed=seed)
         n = math.ceil(n * 1.3)
         n += n % 2
-        spec = replace(spec, n=n)
     raise ValueError(f"could not reach density {delta_max} with a log scheme at K={k}")
 
 
@@ -163,7 +171,7 @@ class _StabilityEvaluator:
         self._cache: dict[int, float] = {}
         # trig, legendre: (index, upper triangle of W) of the widest probe
         self._wide: tuple[int, np.ndarray] | None = None
-        self._passed: tuple[int, np.ndarray, np.ndarray] | None = None  # spline: (l, W, G)
+        self._passed: tuple[int, np.ndarray] | None = None  # spline: (l, W)
 
     @property
     def cap(self) -> int:
@@ -187,64 +195,70 @@ class _StabilityEvaluator:
         for the probe's weighted Gram W and L2 Gram G.  W - sG has a Cholesky
         factor exactly when lambda_min(W, G) > s, so factoring it at s = t
         plus and minus ``PROBE_BAND`` (1+delta)^2 decides every probe
-        outside that band; inside it the exact ``ratio(m)`` decides.
+        outside that band; inside it the exact ``ratio(m)`` decides.  G is
+        banded: the probe reads only its upper band.
         """
-        w, g = self._grams(m)
+        w, band = self._probe(m)
         scale, t = (1.0 + self.delta) ** 2, float(threshold) ** -2.0
-        if _factors(_shifted(w, g, scale * (t + PROBE_BAND))):
+        if _factors(_shifted(w, band, scale * (t + PROBE_BAND))):
             ok = True
-        elif not _factors(_shifted(w, g, scale * (t - PROBE_BAND))):
+        elif not _factors(_shifted(w, band, scale * (t - PROBE_BAND))):
             ok = False
         else:
             ok = self.ratio(m) <= threshold
         if ok and self.family == "spline":
-            self._passed = (m, w, g)
+            self._passed = (m, w)
         return ok
 
     def _lower(self, m: int) -> float:
-        """lambda_min(W, G) at index m, clamped at 0, from the pencil built at
-        m.  Only a spline probe's pencil is reused: a trig or Legendre probe
-        reads a block of a wider Gram, whose rounding depends on the probes
-        that came before.  G = None is the identity, and ``eigh`` then solves
-        the standard problem."""
-        if self._passed is not None and self._passed[0] == m:
-            w, g = self._passed[1:]
-        else:
-            w, g = self._pencil(m)
-        lam = scipy.linalg.eigh(w, g, lower=False, eigvals_only=True, subset_by_index=(0, 0))
+        """lambda_min(W, G) at index m, clamped at 0."""
+        lam = scipy.linalg.eigh(*self._pencil(m), lower=False, eigvals_only=True,
+                                subset_by_index=(0, 0))
         return max(float(lam[0]), 0.0)
 
     def _pencil(self, m: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Weighted and L2 Gram of the family's basis at index m, of which
-        only the upper triangles are read.  For trig and legendre the L2
-        Gram is the identity, returned as None, and the weighted Gram is the
-        real symmetric B^T M B of the ``fourier`` real table B, from
-        ``dsyrk``: a diagonal unitary similarity of A^H M A, so it has the
-        same eigenvalues."""
+        """W and G at index m for the exact eigenvalue, W built at m itself.
+        Only a spline probe's W is reused: a trig or Legendre probe reads a
+        block of a wider Gram, whose rounding depends on the probes that came
+        before.  G is the dense ``spaces._bspline_gram`` for splines, and
+        None, the identity, for trig and Legendre, where ``eigh`` then
+        solves the standard problem."""
+        if self.family != "spline":
+            return self._weighted(m), None
+        reuse = self._passed is not None and self._passed[0] == m
+        return (self._passed[1] if reuse else self._weighted(m)), spaces._bspline_gram(self.d, m)
+
+    def _weighted(self, m: int) -> np.ndarray:
+        """Weighted Gram of the family's basis at index m, of which only the
+        upper triangle is read.  For trig and legendre it is the real
+        symmetric B^T M B of the ``fourier`` real table B, from ``dsyrk``: a
+        diagonal unitary similarity of A^H M A, so it has the same
+        eigenvalues."""
         if self.family == "spline":
             w = fourier.bspline_weighted_gram(self.d, m, self.s.points, self.mu)
-            # the L2 Gram depends only on (d, m), and is finite
-            return _checked(w, self.family, m), spaces._bspline_gram(self.d, m)
+            return _checked(w, self.family, m)
         if self.family == "trig":
             b = fourier._trig_factors(self.s.points, np.arange(-m, m + 1))[1]
         else:  # degrees 0..m on the one cell [0, 1]
             b = fourier._legendre_factors(self.s.points, m + 1)[1]
         b *= np.sqrt(self.mu)[:, None]
-        return _checked(scipy.linalg.blas.dsyrk(1.0, b.T), self.family, m), None
+        return _checked(scipy.linalg.blas.dsyrk(1.0, b.T), self.family, m)
 
-    def _grams(self, m: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """The pencil at index m for a probe.  Trig and Legendre Grams are
-        principal blocks of one real weighted Gram, built afresh only when m
-        exceeds its index: the centred 2m+1 orders for trig, the leading
-        m+1 degrees for Legendre; their L2 Gram is the identity (None)."""
+    def _probe(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pencil at index m for a probe: W and the upper band of G.  A
+        spline's band is ``spaces._bspline_band``.  Trig and Legendre Grams
+        are principal blocks of one real weighted Gram, built afresh only
+        when m exceeds its index: the centred 2m+1 orders for trig, the
+        leading m+1 degrees for Legendre; their G is the identity, a band
+        of one diagonal."""
         if self.family == "spline":
-            return self._pencil(m)
+            return self._weighted(m), spaces._bspline_band(self.d, m)
         if self._wide is None or m > self._wide[0]:
-            self._wide = (m, self._pencil(m)[0])
+            self._wide = (m, self._weighted(m))
         wide, w = self._wide
         n = spaces.dimension(family_space(self.family, m))
         lo = wide - m if self.family == "trig" else 0
-        return w[lo:lo + n, lo:lo + n], None
+        return w[lo:lo + n, lo:lo + n], np.ones((1, n))
 
 
 def _checked(a: np.ndarray, family: str, m: int) -> np.ndarray:
@@ -255,13 +269,14 @@ def _checked(a: np.ndarray, family: str, m: int) -> np.ndarray:
     return a
 
 
-def _shifted(w: np.ndarray, g: np.ndarray | None, s: float) -> np.ndarray:
-    """W - sG as a new array; G = None is the identity, whose shift touches
-    only the diagonal of a Fortran-ordered copy of W."""
-    if g is not None:
-        return w - s * g
+def _shifted(w: np.ndarray, band: np.ndarray, s: float) -> np.ndarray:
+    """The upper triangle of W - sG in a new Fortran-ordered array, for a G
+    of which ``band`` holds the upper band, band[k, i] = G[i, i+k]: the
+    shift touches only those diagonals of a copy of W."""
     a = w.copy(order="F")
-    a[np.diag_indices_from(a)] -= s
+    n, flat = a.shape[0], a.reshape(-1, order="F")  # a view: entry (i, j) at i + j n
+    for k, diagonal in enumerate(band):
+        flat[k * n::n + 1] -= s * diagonal[:n - k]
     return a
 
 
@@ -320,7 +335,7 @@ def max_stable_dimension(family: str, s: SampleSet, threshold: float = _THRESHOL
     The returned M is maximal in the sense ratio(M) <= threshold and
     either M is the count cap or ratio(M+1) > threshold.
     """
-    return _search_max(_StabilityEvaluator(family, s, d), threshold)
+    return _search_max(_StabilityEvaluator(family, s, check_count(d, "d", 0)), threshold)
 
 
 def _cell(f, family, kind, d, threshold, delta_max, theta, seed, k, hint=None):
@@ -373,6 +388,7 @@ def scaling_table(family: str, kind: str, k_grid=None, *, d: int = 0,
                   threshold: float = _THRESHOLD, delta_max: float = _DELTA_MAX,
                   theta: float = _THETA, seed: int = 0, jobs: int = 1) -> list[ScalingRow]:
     """Selected dimension and ratio across a bandwidth grid (one family)."""
+    check_count(d, "d", 0)
     if family == "spline" and d < 1:
         raise ValueError(f"the spline ratio M d^2/K needs degree d >= 1, got d={d}")
     return [row for row, _ in _sweep(partial(_cell, None, family, kind, d, threshold,
@@ -383,6 +399,7 @@ def error_curve(f: FunctionSpec, family: str, kind: str, k_grid=None, *, d: int 
                 threshold: float = _THRESHOLD, seed: int = 0, jobs: int = 1) -> list[ErrorRow]:
     """Reconstruction error across a bandwidth grid with the stability-
     selected dimension at each bandwidth, on the default schemes of ``plan_scheme``."""
+    check_count(d, "d", 0)
     return [row for _, row in _sweep(partial(_cell, f, family, kind, d, threshold,
                                              _DELTA_MAX, _THETA, seed), k_grid, jobs)]
 

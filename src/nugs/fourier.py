@@ -14,8 +14,8 @@ polynomial, whose transform has the closed form
 with h = b - a and j_n the spherical Bessel function (odd/even in w, so
 negative frequencies follow by parity).  All orders j_0..j_{p-1} come from
 one vectorized pass (``spherical_jn_orders``): the power series below
-z = 3, 16 terms by Horner's rule on a table of their coefficients;
-closed-form j_0, j_1 and the upward recurrence
+z = 3, 16 terms by Horner's rule on a table of their coefficients, built
+once per p; closed-form j_0, j_1 and the upward recurrence
 j_{n+1} = (2n+1)/z j_n - j_{n-1} where z >= p - 1, in which range it is
 stable; and Miller's downward recurrence, normalized by
 sum_n (2n+1) j_n^2 = 1, only for 3 <= z < p - 1.  That range is empty for
@@ -64,10 +64,14 @@ Gram A^H diag(mu) A of the raw clamped B-splines on l uniform cells without
 their N x (l+d) transform matrix.  The interior B-splines are translates of
 one cardinal B-spline with a closed-form transform, so their block is
 Hermitian Toeplitz and needs only its l-d lags, sums over the frequencies
-of the lag phases e^{-2 pi i w t h}.  Only the d border B-splines on each
-side get transform columns, from one Bessel table and the Legendre blocks
-that ``spaces._bspline_blocks`` gives for the at most 2d cells they touch;
-their cross terms with the interior are lag sums too.
+of the lag phases e^{-2 pi i w t h}, and is written from sliding windows of
+them.  Only the d border B-splines on each side get transform columns, from
+one Bessel table and the Legendre blocks of the at most 2d cells they
+touch; their cross terms with the interior are lag sums too.  The border
+layout (which cells and B-splines, and their coefficients) is one table per
+(d, l0), l0 = min(l, 2d+1) (``_bspline_border``), moved and scaled by
+sqrt(l0/l) to l cells as ``spaces._bspline_blocks`` scales its blocks, so a
+probe pays only for its sums over the samples.
 
 ``uniform_cell_lags`` gives the concentration matrices of piecewise
 constants and splines (``analysis.concentration_matrix``) the same kind of
@@ -104,7 +108,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from . import sampling, spaces
 from .quadrature import gauss_rule, panel_edges, panel_nodes, panel_segments, refine
@@ -290,6 +293,20 @@ def spherical_jn_orders(z, p: int) -> np.ndarray:
     return out.reshape((p,) + z.shape)
 
 
+@lru_cache(maxsize=None)
+def _series_table(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The power-series coefficients c_nk of ``_jn_series``, (p, 16), and the
+    odd numbers 2n+1 for 1 <= n < p, (p-1, 1)."""
+    n = np.arange(p)[:, None]
+    k = np.arange(1, _SERIES_TERMS)
+    coef = np.ones((p, _SERIES_TERMS))
+    coef[:, 1:] = np.cumprod(1.0 / (k * (2 * n + 2 * k + 1)), axis=1)
+    odd = (2 * n[1:] + 1).astype(float)
+    coef.setflags(write=False)
+    odd.setflags(write=False)
+    return coef, odd
+
+
 def _jn_series(z: np.ndarray, p: int) -> np.ndarray:
     # j_n(z) = z^n / (2n+1)!! * sum_k c_nk y^k with y = -z^2/2 and
     # c_nk = 1 / (k! (2n+3)(2n+5)..(2n+2k+1)); for z < 3 the terms past
@@ -299,17 +316,14 @@ def _jn_series(z: np.ndarray, p: int) -> np.ndarray:
     # BLAS product of c with the powers of y is not, because its kernel
     # depends on the array's size, so a value's last bits would depend on
     # the other arguments of the call.
-    n = np.arange(p)[:, None]
-    k = np.arange(1, _SERIES_TERMS)
-    coef = np.ones((p, _SERIES_TERMS))
-    coef[:, 1:] = np.cumprod(1.0 / (k * (2 * n + 2 * k + 1)), axis=1)
+    coef, odd = _series_table(p)
     y = -0.5 * z * z
     acc = np.repeat(coef[:, -1:], z.size, axis=1)
     for c in coef[:, -2::-1].T:
         acc *= y
         acc += c[:, None]
     steps = np.ones((p, z.size))
-    steps[1:] = z / (2 * n[1:] + 1)
+    steps[1:] = z / odd
     return np.cumprod(steps, axis=0) * acc
 
 
@@ -462,26 +476,19 @@ def bspline_weighted_gram(d: int, l: int, omegas, weights) -> np.ndarray:
     Toeplitz, entry (i, k) being c_{i-k} = sum_n mu_n |N^(w_n)|^2
     e^{2 pi i w_n (i-k) h}.  Only the other B-splines (d per side) get
     transform columns, from the Legendre blocks of the at most 2d cells they
-    touch.  The lags c_t and the border-interior cross terms are sums over
-    the frequencies of the lag phases e^{-2 pi i w t h}, all from one
-    ``_lag_sums``.
+    touch (``_bspline_border``).  The lags c_t and the border-interior cross
+    terms are sums over the frequencies of the lag phases e^{-2 pi i w t h},
+    all from one ``_lag_sums``.
     """
     w = np.asarray(omegas, dtype=float)
     mu = np.asarray(weights, dtype=float)
-    p, h = d + 1, 1.0 / l
-    spline, cell = np.arange(l + d), np.arange(l)
-    on_border = (spline < d) | (spline >= l)
-    border, inner = np.flatnonzero(on_border), np.flatnonzero(~on_border)
-    touched = np.flatnonzero((cell < d) | (cell >= l - d))
-    # coeffs[c, n, i]: order-n coefficient of B-spline i on the c-th touched
-    # cell, which touches B-splines touched[c] + r, r <= d ([cell, order, r])
-    coeffs = np.zeros((touched.size, p, l + d))
-    coeffs[np.arange(touched.size)[:, None], :, touched[:, None] + np.arange(p)] = (
-        spaces._bspline_blocks(d, l)[touched].transpose(0, 2, 1))
+    p, h, l0 = d + 1, 1.0 / l, min(l, 2 * d + 1)
+    touched, border, coeffs = _bspline_border(d, l0)
+    touched, border = (idx + (l - l0) * (idx > d) for idx in (touched, border))
     f = _order_factors(w, np.array([h]), p)[:, 0, :] * math.sqrt(h)
     phase = np.exp(-1j * np.pi * w[:, None] * ((2 * touched + 1) * h))
     a = ((phase[:, :, None] * f[:, None, :]).reshape(w.size, touched.size * p)
-         @ coeffs[:, :, border].reshape(touched.size * p, border.size))
+         @ (math.sqrt(l0 / l) * coeffs))
     weighted = a.conj() * mu[:, None]
     out = np.empty((l + d, l + d), dtype=complex)
     out[border[:, None], border] = weighted.T @ a
@@ -489,10 +496,35 @@ def bspline_weighted_gram(d: int, l: int, omegas, weights) -> np.ndarray:
         nhat = h * np.exp(-1j * np.pi * w * ((d + 1) * h)) * np.sinc(w * h) ** (d + 1)
         lagged = _lag_sums(np.column_stack((mu * np.abs(nhat) ** 2, weighted * nhat[:, None])),
                            w, h, l - d, [slice(None)])[0]
-        out[d:l, d:l] = scipy.linalg.toeplitz(lagged[0].conj(), lagged[0])
-        out[border[:, None], inner] = lagged[1:]
-        out[inner[:, None], border] = lagged[1:].conj().T
+        # the Toeplitz block, entry (i, k) = run[n-1-i+k], as windows of
+        # run = [c_{n-1} .. c_0 .. c_{1-n}]; the lag sums are c_{-t} = conj(c_t)
+        n, lag = l - d, lagged[0]
+        run = np.concatenate((lag[::-1].conj(), lag[1:]))
+        out[d:l, d:l] = np.lib.stride_tricks.sliding_window_view(run, n)[::-1]
+        out[border, d:l] = lagged[1:]
+        out[d:l, border] = lagged[1:].conj().T
     return out
+
+
+@lru_cache(maxsize=64)
+def _bspline_border(d: int, l0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The border layout of ``bspline_weighted_gram`` on l0 = min(l, 2d+1)
+    cells: the cells that a border B-spline touches, the border B-splines,
+    and the coefficients, (cells x orders, border), of the border B-splines
+    on those cells, from ``spaces._bspline_table``.  At l > l0 the indices
+    above d move up by l - l0 and the coefficients scale by sqrt(l0/l)."""
+    p, spline, cell = d + 1, np.arange(l0 + d), np.arange(l0)
+    touched = np.flatnonzero((cell < d) | (cell >= l0 - d))
+    border = np.flatnonzero((spline < d) | (spline >= l0))
+    # coeffs[c, n, i]: order-n coefficient of B-spline i on the c-th touched
+    # cell, which touches B-splines touched[c] + r, r <= d ([cell, order, r])
+    coeffs = np.zeros((touched.size, p, l0 + d))
+    coeffs[np.arange(touched.size)[:, None], :, touched[:, None] + np.arange(p)] = (
+        spaces._bspline_table(d, l0)[touched].transpose(0, 2, 1))
+    coeffs = coeffs[:, :, border].reshape(touched.size * p, border.size)
+    for arr in (touched, border, coeffs):
+        arr.setflags(write=False)
+    return touched, border, coeffs
 
 
 def _lag_sums(v: np.ndarray, w: np.ndarray, step: float, count: int,

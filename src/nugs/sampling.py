@@ -52,9 +52,7 @@ class SampleSet:
 
     def with_ghosts(self) -> np.ndarray:
         """Points extended by the two wrap-around ghost points."""
-        pts = self.points
-        k = self.bandwidth
-        return np.concatenate(([pts[-1] - 2 * k], pts, [pts[0] + 2 * k]))
+        return _ghosted(self.points, self.bandwidth)
 
 
 @dataclass(frozen=True)
@@ -114,20 +112,30 @@ def generate(spec: SchemeSpec) -> SampleSet:
             bound = spec.theta * k / n
             pts = pts + bound * np.array([rng.uniform_signed() for _ in range(n)])
     else:
-        m = n // 2
-        if m == 1:
-            side = np.array([k])
-        else:
-            # ratio N**(2/(N-2)) carries K/N to K in m-1 steps
-            logs = np.log(k / n) + np.arange(m) * (2.0 * np.log(n) / (n - 2))
-            side = np.exp(logs)
-            side[-1] = k
-        pts = np.concatenate((-side[::-1], side))
+        pts = _log_points(n, k)
     return SampleSet(points=pts, bandwidth=float(k))
 
 
 def _midpoint_grid(n: int, k: float) -> np.ndarray:
     return -k + (np.arange(1, n + 1) - 0.5) * (2.0 * k / n)
+
+
+def _log_points(n: int, k: float) -> np.ndarray:
+    """The log scheme's N points (N even) at bandwidth K, unvalidated."""
+    m = n // 2
+    if m == 1:
+        side = np.array([float(k)])
+    else:
+        # ratio N**(2/(N-2)) carries K/N to K in m-1 steps
+        logs = np.log(k / n) + np.arange(m) * (2.0 * np.log(n) / (n - 2))
+        side = np.exp(logs)
+        side[-1] = k
+    return np.concatenate((-side[::-1], side))
+
+
+def _ghosted(points: np.ndarray, k: float) -> np.ndarray:
+    """``points`` extended by the two wrap-around ghost points of band K."""
+    return np.concatenate(([points[-1] - 2 * k], points, [points[0] + 2 * k]))
 
 
 def density(s: SampleSet) -> float:
@@ -136,7 +144,12 @@ def density(s: SampleSet) -> float:
     This is the smallest delta for which the set is delta-dense at its
     declared bandwidth; values below 1 indicate stable sampling.
     """
-    return float(np.max(np.diff(s.with_ghosts())))
+    return _density(s.points, s.bandwidth)
+
+
+def _density(points: np.ndarray, k: float) -> float:
+    """``density`` of the increasing ``points`` at bandwidth K, unvalidated."""
+    return float(np.max(np.diff(_ghosted(points, k))))
 
 
 def weights(s: SampleSet) -> np.ndarray:

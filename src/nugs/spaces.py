@@ -282,26 +282,53 @@ def _bspline_blocks(d: int, l: int) -> np.ndarray:
     On uniform knots a block scales with sqrt(h), and every cell j with
     d <= j < l - d (all d+1 B-splines interior translates) has the same
     one.  So the blocks are those of l0 = min(l, 2d+1) cells times
-    sqrt(l0/l): the d boundary cells on each side map to their own, every
-    cell between to the middle cell d.
+    sqrt(l0/l) (``_bspline_rescaled``): the d boundary cells on each side
+    map to their own, every cell between to the middle cell d.
     """
+    table, index = _bspline_rescaled(d, l)
+    return table[index]
+
+
+def _bspline_rescaled(d: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of l0 = min(l, 2d+1) cells times sqrt(l0/l), and the index
+    among them of each of the l cells' blocks."""
     l0, cells = min(l, 2 * d + 1), np.arange(l)
-    return math.sqrt(l0 / l) * _bspline_table(d, l0)[cells - np.clip(cells - d, 0, l - l0)]
+    return math.sqrt(l0 / l) * _bspline_table(d, l0), cells - np.clip(cells - d, 0, l - l0)
+
+
+def _bspline_cell_grams(d: int, l: int) -> np.ndarray:
+    """Each cell's Gram of the d+1 B-splines that touch it, (l, d+1, d+1):
+    entry [j, r, c] is the L2 product of B-splines j + r and j + c on cell j
+    (the cell-Legendre frame is orthonormal), computed once per distinct
+    block."""
+    table, index = _bspline_rescaled(d, l)
+    return (table.transpose(0, 2, 1) @ table)[index]
 
 
 def _bspline_gram(d: int, l: int) -> np.ndarray:
-    """Gram matrix of the l+d raw B-splines, banded with half-width d: the
-    cell-Legendre frame is orthonormal, so cell j adds its block's Gram
-    into rows and columns j..j+d.  One ``np.bincount`` scatters all the
-    cells' (d+1)^2 local entries; it sums each entry's terms in the order
-    of the local row r, as a loop over (r, c) would."""
-    blocks = _bspline_blocks(d, l)
-    local = blocks.transpose(0, 2, 1) @ blocks
+    """Gram matrix of the l+d raw B-splines, banded with half-width d: cell
+    j adds its Gram into rows and columns j..j+d.  One ``np.bincount``
+    scatters all the cells' (d+1)^2 local entries; it sums each entry's
+    terms in the order of the local row r, as a loop over (r, c) would."""
+    local = _bspline_cell_grams(d, l)
     size, j = l + d, np.arange(l)
     r, c = np.ogrid[:d + 1, :d + 1]
     flat = (j + r[..., None]) * size + (j + c[..., None])           # [r, c, j]
     return np.bincount(flat.ravel(), local.transpose(1, 2, 0).ravel(),
                        minlength=size * size).reshape(size, size)
+
+
+def _bspline_band(d: int, l: int) -> np.ndarray:
+    """The upper band of ``_bspline_gram(d, l)``, (d+1, l+d): entry [k, i] is
+    G[i, i+k], 0 past the end of the diagonal.  Each entry sums its terms
+    from 0 in the order of the local row r, as ``np.bincount`` does there,
+    so it is bitwise the dense entry."""
+    local = _bspline_cell_grams(d, l)
+    band = np.zeros((d + 1, l + d))
+    for k in range(d + 1):
+        for r in range(d + 1 - k):
+            band[k, r:r + l] += local[:, r, r + k]
+    return band
 
 
 def build_basis(space: SpaceSpec) -> OrthoBasis:

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from dense_bspline import dense_bspline_coeffs
-from nugs import experiments, fourier, solver, spaces
+from nugs import experiments, fourier, sampling, solver, spaces
 from nugs.errors import BandwidthTooSmallError
 from nugs.experiments import (ErrorRow, ScalingRow, _StabilityEvaluator, default_k_grid,
                               error_curve, family_space, max_stable_dimension, plan_scheme,
@@ -123,6 +123,66 @@ def test_non_finite_gram_raises(monkeypatch, family, d):
     s = generate(SchemeSpec("jittered", 40, 15.0, theta=0.2, seed=5))
     with pytest.raises(np.linalg.LinAlgError, match=f"non-finite .* {family} probe"):
         max_stable_dimension(family, s, 3.0, d=d)
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["jittered", "log"])
+@pytest.mark.parametrize("d", [0, 1, 3, 5])
+def test_banded_spline_shift_bitwise_equal_to_dense_shift(kind, d):
+    # W - sG on the d+1 diagonals of G's upper band: the upper triangle,
+    # which is all that potrf reads, is that of the dense w - s * g
+    s = generate(plan_scheme(kind, 30.0, seed=7))
+    ev = _StabilityEvaluator("spline", s, d)
+    shift = (1.0 + ev.delta) ** 2 / 9.0
+    for l in (1, d + 1, 2 * d + 2, 40):
+        w, g = ev._weighted(l), spaces._bspline_gram(d, l)
+        got = experiments._shifted(w, spaces._bspline_band(d, l), shift)
+        assert got.flags.f_contiguous
+        assert _same_bits(np.triu(got), np.triu(w - shift * g)), l
+
+
+@pytest.mark.parametrize("kind", ["jittered", "log"])
+@pytest.mark.parametrize("family", ["trig", "legendre"])
+def test_identity_shift_bitwise_equal_to_diagonal_shift(kind, family):
+    # the identity is the band of one diagonal of ones
+    s = generate(plan_scheme(kind, 30.0, seed=7))
+    ev = _StabilityEvaluator(family, s)
+    shift = (1.0 + ev.delta) ** 2 / 9.0
+    for m in (1, 7, 20):
+        w, band = ev._probe(m)
+        want = w.copy(order="F")
+        want[np.diag_indices_from(want)] -= shift
+        got = experiments._shifted(w, band, shift)
+        assert got.flags.f_contiguous and _same_bits(got, want), m
+
+
+def test_spline_probes_build_the_dense_l2_gram_only_for_ratio(monkeypatch):
+    calls = {"gram": 0, "lower": 0}
+    gram, lower = spaces._bspline_gram, _StabilityEvaluator._lower
+
+    def counted_gram(d, l):
+        calls["gram"] += 1
+        return gram(d, l)
+
+    def counted_lower(self, m):
+        calls["lower"] += 1
+        return lower(self, m)
+
+    monkeypatch.setattr(spaces, "_bspline_gram", counted_gram)
+    monkeypatch.setattr(_StabilityEvaluator, "_lower", counted_lower)
+    s = generate(plan_scheme("jittered", 30.0, seed=7))
+    ev = _StabilityEvaluator("spline", s, 2)
+    assert [ev.passes(l, 3.0) for l in (2, 30, 60)] == [True, True, False]
+    assert calls == {"gram": 0, "lower": 0}
+    # a search and a sweep cell, whose c_ratio is one more ratio
+    max_stable_dimension("spline", s, d=2)
+    scaling_table("spline", "jittered", [30.0], d=2, seed=7)
+    assert calls["lower"] >= 2 and calls["gram"] == calls["lower"]
 
 
 @pytest.mark.parametrize("family", ["trig", "legendre"])
@@ -269,6 +329,19 @@ def test_plan_scheme_rejects_bad_density(kind, delta_max):
         plan_scheme(kind, 10.0, delta_max=delta_max)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "jittered", "log"])
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_plan_scheme_rejects_bad_seed_before_any_point_set(monkeypatch, kind, seed):
+    # a density this small is never reached, so a late check would raise
+    # "could not reach density" after 64 ever larger log sets
+    def refuse(*args):
+        raise AssertionError("built points before checking the seed")
+
+    monkeypatch.setattr(sampling, "_log_points", refuse)
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        plan_scheme(kind, 10.0, delta_max=1e-3, seed=seed)
+
+
 @pytest.mark.parametrize("threshold", [float("nan"), 0.0, -1.0])
 def test_search_rejects_bad_threshold(threshold):
     with pytest.raises(ValueError, match="threshold must be positive"):
@@ -343,6 +416,22 @@ def test_sweeps_reject_an_empty_bandwidth_grid(tmp_path, sweep):
 def test_spline_scaling_needs_positive_degree():
     with pytest.raises(ValueError, match="d >= 1, got d=0"):
         scaling_table("spline", "jittered", [10.0], d=0)
+
+
+@pytest.mark.parametrize("d", [-1, 2.5, True, "1"])
+@pytest.mark.parametrize("call", [
+    lambda d: max_stable_dimension("spline", generate(plan_scheme("jittered", 10.0)), d=d),
+    lambda d: scaling_table("spline", "jittered", [10.0], d=d),
+    lambda d: error_curve(FunctionSpec.benchmark(), "spline", "jittered", [10.0], d=d),
+], ids=["max_stable_dimension", "scaling_table", "error_curve"])
+def test_searches_reject_a_bad_degree_before_any_probe(monkeypatch, call, d):
+    def refuse(*args):
+        raise AssertionError("probed before checking d")
+
+    monkeypatch.setattr(_StabilityEvaluator, "passes", refuse)
+    monkeypatch.setattr(_StabilityEvaluator, "ratio", refuse)
+    with pytest.raises(ValueError, match="d must be an integer >= 0"):
+        call(d)
 
 
 def test_family_space_construction():

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -568,6 +569,65 @@ def test_bspline_transforms_properties(d, l, omegas):
     want = dense_weighted_gram(d, l, omegas, mu)
     # relative to the largest entry, floored where every frequency sits at a zero of sinc
     assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-12 / l ** 2)
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
+def _gram_with_dense_scatter(d, l, omegas, weights):
+    # the weighted Gram built with border indices and a zero-filled
+    # coefficient scatter on every call and a scipy.linalg.toeplitz interior
+    w, mu = np.asarray(omegas, dtype=float), np.asarray(weights, dtype=float)
+    p, h = d + 1, 1.0 / l
+    spline, cell = np.arange(l + d), np.arange(l)
+    on_border = (spline < d) | (spline >= l)
+    border, inner = np.flatnonzero(on_border), np.flatnonzero(~on_border)
+    touched = np.flatnonzero((cell < d) | (cell >= l - d))
+    coeffs = np.zeros((touched.size, p, l + d))
+    coeffs[np.arange(touched.size)[:, None], :, touched[:, None] + np.arange(p)] = (
+        spaces._bspline_blocks(d, l)[touched].transpose(0, 2, 1))
+    f = _order_factors(w, np.array([h]), p)[:, 0, :] * np.sqrt(h)
+    phase = np.exp(-1j * np.pi * w[:, None] * ((2 * touched + 1) * h))
+    a = ((phase[:, :, None] * f[:, None, :]).reshape(w.size, touched.size * p)
+         @ coeffs[:, :, border].reshape(touched.size * p, border.size))
+    weighted = a.conj() * mu[:, None]
+    out = np.empty((l + d, l + d), dtype=complex)
+    out[border[:, None], border] = weighted.T @ a
+    if l > d:
+        nhat = h * np.exp(-1j * np.pi * w * ((d + 1) * h)) * np.sinc(w * h) ** (d + 1)
+        lagged = fourier._lag_sums(
+            np.column_stack((mu * np.abs(nhat) ** 2, weighted * nhat[:, None])),
+            w, h, l - d, [slice(None)])[0]
+        out[d:l, d:l] = scipy.linalg.toeplitz(lagged[0].conj(), lagged[0])
+        out[border[:, None], inner] = lagged[1:]
+        out[inner[:, None], border] = lagged[1:].conj().T
+    return out
+
+
+@pytest.mark.parametrize("kind", ["jittered", "log"])
+@pytest.mark.parametrize("d", range(6))
+def test_bspline_weighted_gram_bitwise_equal_to_dense_scatter(kind, d):
+    # one border layout per (d, min(l, 2d+1)) and a strided Toeplitz view
+    # change no bit of the Gram
+    s = generate(experiments.plan_scheme(kind, 30.0, seed=7))
+    mu = weights(s)
+    for l in sorted({1, d, d + 1, 2 * d, 2 * d + 1, 2 * d + 2, 60} - {0}):
+        want = _gram_with_dense_scatter(d, l, s.points, mu)
+        assert _same_bits(bspline_weighted_gram(d, l, s.points, mu), want), l
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 6])
+def test_spherical_jn_series_only_input_bitwise_equal_to_mixed_call(p):
+    # a value's bits do not depend on the other z of the call: an input
+    # wholly below the series limit gives what the same z get inside a call
+    # that also runs the other methods
+    z = np.linspace(0.0, fourier._SERIES_BELOW, 97, endpoint=False)
+    mixed = spherical_jn_orders(np.concatenate((z, [3.0, 4.5, 10.0, 40.0])), p)
+    assert _same_bits(spherical_jn_orders(z, p), mixed[:, :z.size])
+    assert _same_bits(spherical_jn_orders(z.reshape(1, -1), p)[:, 0], mixed[:, :z.size])
 
 
 @pytest.mark.parametrize("spec", [

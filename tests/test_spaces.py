@@ -256,6 +256,18 @@ def test_bspline_gram_scatter_matches_dense(d):
         assert np.array_equal(gram, loop)
 
 
+@pytest.mark.parametrize("d", range(6))
+def test_bspline_band_bitwise_equal_to_upper_band_of_gram(d):
+    # the probe's band sums each entry in bincount's order, so every bit of
+    # the dense Gram's upper band, zero-padded at the end of each diagonal
+    for l in sorted({1, 2, d, d + 1, 2 * d + 1, 2 * d + 2, 60} - {0}):
+        band, gram = spaces._bspline_band(d, l), _bspline_gram(d, l)
+        assert band.shape == (d + 1, l + d)
+        want = np.array([np.concatenate((np.diagonal(gram, k), np.zeros(k)))
+                         for k in range(d + 1)])
+        assert np.array_equal(band.view(np.uint64), want.view(np.uint64)), l
+
+
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_rescaled_bspline_blocks_match_dense(d):
     for l in sorted({1, d, 2 * d, 2 * d + 1, 2 * d + 2, 23, 100} - {0}):
