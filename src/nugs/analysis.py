@@ -227,18 +227,17 @@ def _concentration_fixed(basis: OrthoBasis, bands: list[float],
 
 
 def _toeplitz_concentration(basis: OrthoBasis, xs: np.ndarray, ws: np.ndarray,
-                            stops=None) -> np.ndarray:
+                            stops: list[int]) -> np.ndarray:
     """2 Re C G C^T on the half-band nodes ``xs`` with weights ``ws``, for a
     basis on uniform cells.  G, the Gram of the cell transforms indexed by
     (cell, order) like ``OrthoBasis.coeffs``, has block (j, k) equal to lag
     k - j of ``fourier.uniform_cell_lags`` for k >= j, and to the conjugate
     transpose of lag j - k otherwise.  Piecewise constants have C = I.
-    Given the ends ``stops`` of successive node segments, it returns one
-    matrix per segment, (len(stops), dim, dim)."""
+    One matrix per node segment, whose ends are ``stops``: (len(stops), dim,
+    dim)."""
     cells, p = basis.coeffs.shape[1:]
-    segments = [xs.size] if stops is None else stops
-    lags = [0.0] * len(segments)
-    for sel, parts in _chunk_parts(segments, basis.dim):
+    lags = [0.0] * len(stops)
+    for sel, parts in _chunk_parts(stops, basis.dim):
         sums = fourier.uniform_cell_lags(cells, p, xs[sel], ws[sel], [r for _, r in parts])
         for (j, _), part in zip(parts, sums):
             lags[j] = lags[j] + part
@@ -252,7 +251,7 @@ def _toeplitz_concentration(basis: OrthoBasis, xs: np.ndarray, ws: np.ndarray,
         gram = ext[:, :, j - j[:, None] + cells - 1].transpose(2, 0, 3, 1).reshape(cells * p, -1)
         out[seg] = 2.0 * (gram if basis.space.kind == "piecewise_const"
                           else coeffs @ gram @ coeffs.T)
-    return out[0] if stops is None else out
+    return out
 
 
 def _node_chunks(count: int, dim: int) -> list[slice]:

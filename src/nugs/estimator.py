@@ -84,7 +84,12 @@ class NonuniformFourierRegressor:
     # -- fitting ------------------------------------------------------------
 
     def _space_spec(self) -> SpaceSpec:
-        return parse_space(self.space) if isinstance(self.space, str) else self.space
+        if isinstance(self.space, str):
+            return parse_space(self.space)
+        if isinstance(self.space, SpaceSpec):
+            return self.space
+        raise ValueError(f"space must be a compact string such as 'legendre:8' or a "
+                         f"SpaceSpec, got {self.space!r}")
 
     def fit(self, X, y, sample_weight=None) -> "NonuniformFourierRegressor":
         """Fit to frequencies ``X`` (shape (n,) or (n, 1)) and complex values ``y``."""

@@ -14,14 +14,15 @@ reconstructing at the same M on the same set.  ``scaling_table`` and
 so the figure pays for one search per scheme, family and bandwidth.
 Given no grid, a sweep runs ``default_k_grid()``: the 16 points of figure1.
 
-The search starts where the paper's laws put its answer: at ceil(K) for
-trig and splines, whose stable index grows linearly in the bandwidth K, and
-at ceil(sqrt(K)) for Legendre, whose bandwidth grows quadratically in the
-degree; a serial sweep starts each bandwidth at the previous selected index
-instead.  A start that passes is doubled until a probe fails, and one that
-fails bounds a bisection from 1.  Trig orders and Legendre degrees are
-nested spaces, so lambda_min(W, G) cannot rise with M (Cauchy interlacing)
-and the selected M does not depend on the start.  Spline spaces are nested
+Every search starts where the paper's laws put its answer (``_law``): at
+ceil(K) for trig and splines, whose stable index grows linearly in the
+bandwidth K, and at ceil(sqrt(K)) for Legendre, whose bandwidth grows
+quadratically in the degree.  So a cell depends only on its own bandwidth,
+and a sweep runs the same cells serially or on a process pool.  A start
+that passes is doubled until a probe fails, and one that fails bounds a
+bisection from 1.  Trig orders and Legendre degrees are nested spaces, so
+lambda_min(W, G) cannot rise with M (Cauchy interlacing) and the selected
+M does not depend on the start.  Spline spaces are nested
 from 1 to any l and from l to 2l but not from l to l+1, where lambda_min
 may rise; there the search keeps its contract, ratio(M) <= threshold and M
 is the cap or ratio(M+1) > threshold, from any start.
@@ -37,12 +38,12 @@ lambda_min(W, G) > s, so two factorizations at t plus and minus a band
 (``PROBE_BAND``) decide every probe outside the band; inside it,
 and at index 1, ``ratio`` decides.  For trig and legendre G = I, and the
 design is A = diag(e^{-i pi w}) B D with B the real table of
-``fourier._trig_factors`` (D = I) or ``fourier._legendre_factors``
-(D = diag((-i)^j)), the tables that ``solver.reconstruct`` factorizes
-too, so W = A^H M A (M = diag(mu)) is a unitary similarity of the real
-symmetric B^T M B.  ``dsyrk`` builds that, a Cholesky test (``dpotrf``)
-shifts only its diagonal, and ``ratio`` runs the standard real ``eigh``;
-no complex design or identity matrix is formed.  A probe reads a
+``fourier._real_table`` (D = I for trig, diag((-i)^j) for Legendre), the
+table that ``solver.reconstruct`` factorizes too, so W = A^H M A
+(M = diag(mu)) is a unitary similarity of the real symmetric B^T M B.
+``dsyrk`` builds that, a Cholesky test (``dpotrf``) shifts only its
+diagonal, and ``ratio`` runs the standard real ``eigh``; no complex design
+or identity matrix is formed.  A probe reads a
 principal block of the Gram of the widest probe so far (the start or a
 doubling probe), while ``ratio`` builds its own, so c_ratio does not
 depend on which probes came first.  The constant is basis-independent, so
@@ -54,8 +55,9 @@ A probe's shift has one path, ``_shifted``: it subtracts s times the upper
 band of G from those diagonals of a Fortran-ordered copy of W, the d+1
 diagonals of ``spaces._bspline_band`` for a spline and the one diagonal of
 ones of the identity for trig and Legendre, and ``potrf`` reads only that
-upper triangle.  So a spline probe builds no dense L2 Gram; only ``ratio``
-does (``spaces._bspline_gram``), for ``eigh``.
+upper triangle.  ``ratio``'s ``eigh`` reads only the upper triangle of G
+too, and takes the spline band written into a zero matrix (``_shifted``
+of zero by -1): there is one L2 Gram, the band.
 """
 
 from __future__ import annotations
@@ -220,29 +222,31 @@ class _StabilityEvaluator:
         """W and G at index m for the exact eigenvalue, W built at m itself.
         Only a spline probe's W is reused: a trig or Legendre probe reads a
         block of a wider Gram, whose rounding depends on the probes that came
-        before.  G is the dense ``spaces._bspline_gram`` for splines, and
-        None, the identity, for trig and Legendre, where ``eigh`` then
-        solves the standard problem."""
+        before.  For splines G is ``spaces._bspline_band`` written into a
+        zero matrix, the upper triangle that ``eigh`` reads with
+        ``lower=False``; for trig and Legendre it is None, the identity, and
+        ``eigh`` solves the standard problem."""
         if self.family != "spline":
             return self._weighted(m), None
         reuse = self._passed is not None and self._passed[0] == m
-        return (self._passed[1] if reuse else self._weighted(m)), spaces._bspline_gram(self.d, m)
+        w = self._passed[1] if reuse else self._weighted(m)
+        return w, _shifted(np.zeros(w.shape), spaces._bspline_band(self.d, m), -1.0)
 
     def _weighted(self, m: int) -> np.ndarray:
         """Weighted Gram of the family's basis at index m, of which only the
         upper triangle is read.  For trig and legendre it is the real
-        symmetric B^T M B of the ``fourier`` real table B, from ``dsyrk``: a
-        diagonal unitary similarity of A^H M A, so it has the same
-        eigenvalues."""
+        symmetric B^T M B of the real table B of ``fourier._real_table``,
+        from ``dsyrk``: a diagonal unitary similarity of A^H M A, so it has
+        the same eigenvalues.  Its basis is built afresh, not through
+        ``fourier.cached_basis``, so that probe spaces stay out of that cache."""
         if self.family == "spline":
             w = fourier.bspline_weighted_gram(self.d, m, self.s.points, self.mu)
-            return _checked(w, self.family, m)
-        if self.family == "trig":
-            b = fourier._trig_factors(self.s.points, np.arange(-m, m + 1))[1]
-        else:  # degrees 0..m on the one cell [0, 1]
-            b = fourier._legendre_factors(self.s.points, m + 1)[1]
-        b *= np.sqrt(self.mu)[:, None]
-        return _checked(scipy.linalg.blas.dsyrk(1.0, b.T), self.family, m)
+        else:
+            basis = spaces.build_basis(family_space(self.family, m))
+            b = fourier._real_table(basis, self.s.points)[1]
+            b *= np.sqrt(self.mu)[:, None]
+            w = scipy.linalg.blas.dsyrk(1.0, b.T)
+        return _checked(w, self.family, m)
 
     def _probe(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The pencil at index m for a probe: W and the upper band of G.  A
@@ -288,23 +292,24 @@ def _factors(a: np.ndarray) -> bool:
     return potrf(a, overwrite_a=True)[1] == 0
 
 
-def _search_max(ev: _StabilityEvaluator, threshold: float,
-                hint: int | None = None) -> int:
+def _law(family: str, k: float) -> int:
+    """The family's index at bandwidth K by the paper's law: ceil(K), or
+    ceil(sqrt(K)) for Legendre."""
+    return math.ceil(math.sqrt(k) if family == "legendre" else k)
+
+
+def _search_max(ev: _StabilityEvaluator, threshold: float) -> int:
     """An index M <= cap with ratio(M) <= threshold and either M = cap or
-    ratio(M+1) > threshold.  The first probe is ``hint``, or else the
-    family's law at the bandwidth (ceil(K), or ceil(sqrt(K)) for Legendre),
-    clamped to [1, cap]; it is doubled while probes pass, and if it fails it
-    is the upper end of a bisection from 1."""
+    ratio(M+1) > threshold.  The first probe is the family's ``_law`` at the
+    bandwidth, clamped to [1, cap]; it is doubled while probes pass, and if
+    it fails it is the upper end of a bisection from 1."""
     check_threshold(threshold)
     cap = ev.cap
     if cap < 1 or not ev.ratio(1) <= threshold:
         raise BandwidthTooSmallError(
             f"bandwidth too small: no stable dimension for {ev.family} "
             f"(N={len(ev.s)}, K={ev.s.bandwidth:g})")
-    if hint is None:
-        k = ev.s.bandwidth
-        hint = math.ceil(math.sqrt(k) if ev.family == "legendre" else k)
-    lo = hi = min(max(hint, 1), cap)
+    lo = hi = min(max(_law(ev.family, ev.s.bandwidth), 1), cap)
     if lo > 1 and not ev.passes(lo, threshold):
         lo = 1
     else:
@@ -338,13 +343,13 @@ def max_stable_dimension(family: str, s: SampleSet, threshold: float = _THRESHOL
     return _search_max(_StabilityEvaluator(family, s, check_count(d, "d", 0)), threshold)
 
 
-def _cell(f, family, kind, d, threshold, delta_max, theta, seed, k, hint=None):
+def _cell(f, family, kind, d, threshold, delta_max, theta, seed, k):
     """One bandwidth: draw the planned sample set, search it once, and return
     the scaling row with the error of ``f`` at the same m (None without f)."""
     spec = plan_scheme(kind, k, delta_max=delta_max, theta=theta, seed=seed)
     s = sampling.generate(spec)
     ev = _StabilityEvaluator(family, s, d)
-    m = _search_max(ev, threshold, hint)
+    m = _search_max(ev, threshold)
     if family == "trig":
         ratio = m / k
     elif family == "legendre":
@@ -368,20 +373,16 @@ def default_k_grid(kmin: float = _K_GRID[0], kmax: float = _K_GRID[1],
 
 
 def _sweep(cell, k_grid, jobs: int) -> list:
-    """Row pairs of ``cell(k, hint)`` across the grid on ``jobs`` processes.
-    Serially each bandwidth's search starts from the previous selected
-    index; parallel cells start from the law of their own bandwidth."""
+    """Row pairs of ``cell(k)`` across the grid, mapped on ``jobs``
+    processes.  A cell depends only on its bandwidth, so every ``jobs``
+    gives the same rows."""
     ks = (default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)).tolist()
     if not ks:
         raise ValueError("k_grid must hold at least one bandwidth, got an empty grid")
-    if check_count(jobs, "jobs") > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(cell, ks))
-    rows, hint = [], None
-    for k in ks:
-        rows.append(cell(k, hint))
-        hint = rows[-1][0].m
-    return rows
+    if check_count(jobs, "jobs") == 1:
+        return list(map(cell, ks))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(cell, ks))
 
 
 def scaling_table(family: str, kind: str, k_grid=None, *, d: int = 0,

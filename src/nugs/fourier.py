@@ -444,13 +444,12 @@ def cell_transforms(breaks: np.ndarray, p: int, omegas: np.ndarray) -> np.ndarra
     return phase[:, :, None] * _order_factors(w, widths, p)[:, cell_width, :]
 
 
-def uniform_cell_lags(cells: int, p: int, omegas, weights,
-                      parts=None) -> np.ndarray | list[np.ndarray]:
+def uniform_cell_lags(cells: int, p: int, omegas, weights, parts) -> list[np.ndarray]:
     """Weighted products of the cell transforms on ``cells`` uniform cells,
-    by lag, (p, p, cells): entry [n, m, t] is
-    sum_v weights_v conj(T_{j,n}(w_v)) T_{j+t,m}(w_v), the same for every j.
-    Given ``parts``, slices of the frequencies, it sums each slice apart
-    and returns a list of them.
+    by lag, one (p, p, cells) array for each slice of the frequencies in
+    ``parts``: entry [n, m, t] is
+    sum_v weights_v conj(T_{j,n}(w_v)) T_{j+t,m}(w_v) over the slice, the
+    same for every j.
 
     With h = 1/cells, T_{j,n}(w) = sqrt(h) e^{-pi i w (2j+1) h} f_n(w), where
     f_n(w) = sqrt(2n+1) (-i)^n j_n(pi w h) does not depend on j, so the
@@ -461,9 +460,8 @@ def uniform_cell_lags(cells: int, p: int, omegas, weights,
     h = 1.0 / cells
     f = _order_factors(w, np.array([h]), p)[:, 0, :]
     v = (f.conj() * (h * np.asarray(weights, dtype=float))[:, None])[:, :, None] * f[:, None, :]
-    lags = [s.reshape(p, p, cells) for s in _lag_sums(
-        v.reshape(w.size, p * p), w, h, cells, [slice(None)] if parts is None else parts)]
-    return lags[0] if parts is None else lags
+    return [s.reshape(p, p, cells)
+            for s in _lag_sums(v.reshape(w.size, p * p), w, h, cells, parts)]
 
 
 def bspline_weighted_gram(d: int, l: int, omegas, weights) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prng import SplitMix64
+from . import prng
 from .validation import (as_float_array, check_count, check_positive_finite,
                          check_strictly_increasing, is_real_number, json_field, json_number)
 
@@ -108,9 +108,7 @@ def generate(spec: SchemeSpec) -> SampleSet:
     elif spec.kind == "jittered":
         pts = _midpoint_grid(n, k)
         if spec.theta > 0.0:
-            rng = SplitMix64(spec.seed)
-            bound = spec.theta * k / n
-            pts = pts + bound * np.array([rng.uniform_signed() for _ in range(n)])
+            pts = pts + (spec.theta * k / n) * prng.uniform_signed(spec.seed, n)
     else:
         pts = _log_points(n, k)
     return SampleSet(points=pts, bandwidth=float(k))

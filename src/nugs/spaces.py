@@ -12,7 +12,9 @@ Fourier transforms exact, and makes orthonormalization a plain QR in
 coefficient space.  Cells are half-open ``[a, b)``.  All B-spline
 coefficients come from one table, ``_bspline_blocks``: the d+1 blocks of
 each cell, rescaled from at most 2d+1 cells.  A spline basis orthonormalizes
-those blocks scattered into its (l+d, l, d+1) coefficient array.
+those blocks scattered into its (l+d, l, d+1) coefficient array, and the L2
+Gram of the raw B-splines, which the stability search reads, is summed from
+them into its upper band (``_bspline_band``) and kept in no other form.
 
 The module also computes the two intrinsic growth constants of a space:
 the worst-case derivative growth and the worst-case sup-norm growth of a
@@ -296,34 +298,15 @@ def _bspline_rescaled(d: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     return math.sqrt(l0 / l) * _bspline_table(d, l0), cells - np.clip(cells - d, 0, l - l0)
 
 
-def _bspline_cell_grams(d: int, l: int) -> np.ndarray:
-    """Each cell's Gram of the d+1 B-splines that touch it, (l, d+1, d+1):
-    entry [j, r, c] is the L2 product of B-splines j + r and j + c on cell j
-    (the cell-Legendre frame is orthonormal), computed once per distinct
-    block."""
-    table, index = _bspline_rescaled(d, l)
-    return (table.transpose(0, 2, 1) @ table)[index]
-
-
-def _bspline_gram(d: int, l: int) -> np.ndarray:
-    """Gram matrix of the l+d raw B-splines, banded with half-width d: cell
-    j adds its Gram into rows and columns j..j+d.  One ``np.bincount``
-    scatters all the cells' (d+1)^2 local entries; it sums each entry's
-    terms in the order of the local row r, as a loop over (r, c) would."""
-    local = _bspline_cell_grams(d, l)
-    size, j = l + d, np.arange(l)
-    r, c = np.ogrid[:d + 1, :d + 1]
-    flat = (j + r[..., None]) * size + (j + c[..., None])           # [r, c, j]
-    return np.bincount(flat.ravel(), local.transpose(1, 2, 0).ravel(),
-                       minlength=size * size).reshape(size, size)
-
-
 def _bspline_band(d: int, l: int) -> np.ndarray:
-    """The upper band of ``_bspline_gram(d, l)``, (d+1, l+d): entry [k, i] is
-    G[i, i+k], 0 past the end of the diagonal.  Each entry sums its terms
-    from 0 in the order of the local row r, as ``np.bincount`` does there,
-    so it is bitwise the dense entry."""
-    local = _bspline_cell_grams(d, l)
+    """The upper band of the Gram of the l+d raw B-splines, whose half-width
+    is d, (d+1, l+d): entry [k, i] is G[i, i+k], 0 past the end of the
+    diagonal.  Cell j adds the L2 products of the d+1 B-splines j..j+d that
+    touch it (the cell-Legendre frame is orthonormal), computed once per
+    distinct block; each entry sums its cells' terms from 0 in the order of
+    the local row r."""
+    table, index = _bspline_rescaled(d, l)
+    local = (table.transpose(0, 2, 1) @ table)[index]
     band = np.zeros((d + 1, l + d))
     for k in range(d + 1):
         for r in range(d + 1 - k):

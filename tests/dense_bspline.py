@@ -4,13 +4,14 @@ The package builds its B-spline blocks on at most 2d+1 cells and rescales
 them to l cells.  This reference projects every B-spline on every one of
 the l cells from its values at that cell's Gauss nodes, O(l^2) work, with
 the arithmetic of the package's small table, so the two agree bit for bit
-when l <= 2d+1.
+when l <= 2d+1.  ``bincount_gram`` is a dense reference for the L2 Gram of
+the B-splines, which the package keeps only as its upper band.
 """
 
 import numpy as np
 
 from nugs.quadrature import gauss_rule
-from nugs.spaces import _bspline_all_values, legendre_values
+from nugs.spaces import _bspline_all_values, _bspline_rescaled, legendre_values
 
 
 def dense_bspline_coeffs(d: int, l: int) -> np.ndarray:
@@ -28,3 +29,16 @@ def dense_bspline_coeffs(d: int, l: int) -> np.ndarray:
     norm = np.sqrt((2 * np.arange(p) + 1) / h)
     phi = legendre_values(p, t.ravel()).reshape(p, l, p) * norm[:, None, None]
     return np.einsum("ijq,njq,q->ijn", bvals, phi, gw * h / 2)
+
+
+def bincount_gram(d: int, l: int) -> np.ndarray:
+    """Dense Gram of the l+d raw B-splines, both triangles, from the package's
+    per-cell blocks: one ``np.bincount`` scatters every cell's (d+1)^2 local
+    products, and sums each entry's terms in the order of the local row r."""
+    table, index = _bspline_rescaled(d, l)
+    local = (table.transpose(0, 2, 1) @ table)[index]
+    size, j = l + d, np.arange(l)
+    r, c = np.ogrid[:d + 1, :d + 1]
+    flat = (j + r[..., None]) * size + (j + c[..., None])           # [r, c, j]
+    return np.bincount(flat.ravel(), local.transpose(1, 2, 0).ravel(),
+                       minlength=size * size).reshape(size, size)

@@ -383,7 +383,7 @@ def test_block_toeplitz_path_matches_dense_product(space, z):
     basis = build_basis(space)
     for width in (min(2.0, z), min(2.0, z) / 2):
         xs, ws = _half_band_nodes(z, width)
-        got = analysis._toeplitz_concentration(basis, xs, ws)
+        got = analysis._toeplitz_concentration(basis, xs, ws, [xs.size])[0]
         assert np.max(np.abs(got - _dense_half_band(basis, xs, ws))) <= 1e-13
 
 
@@ -393,10 +393,11 @@ def test_piecewise_constant_concentration_is_twice_the_lag_layout(cells):
     # lag k - j of the cell transforms' Gram in block (j, k), its transpose below
     basis = build_basis(SpaceSpec.piecewise_const(cells))
     xs, ws = _half_band_nodes(3.5, 1.0)
-    lags = fourier.uniform_cell_lags(cells, 1, xs, ws).real[0, 0]
+    lags = fourier.uniform_cell_lags(cells, 1, xs, ws, [slice(None)])[0].real[0, 0]
     j = np.arange(cells)
     gram = lags[np.abs(j[:, None] - j)]
-    assert np.array_equal(analysis._toeplitz_concentration(basis, xs, ws), 2.0 * gram)
+    assert np.array_equal(analysis._toeplitz_concentration(basis, xs, ws, [xs.size])[0],
+                          2.0 * gram)
 
 
 @pytest.mark.parametrize("space", [SpaceSpec.piecewise_const(64), SpaceSpec.spline(3, 40)],
@@ -405,7 +406,7 @@ def test_block_toeplitz_path_sums_across_node_chunks(space):
     basis = build_basis(space)
     xs, ws = _half_band_nodes(400.0, 1.0)
     assert len(analysis._node_chunks(xs.size, basis.dim)) == 2
-    got = analysis._toeplitz_concentration(basis, xs, ws)
+    got = analysis._toeplitz_concentration(basis, xs, ws, [xs.size])[0]
     assert np.max(np.abs(got - _dense_half_band(basis, xs, ws))) <= 1e-13
 
 

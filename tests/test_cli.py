@@ -274,6 +274,19 @@ def test_figure1_byte_identical_reruns(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_figure1_byte_identical_across_jobs(tmp_path):
+    # every cell depends only on its bandwidth, so the pool writes the
+    # serial map's files
+    for jobs in (1, 2):
+        code = run(["figure1", "--kcount", 4, "--kmax", 40, "--jobs", jobs,
+                    "--out-dir", tmp_path / str(jobs)])
+        assert code == 0
+    names = sorted(path.name for path in (tmp_path / "1").iterdir())
+    assert len(names) == 8
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_env_var_default_out_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NUGS_OUT_DIR", str(tmp_path / "envout"))
     code = run(["residual", "--space", "legendre:1", "--zmax", 4, "--zcount", 3])

@@ -81,6 +81,18 @@ def test_space_accepts_spec_instance():
     assert np.linalg.norm(est.coef_ - coef) < 1e-8
 
 
+@pytest.mark.parametrize("space", [123, None, ["trig", 3]], ids=["int", "none", "list"])
+def test_space_of_another_type_fails_at_the_boundary(space):
+    # neither a compact string nor a SpaceSpec: a ValueError naming space,
+    # through the constructor and through set_params
+    x, y, _, _ = make_problem()
+    for est in (NonuniformFourierRegressor(space=space, bandwidth=9.0),
+                NonuniformFourierRegressor(bandwidth=9.0).set_params(space=space)):
+        with pytest.raises(ValueError, match="space must be a compact string .* or a SpaceSpec"):
+            est.fit(x, y)
+        assert not hasattr(est, "coef_")
+
+
 def test_unfitted_predict_raises():
     est = NonuniformFourierRegressor()
     with pytest.raises(ValueError, match="not fitted"):

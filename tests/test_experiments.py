@@ -1,10 +1,11 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from dense_bspline import dense_bspline_coeffs
+from dense_bspline import bincount_gram, dense_bspline_coeffs
 from nugs import experiments, fourier, sampling, solver, spaces
 from nugs.errors import BandwidthTooSmallError
 from nugs.experiments import (ErrorRow, ScalingRow, _StabilityEvaluator, default_k_grid,
@@ -140,7 +141,7 @@ def test_banded_spline_shift_bitwise_equal_to_dense_shift(kind, d):
     ev = _StabilityEvaluator("spline", s, d)
     shift = (1.0 + ev.delta) ** 2 / 9.0
     for l in (1, d + 1, 2 * d + 2, 40):
-        w, g = ev._weighted(l), spaces._bspline_gram(d, l)
+        w, g = ev._weighted(l), bincount_gram(d, l)
         got = experiments._shifted(w, spaces._bspline_band(d, l), shift)
         assert got.flags.f_contiguous
         assert _same_bits(np.triu(got), np.triu(w - shift * g)), l
@@ -162,27 +163,63 @@ def test_identity_shift_bitwise_equal_to_diagonal_shift(kind, family):
 
 
 def test_spline_probes_build_the_dense_l2_gram_only_for_ratio(monkeypatch):
-    calls = {"gram": 0, "lower": 0}
-    gram, lower = spaces._bspline_gram, _StabilityEvaluator._lower
+    calls = {"pencil": 0, "lower": 0}
+    pencil, lower = _StabilityEvaluator._pencil, _StabilityEvaluator._lower
 
-    def counted_gram(d, l):
-        calls["gram"] += 1
-        return gram(d, l)
+    def counted_pencil(self, m):
+        calls["pencil"] += 1
+        return pencil(self, m)
 
     def counted_lower(self, m):
         calls["lower"] += 1
         return lower(self, m)
 
-    monkeypatch.setattr(spaces, "_bspline_gram", counted_gram)
+    monkeypatch.setattr(_StabilityEvaluator, "_pencil", counted_pencil)
     monkeypatch.setattr(_StabilityEvaluator, "_lower", counted_lower)
     s = generate(plan_scheme("jittered", 30.0, seed=7))
     ev = _StabilityEvaluator("spline", s, 2)
     assert [ev.passes(l, 3.0) for l in (2, 30, 60)] == [True, True, False]
-    assert calls == {"gram": 0, "lower": 0}
+    assert calls == {"pencil": 0, "lower": 0}
     # a search and a sweep cell, whose c_ratio is one more ratio
     max_stable_dimension("spline", s, d=2)
     scaling_table("spline", "jittered", [30.0], d=2, seed=7)
-    assert calls["lower"] >= 2 and calls["gram"] == calls["lower"]
+    assert calls["lower"] >= 2 and calls["pencil"] == calls["lower"]
+
+
+@pytest.mark.parametrize("kind", ["jittered", "log"])
+@pytest.mark.parametrize("d", range(6))
+def test_spline_ratio_bitwise_equal_to_the_dense_l2_gram_pencil(kind, d):
+    # eigh reads only the upper triangle of G, so the band written into a
+    # zero matrix gives every bit of the pencil with the dense bincount Gram
+    s = generate(plan_scheme(kind, 30.0, seed=7))
+    for l in sorted({1, d + 1, 2 * d + 1, 2 * d + 2, 60}):
+        ev = _StabilityEvaluator("spline", s, d)
+        w, g = ev._pencil(l)
+        want = scipy.linalg.eigh(w, bincount_gram(d, l), lower=False, eigvals_only=True,
+                                 subset_by_index=(0, 0))
+        got = scipy.linalg.eigh(w, g, lower=False, eigvals_only=True, subset_by_index=(0, 0))
+        assert _same_bits(got, want), l
+        ratio = solver.frame_constants(ev.delta, max(float(want[0]), 0.0)).ratio
+        assert _same_bits(np.float64(ev.ratio(l)), np.float64(ratio)), l
+
+
+@pytest.mark.parametrize("family", ["trig", "legendre"])
+def test_probes_read_the_real_table_and_leave_the_basis_cache_alone(family, monkeypatch):
+    dims = []
+    real_table = fourier._real_table
+
+    def counted(basis, w):
+        dims.append(basis.dim)
+        return real_table(basis, w)
+
+    monkeypatch.setattr(fourier, "_real_table", counted)
+    s = generate(plan_scheme("jittered", 30.0, seed=7))
+    before = fourier.cached_basis.cache_info()
+    max_stable_dimension(family, s)
+    assert fourier.cached_basis.cache_info() == before
+    # ratio(1), then the first probe at the law
+    law = experiments._law(family, 30.0)
+    assert dims[:2] == [spaces.dimension(family_space(family, m)) for m in (1, law)]
 
 
 @pytest.mark.parametrize("family", ["trig", "legendre"])
@@ -256,41 +293,48 @@ def test_bandwidth_too_small_raises():
         max_stable_dimension("trig", s, 1.0001)
 
 
-def test_hint_does_not_change_result():
+def _start_at(monkeypatch, index):
+    """Make every search's first probe ``index`` instead of the law."""
+    monkeypatch.setattr(experiments, "_law", lambda family, k: index)
+
+
+def test_start_does_not_change_result(monkeypatch):
     s = generate(SchemeSpec("jittered", 80, 30.0, theta=0.2, seed=9))
     base = max_stable_dimension("legendre", s, 3.0)
-    for hint in (1, 3, base, base + 4, 60):
-        ev = _StabilityEvaluator("legendre", s, 0)
-        assert experiments._search_max(ev, 3.0, hint) == base
+    for start in (1, 3, base, base + 4, 60):
+        _start_at(monkeypatch, start)
+        assert max_stable_dimension("legendre", s, 3.0) == base
 
 
 @pytest.mark.parametrize("kind, k, seed", [("jittered", 40.0, 3), ("log", 30.0, 5)])
 @pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0), ("spline", 1),
                                        ("spline", 2), ("spline", 3)])
-def test_search_start_does_not_change_selection(kind, k, seed, family, d):
+def test_search_start_does_not_change_selection(kind, k, seed, family, d, monkeypatch):
     s = generate(plan_scheme(kind, k, seed=seed))
     m = max_stable_dimension(family, s, 3.0, d=d)
     cap = _StabilityEvaluator(family, s, d).cap
     assert m < cap
-    for hint in (None, 1, 3, m, m + 1, m + 4, cap):
-        assert experiments._search_max(_StabilityEvaluator(family, s, d), 3.0, hint) == m
+    for start in (1, 3, m, m + 1, m + 4, cap):
+        _start_at(monkeypatch, start)
+        assert max_stable_dimension(family, s, 3.0, d=d) == m
     ev = _StabilityEvaluator(family, s, d)
     assert ev.ratio(m) <= 3.0 < ev.ratio(m + 1)
 
 
-def test_failing_default_start_bounds_the_bisection():
+def test_failing_default_start_bounds_the_bisection(monkeypatch):
     # spline d = 6 holds about 0.5 K cells, so the start at K = 60 fails
     s = generate(plan_scheme("jittered", 60.0, seed=21))
     assert not _StabilityEvaluator("spline", s, 6).passes(60, 3.0)
     assert max_stable_dimension("spline", s, 3.0, d=6) == 31
-    for hint in (1, 3, 31, 32, 35, 60):
-        assert experiments._search_max(_StabilityEvaluator("spline", s, 6), 3.0, hint) == 31
+    for start in (1, 3, 31, 32, 35, 60):
+        _start_at(monkeypatch, start)
+        assert max_stable_dimension("spline", s, 3.0, d=6) == 31
 
 
 @pytest.mark.parametrize("family, d, m, probes", [("trig", 0, 99, 8), ("legendre", 0, 35, 7),
                                                   ("spline", 1, 194, 9), ("spline", 2, 150, 8),
                                                   ("spline", 3, 110, 9)])
-def test_search_without_hint_starts_at_the_bandwidth_law(family, d, m, probes, monkeypatch):
+def test_search_starts_at_the_bandwidth_law(family, d, m, probes, monkeypatch):
     # a search doubling from index 1 makes 13, 11, 15, 15 and 13 probes here
     calls = []
     passes = _StabilityEvaluator.passes
@@ -466,8 +510,8 @@ def test_scaling_deterministic_given_seed():
 
 @pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0), ("spline", 2)])
 def test_scaling_parallel_matches_serial(family, d):
-    # serial cells start their search from the previous result, parallel
-    # ones from scratch: c_ratio must not depend on the probes before it
+    # every cell starts its search at its own bandwidth's law, on the pool
+    # as in the serial map
     ks = [8.0, 16.0, 32.0]
     serial = scaling_table(family, "jittered", ks, d=d, seed=3, jobs=1)
     parallel = scaling_table(family, "jittered", ks, d=d, seed=3, jobs=2)
@@ -476,6 +520,22 @@ def test_scaling_parallel_matches_serial(family, d):
     serial = error_curve(f, family, "jittered", ks, d=d, seed=3, jobs=1)
     parallel = error_curve(f, family, "jittered", ks, d=d, seed=3, jobs=2)
     assert serial == parallel
+
+
+FIGURE_FAMILIES = [("trig", 0), ("legendre", 0), ("spline", 1), ("spline", 2), ("spline", 3)]
+
+
+@pytest.mark.parametrize("kind", ["jittered", "log"])
+@pytest.mark.parametrize("family, d", FIGURE_FAMILIES)
+def test_sweep_rows_are_its_one_bandwidth_cells_in_any_order(kind, family, d):
+    # a grid's rows are the one-point grids' rows, as the benchmark times
+    # them, and a reversed grid gives the same rows reversed
+    ks, f = [5.0, 9.0, 16.0], FunctionSpec.benchmark()
+    for sweep in (partial(scaling_table, family, kind, d=d, seed=4),
+                  partial(error_curve, f, family, kind, d=d, seed=4)):
+        rows = sweep(ks)
+        assert rows == [row for k in ks for row in sweep([k])]
+        assert sweep(ks[::-1]) == rows[::-1]
 
 
 def test_error_curve_exact_for_member_function():
@@ -571,20 +631,18 @@ def test_figure_panels_check_options_before_making_the_directory(tmp_path, optio
 
 def test_figure_panels_search_once_per_bandwidth(tmp_path, monkeypatch):
     calls = []
-
-    def counted(ev, threshold, hint=None):
-        calls.append((hint, search(ev, threshold, hint)))
-        return calls[-1][1]
-
     search = experiments._search_max
+
+    def counted(ev, threshold):
+        # the search takes no start: its first probe is the law at ev's K
+        calls.append((ev.family, len(ev.s), ev.s.bandwidth))
+        return search(ev, threshold)
+
     monkeypatch.setattr(experiments, "_search_max", counted)
     monkeypatch.setattr(experiments, "_SPLINE_DEGREES", (1,))
     run_figure_panels(tmp_path, seed=1, k_grid=[6.0, 12.0])
-    # 2 schemes x 3 families x 2 bandwidths, each searched once; the second
-    # bandwidth's search starts from the first one's selection
-    assert len(calls) == 12
-    assert all(calls[i][0] is None and calls[i + 1][0] == calls[i][1]
-               for i in range(0, 12, 2))
+    # 2 schemes x 3 families x 2 bandwidths, each searched once
+    assert len(calls) == len(set(calls)) == 12
     for kind in ("jittered", "log"):
         scaling = [line.split(",")[:4] for line in
                    (tmp_path / f"scaling_{kind}.csv").read_text().splitlines()]
@@ -625,7 +683,7 @@ def test_csv_writer_bytes(tmp_path):
 def test_sweep_without_grid_visits_the_default_grid(tmp_path, monkeypatch, sweep, rounds):
     visited = []
 
-    def cell(f, family, kind, d, threshold, delta_max, theta, seed, k, hint=None):
+    def cell(f, family, kind, d, threshold, delta_max, theta, seed, k):
         # the search and the error row are not run: only the arguments count
         visited.append((k, threshold, delta_max))
         return (ScalingRow(family, k, 10, 1, 0.5, 1.5),

@@ -886,7 +886,7 @@ def test_uniform_cell_lags_sum_each_part_apart(cells, p):
     assert len(got) == 3
     for part, r in zip(got, parts):
         assert part.shape == (p, p, cells)
-        want = fourier.uniform_cell_lags(cells, p, w[r], mu[r])
+        want = fourier.uniform_cell_lags(cells, p, w[r], mu[r], [slice(None)])[0]
         assert np.max(np.abs(part - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.array_equal(fourier.uniform_cell_lags(cells, p, w, mu, [slice(0, 90)])[0],
-                          fourier.uniform_cell_lags(cells, p, w, mu))
+                          fourier.uniform_cell_lags(cells, p, w, mu, [slice(None)])[0])

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
 
-from dense_bspline import dense_bspline_coeffs
-from nugs import spaces
+from dense_bspline import bincount_gram, dense_bspline_coeffs
+from nugs import experiments, spaces
 from nugs.spaces import (GrowthConstants, SpaceSpec, _bspline_all_values, _bspline_blocks,
-                         _bspline_gram, build_basis, breakpoints,
+                         build_basis, breakpoints,
                          derivative_growth, dimension, evaluate,
                          growth_constants, member_values, min_spacing, sup_growth)
 
@@ -229,11 +229,23 @@ def test_bspline_values_match_scipy_design_matrix(d, l):
     assert np.max(np.abs(got.sum(axis=0) - 1.0)) <= 1e-15
 
 
+def _band_gram(d, l):
+    """The L2 Gram that the stability ratio reads: the band written into
+    the upper triangle of a zero matrix."""
+    return experiments._shifted(np.zeros((l + d, l + d)), spaces._bspline_band(d, l), -1.0)
+
+
+def _symmetric(upper):
+    return upper + np.triu(upper, 1).T
+
+
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 @pytest.mark.parametrize("l", [1, 2, 5, 23])
 def test_banded_bspline_gram_matches_dense(d, l):
     raw = dense_bspline_coeffs(d, l).reshape(l + d, -1)
-    gram = _bspline_gram(d, l)
+    upper = _band_gram(d, l)
+    assert np.array_equal(upper, np.triu(upper))
+    gram = _symmetric(upper)
     assert np.max(np.abs(gram - raw @ raw.T)) <= 1e-15
     rows, cols = np.indices(gram.shape)
     assert np.all(gram[np.abs(rows - cols) > d] == 0.0)
@@ -241,27 +253,28 @@ def test_banded_bspline_gram_matches_dense(d, l):
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_bspline_gram_scatter_matches_dense(d):
-    # one bincount scatters the cells' local Grams; it adds each entry's
-    # terms in the order of the (r, c) loop it replaced, so bit for bit
+    # the band adds each entry's cell terms in the order of an (r, c) loop
+    # over the cells' local Grams, so its upper triangle is the loop's bit
+    # for bit
     for l in (2 * d + 1, 2 * d + 2, 100):
         raw = dense_bspline_coeffs(d, l).reshape(l + d, -1)
-        gram = _bspline_gram(d, l)
-        assert np.max(np.abs(gram - raw @ raw.T)) <= 1e-15
+        upper = _band_gram(d, l)
+        assert np.max(np.abs(_symmetric(upper) - raw @ raw.T)) <= 1e-15
         blocks = _bspline_blocks(d, l)
         local = blocks.transpose(0, 2, 1) @ blocks
         loop, j = np.zeros((l + d, l + d)), np.arange(l)
         for r in range(d + 1):
             for c in range(d + 1):
                 loop[j + r, j + c] += local[:, r, c]
-        assert np.array_equal(gram, loop)
+        assert np.array_equal(upper, np.triu(loop))
 
 
 @pytest.mark.parametrize("d", range(6))
 def test_bspline_band_bitwise_equal_to_upper_band_of_gram(d):
-    # the probe's band sums each entry in bincount's order, so every bit of
-    # the dense Gram's upper band, zero-padded at the end of each diagonal
+    # the band sums each entry in bincount's order, so every bit of the
+    # dense Gram's upper band, zero-padded at the end of each diagonal
     for l in sorted({1, 2, d, d + 1, 2 * d + 1, 2 * d + 2, 60} - {0}):
-        band, gram = spaces._bspline_band(d, l), _bspline_gram(d, l)
+        band, gram = spaces._bspline_band(d, l), bincount_gram(d, l)
         assert band.shape == (d + 1, l + d)
         want = np.array([np.concatenate((np.diagonal(gram, k), np.zeros(k)))
                          for k in range(d + 1)])
@@ -347,7 +360,7 @@ def test_bspline_gram_is_hat_mass_matrix_at_degree_one():
     h = 1.0 / l
     want = (h / 6) * (4 * np.eye(l + 1) + np.eye(l + 1, k=1) + np.eye(l + 1, k=-1))
     want[0, 0] = want[-1, -1] = h / 3
-    assert np.allclose(_bspline_gram(1, l), want, rtol=0, atol=1e-15)
+    assert np.allclose(_symmetric(_band_gram(1, l)), want, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS + [SpaceSpec.legendre(60), SpaceSpec.spline(3, 40)],
