@@ -41,15 +41,14 @@ design is A = diag(e^{-i pi w}) B D with B the real table of
 ``fourier._real_table`` (D = I for trig, diag((-i)^j) for Legendre), the
 table that ``solver.reconstruct`` factorizes too, so W = A^H M A
 (M = diag(mu)) is a unitary similarity of the real symmetric B^T M B.
-``dsyrk`` builds that, a Cholesky test (``dpotrf``) shifts only its
-diagonal, and ``ratio`` runs the standard real ``eigh``; no complex design
-or identity matrix is formed.  A probe reads a
-principal block of the Gram of the widest probe so far (the start or a
-doubling probe), while ``ratio`` builds its own, so c_ratio does not
-depend on which probes came first.  The constant is basis-independent, so
-a spline pencil is that of the raw B-splines: a Hermitian Toeplitz interior
-plus 2d border columns (``fourier.bspline_weighted_gram``) against the L2
-Gram of half-width d, with no N x (l+d) design.
+``dsyrk`` builds that, and no complex design or identity matrix is
+formed.  A probe reads a principal block of the Gram of the widest probe
+so far (the start or a doubling probe), while ``ratio`` builds its own, so
+c_ratio does not depend on which probes came first.  The constant is
+basis-independent, so a spline pencil is that of the raw B-splines folded
+by their mirror symmetry (``fourier.bspline_weighted_gram``) against their
+folded L2 Gram of half-width d, with no N x (l+d) design.  So every pencil
+is real: a Cholesky test is ``dpotrf``, and ``ratio`` runs the real ``eigh``.
 
 A probe's shift has one path, ``_shifted``: it subtracts s times the upper
 band of G from those diagonals of a Fortran-ordered copy of W, the d+1
@@ -285,11 +284,10 @@ def _shifted(w: np.ndarray, band: np.ndarray, s: float) -> np.ndarray:
 
 
 def _factors(a: np.ndarray) -> bool:
-    """Whether the real symmetric or complex Hermitian matrix with ``a``'s
-    upper triangle has a Cholesky factor, i.e. is numerically positive
-    definite; ``potrf`` is that of ``a``'s dtype, and ``a`` is overwritten."""
-    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (a,))
-    return potrf(a, overwrite_a=True)[1] == 0
+    """Whether the real symmetric matrix with ``a``'s upper triangle has a
+    Cholesky factor (``dpotrf``), i.e. is numerically positive definite;
+    ``a`` is overwritten."""
+    return scipy.linalg.lapack.dpotrf(a, overwrite_a=True)[1] == 0
 
 
 def _law(family: str, k: float) -> int:

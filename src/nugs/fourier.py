@@ -60,18 +60,14 @@ table; on partitions whose cells all differ the sort and gather are pure
 overhead.
 
 ``bspline_weighted_gram`` gives the spline stability probe the weighted
-Gram A^H diag(mu) A of the raw clamped B-splines on l uniform cells without
-their N x (l+d) transform matrix.  The interior B-splines are translates of
-one cardinal B-spline with a closed-form transform, so their block is
-Hermitian Toeplitz and needs only its l-d lags, sums over the frequencies
-of the lag phases e^{-2 pi i w t h}, and is written from sliding windows of
-them.  Only the d border B-splines on each side get transform columns, from
-one Bessel table and the Legendre blocks of the at most 2d cells they
-touch; their cross terms with the interior are lag sums too.  The border
-layout (which cells and B-splines, and their coefficients) is one table per
-(d, l0), l0 = min(l, 2d+1) (``_bspline_border``), moved and scaled by
-sqrt(l0/l) to l cells as ``spaces._bspline_blocks`` scales its blocks, so a
-probe pays only for its sums over the samples.
+Gram of the raw clamped B-splines on l uniform cells without their
+N x (l+d) transform matrix, and real: the B-splines are mirror images, so
+the Gram is real in the basis of their sums and differences
+(``spaces._mirror_fold``).  The interior B-splines are translates of one
+cardinal B-spline with a closed-form transform, so their block is Toeplitz,
+and its mirror Hankel, in l-d lag sums.  At most the first d B-splines get
+transform columns, laid out once per (d, min(l, 2d+1)) (``_bspline_border``),
+so a probe pays only for its sums over the samples.
 
 ``uniform_cell_lags`` gives the concentration matrices of piecewise
 constants and splines (``analysis.concentration_matrix``) the same kind of
@@ -465,64 +461,64 @@ def uniform_cell_lags(cells: int, p: int, omegas, weights, parts) -> list[np.nda
 
 
 def bspline_weighted_gram(d: int, l: int, omegas, weights) -> np.ndarray:
-    """Weighted Gram A^H diag(weights) A of the transforms A of the l+d raw
-    clamped B-splines of degree d on l uniform cells, (l+d, l+d).
+    """Weighted Gram A^H diag(weights) A of the transforms A of the n = l+d
+    raw clamped B-splines of degree d on l uniform cells, folded by
+    ``spaces._mirror_fold`` into a real symmetric (n, n) array.
 
-    The interior B-splines d..l-1 are translates B_i(x) = N(x - (i-d) h),
-    h = 1/l, whose transforms are N^(w) e^{-2 pi i w (i-d) h} with
-    N^(w) = h e^{-pi i w (d+1) h} sinc(w h)^{d+1}; their block is Hermitian
-    Toeplitz, entry (i, k) being c_{i-k} = sum_n mu_n |N^(w_n)|^2
-    e^{2 pi i w_n (i-k) h}.  Only the other B-splines (d per side) get
-    transform columns, from the Legendre blocks of the at most 2d cells they
-    touch (``_bspline_border``).  The lags c_t and the border-interior cross
-    terms are sums over the frequencies of the lag phases e^{-2 pi i w t h},
-    all from one ``_lag_sums``.
+    The centred transforms C_i = e^{i pi w} A_i satisfy C_{n-1-i} =
+    conj(C_i).  The interior B-splines d..l-1 have centred transforms
+    N^(w) e^{-2 pi i w (i-d) h}, h = 1/l, N^(w) = h e^{-pi i w ((d+1) h - 1)}
+    sinc(w h)^{d+1}, so entry (i, k) of their block is c_{i-k} = sum_n mu_n
+    |N^(w_n)|^2 e^{2 pi i w_n (i-k) h}, and entry (i, n-1-k) is c_{i+k-n+1}.
+    One ``_lag_sums`` gives the lags and their products with the first
+    min(d, ceil(n/2)) B-splines, the only ones with transform columns.
     """
     w = np.asarray(omegas, dtype=float)
     mu = np.asarray(weights, dtype=float)
-    p, h, l0 = d + 1, 1.0 / l, min(l, 2 * d + 1)
-    touched, border, coeffs = _bspline_border(d, l0)
-    touched, border = (idx + (l - l0) * (idx > d) for idx in (touched, border))
+    n, p, h, l0 = l + d, d + 1, 1.0 / l, min(l, 2 * d + 1)
+    c = n - n // 2  # the top rows, through the middle one
+    coeffs = _bspline_border(d, l0)
+    cells, b = np.arange(coeffs.shape[0] // p), coeffs.shape[1]
     f = _order_factors(w, np.array([h]), p)[:, 0, :] * math.sqrt(h)
-    phase = np.exp(-1j * np.pi * w[:, None] * ((2 * touched + 1) * h))
-    a = ((phase[:, :, None] * f[:, None, :]).reshape(w.size, touched.size * p)
+    phase = np.exp(-1j * np.pi * w[:, None] * ((2 * cells + 1) * h - 1))
+    a = ((phase[:, :, None] * f[:, None, :]).reshape(w.size, cells.size * p)
          @ (math.sqrt(l0 / l) * coeffs))
     weighted = a.conj() * mu[:, None]
-    out = np.empty((l + d, l + d), dtype=complex)
-    out[border[:, None], border] = weighted.T @ a
+    top = np.empty((c, n), dtype=complex)
+    top[:b, :b] = weighted.T @ a
+    top[:b, n - b:] = (weighted.T @ a.conj())[:, ::-1]
     if l > d:
-        nhat = h * np.exp(-1j * np.pi * w * ((d + 1) * h)) * np.sinc(w * h) ** (d + 1)
+        nhat = h * np.exp(-1j * np.pi * w * ((d + 1) * h - 1)) * np.sinc(w * h) ** (d + 1)
         lagged = _lag_sums(np.column_stack((mu * np.abs(nhat) ** 2, weighted * nhat[:, None])),
                            w, h, l - d, [slice(None)])[0]
-        # the Toeplitz block, entry (i, k) = run[n-1-i+k], as windows of
-        # run = [c_{n-1} .. c_0 .. c_{1-n}]; the lag sums are c_{-t} = conj(c_t)
-        n, lag = l - d, lagged[0]
+        # interior rows of the Toeplitz block, entry (i, k) = run[m-1-i+k] of
+        # run = [c_{m-1} .. c_0 .. c_{1-m}]; the lag sums are c_{-t} = conj(c_t)
+        m, lag, cross = l - d, lagged[0], lagged[1:]
         run = np.concatenate((lag[::-1].conj(), lag[1:]))
-        out[d:l, d:l] = np.lib.stride_tricks.sliding_window_view(run, n)[::-1]
-        out[border, d:l] = lagged[1:]
-        out[d:l, border] = lagged[1:].conj().T
-    return out
+        top[d:, d:l] = np.lib.stride_tricks.sliding_window_view(run, m)[::-1][:c - d]
+        top[:d, d:l] = cross
+        top[d:, :d] = cross[:, :c - d].conj().T
+        # entry (i, n-1-k) of an interior row is entry (k, n-1-i) of a border one
+        top[d:, l:] = cross[::-1, l - c:m][:, ::-1].T
+    return spaces._mirror_fold(top)
 
 
 @lru_cache(maxsize=64)
-def _bspline_border(d: int, l0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The border layout of ``bspline_weighted_gram`` on l0 = min(l, 2d+1)
-    cells: the cells that a border B-spline touches, the border B-splines,
-    and the coefficients, (cells x orders, border), of the border B-splines
-    on those cells, from ``spaces._bspline_table``.  At l > l0 the indices
-    above d move up by l - l0 and the coefficients scale by sqrt(l0/l)."""
-    p, spline, cell = d + 1, np.arange(l0 + d), np.arange(l0)
-    touched = np.flatnonzero((cell < d) | (cell >= l0 - d))
-    border = np.flatnonzero((spline < d) | (spline >= l0))
-    # coeffs[c, n, i]: order-n coefficient of B-spline i on the c-th touched
-    # cell, which touches B-splines touched[c] + r, r <= d ([cell, order, r])
-    coeffs = np.zeros((touched.size, p, l0 + d))
-    coeffs[np.arange(touched.size)[:, None], :, touched[:, None] + np.arange(p)] = (
-        spaces._bspline_table(d, l0)[touched].transpose(0, 2, 1))
-    coeffs = coeffs[:, :, border].reshape(touched.size * p, border.size)
-    for arr in (touched, border, coeffs):
-        arr.setflags(write=False)
-    return touched, border, coeffs
+def _bspline_border(d: int, l0: int) -> np.ndarray:
+    """The coefficients, (cells x orders, b), of the first b = min(d,
+    ceil((l0+d)/2)) B-splines on the first cells of l0 = min(l, 2d+1), which
+    they touch (``spaces._bspline_table``); at l > l0 the cells keep their
+    indices and the coefficients scale by sqrt(l0/l)."""
+    p, b = d + 1, min(d, (l0 + d + 1) // 2)
+    cells = np.arange(min(b, l0))
+    # coeffs[c, n, i]: order-n coefficient of B-spline i on cell c, which
+    # touches B-splines c + r, r <= d ([cell, order, r])
+    coeffs = np.zeros((cells.size, p, l0 + d))
+    coeffs[cells[:, None], :, cells[:, None] + np.arange(p)] = (
+        spaces._bspline_table(d, l0)[cells].transpose(0, 2, 1))
+    coeffs = coeffs[:, :, :b].reshape(cells.size * p, b)
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def _lag_sums(v: np.ndarray, w: np.ndarray, step: float, count: int,

@@ -91,7 +91,7 @@ class FrameConstants:
 
     lower        : sharp lower frame constant (can be 0).
     upper_bound  : density bound (1 + delta)^2 on the upper constant.
-    ratio        : (1 + delta) / sqrt(lower); +inf when lower is 0.
+    ratio        : (1 + delta) / sqrt(lower); +inf (null in JSON) when lower is 0.
     density      : largest ghost-padded gap delta of the sample set.
     implied_tail : the margin eps with (1+delta)/(1-eps-delta) = ratio,
                    or None when it falls outside (0, 1 - delta).
@@ -104,7 +104,8 @@ class FrameConstants:
     implied_tail: float | None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        ratio = self.ratio if np.isfinite(self.ratio) else None
+        return json.dumps({**asdict(self), "ratio": ratio}, allow_nan=False)
 
 
 def design_matrix(basis: OrthoBasis, s: SampleSet) -> np.ndarray:

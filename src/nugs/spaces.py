@@ -13,8 +13,8 @@ coefficient space.  Cells are half-open ``[a, b)``.  All B-spline
 coefficients come from one table, ``_bspline_blocks``: the d+1 blocks of
 each cell, rescaled from at most 2d+1 cells.  A spline basis orthonormalizes
 those blocks scattered into its (l+d, l, d+1) coefficient array, and the L2
-Gram of the raw B-splines, which the stability search reads, is summed from
-them into its upper band (``_bspline_band``) and kept in no other form.
+Gram of the raw B-splines is summed from them, folded by mirror symmetry
+(``_mirror_fold``) and kept only as its upper band (``_bspline_band``).
 
 The module also computes the two intrinsic growth constants of a space:
 the worst-case derivative growth and the worst-case sup-norm growth of a
@@ -299,19 +299,44 @@ def _bspline_rescaled(d: int, l: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bspline_band(d: int, l: int) -> np.ndarray:
-    """The upper band of the Gram of the l+d raw B-splines, whose half-width
-    is d, (d+1, l+d): entry [k, i] is G[i, i+k], 0 past the end of the
-    diagonal.  Cell j adds the L2 products of the d+1 B-splines j..j+d that
-    touch it (the cell-Legendre frame is orthonormal), computed once per
-    distinct block; each entry sums its cells' terms from 0 in the order of
-    the local row r."""
+    """The upper band, (d+1, l+d), of the L2 Gram of the raw B-splines folded
+    by ``_mirror_fold``, which keeps its half-width d: entry [k, i] is
+    G[i, i+k], 0 past the end of the diagonal.  Cell j adds the products of
+    the B-splines j..j+d in its orthonormal Legendre frame, once per distinct
+    block, to each raw entry from 0 in the order of the local row r."""
     table, index = _bspline_rescaled(d, l)
     local = (table.transpose(0, 2, 1) @ table)[index]
-    band = np.zeros((d + 1, l + d))
+    n = l + d
+    upper = np.zeros(n * n)  # entry (i, i+k) at i (n+1) + k
     for k in range(d + 1):
         for r in range(d + 1 - k):
-            band[k, r:r + l] += local[:, r, r + k]
-    return band
+            upper[r * (n + 1) + k::n + 1][:l] += local[:, r, r + k]
+    folded = _mirror_fold(upper.reshape(n, n)[:n - n // 2])
+    return np.array([np.concatenate((np.diagonal(folded, k), np.zeros(k)))
+                     for k in range(d + 1)])
+
+
+def _mirror_fold(top: np.ndarray) -> np.ndarray:
+    """A Hermitian (n, n) M with M[n-1-i, n-1-k] = conj(M[i, k]), given by
+    its top rows M[:c], c = ceil(n/2), in the mirror basis where it is real:
+    (e_i + e_{n-1-i})/sqrt(2) for i < n/2, e_mid for odd n, then
+    -i (e_i - e_{n-1-i})/sqrt(2).  With T = M[i, k], P = M[i, n-1-k] and
+    i, k < c, the even, odd and even-odd blocks are Re(T + P), Re(T - P) and
+    Im(T - P), with the middle row and column, in both T and P, times
+    1/sqrt(2).  The upper triangle reads M's upper triangle and Im(T) only."""
+    c, n = top.shape
+    h = n - c
+    t, p = top[:, :c], top[:, h:][:, ::-1]
+    diff = t - p
+    out = np.empty((n, n))
+    out[:c, :c] = (t + p).real
+    out[c:, c:] = diff[:h, :h].real
+    out[:c, c:] = diff[:, :h].imag
+    if c > h:
+        out[h] *= math.sqrt(0.5)
+        out[:c, h] *= math.sqrt(0.5)
+    out[c:, :c] = out[:c, c:].T
+    return out
 
 
 def build_basis(space: SpaceSpec) -> OrthoBasis:

@@ -224,6 +224,26 @@ def test_stability_command_threshold_exit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ratio"] > 3.0
 
 
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("args", [
+    ["--space", "trig:300", "--k", 10, "--n", 40],  # dimension 601 > N = 40
+    ["--space", "spline:1:30", "--k", 3, "--n", 40, "--scheme", "log"],
+], ids=["dim-above-n", "spline-log"])
+def test_stability_command_writes_null_for_an_infinite_ratio(tmp_path, capsys, args):
+    # a lower frame constant of 0 makes the ratio infinite, which JSON
+    # cannot spell; the exit codes stay those of an infinite ratio
+    assert run(["stability", *args, "--out-dir", tmp_path]) == 0
+    out = _strict_json(capsys.readouterr().out)
+    assert out["lower"] == 0.0 and out["ratio"] is None
+    assert run(["stability", *args, "--threshold", 3, "--out-dir", tmp_path]) == 2
+    assert _strict_json(capsys.readouterr().out)["ratio"] is None
+
+
 def test_residual_command_monotone_csv(tmp_path):
     code = run(["residual", "--space", "legendre:3", "--zmax", 40,
                 "--zcount", 8, "--out-dir", tmp_path])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dense_bspline import bincount_gram, dense_bspline_coeffs
+from dense_bspline import dense_bspline_coeffs, folded_bincount_gram
 from nugs import experiments, fourier, sampling, solver, spaces
 from nugs.errors import BandwidthTooSmallError
 from nugs.experiments import (ErrorRow, ScalingRow, _StabilityEvaluator, default_k_grid,
@@ -135,13 +135,13 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("kind", ["jittered", "log"])
 @pytest.mark.parametrize("d", [0, 1, 3, 5])
 def test_banded_spline_shift_bitwise_equal_to_dense_shift(kind, d):
-    # W - sG on the d+1 diagonals of G's upper band: the upper triangle,
-    # which is all that potrf reads, is that of the dense w - s * g
+    # W - sG on the d+1 diagonals of G's folded upper band: the upper
+    # triangle, which is all that potrf reads, is that of the dense w - s * g
     s = generate(plan_scheme(kind, 30.0, seed=7))
     ev = _StabilityEvaluator("spline", s, d)
     shift = (1.0 + ev.delta) ** 2 / 9.0
-    for l in (1, d + 1, 2 * d + 2, 40):
-        w, g = ev._weighted(l), bincount_gram(d, l)
+    for l in (1, d + 1, 2 * d + 2, 40, 41):
+        w, g = ev._weighted(l), folded_bincount_gram(d, l)
         got = experiments._shifted(w, spaces._bspline_band(d, l), shift)
         assert got.flags.f_contiguous
         assert _same_bits(np.triu(got), np.triu(w - shift * g)), l
@@ -190,13 +190,14 @@ def test_spline_probes_build_the_dense_l2_gram_only_for_ratio(monkeypatch):
 @pytest.mark.parametrize("d", range(6))
 def test_spline_ratio_bitwise_equal_to_the_dense_l2_gram_pencil(kind, d):
     # eigh reads only the upper triangle of G, so the band written into a
-    # zero matrix gives every bit of the pencil with the dense bincount Gram
+    # zero matrix gives every bit of the pencil with the folded dense
+    # bincount Gram
     s = generate(plan_scheme(kind, 30.0, seed=7))
     for l in sorted({1, d + 1, 2 * d + 1, 2 * d + 2, 60}):
         ev = _StabilityEvaluator("spline", s, d)
         w, g = ev._pencil(l)
-        want = scipy.linalg.eigh(w, bincount_gram(d, l), lower=False, eigvals_only=True,
-                                 subset_by_index=(0, 0))
+        want = scipy.linalg.eigh(w, folded_bincount_gram(d, l), lower=False,
+                                 eigvals_only=True, subset_by_index=(0, 0))
         got = scipy.linalg.eigh(w, g, lower=False, eigvals_only=True, subset_by_index=(0, 0))
         assert _same_bits(got, want), l
         ratio = solver.frame_constants(ev.delta, max(float(want[0]), 0.0)).ratio
@@ -239,13 +240,11 @@ def test_real_table_is_the_design_up_to_diagonal_phases(family, s):
     assert np.max(np.abs(np.exp(-1j * np.pi * s.points)[:, None] * b * turn - a)) <= 1e-14
 
 
-@pytest.mark.parametrize("family, d, potrf", [("trig", 0, "dpotrf"), ("legendre", 0, "dpotrf"),
-                                              ("spline", 2, "zpotrf")])
-def test_probes_factor_in_the_pencil_dtype(monkeypatch, family, d, potrf):
-    # trig and Legendre pencils are real: no complex design, zherk or
-    # zpotrf, and no dense identity; spline pencils stay complex
+@pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0), ("spline", 2)])
+def test_probes_factor_in_the_pencil_dtype(monkeypatch, family, d):
+    # every pencil is real: no complex design, zherk or zpotrf, and no
+    # dense identity
     calls = []
-    get_lapack_funcs = scipy.linalg.get_lapack_funcs
 
     def counted(name, func):
         def call(*args, **kwargs):
@@ -253,14 +252,55 @@ def test_probes_factor_in_the_pencil_dtype(monkeypatch, family, d, potrf):
             return func(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, arrays: [
-        counted(f.typecode + name, f) for name, f in zip(names, get_lapack_funcs(names, arrays))])
     for module, name in ((scipy.linalg.blas, "zherk"), (scipy.linalg.lapack, "zpotrf"),
-                         (solver, "design_matrix"), (np, "eye")):
+                         (scipy.linalg.lapack, "dpotrf"), (solver, "design_matrix"),
+                         (np, "eye")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     [row] = scaling_table(family, "log", [20.0], d=d, seed=3)
     assert row.m > 1
-    assert set(calls) == {potrf}
+    assert set(calls) == {"dpotrf"}
+
+
+@pytest.mark.parametrize("kind", ["jittered", "log"])
+@pytest.mark.parametrize("d", [0, 1, 3, 6])
+def test_spline_search_sends_only_float64_to_potrf_and_eigh(monkeypatch, kind, d):
+    dtypes = {"potrf": [], "eigh": []}
+    dpotrf, eigh = scipy.linalg.lapack.dpotrf, scipy.linalg.eigh
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a complex Cholesky factorization")
+
+    def counted_potrf(a, *args, **kwargs):
+        dtypes["potrf"].append(a.dtype)
+        return dpotrf(a, *args, **kwargs)
+
+    def counted_eigh(a, b=None, *args, **kwargs):
+        dtypes["eigh"] += [a.dtype, b.dtype]
+        return eigh(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zpotrf", refuse)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counted_potrf)
+    monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+    s = generate(plan_scheme(kind, 40.0, seed=7))
+    ev = _StabilityEvaluator("spline", s, d)
+    m = experiments._search_max(ev, 3.0)
+    ev.ratio(m)
+    assert m > 1 and dtypes["potrf"] and dtypes["eigh"]
+    assert set(dtypes["potrf"]) | set(dtypes["eigh"]) == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("kind", ["jittered", "log"])
+@pytest.mark.parametrize("d", range(7))
+def test_folded_spline_lower_matches_complex_dense_pencil(kind, d):
+    # the real pencil (W'', G'') is unitarily similar to the complex one of
+    # the dense transforms and the dense B-spline Gram; at the indices up to
+    # the selected one lambda_min stays above ((1 + delta)/3)^2, so a
+    # relative bound is meaningful
+    s = generate(plan_scheme(kind, 30.0, seed=7))
+    ev = _StabilityEvaluator("spline", s, d)
+    top = experiments._search_max(ev, 3.0)
+    for l in sorted({1, 2, d + 1, top // 2, top - 1, top} - {0}):
+        assert ev._lower(l) == pytest.approx(dense_spline_lower(s, d, l), rel=5e-13, abs=0), l
 
 
 @pytest.mark.parametrize("kind", ["jittered", "log"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
-from dense_bspline import dense_bspline_coeffs
+from dense_bspline import dense_bspline_coeffs, mirror_fold
 from nugs import experiments, fourier, sampling, spaces, validation
 from nugs.fourier import (FourierData, FunctionSpec, _order_factors, basis_transform,
                           bspline_weighted_gram, cell_transforms, evaluate_function,
@@ -524,35 +524,53 @@ def _bspline_weights(omegas):
 @pytest.mark.parametrize("kind", sorted(BSPLINE_FREQS))
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_bspline_transforms_match_dense_oracle(kind, d):
-    # the weighted Gram from Toeplitz lags and border columns, against the
-    # Gram of the dense transforms; l covers no interior B-spline (l <= d),
-    # border cells that overlap (l <= 2d) and one interior cell (l = 2d+1)
+    # the folded weighted Gram from Toeplitz and Hankel lags and border
+    # columns, against the fold of the Gram of the dense transforms; l covers
+    # no interior B-spline (l <= d), border cells that overlap (l <= 2d), one
+    # interior cell (l = 2d+1), and both parities of l+d
     omegas = BSPLINE_FREQS[kind]
     mu = _bspline_weights(omegas)
-    for l in sorted({1, 2, d, d + 1, 2 * d, 2 * d + 1, 2 * d + 2, 37} - {0}):
+    for l in sorted({1, 2, d, d + 1, 2 * d, 2 * d + 1, 2 * d + 2, 37, 38} - {0}):
         assert np.pi * 0.05 / l < 0.5 < np.pi * 40.0 / l
-        want = dense_weighted_gram(d, l, omegas, mu)
+        want = mirror_fold(dense_weighted_gram(d, l, omegas, mu))
         got = bspline_weighted_gram(d, l, omegas, mu)
         assert got.shape == (l + d, l + d)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("l", [37, 38])
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
-def test_bspline_transforms_interior_columns_closed_form(d):
+def test_bspline_transforms_interior_columns_closed_form(d, l):
     # interior B-splines are cardinal B-splines on knots t_i .. t_i + (d+1) h,
-    # so their weighted Gram is Hermitian Toeplitz with lags from the closed form
-    l = 37
-    h = 1.0 / l
+    # so their weighted Gram is Hermitian Toeplitz, T = c_{i-k}, with lags
+    # from the closed form, and their mirror entries are Hankel in the same
+    # lags, P = c_{i+k-n+1}: the folded interior is Re(T + P) (even),
+    # Re(T - P) (odd) and Im(T - P) (even-odd), and the middle column
+    # sqrt(2) Re and -sqrt(2) Im of c_{i-mid}
+    n, h = l + d, 1.0 / l
+    half, top = n // 2, n - n // 2
     omegas = BSPLINE_FREQS["jittered"]
     mu = _bspline_weights(omegas)
     got = bspline_weighted_gram(d, l, omegas, mu)
-    block = got[d:l, d:l]
-    assert np.array_equal(block[1:, 1:], block[:-1, :-1])
-    assert np.array_equal(block, block.conj().T)
-    lags = np.arange(l - d)
+    lags = np.arange(d - l + 1, l - d)
     c = (mu * (h * np.sinc(omegas * h) ** (d + 1)) ** 2) @ np.exp(
         2j * np.pi * omegas[:, None] * lags * h)
-    assert np.max(np.abs(block[:, 0] - c)) <= 1e-14 * abs(c[0])
+
+    def lag(t):
+        return c[t + l - d - 1]
+
+    i, k = np.arange(d, half)[:, None], np.arange(d, half)
+    toeplitz, hankel = lag(i - k), lag(i + k - n + 1)
+    even = got[d:half, d:half]
+    assert np.array_equal(even, even.T)
+    for block, want in ((even, (toeplitz + hankel).real),
+                        (got[top + d:, top + d:], (toeplitz - hankel).real),
+                        (got[d:half, top + d:], (toeplitz - hankel).imag)):
+        assert np.max(np.abs(block - want)) <= 1e-14 * abs(lag(0))
+    if top > half:
+        mid = np.sqrt(2.0) * lag(i[:, 0] - half)
+        assert np.max(np.abs(got[d:half, half] - mid.real)) <= 1e-14 * abs(lag(0))
+        assert np.max(np.abs(got[top + d:, half] + mid.imag)) <= 1e-14 * abs(lag(0))
 
 
 frequencies = st.lists(st.floats(min_value=-80.0, max_value=80.0), min_size=1,
@@ -564,9 +582,12 @@ frequencies = st.lists(st.floats(min_value=-80.0, max_value=80.0), min_size=1,
 def test_bspline_transforms_properties(d, l, omegas):
     mu = _bspline_weights(omegas)
     got = bspline_weighted_gram(d, l, omegas, mu)
-    # raw B-splines are real: the Gram at negated frequencies is the conjugate, bit for bit
-    assert np.array_equal(bspline_weighted_gram(d, l, -omegas, mu), got.conj())
-    want = dense_weighted_gram(d, l, omegas, mu)
+    # raw B-splines are real, so the Gram at negated frequencies is the
+    # conjugate: in the fold the odd rows and columns flip sign, bit for bit
+    n = l + d
+    sign = np.where(np.arange(n) < n - n // 2, 1.0, -1.0)
+    assert np.array_equal(bspline_weighted_gram(d, l, -omegas, mu), got * sign[:, None] * sign)
+    want = mirror_fold(dense_weighted_gram(d, l, omegas, mu))
     # relative to the largest entry, floored where every frequency sits at a zero of sinc
     assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-12 / l ** 2)
 
@@ -609,14 +630,17 @@ def _gram_with_dense_scatter(d, l, omegas, weights):
 
 @pytest.mark.parametrize("kind", ["jittered", "log"])
 @pytest.mark.parametrize("d", range(6))
-def test_bspline_weighted_gram_bitwise_equal_to_dense_scatter(kind, d):
-    # one border layout per (d, min(l, 2d+1)) and a strided Toeplitz view
-    # change no bit of the Gram
+def test_bspline_weighted_gram_matches_folded_dense_scatter(kind, d):
+    # one-sided border columns on one layout per (d, min(l, 2d+1)) and the
+    # top rows' Toeplitz and Hankel lags give the fold of the complex Gram
+    # with all 2d border columns scattered
     s = generate(experiments.plan_scheme(kind, 30.0, seed=7))
     mu = weights(s)
-    for l in sorted({1, d, d + 1, 2 * d, 2 * d + 1, 2 * d + 2, 60} - {0}):
-        want = _gram_with_dense_scatter(d, l, s.points, mu)
-        assert _same_bits(bspline_weighted_gram(d, l, s.points, mu), want), l
+    for l in sorted({1, d, d + 1, 2 * d, 2 * d + 1, 2 * d + 2, 60, 61} - {0}):
+        want = mirror_fold(_gram_with_dense_scatter(d, l, s.points, mu))
+        got = bspline_weighted_gram(d, l, s.points, mu)
+        assert got.dtype == float
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), l
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 6])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
 
-from dense_bspline import bincount_gram, dense_bspline_coeffs
+from dense_bspline import dense_bspline_coeffs, folded_bincount_gram, mirror_fold
 from nugs import experiments, spaces
 from nugs.spaces import (GrowthConstants, SpaceSpec, _bspline_all_values, _bspline_blocks,
                          build_basis, breakpoints,
@@ -230,8 +230,8 @@ def test_bspline_values_match_scipy_design_matrix(d, l):
 
 
 def _band_gram(d, l):
-    """The L2 Gram that the stability ratio reads: the band written into
-    the upper triangle of a zero matrix."""
+    """The folded L2 Gram that the stability ratio reads: the band written
+    into the upper triangle of a zero matrix."""
     return experiments._shifted(np.zeros((l + d, l + d)), spaces._bspline_band(d, l), -1.0)
 
 
@@ -246,7 +246,8 @@ def test_banded_bspline_gram_matches_dense(d, l):
     upper = _band_gram(d, l)
     assert np.array_equal(upper, np.triu(upper))
     gram = _symmetric(upper)
-    assert np.max(np.abs(gram - raw @ raw.T)) <= 1e-15
+    assert np.max(np.abs(gram - mirror_fold(raw @ raw.T))) <= 1e-15
+    # the fold keeps half-width d in its [even | middle | odd] order
     rows, cols = np.indices(gram.shape)
     assert np.all(gram[np.abs(rows - cols) > d] == 0.0)
 
@@ -254,27 +255,27 @@ def test_banded_bspline_gram_matches_dense(d, l):
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_bspline_gram_scatter_matches_dense(d):
     # the band adds each entry's cell terms in the order of an (r, c) loop
-    # over the cells' local Grams, so its upper triangle is the loop's bit
-    # for bit
+    # over the cells' local Grams, so its upper triangle is that of the
+    # loop's fold bit for bit
     for l in (2 * d + 1, 2 * d + 2, 100):
         raw = dense_bspline_coeffs(d, l).reshape(l + d, -1)
         upper = _band_gram(d, l)
-        assert np.max(np.abs(_symmetric(upper) - raw @ raw.T)) <= 1e-15
+        assert np.max(np.abs(_symmetric(upper) - mirror_fold(raw @ raw.T))) <= 1e-15
         blocks = _bspline_blocks(d, l)
         local = blocks.transpose(0, 2, 1) @ blocks
         loop, j = np.zeros((l + d, l + d)), np.arange(l)
         for r in range(d + 1):
             for c in range(d + 1):
                 loop[j + r, j + c] += local[:, r, c]
-        assert np.array_equal(upper, np.triu(loop))
+        assert np.array_equal(upper, np.triu(spaces._mirror_fold(loop[:(l + d + 1) // 2])))
 
 
 @pytest.mark.parametrize("d", range(6))
 def test_bspline_band_bitwise_equal_to_upper_band_of_gram(d):
     # the band sums each entry in bincount's order, so every bit of the
-    # dense Gram's upper band, zero-padded at the end of each diagonal
+    # folded dense Gram's upper band, zero-padded at the end of each diagonal
     for l in sorted({1, 2, d, d + 1, 2 * d + 1, 2 * d + 2, 60} - {0}):
-        band, gram = spaces._bspline_band(d, l), bincount_gram(d, l)
+        band, gram = spaces._bspline_band(d, l), folded_bincount_gram(d, l)
         assert band.shape == (d + 1, l + d)
         want = np.array([np.concatenate((np.diagonal(gram, k), np.zeros(k)))
                          for k in range(d + 1)])
@@ -360,7 +361,7 @@ def test_bspline_gram_is_hat_mass_matrix_at_degree_one():
     h = 1.0 / l
     want = (h / 6) * (4 * np.eye(l + 1) + np.eye(l + 1, k=1) + np.eye(l + 1, k=-1))
     want[0, 0] = want[-1, -1] = h / 3
-    assert np.allclose(_symmetric(_band_gram(1, l)), want, rtol=0, atol=1e-15)
+    assert np.allclose(_symmetric(_band_gram(1, l)), mirror_fold(want), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS + [SpaceSpec.legendre(60), SpaceSpec.spline(3, 40)],
