@@ -114,10 +114,10 @@ class NonuniformFourierRegressor:
             raise ValueError("estimator is not fitted; call fit first")
 
     def predict(self, X) -> np.ndarray:
-        """Reconstructed function values at positions in [0, 1)."""
+        """Reconstructed function values at positions ``X`` in [0, 1), of
+        shape (n,) or (n, 1)."""
         self._check_fitted()
-        xs = check_positions(np.asarray(X, dtype=float).ravel(), "X")
-        return spaces.member_values(self.basis_, self.coef_, xs)
+        return spaces.member_values(self.basis_, self.coef_, check_positions(X, "X"))
 
     def score(self, X, y) -> float:
         """1 minus the relative squared data misfit at the given samples."""

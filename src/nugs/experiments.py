@@ -30,8 +30,8 @@ is the cap or ratio(M+1) > threshold, from any start.
 Every stability judgement reads one pencil: the weighted Gram W of the
 family's basis at index M against its L2 Gram G, whose smallest eigenvalue
 is the lower frame constant, so ratio(M) = (1+delta)/sqrt(lambda_min(W, G)).
-``ratio`` is that eigenvalue from ``scipy.linalg.eigh`` on the pencil built
-at M itself, and is the only source of the reported c_ratio.  Other probes
+``ratio`` is that eigenvalue from ``scipy.linalg.eigh`` on the pencil at
+M, and is the only source of the reported c_ratio.  Other probes
 only compare it with the threshold: ratio(M) <= threshold is
 lambda_min(W, G) >= t, and W - sG has a Cholesky factor exactly when
 lambda_min(W, G) > s, so two factorizations at t plus and minus a band
@@ -42,13 +42,15 @@ design is A = diag(e^{-i pi w}) B D with B the real table of
 table that ``solver.reconstruct`` factorizes too, so W = A^H M A
 (M = diag(mu)) is a unitary similarity of the real symmetric B^T M B.
 ``dsyrk`` builds that, and no complex design or identity matrix is
-formed.  A probe reads a principal block of the Gram of the widest probe
-so far (the start or a doubling probe), while ``ratio`` builds its own, so
-c_ratio does not depend on which probes came first.  The constant is
-basis-independent, so a spline pencil is that of the raw B-splines folded
-by their mirror symmetry (``fourier.bspline_weighted_gram``) against their
-folded L2 Gram of half-width d, with no N x (l+d) design.  So every pencil
-is real: a Cholesky test is ``dpotrf``, and ``ratio`` runs the real ``eigh``.
+formed.  There is one Gram per index, which the Cholesky tests and
+``ratio`` read alike (``_probe``): for trig and Legendre a principal block
+of the widest Gram built so far, for splines the last one that passed or
+one built at M.  A cell's probes depend only on its bandwidth, so c_ratio
+does too.  The constant is basis-independent, so a spline pencil is that
+of the raw B-splines folded by their mirror symmetry
+(``fourier.bspline_weighted_gram``) against their folded L2 Gram of
+half-width d, with no N x (l+d) design.  So every pencil is real: a
+Cholesky test is ``dpotrf``, and ``ratio`` runs the real ``eigh``.
 
 A probe's shift has one path, ``_shifted``: it subtracts s times the upper
 band of G from those diagonals of a Fortran-ordered copy of W, the d+1
@@ -170,9 +172,9 @@ class _StabilityEvaluator:
         self.mu = sampling.weights(s)
         self.delta = sampling.density(s)
         self._cache: dict[int, float] = {}
-        # trig, legendre: (index, upper triangle of W) of the widest probe
-        self._wide: tuple[int, np.ndarray] | None = None
-        self._passed: tuple[int, np.ndarray] | None = None  # spline: (l, W)
+        # (index, W): the widest Gram built for trig and Legendre, whose
+        # principal blocks are the narrower ones; a spline's last that passed
+        self._kept: tuple[int, np.ndarray] | None = None
 
     @property
     def cap(self) -> int:
@@ -208,28 +210,19 @@ class _StabilityEvaluator:
         else:
             ok = self.ratio(m) <= threshold
         if ok and self.family == "spline":
-            self._passed = (m, w)
+            self._kept = (m, w)
         return ok
 
     def _lower(self, m: int) -> float:
-        """lambda_min(W, G) at index m, clamped at 0."""
-        lam = scipy.linalg.eigh(*self._pencil(m), lower=False, eigvals_only=True,
-                                subset_by_index=(0, 0))
+        """lambda_min(W, G) at index m, clamped at 0, on the probe's W.  For
+        splines G is the band of ``_probe`` written into a zero matrix, the
+        upper triangle that ``eigh`` reads with ``lower=False``; for trig and
+        Legendre it is None, the identity, and ``eigh`` solves the standard
+        problem on the block of the kept Gram."""
+        w, band = self._probe(m)
+        g = _shifted(np.zeros(w.shape), band, -1.0) if self.family == "spline" else None
+        lam = scipy.linalg.eigh(w, g, lower=False, eigvals_only=True, subset_by_index=(0, 0))
         return max(float(lam[0]), 0.0)
-
-    def _pencil(self, m: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """W and G at index m for the exact eigenvalue, W built at m itself.
-        Only a spline probe's W is reused: a trig or Legendre probe reads a
-        block of a wider Gram, whose rounding depends on the probes that came
-        before.  For splines G is ``spaces._bspline_band`` written into a
-        zero matrix, the upper triangle that ``eigh`` reads with
-        ``lower=False``; for trig and Legendre it is None, the identity, and
-        ``eigh`` solves the standard problem."""
-        if self.family != "spline":
-            return self._weighted(m), None
-        reuse = self._passed is not None and self._passed[0] == m
-        w = self._passed[1] if reuse else self._weighted(m)
-        return w, _shifted(np.zeros(w.shape), spaces._bspline_band(self.d, m), -1.0)
 
     def _weighted(self, m: int) -> np.ndarray:
         """Weighted Gram of the family's basis at index m, of which only the
@@ -248,17 +241,20 @@ class _StabilityEvaluator:
         return _checked(w, self.family, m)
 
     def _probe(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The pencil at index m for a probe: W and the upper band of G.  A
-        spline's band is ``spaces._bspline_band``.  Trig and Legendre Grams
-        are principal blocks of one real weighted Gram, built afresh only
-        when m exceeds its index: the centred 2m+1 orders for trig, the
-        leading m+1 degrees for Legendre; their G is the identity, a band
-        of one diagonal."""
+        """The pencil at index m: W and the upper band of G, read by the
+        Cholesky tests and by the exact ratio alike.  A spline's W is the
+        kept one when it is at m, else built at m, and its band is
+        ``spaces._bspline_band``.  A trig or Legendre W is a principal block
+        of the kept Gram, built afresh only when m exceeds its index: the
+        centred 2m+1 orders for trig, the leading m+1 degrees for Legendre;
+        their G is the identity, a band of one diagonal."""
         if self.family == "spline":
-            return self._weighted(m), spaces._bspline_band(self.d, m)
-        if self._wide is None or m > self._wide[0]:
-            self._wide = (m, self._weighted(m))
-        wide, w = self._wide
+            kept = self._kept is not None and self._kept[0] == m
+            w = self._kept[1] if kept else self._weighted(m)
+            return w, spaces._bspline_band(self.d, m)
+        if self._kept is None or m > self._kept[0]:
+            self._kept = (m, self._weighted(m))
+        wide, w = self._kept
         n = spaces.dimension(family_space(self.family, m))
         lo = wide - m if self.family == "trig" else 0
         return w[lo:lo + n, lo:lo + n], np.ones((1, n))
@@ -374,7 +370,13 @@ def _sweep(cell, k_grid, jobs: int) -> list:
     """Row pairs of ``cell(k)`` across the grid, mapped on ``jobs``
     processes.  A cell depends only on its bandwidth, so every ``jobs``
     gives the same rows."""
-    ks = (default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)).tolist()
+    try:
+        ks = default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
+    except (TypeError, ValueError):
+        ks = None
+    if ks is None or ks.ndim != 1:
+        raise ValueError(f"k_grid must be a 1-D sequence of numbers, got {k_grid!r}")
+    ks = ks.tolist()
     if not ks:
         raise ValueError("k_grid must hold at least one bandwidth, got an empty grid")
     if check_count(jobs, "jobs") == 1:

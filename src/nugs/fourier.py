@@ -66,8 +66,9 @@ the Gram is real in the basis of their sums and differences
 (``spaces._mirror_fold``).  The interior B-splines are translates of one
 cardinal B-spline with a closed-form transform, so their block is Toeplitz,
 and its mirror Hankel, in l-d lag sums.  At most the first d B-splines get
-transform columns, laid out once per (d, min(l, 2d+1)) (``_bspline_border``),
-so a probe pays only for its sums over the samples.
+transform columns, whose coefficients come from the one table of
+``spaces._bspline_rescaled``, so a probe pays only for its sums over the
+samples.
 
 ``uniform_cell_lags`` gives the concentration matrices of piecewise
 constants and splines (``analysis.concentration_matrix``) the same kind of
@@ -475,14 +476,19 @@ def bspline_weighted_gram(d: int, l: int, omegas, weights) -> np.ndarray:
     """
     w = np.asarray(omegas, dtype=float)
     mu = np.asarray(weights, dtype=float)
-    n, p, h, l0 = l + d, d + 1, 1.0 / l, min(l, 2 * d + 1)
+    n, p, h = l + d, d + 1, 1.0 / l
     c = n - n // 2  # the top rows, through the middle one
-    coeffs = _bspline_border(d, l0)
-    cells, b = np.arange(coeffs.shape[0] // p), coeffs.shape[1]
+    b = min(d, c)  # the border B-splines, with transform columns
+    cells = np.arange(min(b, l))  # the cells they touch
+    # coeffs[j, k, i]: order-k coefficient on cell j of B-spline i, block
+    # column i - j of the cell's rescaled block
+    coeffs = np.zeros((cells.size, p, cells.size + d))
+    coeffs[cells[:, None], :, cells[:, None] + np.arange(p)] = (
+        spaces._bspline_rescaled(d, l)[0][cells].transpose(0, 2, 1))
     f = _order_factors(w, np.array([h]), p)[:, 0, :] * math.sqrt(h)
     phase = np.exp(-1j * np.pi * w[:, None] * ((2 * cells + 1) * h - 1))
     a = ((phase[:, :, None] * f[:, None, :]).reshape(w.size, cells.size * p)
-         @ (math.sqrt(l0 / l) * coeffs))
+         @ coeffs[:, :, :b].reshape(cells.size * p, b))
     weighted = a.conj() * mu[:, None]
     top = np.empty((c, n), dtype=complex)
     top[:b, :b] = weighted.T @ a
@@ -501,24 +507,6 @@ def bspline_weighted_gram(d: int, l: int, omegas, weights) -> np.ndarray:
         # entry (i, n-1-k) of an interior row is entry (k, n-1-i) of a border one
         top[d:, l:] = cross[::-1, l - c:m][:, ::-1].T
     return spaces._mirror_fold(top)
-
-
-@lru_cache(maxsize=64)
-def _bspline_border(d: int, l0: int) -> np.ndarray:
-    """The coefficients, (cells x orders, b), of the first b = min(d,
-    ceil((l0+d)/2)) B-splines on the first cells of l0 = min(l, 2d+1), which
-    they touch (``spaces._bspline_table``); at l > l0 the cells keep their
-    indices and the coefficients scale by sqrt(l0/l)."""
-    p, b = d + 1, min(d, (l0 + d + 1) // 2)
-    cells = np.arange(min(b, l0))
-    # coeffs[c, n, i]: order-n coefficient of B-spline i on cell c, which
-    # touches B-splines c + r, r <= d ([cell, order, r])
-    coeffs = np.zeros((cells.size, p, l0 + d))
-    coeffs[cells[:, None], :, cells[:, None] + np.arange(p)] = (
-        spaces._bspline_table(d, l0)[cells].transpose(0, 2, 1))
-    coeffs = coeffs[:, :, :b].reshape(cells.size * p, b)
-    coeffs.setflags(write=False)
-    return coeffs
 
 
 def _lag_sums(v: np.ndarray, w: np.ndarray, step: float, count: int,

@@ -39,6 +39,16 @@ def test_fit_predict_round_trip():
     assert np.allclose(est.predict(grid), truth, atol=1e-8)
 
 
+def test_predict_takes_a_column_vector_and_rejects_other_shapes():
+    x, y, _, _ = make_problem()
+    est = NonuniformFourierRegressor(space="trig:4", bandwidth=9.0).fit(x, y)
+    grid = np.linspace(0, 1, 7, endpoint=False)
+    assert np.array_equal(est.predict(grid.reshape(-1, 1)), est.predict(grid))
+    for shape in ((3, 2), (2, 2, 2), (1, 3)):
+        with pytest.raises(ValueError, match="X must be 1-dimensional"):
+            est.predict(np.full(shape, 0.25))
+
+
 def test_fit_accepts_column_vector_and_unsorted_input():
     x, y, coef, _ = make_problem()
     perm = np.random.default_rng(1).permutation(len(x))

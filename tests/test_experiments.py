@@ -163,27 +163,28 @@ def test_identity_shift_bitwise_equal_to_diagonal_shift(kind, family):
 
 
 def test_spline_probes_build_the_dense_l2_gram_only_for_ratio(monkeypatch):
-    calls = {"pencil": 0, "lower": 0}
-    pencil, lower = _StabilityEvaluator._pencil, _StabilityEvaluator._lower
+    # _lower is the only writer of the dense G: the band shifted into zeros
+    calls = {"dense": 0, "lower": 0}
+    shifted, lower = experiments._shifted, _StabilityEvaluator._lower
 
-    def counted_pencil(self, m):
-        calls["pencil"] += 1
-        return pencil(self, m)
+    def counted_shifted(w, band, s):
+        calls["dense"] += s == -1.0 and not np.any(w)
+        return shifted(w, band, s)
 
     def counted_lower(self, m):
         calls["lower"] += 1
         return lower(self, m)
 
-    monkeypatch.setattr(_StabilityEvaluator, "_pencil", counted_pencil)
+    monkeypatch.setattr(experiments, "_shifted", counted_shifted)
     monkeypatch.setattr(_StabilityEvaluator, "_lower", counted_lower)
     s = generate(plan_scheme("jittered", 30.0, seed=7))
     ev = _StabilityEvaluator("spline", s, 2)
     assert [ev.passes(l, 3.0) for l in (2, 30, 60)] == [True, True, False]
-    assert calls == {"pencil": 0, "lower": 0}
+    assert calls == {"dense": 0, "lower": 0}
     # a search and a sweep cell, whose c_ratio is one more ratio
     max_stable_dimension("spline", s, d=2)
     scaling_table("spline", "jittered", [30.0], d=2, seed=7)
-    assert calls["lower"] >= 2 and calls["pencil"] == calls["lower"]
+    assert calls["lower"] >= 2 and calls["dense"] == calls["lower"]
 
 
 @pytest.mark.parametrize("kind", ["jittered", "log"])
@@ -195,13 +196,39 @@ def test_spline_ratio_bitwise_equal_to_the_dense_l2_gram_pencil(kind, d):
     s = generate(plan_scheme(kind, 30.0, seed=7))
     for l in sorted({1, d + 1, 2 * d + 1, 2 * d + 2, 60}):
         ev = _StabilityEvaluator("spline", s, d)
-        w, g = ev._pencil(l)
+        w, band = ev._probe(l)
+        g = experiments._shifted(np.zeros(w.shape), band, -1.0)
         want = scipy.linalg.eigh(w, folded_bincount_gram(d, l), lower=False,
                                  eigvals_only=True, subset_by_index=(0, 0))
         got = scipy.linalg.eigh(w, g, lower=False, eigvals_only=True, subset_by_index=(0, 0))
         assert _same_bits(got, want), l
         ratio = solver.frame_constants(ev.delta, max(float(want[0]), 0.0)).ratio
         assert _same_bits(np.float64(ev.ratio(l)), np.float64(ratio)), l
+
+
+@pytest.mark.parametrize("k", [10.0, 40.0])
+@pytest.mark.parametrize("kind", ["jittered", "log"])
+@pytest.mark.parametrize("family", ["trig", "legendre"])
+def test_ratio_reads_a_block_of_the_probes_kept_gram(monkeypatch, family, kind, k):
+    # c_ratio builds no Gram: it is the eigenvalue of the block at m of the
+    # widest Gram the search built
+    s = generate(plan_scheme(kind, k, seed=7))
+    ev = _StabilityEvaluator(family, s)
+    m = experiments._search_max(ev, 3.0)
+    wide, gram = ev._kept
+    assert wide >= m
+    n = spaces.dimension(family_space(family, m))
+    lo = wide - m if family == "trig" else 0
+    lam = scipy.linalg.eigh(gram[lo:lo + n, lo:lo + n], lower=False, eigvals_only=True,
+                            subset_by_index=(0, 0))
+    want = solver.frame_constants(ev.delta, max(float(lam[0]), 0.0)).ratio
+
+    def refuse(self, m):
+        raise AssertionError(f"a Gram built at {m}")
+
+    monkeypatch.setattr(_StabilityEvaluator, "_weighted", refuse)
+    ev._cache.pop(m, None)
+    assert _same_bits(np.float64(ev.ratio(m)), np.float64(want))
 
 
 @pytest.mark.parametrize("family", ["trig", "legendre"])
@@ -494,6 +521,18 @@ def test_sweeps_reject_bad_jobs(tmp_path, sweep, jobs):
 def test_sweeps_reject_an_empty_bandwidth_grid(tmp_path, sweep):
     with pytest.raises(ValueError, match="k_grid must hold at least one bandwidth"):
         sweep(tmp_path / "out")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("grid", [5.0, [[5.0, 8.0]], ["a"]], ids=["scalar", "2-D", "text"])
+@pytest.mark.parametrize("sweep", [
+    lambda out, grid: scaling_table("trig", "jittered", grid),
+    lambda out, grid: error_curve(FunctionSpec.benchmark(), "trig", "jittered", grid),
+    lambda out, grid: run_figure_panels(out, k_grid=grid),
+], ids=["scaling_table", "error_curve", "run_figure_panels"])
+def test_sweeps_reject_a_grid_that_is_not_a_list_of_numbers(tmp_path, sweep, grid):
+    with pytest.raises(ValueError, match="k_grid must be a 1-D sequence of numbers"):
+        sweep(tmp_path / "out", grid)
     assert not list(tmp_path.iterdir())
 
 

@@ -347,7 +347,7 @@ def test_spline_probe_builds_each_bspline_block_once(monkeypatch):
         evaluator = experiments._StabilityEvaluator("spline", s, d)
         evaluated.clear()
         for l in ls:
-            evaluator._pencil(l)
+            evaluator._probe(l)
         l0s = sorted({min(l, 2 * d + 1) for l in ls})
         assert evaluated == [(d, l0, l0 * (d + 1)) for l0 in l0s], d
 
