@@ -27,38 +27,15 @@ from 1 to any l and from l to 2l but not from l to l+1, where lambda_min
 may rise; there the search keeps its contract, ratio(M) <= threshold and M
 is the cap or ratio(M+1) > threshold, from any start.
 
-Every stability judgement reads one pencil: the weighted Gram W of the
-family's basis at index M against its L2 Gram G, whose smallest eigenvalue
-is the lower frame constant, so ratio(M) = (1+delta)/sqrt(lambda_min(W, G)).
-``ratio`` is that eigenvalue from ``scipy.linalg.eigh`` on the pencil at
-M, and is the only source of the reported c_ratio.  Other probes
-only compare it with the threshold: ratio(M) <= threshold is
-lambda_min(W, G) >= t, and W - sG has a Cholesky factor exactly when
-lambda_min(W, G) > s, so two factorizations at t plus and minus a band
-(``PROBE_BAND``) decide every probe outside the band; inside it,
-and at index 1, ``ratio`` decides.  For trig and legendre G = I, and the
-design is A = diag(e^{-i pi w}) B D with B the real table of
-``fourier._real_table`` (D = I for trig, diag((-i)^j) for Legendre), the
-table that ``solver.reconstruct`` factorizes too, so W = A^H M A
-(M = diag(mu)) is a unitary similarity of the real symmetric B^T M B.
-``dsyrk`` builds that, and no complex design or identity matrix is
-formed.  There is one Gram per index, which the Cholesky tests and
-``ratio`` read alike (``_probe``): for trig and Legendre a principal block
-of the widest Gram built so far, for splines the last one that passed or
-one built at M.  A cell's probes depend only on its bandwidth, so c_ratio
-does too.  The constant is basis-independent, so a spline pencil is that
-of the raw B-splines folded by their mirror symmetry
-(``fourier.bspline_weighted_gram``) against their folded L2 Gram of
-half-width d, with no N x (l+d) design.  So every pencil is real: a
-Cholesky test is ``dpotrf``, and ``ratio`` runs the real ``eigh``.
-
-A probe's shift has one path, ``_shifted``: it subtracts s times the upper
-band of G from those diagonals of a Fortran-ordered copy of W, the d+1
-diagonals of ``spaces._bspline_band`` for a spline and the one diagonal of
-ones of the identity for trig and Legendre, and ``potrf`` reads only that
-upper triangle.  ``ratio``'s ``eigh`` reads only the upper triangle of G
-too, and takes the spline band written into a zero matrix (``_shifted``
-of zero by -1): there is one L2 Gram, the band.
+Every stability judgement reads the pencil (W, G) of ``solver.pencil`` at
+the probe's index (``_probe``): ``ratio`` is the exact eigenvalue of
+``solver.pencil_lower``, memoized, and the only source of the reported
+c_ratio; ``passes`` compares it with the threshold by the Cholesky tests
+of ``solver.pencil_test`` and asks ``ratio`` only inside their band, and
+at index 1.  There is one W per index, which both read alike: for trig and
+Legendre a principal block of the widest Gram built so far, for splines
+the last one that passed or one built at M.  A cell's probes depend only
+on its bandwidth, so c_ratio does too.
 """
 
 from __future__ import annotations
@@ -70,9 +47,8 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
-from . import fourier, sampling, solver, spaces, svgplot
+from . import fourier, sampling, solver, svgplot
 from .errors import BandwidthTooSmallError
 from .fourier import FunctionSpec
 from .sampling import SampleSet, SchemeSpec
@@ -91,19 +67,6 @@ _THRESHOLD = 3.0
 _K_GRID = (5.0, 200.0, 16)
 # the spline degrees of the figure panels
 _SPLINE_DEGREES = (1, 2, 3)
-# Half-width, in units of (1 + delta)^2, of the band around the stability
-# search's cut t = ((1 + delta)/threshold)^2 on lambda_min(W, G) inside which
-# a probe's Cholesky test (``_StabilityEvaluator.passes``) defers to the exact
-# eigenvalue.  (1 + delta)^2 bounds lambda_max(W, G), so it is the scale of W.
-# Forming W (N terms per entry, n columns) moves lambda_min by at most about
-# n N u (1 + delta)^2 (u = 2^-53), and the Cholesky factorization by about
-# n^2 u (1 + delta)^2: 2e-10 of the scale at N = 4380, n = 401.  Measured
-# over every probe of the K = 30 and K = 200 searches on log and jittered
-# sets, the shift at which W - sG stops factoring is within 3e-15 of the
-# scale of the exact lambda_min.  Outside the band every decision is
-# therefore the exact eigenvalue's, which the search reads as 0 (an infinite
-# ratio) when it is not positive.
-PROBE_BAND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -172,9 +135,9 @@ class _StabilityEvaluator:
         self.mu = sampling.weights(s)
         self.delta = sampling.density(s)
         self._cache: dict[int, float] = {}
-        # (index, W): the widest Gram built for trig and Legendre, whose
-        # principal blocks are the narrower ones; a spline's last that passed
-        self._kept: tuple[int, np.ndarray] | None = None
+        # (index, W, band): for trig and Legendre the widest pencil built,
+        # whose principal blocks are the narrower; a spline's last that passed
+        self._kept: tuple[int, np.ndarray, np.ndarray | None] | None = None
 
     @property
     def cap(self) -> int:
@@ -192,98 +155,38 @@ class _StabilityEvaluator:
         return self._cache[m]
 
     def passes(self, m: int, threshold: float) -> bool:
-        """Whether ``ratio(m) <= threshold``, decided without an eigensolver.
-
-        ratio(m) <= threshold is lambda_min(W, G) >= t = ((1+delta)/threshold)^2
-        for the probe's weighted Gram W and L2 Gram G.  W - sG has a Cholesky
-        factor exactly when lambda_min(W, G) > s, so factoring it at s = t
-        plus and minus ``PROBE_BAND`` (1+delta)^2 decides every probe
-        outside that band; inside it the exact ``ratio(m)`` decides.  G is
-        banded: the probe reads only its upper band.
-        """
+        """Whether ``ratio(m) <= threshold``, decided without an eigensolver
+        outside the band of ``solver.pencil_test``: ratio(m) <= threshold is
+        lambda_min(W, G) >= t (1+delta)^2 with t = threshold^-2."""
         w, band = self._probe(m)
-        scale, t = (1.0 + self.delta) ** 2, float(threshold) ** -2.0
-        if _factors(_shifted(w, band, scale * (t + PROBE_BAND))):
-            ok = True
-        elif not _factors(_shifted(w, band, scale * (t - PROBE_BAND))):
-            ok = False
-        else:
+        ok = solver.pencil_test(w, band, float(threshold) ** -2.0, (1.0 + self.delta) ** 2)
+        if ok is None:
             ok = self.ratio(m) <= threshold
         if ok and self.family == "spline":
-            self._kept = (m, w)
+            self._kept = (m, w, band)
         return ok
 
     def _lower(self, m: int) -> float:
-        """lambda_min(W, G) at index m, clamped at 0, on the probe's W.  For
-        splines G is the band of ``_probe`` written into a zero matrix, the
-        upper triangle that ``eigh`` reads with ``lower=False``; for trig and
-        Legendre it is None, the identity, and ``eigh`` solves the standard
-        problem on the block of the kept Gram."""
-        w, band = self._probe(m)
-        g = _shifted(np.zeros(w.shape), band, -1.0) if self.family == "spline" else None
-        lam = scipy.linalg.eigh(w, g, lower=False, eigvals_only=True, subset_by_index=(0, 0))
-        return max(float(lam[0]), 0.0)
+        """lambda_min(W, G) at index m, clamped at 0, on the probe's pencil."""
+        return solver.pencil_lower(*self._probe(m))
 
-    def _weighted(self, m: int) -> np.ndarray:
-        """Weighted Gram of the family's basis at index m, of which only the
-        upper triangle is read.  For trig and legendre it is the real
-        symmetric B^T M B of the real table B of ``fourier._real_table``,
-        from ``dsyrk``: a diagonal unitary similarity of A^H M A, so it has
-        the same eigenvalues.  Its basis is built afresh, not through
-        ``fourier.cached_basis``, so that probe spaces stay out of that cache."""
+    def _probe(self, m: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The pencil at index m, read by the Cholesky tests and by the exact
+        ratio alike.  A spline's is the kept one when it is at m, else built
+        at m.  A trig or Legendre W is a principal block of the kept Gram,
+        built afresh only when m exceeds its index: the centred 2m+1 orders
+        for trig, the leading m+1 degrees for Legendre."""
         if self.family == "spline":
-            w = fourier.bspline_weighted_gram(self.d, m, self.s.points, self.mu)
-        else:
-            basis = spaces.build_basis(family_space(self.family, m))
-            b = fourier._real_table(basis, self.s.points)[1]
-            b *= np.sqrt(self.mu)[:, None]
-            w = scipy.linalg.blas.dsyrk(1.0, b.T)
-        return _checked(w, self.family, m)
-
-    def _probe(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The pencil at index m: W and the upper band of G, read by the
-        Cholesky tests and by the exact ratio alike.  A spline's W is the
-        kept one when it is at m, else built at m, and its band is
-        ``spaces._bspline_band``.  A trig or Legendre W is a principal block
-        of the kept Gram, built afresh only when m exceeds its index: the
-        centred 2m+1 orders for trig, the leading m+1 degrees for Legendre;
-        their G is the identity, a band of one diagonal."""
-        if self.family == "spline":
-            kept = self._kept is not None and self._kept[0] == m
-            w = self._kept[1] if kept else self._weighted(m)
-            return w, spaces._bspline_band(self.d, m)
+            if self._kept is not None and self._kept[0] == m:
+                return self._kept[1:]
+            return solver.pencil(family_space(self.family, m, self.d), self.s.points, self.mu)
         if self._kept is None or m > self._kept[0]:
-            self._kept = (m, self._weighted(m))
-        wide, w = self._kept
-        n = spaces.dimension(family_space(self.family, m))
-        lo = wide - m if self.family == "trig" else 0
-        return w[lo:lo + n, lo:lo + n], np.ones((1, n))
-
-
-def _checked(a: np.ndarray, family: str, m: int) -> np.ndarray:
-    """``a`` when finite: a Cholesky test reads a NaN pivot as a failed probe."""
-    if not np.all(np.isfinite(a)):
-        raise np.linalg.LinAlgError(f"non-finite Gram matrix for the {family} probe "
-                                    f"at index {m}")
-    return a
-
-
-def _shifted(w: np.ndarray, band: np.ndarray, s: float) -> np.ndarray:
-    """The upper triangle of W - sG in a new Fortran-ordered array, for a G
-    of which ``band`` holds the upper band, band[k, i] = G[i, i+k]: the
-    shift touches only those diagonals of a copy of W."""
-    a = w.copy(order="F")
-    n, flat = a.shape[0], a.reshape(-1, order="F")  # a view: entry (i, j) at i + j n
-    for k, diagonal in enumerate(band):
-        flat[k * n::n + 1] -= s * diagonal[:n - k]
-    return a
-
-
-def _factors(a: np.ndarray) -> bool:
-    """Whether the real symmetric matrix with ``a``'s upper triangle has a
-    Cholesky factor (``dpotrf``), i.e. is numerically positive definite;
-    ``a`` is overwritten."""
-    return scipy.linalg.lapack.dpotrf(a, overwrite_a=True)[1] == 0
+            self._kept = (m, *solver.pencil(family_space(self.family, m), self.s.points,
+                                            self.mu))
+        wide, w, band = self._kept
+        cut = wide - m  # rows dropped from both ends for trig, from the end for Legendre
+        lo, hi = (cut if self.family == "trig" else 0), len(w) - cut
+        return w[lo:hi, lo:hi], band
 
 
 def _law(family: str, k: float) -> int:
@@ -334,6 +237,8 @@ def max_stable_dimension(family: str, s: SampleSet, threshold: float = _THRESHOL
     The returned M is maximal in the sense ratio(M) <= threshold and
     either M is the count cap or ratio(M+1) > threshold.
     """
+    if not isinstance(s, SampleSet):
+        raise ValueError(f"s must be a SampleSet, got {type(s).__name__}")
     return _search_max(_StabilityEvaluator(family, s, check_count(d, "d", 0)), threshold)
 
 
@@ -379,6 +284,8 @@ def _sweep(cell, k_grid, jobs: int) -> list:
     ks = ks.tolist()
     if not ks:
         raise ValueError("k_grid must hold at least one bandwidth, got an empty grid")
+    for k in ks:
+        check_positive_finite(k, "k_grid entry k")
     if check_count(jobs, "jobs") == 1:
         return list(map(cell, ks))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -400,6 +307,8 @@ def error_curve(f: FunctionSpec, family: str, kind: str, k_grid=None, *, d: int 
                 threshold: float = _THRESHOLD, seed: int = 0, jobs: int = 1) -> list[ErrorRow]:
     """Reconstruction error across a bandwidth grid with the stability-
     selected dimension at each bandwidth, on the default schemes of ``plan_scheme``."""
+    if not isinstance(f, FunctionSpec):
+        raise ValueError(f"f must be a FunctionSpec, got {f!r}")
     check_count(d, "d", 0)
     return [row for _, row in _sweep(partial(_cell, f, family, kind, d, threshold,
                                              _DELTA_MAX, _THETA, seed), k_grid, jobs)]

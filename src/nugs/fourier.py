@@ -36,8 +36,8 @@ without a dim x nodes table of basis values.
 The exponentials and the global polynomials are instead a phase times a
 real table times units, A = diag(e^{-i pi w}) B D (``_real_table``, the
 one place that tells the kinds apart), which ``basis_transform``,
-``member_transform``, the stability probes (``experiments``) and the solve
-(``solver``) all read.  An exponential of integer order j has the
+``member_transform``, and the solve and the stability pencils of ``solver``
+all read.  An exponential of integer order j has the
 transform e^{-i pi (w-j)} sinc(w-j) = e^{-i pi w} B_wj, where B_wj =
 sin(pi w) / (pi (w-j)), (-1)^j at w = j, and D = I (``_trig_factors``).
 With k = rint(w) and r = w - k exact, e^{-i pi w} = (-1)^k e^{-i pi r} and

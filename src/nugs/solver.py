@@ -25,12 +25,24 @@ The lower frame constant is the smallest eigenvalue of the weighted Gram,
 equal to the squared smallest singular value of the scaled matrix, which
 ``frame_lower`` reads from the R of the same QR.  One rank tolerance,
 ``RANK_RTOL``, decides when it is numerically zero, for the solve and for
-``frame_lower``; nothing else in the package uses a rank tolerance.  The
-stability search judges by the same constant as the smallest eigenvalue of
-the weighted Gram against the L2 Gram (``experiments``), without an SVD.
+``frame_lower``; nothing else in the package uses a rank tolerance.
 The upper constant is not computable from finitely many evaluations, so
 the density-based bound ``(1 + delta)^2`` is reported and the stability ratio
 is ``(1 + delta) / sqrt(lower)`` (``frame_constants``).
+
+The stability search (``experiments``) judges a space by the same constant
+without an SVD, on its real pencil (``pencil``): the weighted Gram W against
+the L2 Gram G, so ratio = (1+delta)/sqrt(lambda_min(W, G)).  For trig and
+Legendre G = I, and W is T^T M T (M = diag(mu)) of the scaled table that
+``_qr`` factorizes, a unitary similarity of A^H M A.  The constant is
+basis-independent, so a spline pencil is that of the raw B-splines folded
+by their mirror symmetry (``fourier.bspline_weighted_gram``) against their
+folded L2 Gram, kept as its upper band (``spaces._bspline_band``).
+W - sG has a Cholesky factor exactly when lambda_min(W, G) > s, so
+``pencil_test`` compares lambda_min with a cut by ``dpotrf`` outside a band
+(``PROBE_BAND``), and ``pencil_lower`` is the exact eigenvalue from the
+real ``eigh``.  Every shift, and the dense G that ``eigh`` reads, is made by
+``_shifted`` on the upper triangle alone.
 """
 
 from __future__ import annotations
@@ -39,9 +51,10 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy.linalg
+from scipy.linalg import blas, lapack
 
-from . import fourier, sampling
+from . import fourier, sampling, spaces
 from .errors import UnstableReconstructionError
 from .fourier import FourierData
 from .sampling import SampleSet
@@ -50,6 +63,18 @@ from .validation import complex_pairs, json_field, json_number
 
 # singular values below this fraction of the largest count as zero
 RANK_RTOL = 1e-12
+# Half-width, in units of (1 + delta)^2, of the band around a cut t on
+# lambda_min(W, G) inside which ``pencil_test`` leaves the decision to the
+# exact eigenvalue.  (1 + delta)^2 bounds lambda_max(W, G), so it is the
+# scale of W.  Forming W (N terms per entry, n columns) moves lambda_min by
+# at most about n N u (1 + delta)^2 (u = 2^-53), and the Cholesky
+# factorization by about n^2 u (1 + delta)^2: 2e-10 of the scale at
+# N = 4380, n = 401.  Measured over every probe of the K = 30 and K = 200
+# searches on log and jittered sets, the shift at which W - sG stops
+# factoring is within 3e-15 of the scale of the exact lambda_min.  Outside
+# the band every decision is therefore the exact eigenvalue's, which the
+# search reads as 0 (an infinite ratio) when it is not positive.
+PROBE_BAND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -114,24 +139,90 @@ def design_matrix(basis: OrthoBasis, s: SampleSet) -> np.ndarray:
 
 
 def _qr(basis: OrthoBasis, s: SampleSet, mu: np.ndarray):
-    """Householder QR of the scaled table diag(sqrt(mu)) T, N >= dim, of the
-    design A = diag(phase) T diag(turn): the reflectors (below the diagonal
-    of the returned N x dim array), their scalars, the dim x dim triangular
-    factor R, the phase and the turn.  T is the real table of trig and
-    Legendre (``fourier._real_table``), factorized by ``dgeqrf``, or for the
-    cell kinds the complex design itself, phase and turn 1, by ``zgeqrf``.
+    """Householder QR of the scaled table of ``_scaled``, N >= dim: the
+    reflectors (below the diagonal of the returned N x dim array), their
+    scalars, the dim x dim triangular factor R, the phase and the turn.
 
-    The scaled table is made in Fortran order, so ``geqrf`` overwrites it
-    in place; with the optimal workspace it runs blocked.  Its ``info`` is
-    nonzero only for an illegal argument, which the wrapper's shapes rule
-    out, as they do for ``ormqr``/``unmqr``.
+    ``geqrf`` (``dgeqrf`` on a real table) overwrites the Fortran-ordered
+    table in place; with the optimal workspace it runs blocked.  Its
+    ``info`` is nonzero only for an illegal argument, which the wrapper's
+    shapes rule out, as they do for ``ormqr``/``unmqr``.
     """
-    table = fourier._real_table(basis, s.points)
-    phase, t, turn = (1.0, design_matrix(basis, s), 1.0) if table is None else table
-    t = np.multiply(t, np.sqrt(mu)[:, None], order="F")
+    t, phase, turn = _scaled(basis, s.points, mu)
     geqrf, geqrf_lwork = lapack.get_lapack_funcs(("geqrf", "geqrf_lwork"), (t,))
     qr, tau, _, _ = geqrf(t, lwork=int(geqrf_lwork(*t.shape)[0].real), overwrite_a=True)
     return qr, tau, np.triu(qr[:basis.dim]), phase, turn
+
+
+def _scaled(basis: OrthoBasis, w: np.ndarray, mu: np.ndarray):
+    """diag(sqrt(mu)) T in Fortran order, the phase and the turn of the
+    design diag(phase) T diag(turn) at the frequencies w: T is the real table
+    of trig and Legendre, or the cell kinds' complex design, phase and turn 1."""
+    table = fourier._real_table(basis, w)
+    phase, t, turn = (1.0, fourier.basis_transform(basis, w), 1.0) if table is None else table
+    return np.multiply(t, np.sqrt(mu)[:, None], order="F"), phase, turn
+
+
+def pencil(space: SpaceSpec, w: np.ndarray, mu: np.ndarray):
+    """The stability pencil of a trig, Legendre or spline space at the
+    frequencies w and weights mu: W, of which only the upper triangle is
+    read, and the upper band of G, band[k, i] = G[i, i+k], or None for
+    G = I.  Its basis is built afresh, not through ``fourier.cached_basis``,
+    so that probe spaces stay out of that cache.  A non-finite W raises
+    ``LinAlgError``: a Cholesky test would read it as a failed probe."""
+    if space.kind == "spline":
+        gram = fourier.bspline_weighted_gram(space.degree, space.cells, w, mu)
+        band = spaces._bspline_band(space.degree, space.cells)
+    else:
+        t = _scaled(spaces.build_basis(space), w, mu)[0]
+        gram, band = blas.dsyrk(1.0, t, trans=1), None
+    if not np.all(np.isfinite(gram)):
+        raise np.linalg.LinAlgError(f"non-finite Gram matrix for the {space.kind} probe "
+                                    f"of dimension {gram.shape[0]}")
+    return gram, band
+
+
+def _shifted(w: np.ndarray, band: np.ndarray | None, s: float) -> np.ndarray:
+    """The upper triangle of W - sG in a new Fortran-ordered array, for G
+    given by its upper band or None for G = I: the shift touches only those
+    diagonals of a copy of W."""
+    a = w.copy(order="F")
+    n, flat = a.shape[0], a.reshape(-1, order="F")  # a view: entry (i, j) at i + j n
+    if band is None:
+        flat[::n + 1] -= s
+    else:
+        for k, diagonal in enumerate(band):
+            flat[k * n::n + 1] -= s * diagonal[:n - k]
+    return a
+
+
+def _factors(a: np.ndarray) -> bool:
+    """Whether the real symmetric matrix with ``a``'s upper triangle has a
+    Cholesky factor (``dpotrf``), i.e. is numerically positive definite;
+    ``a`` is overwritten."""
+    return lapack.dpotrf(a, overwrite_a=True)[1] == 0
+
+
+def pencil_test(w: np.ndarray, band: np.ndarray | None, t: float,
+                scale: float) -> bool | None:
+    """Whether lambda_min(W, G) >= t scale, decided without an eigensolver:
+    W - sG factors exactly when lambda_min(W, G) > s, so factoring it at
+    s = (t + ``PROBE_BAND``) scale and (t - ``PROBE_BAND``) scale decides
+    every pencil outside that band; None inside it."""
+    if _factors(_shifted(w, band, scale * (t + PROBE_BAND))):
+        return True
+    if not _factors(_shifted(w, band, scale * (t - PROBE_BAND))):
+        return False
+    return None
+
+
+def pencil_lower(w: np.ndarray, band: np.ndarray | None) -> float:
+    """lambda_min(W, G), clamped at 0: ``eigh`` with ``lower=False`` reads
+    the upper triangles of W and of G, the band written into a zero matrix,
+    and solves the standard problem for G = I."""
+    g = None if band is None else _shifted(np.zeros(w.shape), band, -1.0)
+    lam = scipy.linalg.eigh(w, g, lower=False, eigvals_only=True, subset_by_index=(0, 0))
+    return max(float(lam[0]), 0.0)
 
 
 def _lower(sig: np.ndarray) -> float:

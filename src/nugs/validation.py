@@ -66,9 +66,9 @@ def check_positive_finite(value, name: str) -> float:
 
 
 def check_threshold(threshold) -> None:
-    """A stability-ratio threshold: at least 1, the smallest possible ratio
-    (NaN fails)."""
-    if not threshold >= 1:
+    """A stability-ratio threshold: a real number (not a bool) of at least 1,
+    the smallest possible ratio (NaN fails)."""
+    if not (is_real_number(threshold) and threshold >= 1):
         raise ValueError(f"threshold must be positive and at least 1, the smallest "
                          f"possible stability ratio, got {threshold!r}")
 

@@ -59,14 +59,16 @@ def test_search_ratio_matches_stability_constant(kind, family, d, ms):
 
 
 
-@pytest.mark.parametrize("family", ["trig", "legendre"])
-def test_selected_c_ratio_matches_stability_constant_at_large_n(family):
+@pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0), ("spline", 1),
+                                       ("spline", 3)],
+                         ids=["trig", "legendre", "spline-1", "spline-3"])
+def test_selected_c_ratio_matches_stability_constant_at_large_n(family, d):
     # the Gram's rounding grows with N; at the selected m the pencil's
     # eigenvalue still agrees with the SVD of the scaled design
     s = generate(plan_scheme("log", 60.0, seed=7))
-    [row] = scaling_table(family, "log", [60.0], seed=7)
+    [row] = scaling_table(family, "log", [60.0], d=d, seed=7)
     assert row.n == len(s) == 1020
-    direct = stability_constant(build_basis(family_space(family, row.m)), s)
+    direct = stability_constant(build_basis(family_space(family, row.m, d)), s)
     assert row.c_ratio == pytest.approx(direct.ratio, rel=1e-12, abs=0)
 
 def dense_spline_lower(s, d, l):
@@ -141,8 +143,10 @@ def test_banded_spline_shift_bitwise_equal_to_dense_shift(kind, d):
     ev = _StabilityEvaluator("spline", s, d)
     shift = (1.0 + ev.delta) ** 2 / 9.0
     for l in (1, d + 1, 2 * d + 2, 40, 41):
-        w, g = ev._weighted(l), folded_bincount_gram(d, l)
-        got = experiments._shifted(w, spaces._bspline_band(d, l), shift)
+        w, band = solver.pencil(SpaceSpec.spline(d, l), s.points, ev.mu)
+        assert _same_bits(band, spaces._bspline_band(d, l))
+        got = solver._shifted(w, band, shift)
+        g = folded_bincount_gram(d, l)
         assert got.flags.f_contiguous
         assert _same_bits(np.triu(got), np.triu(w - shift * g)), l
 
@@ -150,7 +154,7 @@ def test_banded_spline_shift_bitwise_equal_to_dense_shift(kind, d):
 @pytest.mark.parametrize("kind", ["jittered", "log"])
 @pytest.mark.parametrize("family", ["trig", "legendre"])
 def test_identity_shift_bitwise_equal_to_diagonal_shift(kind, family):
-    # the identity is the band of one diagonal of ones
+    # the identity, a band of None, shifts the diagonal alone
     s = generate(plan_scheme(kind, 30.0, seed=7))
     ev = _StabilityEvaluator(family, s)
     shift = (1.0 + ev.delta) ** 2 / 9.0
@@ -158,14 +162,14 @@ def test_identity_shift_bitwise_equal_to_diagonal_shift(kind, family):
         w, band = ev._probe(m)
         want = w.copy(order="F")
         want[np.diag_indices_from(want)] -= shift
-        got = experiments._shifted(w, band, shift)
+        got = solver._shifted(w, band, shift)
         assert got.flags.f_contiguous and _same_bits(got, want), m
 
 
 def test_spline_probes_build_the_dense_l2_gram_only_for_ratio(monkeypatch):
     # _lower is the only writer of the dense G: the band shifted into zeros
     calls = {"dense": 0, "lower": 0}
-    shifted, lower = experiments._shifted, _StabilityEvaluator._lower
+    shifted, lower = solver._shifted, _StabilityEvaluator._lower
 
     def counted_shifted(w, band, s):
         calls["dense"] += s == -1.0 and not np.any(w)
@@ -175,7 +179,7 @@ def test_spline_probes_build_the_dense_l2_gram_only_for_ratio(monkeypatch):
         calls["lower"] += 1
         return lower(self, m)
 
-    monkeypatch.setattr(experiments, "_shifted", counted_shifted)
+    monkeypatch.setattr(solver, "_shifted", counted_shifted)
     monkeypatch.setattr(_StabilityEvaluator, "_lower", counted_lower)
     s = generate(plan_scheme("jittered", 30.0, seed=7))
     ev = _StabilityEvaluator("spline", s, 2)
@@ -197,7 +201,7 @@ def test_spline_ratio_bitwise_equal_to_the_dense_l2_gram_pencil(kind, d):
     for l in sorted({1, d + 1, 2 * d + 1, 2 * d + 2, 60}):
         ev = _StabilityEvaluator("spline", s, d)
         w, band = ev._probe(l)
-        g = experiments._shifted(np.zeros(w.shape), band, -1.0)
+        g = solver._shifted(np.zeros(w.shape), band, -1.0)
         want = scipy.linalg.eigh(w, folded_bincount_gram(d, l), lower=False,
                                  eigvals_only=True, subset_by_index=(0, 0))
         got = scipy.linalg.eigh(w, g, lower=False, eigvals_only=True, subset_by_index=(0, 0))
@@ -215,7 +219,8 @@ def test_ratio_reads_a_block_of_the_probes_kept_gram(monkeypatch, family, kind, 
     s = generate(plan_scheme(kind, k, seed=7))
     ev = _StabilityEvaluator(family, s)
     m = experiments._search_max(ev, 3.0)
-    wide, gram = ev._kept
+    wide, gram, band = ev._kept
+    assert band is None
     assert wide >= m
     n = spaces.dimension(family_space(family, m))
     lo = wide - m if family == "trig" else 0
@@ -223,10 +228,10 @@ def test_ratio_reads_a_block_of_the_probes_kept_gram(monkeypatch, family, kind, 
                             subset_by_index=(0, 0))
     want = solver.frame_constants(ev.delta, max(float(lam[0]), 0.0)).ratio
 
-    def refuse(self, m):
-        raise AssertionError(f"a Gram built at {m}")
+    def refuse(space, w, mu):
+        raise AssertionError(f"a Gram built for {space}")
 
-    monkeypatch.setattr(_StabilityEvaluator, "_weighted", refuse)
+    monkeypatch.setattr(solver, "pencil", refuse)
     ev._cache.pop(m, None)
     assert _same_bits(np.float64(ev.ratio(m)), np.float64(want))
 
@@ -453,7 +458,7 @@ def test_plan_scheme_rejects_bad_seed_before_any_point_set(monkeypatch, kind, se
         plan_scheme(kind, 10.0, delta_max=1e-3, seed=seed)
 
 
-@pytest.mark.parametrize("threshold", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("threshold", [float("nan"), 0.0, -1.0, "3", None, [3], True])
 def test_search_rejects_bad_threshold(threshold):
     with pytest.raises(ValueError, match="threshold must be positive"):
         max_stable_dimension("trig", INTEGER_GRID, threshold)
@@ -468,6 +473,13 @@ def test_search_rejects_unreachable_threshold(threshold):
         max_stable_dimension("trig", INTEGER_GRID, threshold)
     with pytest.raises(ValueError, match="threshold must be positive and at least 1"):
         scaling_table("trig", "jittered", [10.0], threshold=threshold)
+
+
+@pytest.mark.parametrize("s", [np.arange(-10.0, 11.0), list(range(-10, 11))],
+                         ids=["ndarray", "list"])
+def test_search_needs_a_sample_set(s):
+    with pytest.raises(ValueError, match="s must be a SampleSet"):
+        max_stable_dimension("trig", s)
 
 
 def test_search_threshold_one_passes_the_check():
@@ -534,6 +546,32 @@ def test_sweeps_reject_a_grid_that_is_not_a_list_of_numbers(tmp_path, sweep, gri
     with pytest.raises(ValueError, match="k_grid must be a 1-D sequence of numbers"):
         sweep(tmp_path / "out", grid)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -3.0])
+@pytest.mark.parametrize("sweep", [
+    lambda out, grid: scaling_table("trig", "jittered", grid),
+    lambda out, grid: error_curve(FunctionSpec.benchmark(), "trig", "jittered", grid),
+    lambda out, grid: run_figure_panels(out, k_grid=grid),
+], ids=["scaling_table", "error_curve", "run_figure_panels"])
+def test_sweeps_check_every_bandwidth_before_the_first_cell(tmp_path, monkeypatch, sweep, bad):
+    def refuse(*args):
+        raise AssertionError("ran a cell before checking the grid")
+
+    monkeypatch.setattr(experiments, "_cell", refuse)
+    with pytest.raises(ValueError, match="k_grid entry k must be finite and positive"):
+        sweep(tmp_path / "out", [5.0, 40.0, bad])
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("f", [None, "benchmark", 1.5])
+def test_error_curve_needs_a_function_before_any_cell(monkeypatch, f):
+    def refuse(*args):
+        raise AssertionError("ran a cell before checking f")
+
+    monkeypatch.setattr(experiments, "_cell", refuse)
+    with pytest.raises(ValueError, match="f must be a FunctionSpec"):
+        error_curve(f, "trig", "jittered", [5.0])
 
 
 def test_spline_scaling_needs_positive_degree():

@@ -13,12 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nugs.estimator import NonuniformFourierRegressor
-from nugs.experiments import (PROBE_BAND, _StabilityEvaluator, family_space,
-                              max_stable_dimension, plan_scheme)
+from nugs.experiments import _StabilityEvaluator, family_space, max_stable_dimension, plan_scheme
 from nugs.fourier import (FourierData, FunctionSpec, basis_transform, load_data_csv,
                           save_data_csv)
 from nugs.sampling import SampleSet, SchemeSpec, generate, weights
-from nugs.solver import Reconstruction, reconstruct, stability_constant
+from nugs.solver import PROBE_BAND, Reconstruction, reconstruct, stability_constant
 from nugs.spaces import SpaceSpec, build_basis, dimension
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.interpolate import BSpline
 
 from dense_bspline import dense_bspline_coeffs, folded_bincount_gram, mirror_fold
-from nugs import experiments, spaces
+from nugs import solver, spaces
 from nugs.spaces import (GrowthConstants, SpaceSpec, _bspline_all_values, _bspline_blocks,
                          build_basis, breakpoints,
                          derivative_growth, dimension, evaluate,
@@ -232,7 +232,7 @@ def test_bspline_values_match_scipy_design_matrix(d, l):
 def _band_gram(d, l):
     """The folded L2 Gram that the stability ratio reads: the band written
     into the upper triangle of a zero matrix."""
-    return experiments._shifted(np.zeros((l + d, l + d)), spaces._bspline_band(d, l), -1.0)
+    return solver._shifted(np.zeros((l + d, l + d)), spaces._bspline_band(d, l), -1.0)
 
 
 def _symmetric(upper):
