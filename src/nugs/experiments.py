@@ -9,7 +9,10 @@ exponentials, M/sqrt(K) for polynomials and M d^2/K for splines.
 One cell per bandwidth does all the work of a sweep: it plans the scheme,
 draws the sample set once and runs the stability search once, then builds
 the scaling row from that search and, given a function, the error row by
-reconstructing at the same M on the same set.  ``scaling_table`` and
+a weighted least-squares fit at the same M on the same set, solved on the
+pencil the search certified there (``_StabilityEvaluator.fit``).  The
+sweeps check the family and the threshold before the first cell draws a
+set or a pool starts.  ``scaling_table`` and
 ``error_curve`` keep one of the two rows; ``run_figure_panels`` keeps both,
 so the figure pays for one search per scheme, family and bandwidth.
 Given no grid, a sweep runs ``default_k_grid()``: the 16 points of figure1.
@@ -25,17 +28,23 @@ lambda_min(W, G) cannot rise with M (Cauchy interlacing) and the selected
 M does not depend on the start.  Spline spaces are nested
 from 1 to any l and from l to 2l but not from l to l+1, where lambda_min
 may rise; there the search keeps its contract, ratio(M) <= threshold and M
-is the cap or ratio(M+1) > threshold, from any start.
+is the cap or ratio(M+1) > threshold, from any start.  The same nesting
+makes index 1 the smallest space of every family, so the search takes it
+to pass and reads ratio(1) only when it ends at 1.
 
 Every stability judgement reads the pencil (W, G) of ``solver.pencil`` at
 the probe's index (``_probe``): ``ratio`` is the exact eigenvalue of
 ``solver.pencil_lower``, memoized, and the only source of the reported
 c_ratio; ``passes`` compares it with the threshold by the Cholesky tests
 of ``solver.pencil_test`` and asks ``ratio`` only inside their band, and
-at index 1.  There is one W per index, which both read alike: for trig and
-Legendre a principal block of the widest Gram built so far, for splines
-the last one that passed or one built at M.  A cell's probes depend only
-on its bandwidth, so c_ratio does too.
+at index 1 when the search ends there.  There is one W per index, which
+both read alike: for trig and Legendre a principal block of the widest Gram
+built so far, for splines the last one that passed or one built at M.  A
+cell's probes depend only on its bandwidth, so c_ratio does too.  The
+error row's solve (``solver._certified_fit``) factors that same W at the
+selected M, with the widest trig or Legendre probe's scaled table at its
+columns for the right-hand side, and measures the member in the pencil's
+basis (``spaces._raw_basis``): the raw B-splines for splines.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fourier, sampling, solver, svgplot
+from . import fourier, sampling, solver, spaces, svgplot
 from .errors import BandwidthTooSmallError
 from .fourier import FunctionSpec
 from .sampling import SampleSet, SchemeSpec
@@ -135,9 +144,10 @@ class _StabilityEvaluator:
         self.mu = sampling.weights(s)
         self.delta = sampling.density(s)
         self._cache: dict[int, float] = {}
-        # (index, W, band): for trig and Legendre the widest pencil built,
-        # whose principal blocks are the narrower; a spline's last that passed
-        self._kept: tuple[int, np.ndarray, np.ndarray | None] | None = None
+        # (index, W, band, table) of ``solver.pencil``: for trig and Legendre
+        # the widest pencil built, whose principal blocks are the narrower;
+        # a spline's last that passed
+        self._kept: tuple | None = None
 
     @property
     def cap(self) -> int:
@@ -163,8 +173,23 @@ class _StabilityEvaluator:
         if ok is None:
             ok = self.ratio(m) <= threshold
         if ok and self.family == "spline":
-            self._kept = (m, w, band)
+            self._kept = (m, w, band, None)
         return ok
+
+    def fit(self, m: int, values: np.ndarray) -> np.ndarray:
+        """Coefficients in ``spaces._raw_basis`` at index m of the weighted
+        fit to the samples ``values``, solved by ``solver._certified_fit`` on
+        the pencil that ``_probe`` reads at m, and for trig and Legendre on
+        the kept table's columns at m: certified once the search has
+        selected m."""
+        w, _ = self._probe(m)
+        table = None
+        if self.family != "spline":
+            t, phase, turn = self._kept[3]
+            cols = self._block(m)
+            table = t[:, cols], phase, turn[cols]
+        return solver._certified_fit(family_space(self.family, m, self.d), self.s.points,
+                                     self.mu, values, w, table)
 
     def _lower(self, m: int) -> float:
         """lambda_min(W, G) at index m, clamped at 0, on the probe's pencil."""
@@ -174,19 +199,24 @@ class _StabilityEvaluator:
         """The pencil at index m, read by the Cholesky tests and by the exact
         ratio alike.  A spline's is the kept one when it is at m, else built
         at m.  A trig or Legendre W is a principal block of the kept Gram,
-        built afresh only when m exceeds its index: the centred 2m+1 orders
-        for trig, the leading m+1 degrees for Legendre."""
+        built afresh only when m exceeds its index."""
         if self.family == "spline":
             if self._kept is not None and self._kept[0] == m:
-                return self._kept[1:]
-            return solver.pencil(family_space(self.family, m, self.d), self.s.points, self.mu)
+                return self._kept[1:3]
+            return solver.pencil(family_space(self.family, m, self.d), self.s.points,
+                                 self.mu)[:2]
         if self._kept is None or m > self._kept[0]:
             self._kept = (m, *solver.pencil(family_space(self.family, m), self.s.points,
                                             self.mu))
-        wide, w, band = self._kept
-        cut = wide - m  # rows dropped from both ends for trig, from the end for Legendre
-        lo, hi = (cut if self.family == "trig" else 0), len(w) - cut
-        return w[lo:hi, lo:hi], band
+        block = self._block(m)
+        return self._kept[1][block, block], None
+
+    def _block(self, m: int) -> slice:
+        """The columns at index m of the kept trig or Legendre pencil: the
+        centred 2m+1 orders for trig, the leading m+1 degrees for Legendre."""
+        wide, w = self._kept[:2]
+        cut = wide - m  # dropped from both ends for trig, from the end for Legendre
+        return slice(cut if self.family == "trig" else 0, len(w) - cut)
 
 
 def _law(family: str, k: float) -> int:
@@ -199,13 +229,14 @@ def _search_max(ev: _StabilityEvaluator, threshold: float) -> int:
     """An index M <= cap with ratio(M) <= threshold and either M = cap or
     ratio(M+1) > threshold.  The first probe is the family's ``_law`` at the
     bandwidth, clamped to [1, cap]; it is doubled while probes pass, and if
-    it fails it is the upper end of a bisection from 1."""
+    it fails it is the upper end of a bisection from 1.
+
+    Index 1 is taken to pass, and ratio(1) is read only when the search
+    ends there: every space of the family holds the one at index 1 (P_d for
+    splines), so a probe above 1 that passes has shown ratio(1) <= threshold
+    too.  With cap < 1 no probe is made."""
     check_threshold(threshold)
     cap = ev.cap
-    if cap < 1 or not ev.ratio(1) <= threshold:
-        raise BandwidthTooSmallError(
-            f"bandwidth too small: no stable dimension for {ev.family} "
-            f"(N={len(ev.s)}, K={ev.s.bandwidth:g})")
     lo = hi = min(max(_law(ev.family, ev.s.bandwidth), 1), cap)
     if lo > 1 and not ev.passes(lo, threshold):
         lo = 1
@@ -215,15 +246,17 @@ def _search_max(ev: _StabilityEvaluator, threshold: float) -> int:
             if not ev.passes(hi, threshold):
                 break
             lo = hi
-        if lo == cap:
-            return cap
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if ev.passes(mid, threshold):
             lo = mid
         else:
             hi = mid
-    return lo
+    if lo > 1 or (cap >= 1 and ev.ratio(1) <= threshold):
+        return lo
+    raise BandwidthTooSmallError(
+        f"bandwidth too small: no stable dimension for {ev.family} "
+        f"(N={len(ev.s)}, K={ev.s.bandwidth:g})")
 
 
 def max_stable_dimension(family: str, s: SampleSet, threshold: float = _THRESHOLD,
@@ -233,9 +266,11 @@ def max_stable_dimension(family: str, s: SampleSet, threshold: float = _THRESHOL
     ceil(sqrt(K)) for Legendre), doubles from there while probes pass, then
     bisects.
 
-    Raises ``BandwidthTooSmallError`` when not even index 1 is stable.
-    The returned M is maximal in the sense ratio(M) <= threshold and
-    either M is the count cap or ratio(M+1) > threshold.
+    Raises ``BandwidthTooSmallError`` when not even index 1 is stable,
+    which the search reads only when it ends at 1: a larger index that
+    passes holds index 1.  The returned M is maximal in the sense
+    ratio(M) <= threshold and either M is the count cap or
+    ratio(M+1) > threshold.
     """
     if not isinstance(s, SampleSet):
         raise ValueError(f"s must be a SampleSet, got {type(s).__name__}")
@@ -244,7 +279,10 @@ def max_stable_dimension(family: str, s: SampleSet, threshold: float = _THRESHOL
 
 def _cell(f, family, kind, d, threshold, delta_max, theta, seed, k):
     """One bandwidth: draw the planned sample set, search it once, and return
-    the scaling row with the error of ``f`` at the same m (None without f)."""
+    the scaling row with the error of ``f`` at the same m (None without f).
+    The error row solves on the pencil the search certified at m
+    (``_StabilityEvaluator.fit``) and measures the member in the pencil's
+    own basis: no design, QR or orthonormal basis is made."""
     spec = plan_scheme(kind, k, delta_max=delta_max, theta=theta, seed=seed)
     s = sampling.generate(spec)
     ev = _StabilityEvaluator(family, s, d)
@@ -256,13 +294,19 @@ def _cell(f, family, kind, d, threshold, delta_max, theta, seed, k):
     else:
         ratio = m * d * d / k
     row = ScalingRow(family=family, k=k, n=len(s), m=m, ratio=ratio, c_ratio=ev.ratio(m))
-    del ev  # its Grams are not needed for the error row
     if f is None:
         return row, None
-    basis = fourier.cached_basis(family_space(family, m, d))
-    rec = solver.reconstruct(basis, fourier.sample_function(f, s))
-    err = fourier.l2_error(f, rec.coefficients, basis)
+    coeffs = ev.fit(m, fourier.transform_integrals(f, s.points))
+    err = fourier.l2_error(f, coeffs, spaces._raw_basis(family_space(family, m, d)))
     return row, ErrorRow(family=family, k=k, n=len(s), m=m, error=err)
+
+
+def _check_search(family: str, threshold: float) -> None:
+    """The family and threshold of a sweep, checked before its first cell
+    draws a sample set or starts a pool."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    check_threshold(threshold)
 
 
 def default_k_grid(kmin: float = _K_GRID[0], kmax: float = _K_GRID[1],
@@ -299,6 +343,7 @@ def scaling_table(family: str, kind: str, k_grid=None, *, d: int = 0,
     check_count(d, "d", 0)
     if family == "spline" and d < 1:
         raise ValueError(f"the spline ratio M d^2/K needs degree d >= 1, got d={d}")
+    _check_search(family, threshold)
     return [row for row, _ in _sweep(partial(_cell, None, family, kind, d, threshold,
                                              delta_max, theta, seed), k_grid, jobs)]
 
@@ -310,6 +355,7 @@ def error_curve(f: FunctionSpec, family: str, kind: str, k_grid=None, *, d: int 
     if not isinstance(f, FunctionSpec):
         raise ValueError(f"f must be a FunctionSpec, got {f!r}")
     check_count(d, "d", 0)
+    _check_search(family, threshold)
     return [row for _, row in _sweep(partial(_cell, f, family, kind, d, threshold,
                                              _DELTA_MAX, _THETA, seed), k_grid, jobs)]
 
@@ -322,6 +368,7 @@ def run_figure_panels(out_dir, *, seed: int = 0, k_grid=None, jobs: int = 1,
     Each panel is one CSV (with a leading family column) plus one
     self-contained SVG.  Returns the paths written.
     """
+    check_threshold(threshold)
     fam_list = [("trig", 0), ("legendre", 0)] + [("spline", d) for d in _SPLINE_DEGREES]
     f = FunctionSpec.benchmark()
     written = []

@@ -68,7 +68,9 @@ cardinal B-spline with a closed-form transform, so their block is Toeplitz,
 and its mirror Hankel, in l-d lag sums.  At most the first d B-splines get
 transform columns, whose coefficients come from the one table of
 ``spaces._bspline_rescaled``, so a probe pays only for its sums over the
-samples.
+samples.  ``_bspline_weighted_data`` gives the solve on that pencil its
+right-hand side A^H y from the same border columns (``_bspline_centred``)
+and one lag sum of the interior.
 
 ``uniform_cell_lags`` gives the concentration matrices of piecewise
 constants and splines (``analysis.concentration_matrix``) the same kind of
@@ -468,33 +470,23 @@ def bspline_weighted_gram(d: int, l: int, omegas, weights) -> np.ndarray:
 
     The centred transforms C_i = e^{i pi w} A_i satisfy C_{n-1-i} =
     conj(C_i).  The interior B-splines d..l-1 have centred transforms
-    N^(w) e^{-2 pi i w (i-d) h}, h = 1/l, N^(w) = h e^{-pi i w ((d+1) h - 1)}
-    sinc(w h)^{d+1}, so entry (i, k) of their block is c_{i-k} = sum_n mu_n
-    |N^(w_n)|^2 e^{2 pi i w_n (i-k) h}, and entry (i, n-1-k) is c_{i+k-n+1}.
-    One ``_lag_sums`` gives the lags and their products with the first
-    min(d, ceil(n/2)) B-splines, the only ones with transform columns.
+    N^(w) e^{-2 pi i w (i-d) h} (``_bspline_centred``), so entry (i, k) of
+    their block is c_{i-k} = sum_n mu_n |N^(w_n)|^2 e^{2 pi i w_n (i-k) h},
+    and entry (i, n-1-k) is c_{i+k-n+1}.  One ``_lag_sums`` gives the lags
+    and their products with the first min(d, ceil(n/2)) B-splines, the only
+    ones with transform columns.
     """
     w = np.asarray(omegas, dtype=float)
     mu = np.asarray(weights, dtype=float)
-    n, p, h = l + d, d + 1, 1.0 / l
+    n, h = l + d, 1.0 / l
     c = n - n // 2  # the top rows, through the middle one
-    b = min(d, c)  # the border B-splines, with transform columns
-    cells = np.arange(min(b, l))  # the cells they touch
-    # coeffs[j, k, i]: order-k coefficient on cell j of B-spline i, block
-    # column i - j of the cell's rescaled block
-    coeffs = np.zeros((cells.size, p, cells.size + d))
-    coeffs[cells[:, None], :, cells[:, None] + np.arange(p)] = (
-        spaces._bspline_rescaled(d, l)[0][cells].transpose(0, 2, 1))
-    f = _order_factors(w, np.array([h]), p)[:, 0, :] * math.sqrt(h)
-    phase = np.exp(-1j * np.pi * w[:, None] * ((2 * cells + 1) * h - 1))
-    a = ((phase[:, :, None] * f[:, None, :]).reshape(w.size, cells.size * p)
-         @ coeffs[:, :, :b].reshape(cells.size * p, b))
+    a, nhat = _bspline_centred(d, l, w)
+    b = a.shape[1]
     weighted = a.conj() * mu[:, None]
     top = np.empty((c, n), dtype=complex)
     top[:b, :b] = weighted.T @ a
     top[:b, n - b:] = (weighted.T @ a.conj())[:, ::-1]
     if l > d:
-        nhat = h * np.exp(-1j * np.pi * w * ((d + 1) * h - 1)) * np.sinc(w * h) ** (d + 1)
         lagged = _lag_sums(np.column_stack((mu * np.abs(nhat) ** 2, weighted * nhat[:, None])),
                            w, h, l - d, [slice(None)])[0]
         # interior rows of the Toeplitz block, entry (i, k) = run[m-1-i+k] of
@@ -507,6 +499,48 @@ def bspline_weighted_gram(d: int, l: int, omegas, weights) -> np.ndarray:
         # entry (i, n-1-k) of an interior row is entry (k, n-1-i) of a border one
         top[d:, l:] = cross[::-1, l - c:m][:, ::-1].T
     return spaces._mirror_fold(top)
+
+
+def _bspline_weighted_data(d: int, l: int, omegas, weighted) -> np.ndarray:
+    """A^H y for the transforms A of ``bspline_weighted_gram`` and the
+    weighted samples y, (l+d,) in the raw order: with v = e^{i pi w} y,
+    entry i is C_i^H v, C_i^T v for the mirror border B-spline n-1-i, and
+    for an interior one the conjugate of one ``_lag_sums`` column of
+    N^ conj(v) at the lag i-d."""
+    w = np.asarray(omegas, dtype=float)
+    v = np.exp(1j * np.pi * w) * np.asarray(weighted, dtype=complex)
+    n = l + d
+    a, nhat = _bspline_centred(d, l, w)
+    b = a.shape[1]
+    out = np.empty(n, dtype=complex)
+    out[:b] = a.conj().T @ v
+    out[n - b:] = (a.T @ v)[::-1]
+    if l > d:
+        out[d:l] = _lag_sums((nhat * v.conj())[:, None], w, 1.0 / l, l - d,
+                             [slice(None)])[0][0].conj()
+    return out
+
+
+def _bspline_centred(d: int, l: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The centred transforms e^{i pi w} A_i of the first min(d, ceil(n/2))
+    raw B-splines, (n_w, b), and N^(w) = h e^{-pi i w ((d+1) h - 1)}
+    sinc(w h)^{d+1}, h = 1/l, that of the interior B-spline d, (n_w,).  The
+    border columns read their cells' coefficients from the one table of
+    ``spaces._bspline_rescaled``."""
+    n, p, h = l + d, d + 1, 1.0 / l
+    b = min(d, n - n // 2)  # the border B-splines, with transform columns
+    cells = np.arange(min(b, l))  # the cells they touch
+    # coeffs[j, k, i]: order-k coefficient on cell j of B-spline i, block
+    # column i - j of the cell's rescaled block
+    coeffs = np.zeros((cells.size, p, cells.size + d))
+    coeffs[cells[:, None], :, cells[:, None] + np.arange(p)] = (
+        spaces._bspline_rescaled(d, l)[0][cells].transpose(0, 2, 1))
+    f = _order_factors(w, np.array([h]), p)[:, 0, :] * math.sqrt(h)
+    phase = np.exp(-1j * np.pi * w[:, None] * ((2 * cells + 1) * h - 1))
+    a = ((phase[:, :, None] * f[:, None, :]).reshape(w.size, cells.size * p)
+         @ coeffs[:, :, :b].reshape(cells.size * p, b))
+    nhat = h * np.exp(-1j * np.pi * w * ((d + 1) * h - 1)) * np.sinc(w * h) ** (d + 1)
+    return a, nhat
 
 
 def _lag_sums(v: np.ndarray, w: np.ndarray, step: float, count: int,
@@ -534,11 +568,11 @@ def _phase_tables(w: np.ndarray, step: float, count: int) -> tuple[np.ndarray, n
 def _real_table(basis: OrthoBasis, w: np.ndarray):
     """The design of trig and Legendre at the frequencies w as
     diag(phase) B diag(turn): the phase e^{-i pi w}, (n_w,), the real table
-    B, (n_w, dim), and the units turn, 1 for trig and (-i)^n for Legendre;
-    None for the cell kinds, whose design is complex.  The one place that
-    tells these kinds apart."""
+    B, (n_w, dim), and the units turn, (dim,), ones for trig and (-i)^n for
+    Legendre; None for the cell kinds, whose design is complex.  The one
+    place that tells these kinds apart."""
     if basis.orders is not None:
-        return *_trig_factors(w, basis.orders), 1.0
+        return *_trig_factors(w, basis.orders), np.ones(basis.dim)
     if basis.space.kind == "legendre":
         return *_legendre_factors(w, basis.dim), _turns(basis.dim)
     return None

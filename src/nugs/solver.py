@@ -43,6 +43,18 @@ W - sG has a Cholesky factor exactly when lambda_min(W, G) > s, so
 (``PROBE_BAND``), and ``pencil_lower`` is the exact eigenvalue from the
 real ``eigh``.  Every shift, and the dense G that ``eigh`` reads, is made by
 ``_shifted`` on the upper triangle alone.
+
+A sweep's error row solves on that pencil (``_certified_fit``): once the
+search has certified ratio(m) <= threshold, cond(W, G) <= threshold^2, and
+the normal equations W x = A^H M b are factored by ``dpotrf`` in place of
+a QR of the design (the precondition is written at ``RANK_RTOL``).  The
+right-hand side of trig and Legendre is T^T (sqrt(mu) conj(phase) b) from
+the pencil's own scaled table; that of splines is A^H M b of the raw
+B-splines from their border columns and one lag sum
+(``fourier._bspline_weighted_data``), moved into the mirror basis of the
+folded W.  The coefficients are those of the pencil's basis, the raw
+B-splines for splines.  ``reconstruct``, for the estimator and the CLI,
+keeps the QR.
 """
 
 from __future__ import annotations
@@ -63,6 +75,14 @@ from .validation import complex_pairs, json_field, json_number
 
 # singular values below this fraction of the largest count as zero
 RANK_RTOL = 1e-12
+# ``_certified_fit`` solves the normal equations W x = A^H M b by Cholesky,
+# and its precondition is a certified ratio: the stability search has shown
+# ratio(m) <= threshold on the very pencil it factors.  Then lambda_min(W, G)
+# >= ((1 + delta) / threshold)^2 and lambda_max(W, G) <= (1 + delta)^2, so
+# cond(W, G) <= threshold^2, 9 at the default threshold 3, where normal
+# equations lose no more than QR (Golub & Van Loan, 5.3).  ``reconstruct``
+# knows no such bound (``RANK_RTOL`` accepts condition numbers far past it)
+# and keeps the QR.
 # Half-width, in units of (1 + delta)^2, of the band around a cut t on
 # lambda_min(W, G) inside which ``pencil_test`` leaves the decision to the
 # exact eigenvalue.  (1 + delta)^2 bounds lambda_max(W, G), so it is the
@@ -166,20 +186,54 @@ def _scaled(basis: OrthoBasis, w: np.ndarray, mu: np.ndarray):
 def pencil(space: SpaceSpec, w: np.ndarray, mu: np.ndarray):
     """The stability pencil of a trig, Legendre or spline space at the
     frequencies w and weights mu: W, of which only the upper triangle is
-    read, and the upper band of G, band[k, i] = G[i, i+k], or None for
-    G = I.  Its basis is built afresh, not through ``fourier.cached_basis``,
-    so that probe spaces stay out of that cache.  A non-finite W raises
-    ``LinAlgError``: a Cholesky test would read it as a failed probe."""
+    read; the upper band of G, band[k, i] = G[i, i+k], or None for G = I;
+    and for trig and Legendre the scaled table, phase and turn of
+    ``_scaled`` whose T^T T is W (None for splines).  Its basis is
+    ``spaces._raw_basis``, not the orthonormal one of
+    ``fourier.cached_basis``, so that probe spaces stay out of that cache.
+    A non-finite W raises ``LinAlgError``: a Cholesky test would read it as
+    a failed probe."""
     if space.kind == "spline":
         gram = fourier.bspline_weighted_gram(space.degree, space.cells, w, mu)
-        band = spaces._bspline_band(space.degree, space.cells)
+        band, table = spaces._bspline_band(space.degree, space.cells), None
     else:
-        t = _scaled(spaces.build_basis(space), w, mu)[0]
-        gram, band = blas.dsyrk(1.0, t, trans=1), None
+        table = _scaled(spaces._raw_basis(space), w, mu)
+        gram, band = blas.dsyrk(1.0, table[0], trans=1), None
     if not np.all(np.isfinite(gram)):
         raise np.linalg.LinAlgError(f"non-finite Gram matrix for the {space.kind} probe "
                                     f"of dimension {gram.shape[0]}")
-    return gram, band
+    return gram, band, table
+
+
+def _certified_fit(space: SpaceSpec, w: np.ndarray, mu: np.ndarray, values: np.ndarray,
+                   gram: np.ndarray, table) -> np.ndarray:
+    """Coefficients in the basis of ``pencil`` (``spaces._raw_basis``) of
+    the weighted least-squares fit to the samples ``values`` at the
+    frequencies w, solved on the pencil's W (``gram``, upper triangle),
+    whose ratio the search has certified (see ``RANK_RTOL``): W x = A^H M b
+    by ``dpotrf`` and ``dpotrs``, on its real and imaginary parts as two
+    real columns.
+
+    A spline's W is that of the mirror basis, so A^H M b
+    (``fourier._bspline_weighted_data``) is moved into it and the solution
+    back out.  For trig and Legendre ``table`` is the pencil's scaled table,
+    phase and turn at the space's columns, the right-hand side is
+    T^T (sqrt(mu) conj(phase) b), and the coefficients are conj(turn) times
+    the solution, as in ``reconstruct``.  A W that does not factor raises
+    ``LinAlgError``."""
+    if table is None:
+        rhs = spaces._mirror_rows(
+            fourier._bspline_weighted_data(space.degree, space.cells, w, mu * values))
+        rhs = rhs[:, None].view(float)
+    else:
+        t, phase, turn = table
+        rhs = t.T @ (np.sqrt(mu) * values * np.conj(phase))[:, None].view(float)
+    factor, info = lapack.dpotrf(gram)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"the certified {space.kind} pencil of dimension "
+                                    f"{gram.shape[0]} does not factor (dpotrf info {info})")
+    x = np.ascontiguousarray(lapack.dpotrs(factor, rhs)[0]).view(complex)[:, 0]
+    return spaces._mirror_columns(x) if table is None else x * np.conj(turn)
 
 
 def _shifted(w: np.ndarray, band: np.ndarray | None, s: float) -> np.ndarray:

@@ -11,10 +11,12 @@ the plain L2 inner product.  This makes Gram matrices, derivatives and
 Fourier transforms exact, and makes orthonormalization a plain QR in
 coefficient space.  Cells are half-open ``[a, b)``.  All B-spline
 coefficients come from one table, ``_bspline_blocks``: the d+1 blocks of
-each cell, rescaled from at most 2d+1 cells.  A spline basis orthonormalizes
-those blocks scattered into its (l+d, l, d+1) coefficient array, and the L2
-Gram of the raw B-splines is summed from them, folded by mirror symmetry
-(``_mirror_fold``) and kept only as its upper band (``_bspline_band``).
+each cell, rescaled from at most 2d+1 cells.  Scattered into an
+(l+d, l, d+1) coefficient array they are the raw B-splines (``_raw_basis``),
+which a spline basis orthonormalizes; the L2 Gram of the raw B-splines is
+summed from them, folded by mirror symmetry (``_mirror_fold``) and kept
+only as its upper band (``_bspline_band``).  Vectors move into and out of
+the mirror basis by ``_mirror_rows`` and ``_mirror_columns``.
 
 The module also computes the two intrinsic growth constants of a space:
 the worst-case derivative growth and the worst-case sup-norm growth of a
@@ -189,7 +191,8 @@ def dimension(space: SpaceSpec) -> int:
 
 @dataclass(frozen=True)
 class OrthoBasis:
-    """Orthonormal basis realization of a space.
+    """Basis realization of a space: orthonormal from ``build_basis``, the
+    raw B-splines of a spline space from ``_raw_basis``.
 
     For polynomial kinds, ``coeffs[i, j, n]`` holds the coefficient of the
     n-th normalized shifted Legendre polynomial on cell j in basis function
@@ -323,15 +326,15 @@ def _mirror_fold(top: np.ndarray) -> np.ndarray:
     -i (e_i - e_{n-1-i})/sqrt(2).  With T = M[i, k], P = M[i, n-1-k] and
     i, k < c, the even, odd and even-odd blocks are Re(T + P), Re(T - P) and
     Im(T - P), with the middle row and column, in both T and P, times
-    1/sqrt(2).  The upper triangle reads M's upper triangle and Im(T) only."""
+    1/sqrt(2).  The upper triangle reads M's upper triangle and Im(T) only.
+    Each block is written in place from the real and imaginary views."""
     c, n = top.shape
     h = n - c
     t, p = top[:, :c], top[:, h:][:, ::-1]
-    diff = t - p
     out = np.empty((n, n))
-    out[:c, :c] = (t + p).real
-    out[c:, c:] = diff[:h, :h].real
-    out[:c, c:] = diff[:, :h].imag
+    np.add(t.real, p.real, out=out[:c, :c])
+    np.subtract(t.real[:h, :h], p.real[:h, :h], out=out[c:, c:])
+    np.subtract(t.imag[:, :h], p.imag[:, :h], out=out[:c, c:])
     if c > h:
         out[h] *= math.sqrt(0.5)
         out[:c, h] *= math.sqrt(0.5)
@@ -339,14 +342,31 @@ def _mirror_fold(top: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_basis(space: SpaceSpec) -> OrthoBasis:
-    """Construct the canonical orthonormal basis of a space.
+def _mirror_rows(r: np.ndarray) -> np.ndarray:
+    """U^H r for the unitary U whose columns are the mirror basis of
+    ``_mirror_fold``, so that fold(M) U^H r = U^H M r: (r_i + r_{n-1-i})/sqrt(2)
+    for i < n/2, r_mid for odd n, then i (r_i - r_{n-1-i})/sqrt(2)."""
+    h = r.size // 2
+    top, bottom = r[:h], r[::-1][:h]
+    return np.concatenate(((top + bottom) * math.sqrt(0.5), r[h:r.size - h],
+                           1j * math.sqrt(0.5) * (top - bottom)))
 
-    Piecewise-polynomial kinds are exactly orthonormal by construction;
-    splines scatter the B-spline blocks of ``_bspline_blocks`` into the raw
-    (l+d, l, d+1) coefficient array and orthonormalize it by QR in the
-    (isometric) local Legendre coordinates.
-    """
+
+def _mirror_columns(x: np.ndarray) -> np.ndarray:
+    """U x for the U of ``_mirror_rows``: entries i and n-1-i are
+    (x_i -+ i x_{c+i})/sqrt(2) for i < n/2, c = ceil(n/2), and the middle
+    one is x_mid."""
+    h = x.size // 2
+    even, odd = x[:h], 1j * x[x.size - h:]
+    return np.concatenate(((even - odd) * math.sqrt(0.5), x[h:x.size - h],
+                           ((even + odd) * math.sqrt(0.5))[::-1]))
+
+
+def _raw_basis(space: SpaceSpec) -> OrthoBasis:
+    """The realization of a space before any orthonormalization, the basis
+    its stability pencil is built in: the orthonormal basis itself for every
+    kind but splines, whose raw clamped B-splines scatter the blocks of
+    ``_bspline_blocks`` into an (l+d, l, d+1) coefficient array."""
     breaks = breakpoints(space)
     if np.min(np.diff(breaks)) < _KNOT_SEPARATION:
         raise ValueError("cells narrower than 1e-14 are not representable")
@@ -362,18 +382,31 @@ def build_basis(space: SpaceSpec) -> OrthoBasis:
         coeffs[np.arange(cell.size), cell, order] = 1.0
     else:
         d, l = space.degree, space.cells
-        raw, j = np.zeros((l + d, l, d + 1)), np.arange(l)[:, None]
-        raw[j + np.arange(d + 1), j] = _bspline_blocks(d, l).transpose(0, 2, 1)
-        nb = l + d
-        q, _ = np.linalg.qr(raw.reshape(nb, -1).T)
-        # fix signs so the realization is deterministic
-        lead = np.argmax(np.abs(q), axis=0)
-        signs = np.sign(q[lead, np.arange(nb)])
-        signs[signs == 0] = 1.0
-        coeffs = (q * signs).T.reshape(raw.shape)
-    c = np.ascontiguousarray(coeffs)
-    c.setflags(write=False)
-    return OrthoBasis(space, breaks, coeffs=c)
+        coeffs, j = np.zeros((l + d, l, d + 1)), np.arange(l)[:, None]
+        coeffs[j + np.arange(d + 1), j] = _bspline_blocks(d, l).transpose(0, 2, 1)
+    coeffs.setflags(write=False)
+    return OrthoBasis(space, breaks, coeffs=coeffs)
+
+
+def build_basis(space: SpaceSpec) -> OrthoBasis:
+    """Construct the canonical orthonormal basis of a space.
+
+    Piecewise-polynomial kinds are exactly orthonormal by construction
+    (``_raw_basis``); splines orthonormalize the raw B-spline array by QR
+    in the (isometric) local Legendre coordinates.
+    """
+    raw = _raw_basis(space)
+    if space.kind != "spline":
+        return raw
+    nb = raw.dim
+    q, _ = np.linalg.qr(raw.coeffs.reshape(nb, -1).T)
+    # fix signs so the realization is deterministic
+    lead = np.argmax(np.abs(q), axis=0)
+    signs = np.sign(q[lead, np.arange(nb)])
+    signs[signs == 0] = 1.0
+    coeffs = np.ascontiguousarray((q * signs).T.reshape(raw.coeffs.shape))
+    coeffs.setflags(write=False)
+    return OrthoBasis(space, raw.breaks, coeffs=coeffs)
 
 
 def evaluate(basis: OrthoBasis, x) -> np.ndarray:

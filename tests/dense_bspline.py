@@ -7,7 +7,7 @@ the arithmetic of the package's small table, so the two agree bit for bit
 when l <= 2d+1.  ``bincount_gram`` is a dense reference for the L2 Gram of
 the B-splines, which the package keeps only as the upper band of its fold
 by mirror symmetry.  ``mirror_fold`` is a dense reference for that fold, a
-product with the unitary change of basis.
+product with the unitary change of basis of ``mirror_basis``.
 """
 
 import numpy as np
@@ -46,17 +46,22 @@ def bincount_gram(d: int, l: int) -> np.ndarray:
                        minlength=size * size).reshape(size, size)
 
 
-def mirror_fold(m: np.ndarray) -> np.ndarray:
-    """U^H M U for the unitary U whose columns are the mirror basis of
+def mirror_basis(n: int) -> np.ndarray:
+    """The unitary U whose columns are the mirror basis of
     ``nugs.spaces._mirror_fold``: (e_i + e_{n-1-i})/sqrt(2) for i < n/2,
     then e_mid when n is odd, then -i (e_i - e_{n-1-i})/sqrt(2)."""
-    n = m.shape[0]
     h, c, i = n // 2, n - n // 2, np.arange(n // 2)
     u = np.zeros((n, n), dtype=complex)
     u[i, i] = u[n - 1 - i, i] = np.sqrt(0.5)
     u[i, c + i], u[n - 1 - i, c + i] = -1j * np.sqrt(0.5), 1j * np.sqrt(0.5)
     if c > h:
         u[h, h] = 1.0
+    return u
+
+
+def mirror_fold(m: np.ndarray) -> np.ndarray:
+    """U^H M U for the U of ``mirror_basis``."""
+    u = mirror_basis(m.shape[0])
     return u.conj().T @ m @ u
 
 

@@ -98,9 +98,9 @@ def test_eigensolver_failure_propagates(monkeypatch, family, d):
         raise scipy.linalg.LinAlgError("forced failure")
 
     monkeypatch.setattr(scipy.linalg, "eigh", fail)
-    s = generate(SchemeSpec("jittered", 40, 15.0, theta=0.2, seed=5))
+    # the cell's c_ratio is an exact eigenvalue
     with pytest.raises(scipy.linalg.LinAlgError, match="forced failure"):
-        max_stable_dimension(family, s, 3.0, d=d)
+        scaling_table(family, "jittered", [15.0], d=d, seed=5)
 
 
 @pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0), ("spline", 2)])
@@ -143,7 +143,8 @@ def test_banded_spline_shift_bitwise_equal_to_dense_shift(kind, d):
     ev = _StabilityEvaluator("spline", s, d)
     shift = (1.0 + ev.delta) ** 2 / 9.0
     for l in (1, d + 1, 2 * d + 2, 40, 41):
-        w, band = solver.pencil(SpaceSpec.spline(d, l), s.points, ev.mu)
+        w, band, table = solver.pencil(SpaceSpec.spline(d, l), s.points, ev.mu)
+        assert table is None
         assert _same_bits(band, spaces._bspline_band(d, l))
         got = solver._shifted(w, band, shift)
         g = folded_bincount_gram(d, l)
@@ -185,10 +186,12 @@ def test_spline_probes_build_the_dense_l2_gram_only_for_ratio(monkeypatch):
     ev = _StabilityEvaluator("spline", s, 2)
     assert [ev.passes(l, 3.0) for l in (2, 30, 60)] == [True, True, False]
     assert calls == {"dense": 0, "lower": 0}
-    # a search and a sweep cell, whose c_ratio is one more ratio
-    max_stable_dimension("spline", s, d=2)
+    # a search, which selects m > 1 without ratio(1), and a sweep cell,
+    # whose c_ratio is one ratio
+    assert max_stable_dimension("spline", s, d=2) > 1
+    assert calls == {"dense": 0, "lower": 0}
     scaling_table("spline", "jittered", [30.0], d=2, seed=7)
-    assert calls["lower"] >= 2 and calls["dense"] == calls["lower"]
+    assert calls["lower"] >= 1 and calls["dense"] == calls["lower"]
 
 
 @pytest.mark.parametrize("kind", ["jittered", "log"])
@@ -219,7 +222,7 @@ def test_ratio_reads_a_block_of_the_probes_kept_gram(monkeypatch, family, kind, 
     s = generate(plan_scheme(kind, k, seed=7))
     ev = _StabilityEvaluator(family, s)
     m = experiments._search_max(ev, 3.0)
-    wide, gram, band = ev._kept
+    wide, gram, band, _ = ev._kept
     assert band is None
     assert wide >= m
     n = spaces.dimension(family_space(family, m))
@@ -250,9 +253,10 @@ def test_probes_read_the_real_table_and_leave_the_basis_cache_alone(family, monk
     before = fourier.cached_basis.cache_info()
     max_stable_dimension(family, s)
     assert fourier.cached_basis.cache_info() == before
-    # ratio(1), then the first probe at the law
+    # the first probe is at the law; index 1 is read only if the search
+    # ends there
     law = experiments._law(family, 30.0)
-    assert dims[:2] == [spaces.dimension(family_space(family, m)) for m in (1, law)]
+    assert dims[0] == spaces.dimension(family_space(family, law))
 
 
 @pytest.mark.parametrize("family", ["trig", "legendre"])
@@ -338,9 +342,9 @@ def test_folded_spline_lower_matches_complex_dense_pencil(kind, d):
 @pytest.mark.parametrize("kind", ["jittered", "log"])
 @pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0), ("spline", 1),
                                        ("spline", 3)])
-def test_search_evaluates_exactly_at_one_and_the_result(monkeypatch, kind, family, d):
-    # every other probe is a Cholesky test; with no probe in the band the
-    # only SVDs or eigensolves are those of ratio(1) and of the row's c_ratio
+def test_search_evaluates_exactly_only_at_the_result(monkeypatch, kind, family, d):
+    # every probe is a Cholesky test; with no probe in the band the only SVD
+    # or eigensolve is that of the row's c_ratio, and index 1 is not read
     sizes = []
     svd, eigh = np.linalg.svd, scipy.linalg.eigh
 
@@ -356,7 +360,7 @@ def test_search_evaluates_exactly_at_one_and_the_result(monkeypatch, kind, famil
     monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
     [row] = scaling_table(family, kind, [40.0], d=d, seed=2)
     assert row.m > 2
-    assert sizes == [spaces.dimension(family_space(family, m, d)) for m in (1, row.m)]
+    assert sizes == [spaces.dimension(family_space(family, row.m, d))]
 
 
 def test_bandwidth_too_small_raises():
@@ -420,6 +424,177 @@ def test_search_starts_at_the_bandwidth_law(family, d, m, probes, monkeypatch):
     assert max_stable_dimension(family, s, 3.0, d=d) == m
     assert len(calls) == probes
     assert calls[0] == (10 if family == "legendre" else 100)
+
+
+def _too_small(family, s):
+    return (f"bandwidth too small: no stable dimension for {family} "
+            f"(N={len(s)}, K={s.bandwidth:g})")
+
+
+@pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0), ("spline", 1),
+                                       ("spline", 3)])
+@pytest.mark.parametrize("case", ["cap is 1", "law at 1", "bisects to 1"])
+def test_index_one_failing_raises_the_same_error_on_every_path(monkeypatch, family, d, case):
+    # the search takes index 1 to pass and reads ratio(1) only where it
+    # ends: at a cap of 1 with no probe, after a failed doubling probe from
+    # a law clamped to 1, and after a failed law probe bisected down to 1
+    if case == "cap is 1":
+        n = {"trig": 3, "legendre": 2}.get(family, d + 1)
+        s = generate(SchemeSpec("jittered", n, 2.0, theta=0.2, seed=3))
+    else:
+        s = generate(SchemeSpec("jittered", 12, 0.8 if case == "law at 1" else 6.0,
+                                theta=0.2, seed=3))
+    if case == "bisects to 1":
+        _start_at(monkeypatch, 5)
+    # a threshold just below ratio(1): every larger space holds index 1
+    threshold = _StabilityEvaluator(family, s, d).ratio(1) * (1 - 1e-6)
+    assert threshold >= 1.0
+    calls = []
+    passes = _StabilityEvaluator.passes
+
+    def counted(self, index, threshold):
+        calls.append(index)
+        return passes(self, index, threshold)
+
+    monkeypatch.setattr(_StabilityEvaluator, "passes", counted)
+    ev = _StabilityEvaluator(family, s, d)
+    assert (ev.cap == 1) == (case == "cap is 1")
+    with pytest.raises(BandwidthTooSmallError) as info:
+        experiments._search_max(ev, threshold)
+    assert str(info.value) == _too_small(family, s)
+    assert calls == {"cap is 1": [], "law at 1": [2], "bisects to 1": [5, 3, 2]}[case]
+    assert 1 in ev._cache
+
+
+def _search_checking_one_first(ev, threshold):
+    """The reference search: ratio(1) is read before any probe."""
+    cap = ev.cap
+    if cap < 1 or not ev.ratio(1) <= threshold:
+        raise BandwidthTooSmallError(_too_small(ev.family, ev.s))
+    lo = hi = min(max(experiments._law(ev.family, ev.s.bandwidth), 1), cap)
+    if lo > 1 and not ev.passes(lo, threshold):
+        lo = 1
+    else:
+        while lo < cap:
+            hi = min(2 * lo, cap)
+            if not ev.passes(hi, threshold):
+                break
+            lo = hi
+        if lo == cap:
+            return cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ev.passes(mid, threshold):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _selection(search, family, s, d, threshold):
+    ev = _StabilityEvaluator(family, s, d)
+    try:
+        m = search(ev, threshold)
+    except BandwidthTooSmallError as err:
+        return str(err)
+    return m, np.float64(ev.ratio(m)).view(np.uint64)
+
+
+SMALL_SETS = ([generate(plan_scheme(kind, k, seed=seed)) for kind in ("jittered", "log")
+               for seed in (0, 7) for k in (1.0, 1.6, 2.5, 5.0)]
+              + [generate(SchemeSpec(kind, n, k, theta=0.2 if kind == "jittered" else 0.0,
+                                     seed=seed))
+                 for kind in ("jittered", "log") for seed in (0, 7) for n in (2, 3, 4, 6)
+                 for k in (2.0, 6.0) if kind == "jittered" or n % 2 == 0])
+
+
+@pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0)]
+                         + [("spline", d) for d in range(4)])
+def test_search_equals_the_search_that_checks_index_one_first(family, d):
+    # the same m with every bit of c_ratio, or the same error, as a search
+    # that reads ratio(1) before its first probe
+    raised = 0
+    for s in SMALL_SETS:
+        for threshold in (1.5, 3.0, 6.0):
+            want = _selection(_search_checking_one_first, family, s, d, threshold)
+            assert _selection(experiments._search_max, family, s, d, threshold) == want
+            raised += isinstance(want, str)
+    assert 0 < raised < 3 * len(SMALL_SETS)
+
+
+@pytest.mark.parametrize("kind", ["jittered", "log"])
+@pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0), ("spline", 1),
+                                       ("spline", 3)])
+def test_error_row_solves_on_the_searched_pencils_alone(monkeypatch, kind, family, d):
+    # no design, QR, reconstruction or orthonormal basis, and no pencil at
+    # index 1 once the search has passed a larger one
+    def refuse(*args, **kwargs):
+        raise AssertionError("the error row left the search's pencils")
+
+    for module, name in ((solver, "reconstruct"), (solver, "design_matrix"), (solver, "_qr"),
+                         (spaces, "build_basis"), (fourier, "cached_basis")):
+        monkeypatch.setattr(module, name, refuse)
+    indices = []
+    pencil = solver.pencil
+
+    def counted(space, w, mu):
+        indices.append(space.cells if space.kind == "spline" else space.degree)
+        return pencil(space, w, mu)
+
+    monkeypatch.setattr(solver, "pencil", counted)
+    [row] = error_curve(FunctionSpec.benchmark(), family, kind, [20.0], d=d, seed=7)
+    assert row.m > 1 and indices and 1 not in indices
+    assert 0.0 < row.error < 0.05
+
+
+def _cell_coefficients(basis, coefficients):
+    """A member's coordinates in an orthonormal system: the exponentials of
+    trig, the normalized Legendre polynomials of each cell otherwise."""
+    if basis.orders is not None:
+        return coefficients
+    return np.tensordot(coefficients, basis.coeffs, (0, 0))
+
+
+@pytest.mark.parametrize("kind, k, seed", [("jittered", 12.0, 1), ("jittered", 45.0, 4),
+                                           ("log", 9.0, 0), ("log", 30.0, 0)])
+@pytest.mark.parametrize("family, d", [("trig", 0), ("legendre", 0), ("spline", 1),
+                                       ("spline", 2), ("spline", 3)])
+def test_certified_solve_matches_the_qr_reconstruction(kind, k, seed, family, d):
+    # the Cholesky solve on the certified pencil, in the pencil's basis, is
+    # the member that the QR of the scaled design gives at the selected m
+    f = FunctionSpec.benchmark()
+    s = generate(plan_scheme(kind, k, seed=seed))
+    ev = _StabilityEvaluator(family, s, d)
+    m = experiments._search_max(ev, 3.0)
+    space = family_space(family, m, d)
+    got = ev.fit(m, fourier.transform_integrals(f, s.points))
+    basis = build_basis(space)
+    want = solver.reconstruct(basis, fourier.sample_function(f, s)).coefficients
+    diff = (_cell_coefficients(spaces._raw_basis(space), got)
+            - _cell_coefficients(basis, want))
+    assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(_cell_coefficients(basis, want))
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda out, jobs: scaling_table("trig", "jittered", [10.0, 20.0], threshold=0.5, jobs=jobs),
+    lambda out, jobs: scaling_table("wavelet", "jittered", [10.0, 20.0], jobs=jobs),
+    lambda out, jobs: error_curve(FunctionSpec.benchmark(), "trig", "jittered", [10.0],
+                                  threshold=0.5, jobs=jobs),
+    lambda out, jobs: error_curve(FunctionSpec.benchmark(), "wavelet", "jittered", [10.0],
+                                  jobs=jobs),
+    lambda out, jobs: run_figure_panels(out, k_grid=[10.0], threshold=0.5, jobs=jobs),
+], ids=["scaling_threshold", "scaling_family", "error_threshold", "error_family",
+        "figure_threshold"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweeps_check_family_and_threshold_before_any_cell(monkeypatch, tmp_path, sweep, jobs):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell started before the options were checked")
+
+    monkeypatch.setattr(sampling, "generate", refuse)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", refuse)
+    with pytest.raises(ValueError, match="threshold must be|unknown family 'wavelet'"):
+        sweep(tmp_path / "out", jobs)
+    assert not (tmp_path / "out").exists()
 
 
 def test_plan_scheme_density_targets():

@@ -11,11 +11,11 @@ from scipy.special import spherical_jn
 
 from dense_bspline import dense_bspline_coeffs, mirror_fold
 from nugs import experiments, fourier, sampling, spaces, validation
-from nugs.fourier import (FourierData, FunctionSpec, _order_factors, basis_transform,
-                          bspline_weighted_gram, cell_transforms, evaluate_function,
-                          interval_exponential, l2_error, load_data_csv, member_transform, project,
-                          sample_function, save_data_csv, spherical_jn_orders,
-                          transform_integrals)
+from nugs.fourier import (FourierData, FunctionSpec, _bspline_weighted_data, _order_factors,
+                          basis_transform, bspline_weighted_gram, cell_transforms,
+                          evaluate_function, interval_exponential, l2_error, load_data_csv,
+                          member_transform, project, sample_function, save_data_csv,
+                          spherical_jn_orders, transform_integrals)
 from nugs.quadrature import panel_edges, panel_nodes, panel_segments
 from nugs.sampling import SampleSet, SchemeSpec, generate, weights
 from nugs.spaces import SpaceSpec, build_basis
@@ -536,6 +536,21 @@ def test_bspline_transforms_match_dense_oracle(kind, d):
         got = bspline_weighted_gram(d, l, omegas, mu)
         assert got.shape == (l + d, l + d)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", sorted(BSPLINE_FREQS))
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_bspline_weighted_data_matches_dense_oracle(kind, d):
+    # A^H y from the border columns and one lag sum, against the dense
+    # transforms, over the same cell counts as the Gram
+    omegas = BSPLINE_FREQS[kind]
+    rng = np.random.default_rng(d)
+    y = rng.standard_normal(omegas.size) + 1j * rng.standard_normal(omegas.size)
+    for l in sorted({1, 2, d, d + 1, 2 * d, 2 * d + 1, 2 * d + 2, 37, 38} - {0}):
+        want = dense_bspline_transforms(d, l, omegas).conj().T @ y
+        got = _bspline_weighted_data(d, l, omegas, y)
+        assert got.shape == (l + d,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), l
 
 
 @pytest.mark.parametrize("l", [37, 38])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nugs import fourier
+from nugs import fourier, solver
 from nugs.errors import UnstableReconstructionError
 from nugs.estimator import NonuniformFourierRegressor, parse_space
 from nugs.fourier import FourierData, FunctionSpec, basis_transform, l2_error, project, sample_function
@@ -352,3 +352,16 @@ def test_rank_deficient_real_table_raises_before_any_solve(monkeypatch, spec):
     with pytest.raises(UnstableReconstructionError, match="unstable"):
         reconstruct(build_basis(spec), data)
     assert calls == ["dgeqrf_lwork", "dgeqrf"]
+
+
+@pytest.mark.parametrize("spec", [SpaceSpec.trig(4), SpaceSpec.legendre(5),
+                                  SpaceSpec.spline(2, 7)], ids=["trig", "legendre", "spline"])
+def test_certified_fit_raises_when_w_does_not_factor(spec):
+    # the certified solve has no fallback: an indefinite W is an error
+    s = generate(SchemeSpec("jittered", 60, 20.0, theta=0.2, seed=4))
+    mu = weights(s)
+    gram, _, table = solver.pencil(spec, s.points, mu)
+    values = np.ones(len(s), dtype=complex)
+    assert np.all(np.isfinite(solver._certified_fit(spec, s.points, mu, values, gram, table)))
+    with pytest.raises(np.linalg.LinAlgError, match="does not factor"):
+        solver._certified_fit(spec, s.points, mu, values, -gram, table)

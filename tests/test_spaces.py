@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
 
-from dense_bspline import dense_bspline_coeffs, folded_bincount_gram, mirror_fold
+from dense_bspline import dense_bspline_coeffs, folded_bincount_gram, mirror_basis, mirror_fold
 from nugs import solver, spaces
 from nugs.spaces import (GrowthConstants, SpaceSpec, _bspline_all_values, _bspline_blocks,
                          build_basis, breakpoints,
@@ -268,6 +268,68 @@ def test_bspline_gram_scatter_matches_dense(d):
             for c in range(d + 1):
                 loop[j + r, j + c] += local[:, r, c]
         assert np.array_equal(upper, np.triu(spaces._mirror_fold(loop[:(l + d + 1) // 2])))
+
+
+def _fold_by_temporaries(top):
+    """``_mirror_fold`` with its blocks formed as c x c temporaries."""
+    c, n = top.shape
+    h = n - c
+    t, p = top[:, :c], top[:, h:][:, ::-1]
+    diff = t - p
+    out = np.empty((n, n))
+    out[:c, :c] = (t + p).real
+    out[c:, c:] = diff[:h, :h].real
+    out[:c, c:] = diff[:, :h].imag
+    if c > h:
+        out[h] *= np.sqrt(0.5)
+        out[:c, h] *= np.sqrt(0.5)
+    out[c:, :c] = out[:c, c:].T
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 195, 196])
+def test_mirror_fold_bitwise_equal_to_the_complex_block_formula(n):
+    # the blocks are written from the real and imaginary views in place,
+    # for the complex top rows of a weighted Gram and the real ones of the
+    # L2 Gram's band
+    rng = np.random.default_rng(n)
+    top = rng.standard_normal((n - n // 2, n)) + 1j * rng.standard_normal((n - n // 2, n))
+    for rows in (top, top.real.copy()):
+        got, want = spaces._mirror_fold(rows), _fold_by_temporaries(rows)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 41])
+def test_mirror_vectors_change_basis_as_the_fold_does(n):
+    # rows are U^H r and columns U x for the unitary U of the fold, so
+    # fold(M) rows(r) = rows(M r) and columns undoes rows
+    rng = np.random.default_rng(n)
+    u = mirror_basis(n)
+    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert np.allclose(spaces._mirror_rows(r), u.conj().T @ r, rtol=0, atol=1e-15)
+    assert np.allclose(spaces._mirror_columns(r), u @ r, rtol=0, atol=1e-15)
+    assert np.allclose(spaces._mirror_columns(spaces._mirror_rows(r)), r, rtol=0, atol=1e-15)
+    a = rng.standard_normal((3 * n, n))
+    a = a + a[:, ::-1] + 1j * (a - a[:, ::-1])  # columns n-1-i are conjugates
+    m = a.conj().T @ a
+    folded = spaces._mirror_fold(m[:n - n // 2])
+    assert np.allclose(folded @ spaces._mirror_rows(r), spaces._mirror_rows(m @ r),
+                       rtol=0, atol=1e-12 * np.abs(m).max())
+
+
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_raw_spline_basis_is_the_dense_bspline_array(d):
+    # build_basis orthonormalizes exactly this array; the other kinds'
+    # realizations are already orthonormal
+    for l in (1, d + 1, 2 * d + 1, 23):
+        raw = spaces._raw_basis(SpaceSpec.spline(d, l))
+        assert np.max(np.abs(raw.coeffs - dense_bspline_coeffs(d, l))) <= 1e-14
+        assert raw.dim == l + d and not raw.coeffs.flags.writeable
+    for spec in ALL_SPECS:
+        if spec.kind != "spline":
+            want, got = build_basis(spec), spaces._raw_basis(spec)
+            assert all(np.array_equal(getattr(want, f), getattr(got, f))
+                       for f in ("breaks", "coeffs", "orders") if getattr(want, f) is not None)
 
 
 @pytest.mark.parametrize("d", range(6))
