@@ -6,22 +6,22 @@ selected dimension parameter is the largest one whose stability ratio
 stays below a threshold; the ratios reported per family are M/K for
 exponentials, M/sqrt(K) for polynomials and M d^2/K for splines.
 
-One cell per bandwidth does all the work of a sweep: it plans the scheme,
-draws the sample set once and runs the stability search once, then builds
-the scaling row from that search and, given a function, the error row by
-a weighted least-squares fit at the same M on the same set, solved on the
-pencil the search certified there (``_StabilityEvaluator.fit``).  The
-sweeps check the family and the threshold before the first cell draws a
-set or a pool starts.  ``scaling_table`` and
-``error_curve`` keep one of the two rows; ``run_figure_panels`` keeps both,
-so the figure pays for one search per scheme, family and bandwidth.
+A sweep checks every option and draws every sample set of its grid before
+the first cell runs or a pool starts.  One cell per set samples the function
+on it once and, for each family, searches it once, builds the scaling row
+from that search and, given a function, the error row by a weighted least-
+squares fit at the same M on the same set, solved on the pencil the search
+certified there (``_StabilityEvaluator.fit``).  ``scaling_table`` and
+``error_curve`` sweep one family and keep one of the two rows;
+``run_figure_panels`` sweeps all five once per scheme and keeps both, so the
+figure draws, samples and searches once per scheme and K for each family.
 Given no grid, a sweep runs ``default_k_grid()``: the 16 points of figure1.
 
 Every search starts where the paper's laws put its answer (``_law``): at
 ceil(K) for trig and splines, whose stable index grows linearly in the
 bandwidth K, and at ceil(sqrt(K)) for Legendre, whose bandwidth grows
-quadratically in the degree.  So a cell depends only on its own bandwidth,
-and a sweep runs the same cells serially or on a process pool.  A start
+quadratically in the degree.  So a cell depends only on its own set, and
+a sweep runs the same cells serially or on a process pool.  A start
 that passes is doubled until a probe fails, and one that fails bounds a
 bisection from 1.  Trig orders and Legendre degrees are nested spaces, so
 lambda_min(W, G) cannot rise with M (Cauchy interlacing) and the selected
@@ -40,7 +40,7 @@ of ``solver.pencil_test`` and asks ``ratio`` only inside their band, and
 at index 1 when the search ends there.  There is one W per index, which
 both read alike: for trig and Legendre a principal block of the widest Gram
 built so far, for splines the last one that passed or one built at M.  A
-cell's probes depend only on its bandwidth, so c_ratio does too.  The
+cell's probes depend only on its set, so c_ratio does too.  The
 error row's solve (``solver._certified_fit``) factors that same W at the
 selected M, with the widest trig or Legendre probe's scaled table at its
 columns for the right-hand side, and measures the member in the pencil's
@@ -235,7 +235,6 @@ def _search_max(ev: _StabilityEvaluator, threshold: float) -> int:
     ends there: every space of the family holds the one at index 1 (P_d for
     splines), so a probe above 1 that passes has shown ratio(1) <= threshold
     too.  With cap < 1 no probe is made."""
-    check_threshold(threshold)
     cap = ev.cap
     lo = hi = min(max(_law(ev.family, ev.s.bandwidth), 1), cap)
     if lo > 1 and not ev.passes(lo, threshold):
@@ -274,39 +273,29 @@ def max_stable_dimension(family: str, s: SampleSet, threshold: float = _THRESHOL
     """
     if not isinstance(s, SampleSet):
         raise ValueError(f"s must be a SampleSet, got {type(s).__name__}")
+    check_threshold(threshold)
     return _search_max(_StabilityEvaluator(family, s, check_count(d, "d", 0)), threshold)
 
 
-def _cell(f, family, kind, d, threshold, delta_max, theta, seed, k):
-    """One bandwidth: draw the planned sample set, search it once, and return
-    the scaling row with the error of ``f`` at the same m (None without f).
-    The error row solves on the pencil the search certified at m
-    (``_StabilityEvaluator.fit``) and measures the member in the pencil's
-    own basis: no design, QR or orthonormal basis is made."""
-    spec = plan_scheme(kind, k, delta_max=delta_max, theta=theta, seed=seed)
-    s = sampling.generate(spec)
-    ev = _StabilityEvaluator(family, s, d)
-    m = _search_max(ev, threshold)
-    if family == "trig":
-        ratio = m / k
-    elif family == "legendre":
-        ratio = m / math.sqrt(k)
-    else:
-        ratio = m * d * d / k
-    row = ScalingRow(family=family, k=k, n=len(s), m=m, ratio=ratio, c_ratio=ev.ratio(m))
-    if f is None:
-        return row, None
-    coeffs = ev.fit(m, fourier.transform_integrals(f, s.points))
-    err = fourier.l2_error(f, coeffs, spaces._raw_basis(family_space(family, m, d)))
-    return row, ErrorRow(family=family, k=k, n=len(s), m=m, error=err)
-
-
-def _check_search(family: str, threshold: float) -> None:
-    """The family and threshold of a sweep, checked before its first cell
-    draws a sample set or starts a pool."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    check_threshold(threshold)
+def _cell(f, families, threshold, s: SampleSet) -> list[tuple]:
+    """One drawn set: sample ``f`` on it once, then per ``(family, d)`` search
+    it once and return the scaling row and the error of ``f`` at the same m
+    (None without f), solved on the pencil the search certified at m and
+    measured in the pencil's own basis, with no design, QR or orthonormal basis."""
+    k, n = s.bandwidth, len(s)
+    values = None if f is None else fourier.transform_integrals(f, s.points)
+    pairs = []
+    for family, d in families:
+        ev = _StabilityEvaluator(family, s, d)
+        m = _search_max(ev, threshold)
+        ratio = (m * d * d if family == "spline" else m) / (
+            math.sqrt(k) if family == "legendre" else k)
+        row, err = ScalingRow(family, k, n, m, ratio, ev.ratio(m)), None
+        if f is not None:
+            basis = spaces._raw_basis(family_space(family, m, d))
+            err = ErrorRow(family, k, n, m, fourier.l2_error(f, ev.fit(m, values), basis))
+        pairs.append((row, err))
+    return pairs
 
 
 def default_k_grid(kmin: float = _K_GRID[0], kmax: float = _K_GRID[1],
@@ -315,10 +304,17 @@ def default_k_grid(kmin: float = _K_GRID[0], kmax: float = _K_GRID[1],
                         check_positive_finite(kmax, "kmax"), check_count(count, "kcount"))
 
 
-def _sweep(cell, k_grid, jobs: int) -> list:
-    """Row pairs of ``cell(k)`` across the grid, mapped on ``jobs``
-    processes.  A cell depends only on its bandwidth, so every ``jobs``
-    gives the same rows."""
+def _sweep(f, families, threshold, kind, k_grid, delta_max, theta, seed,
+           jobs: int) -> list[tuple]:
+    """Row pairs of each ``(family, d)`` across the grid, one tuple per family,
+    from ``_cell`` mapped on ``jobs`` processes once every option is checked
+    and every set of the grid drawn.  A cell depends only on its set, so
+    every ``jobs`` gives the same rows."""
+    for family, d in families:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+        check_count(d, "d", 0)
+    check_threshold(threshold)
     try:
         ks = default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
     except (TypeError, ValueError):
@@ -330,22 +326,24 @@ def _sweep(cell, k_grid, jobs: int) -> list:
         raise ValueError("k_grid must hold at least one bandwidth, got an empty grid")
     for k in ks:
         check_positive_finite(k, "k_grid entry k")
-    if check_count(jobs, "jobs") == 1:
-        return list(map(cell, ks))
+    check_count(jobs, "jobs")
+    sets = [sampling.generate(plan_scheme(kind, k, delta_max=delta_max, theta=theta,
+                                          seed=seed)) for k in ks]
+    cell = partial(_cell, f, families, threshold)
+    if jobs == 1:
+        return list(zip(*map(cell, sets)))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(cell, ks))
+        return list(zip(*pool.map(cell, sets)))
 
 
 def scaling_table(family: str, kind: str, k_grid=None, *, d: int = 0,
                   threshold: float = _THRESHOLD, delta_max: float = _DELTA_MAX,
                   theta: float = _THETA, seed: int = 0, jobs: int = 1) -> list[ScalingRow]:
     """Selected dimension and ratio across a bandwidth grid (one family)."""
-    check_count(d, "d", 0)
-    if family == "spline" and d < 1:
+    if family == "spline" and d == 0:  # ``_sweep`` rejects a negative or non-integer d
         raise ValueError(f"the spline ratio M d^2/K needs degree d >= 1, got d={d}")
-    _check_search(family, threshold)
-    return [row for row, _ in _sweep(partial(_cell, None, family, kind, d, threshold,
-                                             delta_max, theta, seed), k_grid, jobs)]
+    return [row for row, _ in _sweep(None, [(family, d)], threshold, kind, k_grid,
+                                     delta_max, theta, seed, jobs)[0]]
 
 
 def error_curve(f: FunctionSpec, family: str, kind: str, k_grid=None, *, d: int = 0,
@@ -354,10 +352,8 @@ def error_curve(f: FunctionSpec, family: str, kind: str, k_grid=None, *, d: int 
     selected dimension at each bandwidth, on the default schemes of ``plan_scheme``."""
     if not isinstance(f, FunctionSpec):
         raise ValueError(f"f must be a FunctionSpec, got {f!r}")
-    check_count(d, "d", 0)
-    _check_search(family, threshold)
-    return [row for _, row in _sweep(partial(_cell, f, family, kind, d, threshold,
-                                             _DELTA_MAX, _THETA, seed), k_grid, jobs)]
+    return [row for _, row in _sweep(f, [(family, d)], threshold, kind, k_grid, _DELTA_MAX,
+                                     _THETA, seed, jobs)[0]]
 
 
 def run_figure_panels(out_dir, *, seed: int = 0, k_grid=None, jobs: int = 1,
@@ -368,16 +364,15 @@ def run_figure_panels(out_dir, *, seed: int = 0, k_grid=None, jobs: int = 1,
     Each panel is one CSV (with a leading family column) plus one
     self-contained SVG.  Returns the paths written.
     """
-    check_threshold(threshold)
     fam_list = [("trig", 0), ("legendre", 0)] + [("spline", d) for d in _SPLINE_DEGREES]
     f = FunctionSpec.benchmark()
     written = []
     for kind in ("jittered", "log"):
         srows, erows = [], []
-        for family, d in fam_list:
+        for (family, d), pairs in zip(fam_list, _sweep(f, fam_list, threshold, kind, k_grid,
+                                                       delta_max, _THETA, seed, jobs)):
             label = _label(family, d)
-            for srow, erow in _sweep(partial(_cell, f, family, kind, d, threshold,
-                                             delta_max, _THETA, seed), k_grid, jobs):
+            for srow, erow in pairs:
                 srows.append(replace(srow, family=label))
                 erows.append(replace(erow, family=label))
         panels = (_write_panel(out_dir, f"scaling_{kind}", srows,

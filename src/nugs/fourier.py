@@ -739,12 +739,12 @@ def project(f: FunctionSpec, basis: OrthoBasis) -> np.ndarray:
         # projection coefficients are transform values at the integer orders
         return transform_integrals(f, basis.orders.astype(float))
 
-    def estimate(width):
-        xs, ws = _panel_rule(f, basis, width)
+    def estimate(xs, ws):
         return spaces.evaluate(basis, xs) @ (evaluate_function(f, xs) * ws)
 
-    return refine(estimate, 0.25,
-                  lambda new, old: np.max(np.abs(new - old)) <= _TRANSFORM_TOL, "projection")
+    return _panel_refine(f, basis, estimate, 0.25,
+                         lambda new, old: np.max(np.abs(new - old)) <= _TRANSFORM_TOL,
+                         "projection")
 
 
 def l2_error(f: FunctionSpec, coefficients, basis: OrthoBasis) -> float:
@@ -754,20 +754,24 @@ def l2_error(f: FunctionSpec, coefficients, basis: OrthoBasis) -> float:
     stops when the returned norm is stable to 1e-10 (relative above 1).
     """
 
-    def estimate(width):
-        xs, ws = _panel_rule(f, basis, width)
+    def estimate(xs, ws):
         g = spaces.member_values(basis, coefficients, xs)
         return math.sqrt(max(float(ws @ np.abs(evaluate_function(f, xs) - g) ** 2), 0.0))
 
-    return refine(estimate, 0.125,
-                  lambda new, old: abs(new - old) <= _L2_TOL * max(1.0, new), "L2 error")
+    return _panel_refine(f, basis, estimate, 0.125,
+                         lambda new, old: abs(new - old) <= _L2_TOL * max(1.0, new), "L2 error")
 
 
-def _panel_rule(f: FunctionSpec, basis: OrthoBasis, width: float):
-    """Composite rule on (0, 1) split at the function's jumps and the basis
-    cells, exact for products of basis members."""
-    cuts = sorted(set(f.jumps) | set(basis.breaks[1:-1]))
-    return panel_nodes(panel_edges(0.0, 1.0, cuts, width), max(24, basis.local_dim + 8))
+def _panel_refine(f: FunctionSpec, basis: OrthoBasis, estimate, width: float, close, what):
+    """``refine`` of ``estimate(nodes, weights)`` on composite rules on (0, 1)
+    split at the function's jumps and the basis cells, exact for products of
+    basis members, from ``width`` or the widest piece between cuts if narrower:
+    so the first halving splits a panel and the first two estimates differ."""
+    cuts = set(f.jumps) | set(basis.breaks[1:-1])
+    widest = max(hi - lo for lo, hi, _ in panel_segments(0.0, 1.0, cuts, 1.0))
+    p = max(24, basis.local_dim + 8)
+    return refine(lambda h: estimate(*panel_nodes(panel_edges(0.0, 1.0, cuts, h), p)),
+                  min(width, widest), close, what)
 
 
 # ---------------------------------------------------------------------------

@@ -583,16 +583,24 @@ def test_certified_solve_matches_the_qr_reconstruction(kind, k, seed, family, d)
     lambda out, jobs: error_curve(FunctionSpec.benchmark(), "wavelet", "jittered", [10.0],
                                   jobs=jobs),
     lambda out, jobs: run_figure_panels(out, k_grid=[10.0], threshold=0.5, jobs=jobs),
+    lambda out, jobs: scaling_table("trig", "bogus", [10.0, 20.0], jobs=jobs),
+    lambda out, jobs: scaling_table("trig", "jittered", [10.0, 20.0], theta=1.5, jobs=jobs),
+    lambda out, jobs: scaling_table("trig", "log", [10.0, 20.0], seed=-1, jobs=jobs),
+    lambda out, jobs: scaling_table("trig", "log", [10.0, 20.0], delta_max=0.0, jobs=jobs),
 ], ids=["scaling_threshold", "scaling_family", "error_threshold", "error_family",
-        "figure_threshold"])
+        "figure_threshold", "scaling_kind", "scaling_theta", "scaling_seed",
+        "scaling_delta_max"])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweeps_check_family_and_threshold_before_any_cell(monkeypatch, tmp_path, sweep, jobs):
+    # the scheme's options too: kind, theta, seed and delta_max
     def refuse(*args, **kwargs):
         raise AssertionError("a cell started before the options were checked")
 
     monkeypatch.setattr(sampling, "generate", refuse)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", refuse)
-    with pytest.raises(ValueError, match="threshold must be|unknown family 'wavelet'"):
+    with pytest.raises(ValueError, match="threshold must be|unknown family 'wavelet'|"
+                       "unknown scheme kind 'bogus'|theta: jitter fraction must lie in|"
+                       "seed must be an integer >= 0|delta_max must be finite and positive"):
         sweep(tmp_path / "out", jobs)
     assert not (tmp_path / "out").exists()
 
@@ -944,6 +952,31 @@ def test_figure_panels_search_once_per_bandwidth(tmp_path, monkeypatch):
         assert error == scaling
 
 
+@pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 2)])
+def test_figure_panels_draw_and_sample_once_per_scheme_and_bandwidth(tmp_path, monkeypatch,
+                                                                      jobs, pools):
+    # all five families share each (scheme, K)'s set and its samples of f,
+    # and each scheme's sweep starts one pool
+    calls = []
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return call(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sampling, "generate", counted("generate", sampling.generate))
+    monkeypatch.setattr(fourier, "transform_integrals",
+                        counted("transform", fourier.transform_integrals))
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                        counted("pool", experiments.ProcessPoolExecutor))
+    run_figure_panels(tmp_path, seed=1, k_grid=[6.0, 12.0], jobs=jobs)
+    assert calls.count("generate") == 4
+    assert calls.count("pool") == pools
+    if jobs == 1:  # a pool's workers sample f in their own processes
+        assert calls.count("transform") == 4
+
+
 def test_error_curve_accepts_spline_degree_zero():
     rows = error_curve(FunctionSpec.benchmark(), "spline", "jittered", [8.0], d=0, seed=1)
     assert len(rows) == 1 and rows[0].m >= 1 and np.isfinite(rows[0].error)
@@ -967,22 +1000,27 @@ def test_csv_writer_bytes(tmp_path):
         b"family,k,n,m,error\ntrig,10.0,27,9,0.0015\nspline_d2,6.0,5,1,0.6666666666666666\n")
 
 
-@pytest.mark.parametrize("sweep, rounds", [
-    (lambda out: scaling_table("trig", "jittered"), 1),
-    (lambda out: error_curve(FunctionSpec.benchmark(), "legendre", "log"), 1),
-    (lambda out: run_figure_panels(out), 10),
+@pytest.mark.parametrize("sweep, kinds, families", [
+    (lambda out: scaling_table("trig", "jittered"), ["jittered"], [("trig", 0)]),
+    (lambda out: error_curve(FunctionSpec.benchmark(), "legendre", "log"), ["log"],
+     [("legendre", 0)]),
+    (lambda out: run_figure_panels(out), ["jittered", "log"], FIGURE_FAMILIES),
 ], ids=["scaling_table", "error_curve", "run_figure_panels"])
-def test_sweep_without_grid_visits_the_default_grid(tmp_path, monkeypatch, sweep, rounds):
+def test_sweep_without_grid_visits_the_default_grid(tmp_path, monkeypatch, sweep, kinds,
+                                                    families):
     visited = []
 
-    def cell(f, family, kind, d, threshold, delta_max, theta, seed, k):
-        # the search and the error row are not run: only the arguments count
-        visited.append((k, threshold, delta_max))
-        return (ScalingRow(family, k, 10, 1, 0.5, 1.5),
-                ErrorRow(family, k, 10, 1, 1e-3) if f is not None else None)
+    def cell(f, families, threshold, s):
+        # the search and the error row are not run: only the arguments count;
+        # the set's size is the planned one, so it carries the density cap
+        visited.append((s.bandwidth, threshold, len(s), list(families)))
+        return [(ScalingRow(family, s.bandwidth, 10, 1, 0.5, 1.5),
+                 ErrorRow(family, s.bandwidth, 10, 1, 1e-3) if f is not None else None)
+                for family, _ in families]
 
     monkeypatch.setattr(experiments, "_cell", cell)
     sweep(tmp_path)
-    want = [(k, experiments._THRESHOLD, experiments._DELTA_MAX)
-            for k in default_k_grid().tolist()]
-    assert visited == want * rounds
+    want = [(k, experiments._THRESHOLD,
+             plan_scheme(kind, k, delta_max=experiments._DELTA_MAX).n, families)
+            for kind in kinds for k in default_k_grid().tolist()]
+    assert visited == want

@@ -158,6 +158,26 @@ def test_l2_error_sawtooth_hand_value():
     assert l2_error(f, best, basis) == pytest.approx(1 / (4 * np.sqrt(3)), abs=1e-10)
 
 
+@pytest.mark.parametrize("quadrature, space", [
+    (lambda f, basis: l2_error(f, np.zeros(basis.dim), basis), SpaceSpec.spline(3, 16)),
+    (project, SpaceSpec.spline(3, 8)),
+], ids=["l2_error", "project"])
+def test_refinement_compares_different_rules_on_fine_cells(monkeypatch, quadrature, space):
+    # cells narrower than the start width would give the first two widths
+    # the same panels, and the convergence test would compare a value with itself
+    rules = []
+
+    def recorded(edges, n):
+        rule = panel_nodes(edges, n)
+        rules.append(rule[0])
+        return rule
+
+    monkeypatch.setattr(fourier, "panel_nodes", recorded)
+    quadrature(FunctionSpec.benchmark(), build_basis(space))
+    assert len(rules) >= 2
+    assert not np.array_equal(rules[0], rules[1])
+
+
 def test_project_matches_transform_for_trig():
     f = FunctionSpec.benchmark()
     basis = build_basis(SpaceSpec.trig(3))
